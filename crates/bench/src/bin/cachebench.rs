@@ -1,6 +1,8 @@
 //! Cold-vs-warm benchmark of the persistent artifact store.
 //!
-//! Runs the incremental suite driver twice against the same store:
+//! Runs the cached suite pass ([`compile_suite_cached`] over a 1-shard
+//! store under a `default_workers()`-wide server) twice against the same
+//! store:
 //!
 //! 1. **cold** — the store is wiped first (unless `CACHEBENCH_KEEP_STORE=1`),
 //!    so every program is compiled by the engine and filed;
@@ -25,12 +27,16 @@
 
 use rupicola_bench::json::{write_results, Json};
 use rupicola_ext::standard_dbs;
-use rupicola_service::{compile_suite_cached, env, CachedResult, Provenance, Store};
+use rupicola_programs::parallel::default_workers;
+use rupicola_service::{
+    compile_suite_cached, env, store_root_from_env, CachedResult, Provenance, Server, ShardedStore,
+    TenantTable,
+};
 use std::time::Instant;
 
-fn run_pass(store: &mut Store, dbs: &rupicola_core::HintDbs) -> (Vec<CachedResult>, f64) {
+fn run_pass(server: &Server, dbs: &rupicola_core::HintDbs) -> (Vec<CachedResult>, f64) {
     let t0 = Instant::now();
-    let results = compile_suite_cached(store, dbs);
+    let results = compile_suite_cached(server, dbs);
     let secs = t0.elapsed().as_secs_f64();
     for r in &results {
         if let Err(e) = &r.result {
@@ -56,27 +62,27 @@ fn provenance_rows(results: &[CachedResult]) -> Vec<Json> {
 fn main() {
     let keep_store = env::flag_or_exit("CACHEBENCH_KEEP_STORE");
     let expect_warm = env::flag_or_exit("CACHEBENCH_EXPECT_WARM");
-    let mut store = Store::open_from_env().unwrap_or_else(|e| {
+    let root = store_root_from_env().unwrap_or_else(|e| {
         eprintln!("cachebench: {e}");
         std::process::exit(2);
     });
     if !keep_store {
-        let root = store.root().to_path_buf();
-        drop(store);
         if let Err(e) = std::fs::remove_dir_all(&root) {
             if e.kind() != std::io::ErrorKind::NotFound {
                 eprintln!("cachebench: cannot wipe store {}: {e}", root.display());
                 std::process::exit(2);
             }
         }
-        store = Store::open(root).unwrap_or_else(|e| {
-            eprintln!("cachebench: {e}");
-            std::process::exit(2);
-        });
     }
+    let store = ShardedStore::open(root, 1).unwrap_or_else(|e| {
+        eprintln!("cachebench: {e}");
+        std::process::exit(2);
+    });
+    let server = Server::new(store, TenantTable::default(), default_workers());
+    let store = server.store();
     let dbs = standard_dbs();
 
-    let (first, cold_secs) = run_pass(&mut store, &dbs);
+    let (first, cold_secs) = run_pass(&server, &dbs);
     let first_hits = first.iter().filter(|r| r.provenance == Provenance::Cache).count();
     let fully_cold = first_hits == 0;
     if expect_warm && first_hits != first.len() {
@@ -97,7 +103,7 @@ fn main() {
     let mut second = Vec::new();
     for _ in 0..warm_reps.max(1) {
         let stats_before = store.stats();
-        let (pass, secs) = run_pass(&mut store, &dbs);
+        let (pass, secs) = run_pass(&server, &dbs);
         let stats = store.stats();
         let warm_hits = stats.hits - stats_before.hits;
         let warm_evictions = stats.evictions - stats_before.evictions;

@@ -1,7 +1,7 @@
 //! Fault-injection benchmark of the service layer (DESIGN.md §12).
 //!
-//! Drives thousands of mixed compile requests through a store whose I/O
-//! backend injects faults from a **seeded** schedule (transient
+//! Drives thousands of mixed compile requests through a 1-shard store
+//! (the plain store layout) whose I/O backend injects faults from a **seeded** schedule (transient
 //! `EIO`/`ENOSPC`, torn writes, post-write bit flips, rename failures,
 //! stale temp-file litter), then replays three more scenarios: a total
 //! outage (the store must degrade to compile-without-cache, not fail the
@@ -30,20 +30,33 @@
 
 use rupicola_bench::json::{write_results, Json};
 use rupicola_core::check::{check_with, CheckConfig};
-use rupicola_core::CompiledFunction;
+use rupicola_core::{CompiledFunction, EngineLimits};
 use rupicola_ext::standard_dbs;
 use rupicola_programs::suite;
 use rupicola_service::{
-    compile_programs_cached, serve, CachedResult, ChaosBackend, FaultPlan, Provenance,
-    RetryPolicy, Store,
+    resolve_one, serve, Backend, CachedResult, ChaosBackend, FaultPlan, Provenance, RetryPolicy,
+    Server, ShardedStore, Store, TenantTable,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("rupicola-chaosbench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Opens a 1-shard store at `root` over `backend`, with `tune` applied;
+/// exits 2 if it cannot be opened.
+fn open_store(
+    root: &Path,
+    backend: impl Fn() -> Box<dyn Backend>,
+    tune: impl Fn(Store) -> Store,
+) -> ShardedStore {
+    ShardedStore::open_with(root, 1, |_| backend(), tune).unwrap_or_else(|e| {
+        eprintln!("chaosbench: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn fail(gate: &str, detail: String) -> ! {
@@ -66,6 +79,7 @@ fn main() {
     let dbs = standard_dbs();
     let all = suite();
     let policy = RetryPolicy::default();
+    let limits = EngineLimits::default();
 
     // Reference answers: one fault-free compile per program. Every answer
     // the chaos trial produces is compared against these — a "wrong
@@ -102,28 +116,24 @@ fn main() {
     // every fault class from the seeded schedule.
     let root = scratch("trial");
     std::fs::create_dir_all(&root).unwrap();
-    let backend = Box::new(ChaosBackend::new(FaultPlan::hostile(seed)));
-    let mut store = Store::open_with_backend(&root, backend).unwrap_or_else(|e| {
-        eprintln!("chaosbench: {e}");
-        std::process::exit(2);
-    });
+    let store =
+        open_store(&root, || Box::new(ChaosBackend::new(FaultPlan::hostile(seed))), |s| s);
     let mut picker = seed ^ 0x9e37_79b9_7f4a_7c15;
     let mut answered = 0usize;
     let t0 = std::time::Instant::now();
     for i in 0..requests {
-        let entry = all[(mix(&mut picker) as usize) % all.len()].clone();
+        let entry = &all[(mix(&mut picker) as usize) % all.len()];
         // Deterministic churn: periodically expire the picked artifact so
         // the trial keeps *writing* (and thus keeps exposing the
         // torn-write / bit-flip / rename-failure / litter classes) instead
         // of settling into an all-hits steady state after seven stores.
         if i % 8 == 0 {
-            let key =
-                store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &Default::default());
-            let _ = std::fs::remove_file(store.path_for(entry.info.name, key));
+            let key = store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &limits);
+            let _ = std::fs::remove_file(store.shard(0).path_for(entry.info.name, key));
         }
-        let results = compile_programs_cached(std::slice::from_ref(&entry), &mut store, &dbs);
-        check_answer(&results[0], "trial");
-        if results[0].result.is_ok() {
+        let result = resolve_one(&store, entry, &dbs, &limits);
+        check_answer(&result, "trial");
+        if result.result.is_ok() {
             answered += 1;
         }
     }
@@ -144,7 +154,7 @@ fn main() {
         stats.retries,
         stats.write_failures,
         stats.quarantined,
-        store.degraded()
+        store.any_degraded()
     );
     if availability < 0.99 {
         fail("availability", format!("{availability:.4} < 0.99 over {requests} requests"));
@@ -153,18 +163,20 @@ fn main() {
         fail("bounded-retries", format!("{} retries > bound {retry_bound}", stats.retries));
     }
     let trial_stats = stats;
-    let trial_degraded = store.degraded();
+    let trial_degraded = store.any_degraded();
 
     // ---- Scenario 2: protocol round over the chaos store --------------
     // One JSON-lines batch including a ping, a malformed line and a
-    // deadline'd request: in-band errors, no panics, no wrong answers.
+    // deadline'd request, served over the trial's chaos store by one
+    // worker: in-band errors, no panics, no wrong answers.
     let input = "{\"op\":\"ping\"}\n\
                  not json\n\
                  {\"op\":\"compile\",\"program\":\"fnv1a\",\"deadline_ms\":600000}\n\
                  {\"op\":\"suite\"}\n\
                  {\"op\":\"stats\"}\n";
     let mut out = Vec::new();
-    let n = serve(input.as_bytes(), &mut out, &mut store, &dbs).unwrap_or_else(|e| {
+    let server = Server::new(store, TenantTable::default(), 1);
+    let n = serve(input.as_bytes(), &mut out, &server, &dbs).unwrap_or_else(|e| {
         eprintln!("chaosbench: protocol round I/O error: {e}");
         std::process::exit(2);
     });
@@ -188,35 +200,31 @@ fn main() {
     // ---- Scenario 3: total outage degrades, requests still answered ----
     let outage_root = scratch("outage");
     std::fs::create_dir_all(&outage_root).unwrap();
-    let mut outage_store = Store::open_with_backend(
+    let outage_store = open_store(
         &outage_root,
-        Box::new(ChaosBackend::new(FaultPlan::outage(seed))),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("chaosbench: {e}");
-        std::process::exit(2);
-    })
-    .with_retry_policy(RetryPolicy {
-        max_attempts: 2,
-        base_delay: std::time::Duration::from_micros(50),
-        max_delay: std::time::Duration::from_micros(200),
-    })
-    .with_degrade_after(2);
+        || Box::new(ChaosBackend::new(FaultPlan::outage(seed))),
+        |s| {
+            s.with_retry_policy(RetryPolicy {
+                max_attempts: 2,
+                base_delay: std::time::Duration::from_micros(50),
+                max_delay: std::time::Duration::from_micros(200),
+            })
+            .with_degrade_after(2)
+        },
+    );
     let outage_requests = 25usize;
     let mut outage_ok = 0usize;
     for i in 0..outage_requests {
-        let entry = all[i % all.len()].clone();
-        let results =
-            compile_programs_cached(std::slice::from_ref(&entry), &mut outage_store, &dbs);
-        check_answer(&results[0], "outage");
-        if results[0].result.is_ok() {
+        let result = resolve_one(&outage_store, &all[i % all.len()], &dbs, &limits);
+        check_answer(&result, "outage");
+        if result.result.is_ok() {
             outage_ok += 1;
         }
     }
     if outage_ok != outage_requests {
         fail("outage", format!("{outage_ok}/{outage_requests} answered under outage"));
     }
-    if !outage_store.degraded() {
+    if !outage_store.all_degraded() {
         fail("outage", "store must flip to degraded under a persistent outage".to_string());
     }
     println!(
@@ -229,13 +237,11 @@ fn main() {
     // writer that no longer exists (dead pid / torn tag). Reopen must
     // scavenge them all and still serve a verified hit.
     let crash_root = scratch("crash");
-    let mut crash_store = Store::open(&crash_root).unwrap_or_else(|e| {
-        eprintln!("chaosbench: {e}");
-        std::process::exit(2);
-    });
-    let entry = all[0].clone();
-    let warm = compile_programs_cached(std::slice::from_ref(&entry), &mut crash_store, &dbs);
-    check_answer(&warm[0], "crash-warmup");
+    let fs = || Box::new(rupicola_service::FsBackend) as Box<dyn Backend>;
+    let crash_store = open_store(&crash_root, fs, |s| s);
+    let entry = &all[0];
+    let warm = resolve_one(&crash_store, entry, &dbs, &limits);
+    check_answer(&warm, "crash-warmup");
     drop(crash_store);
     let orphans = [
         crash_root.join("fnv1a-dead.tmp.4194999"),
@@ -244,10 +250,7 @@ fn main() {
     for orphan in &orphans {
         std::fs::write(orphan, "{ killed mid-store").unwrap();
     }
-    let mut reopened = Store::open(&crash_root).unwrap_or_else(|e| {
-        eprintln!("chaosbench: {e}");
-        std::process::exit(2);
-    });
+    let reopened = open_store(&crash_root, fs, |s| s);
     let scavenged = reopened.stats().scavenged;
     if scavenged < orphans.len() {
         fail("recovery", format!("scavenged {scavenged}, planted {}", orphans.len()));
@@ -255,9 +258,9 @@ fn main() {
     if orphans.iter().any(|o| o.exists()) {
         fail("recovery", "orphaned temp files survived reopen".to_string());
     }
-    let served = compile_programs_cached(std::slice::from_ref(&entry), &mut reopened, &dbs);
-    check_answer(&served[0], "crash-recovery");
-    if served[0].provenance != Provenance::Cache {
+    let served = resolve_one(&reopened, entry, &dbs, &limits);
+    check_answer(&served, "crash-recovery");
+    if served.provenance != Provenance::Cache {
         fail("recovery", "reopened store must serve the pre-crash artifact".to_string());
     }
     println!("chaosbench: recovery: {scavenged} orphan(s) scavenged, verified hit after reopen");

@@ -52,8 +52,8 @@ fn main() {
         "{:<8} {:>8} {:>7} {:>9} {:>9} {:>10}",
         "program", "mutants", "killed", "survived", "analyzer", "structural"
     );
-    // One incremental suite pass (verified cache loads, parallel
-    // compilation of the misses): each program's artifact is obtained once
+    // One cached suite pass (verified cache loads, compilation of the
+    // misses through the server): each program's artifact is obtained once
     // and shared by every mutant derived from it. A cache-served artifact
     // is safe to mutate from: the verified load re-checked it, so mutants
     // still start from a pristine witness. What CANNOT

@@ -188,7 +188,7 @@ fn main() {
     println!();
     println!("# Compiler throughput (paper §4.3: Coq runs at 2–15 statements/s):");
     let dbs = rupicola_ext::standard_dbs();
-    // One incremental (store-backed) pass first: on a warm store this
+    // One cached (store-backed) pass first: on a warm store this
     // serves and re-verifies the artifacts without a single derivation,
     // and it is what populates the store for the other harness binaries.
     let (cached, cache) = rupicola_service::suite_via_store(&dbs);
@@ -197,7 +197,7 @@ fn main() {
         .map(|r| r.result.as_ref().expect("suite compiles").function.statement_count())
         .sum();
     println!(
-        "#   incremental pass: {suite_statements} statements; cache {} hit(s), {} miss(es)",
+        "#   cached pass: {suite_statements} statements; cache {} hit(s), {} miss(es)",
         cache.hits, cache.misses
     );
     // Then time the engine proper: suite-parallel compilation per

@@ -23,8 +23,8 @@ fn main() {
     let mut rows: Vec<Json> = Vec::new();
 
     println!("{:<8} {:>8} {:>8} {:>8}", "program", "errors", "warnings", "verdict");
-    // One incremental suite pass (verified cache loads first, parallel
-    // compilation of the misses) shared by both analysis layers: the
+    // One cached suite pass (verified cache loads first, compilation of
+    // the misses through the server) shared by both analysis layers: the
     // per-program dataflow lints and the lemma-library linter's probe
     // suites below both consume these same compiled artifacts, instead of
     // each re-running the compiler — and on a warm store, instead of

@@ -41,8 +41,8 @@ fn main() {
     }
     println!();
     println!("# Compilation footprint (statements emitted / lemma applications /");
-    println!("# side conditions discharged), via the incremental store-backed");
-    println!("# driver (verified cache loads; misses compiled suite-parallel):");
+    println!("# side conditions discharged), via the store-backed server");
+    println!("# (verified cache loads; misses compiled in parallel):");
     let dbs = rupicola_ext::standard_dbs();
     let (live, cache) = rupicola_service::suite_via_store(&dbs);
     for r in &live {

@@ -19,8 +19,8 @@ fn main() {
     );
     let mut failures = 0;
     let mut rows: Vec<Json> = Vec::new();
-    // One incremental suite pass (verified cache loads, parallel
-    // compilation of the misses); checking then consumes the results in
+    // One cached suite pass (verified cache loads, compilation of the
+    // misses through the server); checking then consumes the results in
     // deterministic suite order. Note cached artifacts are checked twice —
     // once by the verified load, once here — which is exactly the point:
     // this binary's claim is independent of where the artifact came from.

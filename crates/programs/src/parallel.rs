@@ -113,18 +113,20 @@ where
                 let worker = move || {
                     let mut done: Vec<(usize, T)> = Vec::new();
                     loop {
-                        let job = queues[w]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|off| {
-                                    queues[(w + off) % workers]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .pop_back()
-                                })
-                            });
+                        // The own-deque pop is its own statement so its
+                        // guard drops before any victim is locked: a worker
+                        // holding its own lock while stealing deadlocks
+                        // against a victim draining at the same moment.
+                        let own =
+                            queues[w].lock().unwrap_or_else(PoisonError::into_inner).pop_front();
+                        let job = own.or_else(|| {
+                            (1..workers).find_map(|off| {
+                                queues[(w + off) % workers]
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .pop_back()
+                            })
+                        });
                         match job {
                             Some(i) => done.push((i, run(i))),
                             None => return done,
@@ -207,19 +209,14 @@ pub fn compile_suite_parallel(dbs: &HintDbs) -> Vec<SuiteResult> {
 }
 
 /// Compiles an arbitrary slice of suite entries against `dbs` in parallel,
-/// preserving slice order in the result.
-///
-/// This is the primitive the incremental (store-backed) driver uses: on a
-/// warm cache only the *missing* entries are handed to this function, so
-/// a fully warm run spawns no workers and performs zero derivations.
-/// [`compile_suite_parallel`] is the whole-suite special case.
+/// preserving slice order in the result. [`compile_suite_parallel`] is
+/// the whole-suite special case.
 pub fn compile_entries_parallel(entries: &[crate::SuiteEntry], dbs: &HintDbs) -> Vec<SuiteResult> {
     compile_entries_parallel_with_limits(entries, dbs, &EngineLimits::default())
 }
 
-/// [`compile_entries_parallel`] under explicit [`EngineLimits`] — the
-/// service layer uses this to thread per-request deadlines
-/// (`max_wall_ms`) and budget overrides down to every worker. Each worker
+/// [`compile_entries_parallel`] under explicit [`EngineLimits`]
+/// (per-request deadlines and budget overrides). Each worker
 /// gets its own `Compiler` (and thus its own deadline clock, started at
 /// its first judgment): a deadline bounds each *program's* derivation,
 /// not the batch.
@@ -278,6 +275,40 @@ mod tests {
             let (s, p) = (s.result.as_ref().unwrap(), p.result.as_ref().unwrap());
             assert_eq!(s.function, p.function);
             assert_eq!(s.derivation, p.derivation);
+        }
+    }
+
+    /// Two workers whose deques drain at the same instant must not wait on
+    /// each other. Each batch's two jobs spin until both have started, so
+    /// both workers look for more work together; the batches run on a
+    /// watchdog thread so a deadlock fails the test instead of hanging it.
+    #[test]
+    fn draining_workers_never_deadlock() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        let (tx, rx) = mpsc::channel();
+        let batches = std::thread::spawn(move || {
+            for _ in 0..10_000 {
+                let arrived = AtomicUsize::new(0);
+                let out = run_work_stealing(2, 2, |i| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    while arrived.load(Ordering::SeqCst) < 2 {
+                        std::hint::spin_loop();
+                    }
+                    i
+                });
+                assert_eq!(out, vec![0, 1]);
+            }
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                batches.join().expect("a stress batch panicked");
+            }
+            // The hung batch thread is left behind: it can never be joined.
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("two workers draining at once deadlocked the scheduler")
+            }
         }
     }
 }

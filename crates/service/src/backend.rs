@@ -29,10 +29,11 @@ use std::path::{Path, PathBuf};
 
 /// The I/O operations the artifact store needs, as a mockable seam.
 ///
-/// Implementations must be `Send + Sync`: [`Store::load_verified_many`]
-/// issues reads from scoped worker threads.
+/// Implementations must be `Send + Sync`: a [`ShardedStore`] stripe runs
+/// concurrent verified loads under one shared read lock, so several
+/// workers read through the same backend at once.
 ///
-/// [`Store::load_verified_many`]: crate::store::Store::load_verified_many
+/// [`ShardedStore`]: crate::shard::ShardedStore
 pub trait Backend: std::fmt::Debug + Send + Sync {
     /// A short name for reports (`"fs"`, `"chaos"`).
     fn name(&self) -> &'static str;

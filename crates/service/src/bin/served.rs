@@ -1,6 +1,8 @@
-//! `served` — the concurrent multi-tenant compilation service front-end.
+//! `served` — the multi-tenant compilation service front-end.
 //!
-//! Reads JSON-lines requests from stdin until EOF, answers on stdout:
+//! Reads JSON-lines requests from stdin until EOF, answers on stdout
+//! through the one request path (`rupicola_service::serve` over a
+//! `Server`; protocol in `rupicola_service::batch`):
 //!
 //! ```text
 //! $ printf '%s\n' '{"op":"ping"}' '{"op":"suite"}' '{"op":"stats"}' | served
@@ -14,7 +16,7 @@
 //! | variable        | default              | meaning |
 //! |-----------------|----------------------|---------|
 //! | `SERVED_SHARDS` | 1                    | store stripes (1 = plain single-store layout) |
-//! | `SERVED_WORKERS`| available parallelism| scheduler threads |
+//! | `SERVED_WORKERS`| available parallelism| scheduler threads (1 = serial, in request order) |
 //! | `SERVED_LINT`   | off                  | run analysis lints on every cache load |
 //!
 //! # Failure behavior
@@ -54,9 +56,7 @@ use rupicola_core::EngineLimits;
 use rupicola_ext::standard_dbs;
 use rupicola_programs::parallel::default_workers;
 use rupicola_programs::suite;
-use rupicola_service::{
-    env, parse_request, serve_concurrent, Request, Server, ShardedStore, TenantTable,
-};
+use rupicola_service::{env, parse_request, serve, Request, Server, ShardedStore, TenantTable};
 
 /// How long to wait for another `served` process to release a touched
 /// shard.
@@ -113,7 +113,7 @@ fn main() {
         let root = rupicola_service::store_root_from_env()?;
         let dbs = standard_dbs();
 
-        // The concurrent scheduler interleaves reads with compiles, so the
+        // The scheduler interleaves reads with compiles, so the
         // whole batch is buffered up front (it is line-oriented and small
         // next to the work it names) — which also lets the shard locks be
         // scoped to exactly the stripes the batch touches.
@@ -150,7 +150,7 @@ fn main() {
 
         let server = Server::new(store, TenantTable::default(), workers);
         let stdout = std::io::stdout();
-        let n = serve_concurrent(input.as_bytes(), stdout.lock(), &server, &dbs)
+        let n = serve(input.as_bytes(), stdout.lock(), &server, &dbs)
             .map_err(|e| format!("I/O error: {e}"))?;
         let stats = server.store().stats();
         eprintln!(

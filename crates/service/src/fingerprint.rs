@@ -157,62 +157,52 @@ pub(crate) fn canonical_bytes(
     bytes
 }
 
-/// Fingerprints a compilation request with no optimization pipeline
-/// (the pipeline identity segment is `none`).
-pub fn fingerprint(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-) -> Fingerprint {
-    fingerprint_with_pipeline(model, spec, dbs, limits, "none")
+/// Everything a compilation request's key depends on (see the module
+/// docs). [`FingerprintInputs::new`] fills the three identity strings
+/// with their "nothing configured" values; callers that key under a
+/// pipeline, policy or RISC-V stage list override them with struct-update
+/// syntax.
+#[derive(Debug, Clone, Copy)]
+pub struct FingerprintInputs<'a> {
+    /// The functional model.
+    pub model: &'a Model,
+    /// The ABI spec.
+    pub spec: &'a FnSpec,
+    /// The hint databases (keyed by `HintDbs::identity_string`).
+    pub dbs: &'a HintDbs,
+    /// The engine budgets (every one but `max_wall_ms`).
+    pub limits: &'a EngineLimits,
+    /// Optimization pass-pipeline identity
+    /// (`rupicola_opt::PipelineConfig::identity_string`); `none` for an
+    /// unoptimized artifact.
+    pub pipeline: &'a str,
+    /// Constant-time policy identity
+    /// (`rupicola_analysis::SecrecyPolicy::identity_string`); the empty
+    /// policy renders as `public`, so requests with no secrets and
+    /// requests that never mention a policy share a key.
+    pub ct: &'a str,
+    /// RISC-V lowering-pipeline identity
+    /// (`rupicola_rv::RvPipelineConfig::identity_string`); `none` when the
+    /// request asks for no machine code.
+    pub rv: &'a str,
 }
 
-/// Fingerprints a compilation request including the optimization
-/// pass-pipeline identity (see
-/// `rupicola_opt::PipelineConfig::identity_string`): an artifact produced
-/// under one pipeline is never served to a request made under another.
-pub fn fingerprint_with_pipeline(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-    pipeline: &str,
-) -> Fingerprint {
-    fingerprint_with_pipeline_ct(model, spec, dbs, limits, pipeline, "public")
+impl<'a> FingerprintInputs<'a> {
+    /// A request with no optimization pipeline, the public CT policy and
+    /// no RISC-V lowering.
+    pub fn new(
+        model: &'a Model,
+        spec: &'a FnSpec,
+        dbs: &'a HintDbs,
+        limits: &'a EngineLimits,
+    ) -> FingerprintInputs<'a> {
+        FingerprintInputs { model, spec, dbs, limits, pipeline: "none", ct: "public", rv: "none" }
+    }
 }
 
-/// Fingerprints a compilation request including both the optimization
-/// pipeline identity and the constant-time policy identity (see
-/// `rupicola_analysis::SecrecyPolicy::identity_string`). The empty policy
-/// renders as `public`, which is what the policy-less entry points use —
-/// requests with no secrets and requests that never mention a policy are
-/// the same request.
-pub fn fingerprint_with_pipeline_ct(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-    pipeline: &str,
-    ct: &str,
-) -> Fingerprint {
-    fingerprint_with_pipeline_ct_rv(model, spec, dbs, limits, pipeline, ct, "none")
-}
-
-/// Fingerprints a compilation request including the optimization pipeline,
-/// the constant-time policy, and the RISC-V lowering-pipeline identity
-/// (see `rupicola_rv::RvPipelineConfig::identity_string`). Requests that
-/// ask for no machine code use `none`, which is what every narrower entry
-/// point delegates with — pre-v4 callers all share that key space.
-pub fn fingerprint_with_pipeline_ct_rv(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-    pipeline: &str,
-    ct: &str,
-    rv: &str,
-) -> Fingerprint {
+/// Fingerprints a compilation request: FNV-1a/64 over its canonical bytes.
+pub fn fingerprint(inputs: &FingerprintInputs<'_>) -> Fingerprint {
+    let FingerprintInputs { model, spec, dbs, limits, pipeline, ct, rv } = *inputs;
     Fingerprint(fnv1a(FNV_OFFSET, &canonical_bytes(model, spec, dbs, limits, pipeline, ct, rv)))
 }
 
@@ -224,6 +214,10 @@ mod tests {
 
     fn request() -> (Model, FnSpec) {
         (rupicola_programs::fnv1a::model(), rupicola_programs::fnv1a::spec())
+    }
+
+    fn key(model: &Model, spec: &FnSpec, dbs: &HintDbs, limits: &EngineLimits) -> Fingerprint {
+        fingerprint(&FingerprintInputs::new(model, spec, dbs, limits))
     }
 
     #[test]
@@ -240,8 +234,8 @@ mod tests {
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         assert_eq!(
-            fingerprint(&model, &spec, &dbs, &limits),
-            fingerprint(&model, &spec, &dbs, &limits)
+            key(&model, &spec, &dbs, &limits),
+            key(&model, &spec, &dbs, &limits)
         );
     }
 
@@ -252,7 +246,7 @@ mod tests {
         let (m1, s1) = request();
         let m2 = rupicola_programs::crc32::model();
         let s2 = rupicola_programs::crc32::spec();
-        assert_ne!(fingerprint(&m1, &s1, &dbs, &limits), fingerprint(&m2, &s2, &dbs, &limits));
+        assert_ne!(key(&m1, &s1, &dbs, &limits), key(&m2, &s2, &dbs, &limits));
     }
 
     #[test]
@@ -263,8 +257,8 @@ mod tests {
         let mut linear = standard_dbs();
         linear.set_dispatch_mode(DispatchMode::Linear);
         assert_ne!(
-            fingerprint(&model, &spec, &indexed, &limits),
-            fingerprint(&model, &spec, &linear, &limits)
+            key(&model, &spec, &indexed, &limits),
+            key(&model, &spec, &linear, &limits)
         );
     }
 
@@ -273,8 +267,8 @@ mod tests {
         let (model, spec) = request();
         let dbs = standard_dbs();
         assert_ne!(
-            fingerprint(&model, &spec, &dbs, &EngineLimits::default()),
-            fingerprint(&model, &spec, &dbs, &EngineLimits::tight())
+            key(&model, &spec, &dbs, &EngineLimits::default()),
+            key(&model, &spec, &dbs, &EngineLimits::tight())
         );
     }
 
@@ -283,20 +277,16 @@ mod tests {
         let (model, spec) = request();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
-        let none = fingerprint_with_pipeline(&model, &spec, &dbs, &limits, "none");
-        let full = fingerprint_with_pipeline(
-            &model,
-            &spec,
-            &dbs,
-            &limits,
-            "const-fold,copy-prop,dead-store,strength-reduce,load-cse",
-        );
-        let partial = fingerprint_with_pipeline(&model, &spec, &dbs, &limits, "const-fold");
+        let base = FingerprintInputs::new(&model, &spec, &dbs, &limits);
+        let key = |pipeline: &str| fingerprint(&FingerprintInputs { pipeline, ..base });
+        let none = key("none");
+        let full = key("const-fold,copy-prop,dead-store,strength-reduce,load-cse");
+        let partial = key("const-fold");
         assert_ne!(none, full);
         assert_ne!(none, partial);
         assert_ne!(full, partial);
-        // The legacy entry point is exactly the `none` pipeline.
-        assert_eq!(none, fingerprint(&model, &spec, &dbs, &limits));
+        // The default inputs are exactly the `none` pipeline.
+        assert_eq!(none, fingerprint(&base));
     }
 
     #[test]
@@ -308,17 +298,13 @@ mod tests {
         let public = SecrecyPolicy::default().identity_string();
         let secret = SecrecyPolicy::secrets(["s"]).identity_string();
         let stricter = SecrecyPolicy::secrets(["s", "t"]).identity_string();
-        let key = |ct: &str| {
-            fingerprint_with_pipeline_ct(&model, &spec, &dbs, &limits, "none", ct)
-        };
+        let base = FingerprintInputs::new(&model, &spec, &dbs, &limits);
+        let key = |ct: &str| fingerprint(&FingerprintInputs { ct, ..base });
         assert_ne!(key(&public), key(&secret), "labeling a secret changes the key");
         assert_ne!(key(&secret), key(&stricter), "strengthening the policy changes the key");
-        // The policy-less entry points are exactly the empty (`public`)
-        // policy: old callers and explicitly-public callers share a cache.
-        assert_eq!(
-            key(&public),
-            fingerprint_with_pipeline(&model, &spec, &dbs, &limits, "none")
-        );
+        // The default inputs are exactly the empty (`public`) policy:
+        // policy-less and explicitly-public callers share a cache.
+        assert_eq!(key(&public), fingerprint(&base));
         assert_eq!(public, "public");
     }
 
@@ -327,26 +313,21 @@ mod tests {
         let (model, spec) = request();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
-        let key = |rv: &str| {
-            fingerprint_with_pipeline_ct_rv(&model, &spec, &dbs, &limits, "none", "public", rv)
-        };
+        let base = FingerprintInputs::new(&model, &spec, &dbs, &limits);
+        let key = |rv: &str| fingerprint(&FingerprintInputs { rv, ..base });
         let none = key("none");
         let naive = key("lower");
         let full = key("lower,regalloc,redundant-mem,branch-simplify,addi-fold");
         assert_ne!(none, naive, "asking for machine code changes the key");
         assert_ne!(naive, full, "the stage pipeline changes the key");
-        // The narrower entry points are exactly the `none` rv pipeline.
-        assert_eq!(none, fingerprint(&model, &spec, &dbs, &limits));
-        assert_eq!(
-            none,
-            fingerprint_with_pipeline_ct(&model, &spec, &dbs, &limits, "none", "public")
-        );
+        // The default inputs are exactly the `none` rv pipeline.
+        assert_eq!(none, fingerprint(&base));
     }
 
     #[test]
     fn hex_key_is_16_lowercase_digits() {
         let (model, spec) = request();
-        let key = fingerprint(&model, &spec, &standard_dbs(), &EngineLimits::default()).as_hex();
+        let key = key(&model, &spec, &standard_dbs(), &EngineLimits::default()).as_hex();
         assert_eq!(key.len(), 16);
         assert!(key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()));
     }

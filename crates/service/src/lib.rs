@@ -7,32 +7,35 @@
 //! by a different process, on a different day — and re-checked exactly as
 //! a fresh compilation would be, so the cache can be wrong, stale, or
 //! corrupted without ever being able to smuggle a bad artifact past the
-//! caller. This crate builds that service layer out of three pieces:
+//! caller. This crate builds that service layer out of these pieces:
 //!
-//! - [`fingerprint`] — stable structural keys: FNV-1a/64 over the
-//!   canonical encoding of (model, spec, hint-db identity, engine limits,
-//!   format version). Same inputs ⇒ same key across processes; changing a
-//!   lemma, the registration order, the [`DispatchMode`], or the budgets
-//!   changes the key.
+//! - [`fingerprint`](mod@fingerprint) — stable structural keys: FNV-1a/64 over the
+//!   canonical encoding of one [`FingerprintInputs`] (model, spec,
+//!   hint-db identity, engine limits, pipeline / CT-policy / RISC-V
+//!   identities, format version). Same inputs ⇒ same key across
+//!   processes; changing a lemma, the registration order, the
+//!   [`DispatchMode`], or the budgets changes the key.
 //! - [`store`] — the content-addressed on-disk store with *verified
 //!   loads*: decode, cross-check the stored inputs against the request,
 //!   re-run the checker (optionally the analysis lints), and evict on any
 //!   failure. Counters ([`CacheStats`]) account every hit, miss,
 //!   eviction, store, and verify-nanosecond.
-//! - [`incremental`] — the suite driver that consults the store first and
-//!   hands only the misses to the parallel compilation driver; a fully
-//!   warm run performs zero derivations.
-//! - [`batch`] — a JSON-lines front-end (`served` binary): queued
-//!   `ping`/`compile`/`suite`/`stats` requests are resolved in one
-//!   incremental pass and answered in order.
-//! - [`shard`], [`tenant`], [`server`] — the concurrent multi-tenant
-//!   server (DESIGN.md §14): a lock-striped [`shard::ShardedStore`]
-//!   routing fingerprints to independent store stripes, per-tenant
-//!   admission control with typed backpressure, and a work-stealing
-//!   [`server::Server`] that answers mixed-tenant batches with
-//!   deterministic, byte-identical-to-serial results. Verified loads are
-//!   what make this safe: artifacts are shared across mutually
-//!   untrusting tenants because every load re-certifies.
+//! - [`shard`] — the lock-striped [`ShardedStore`]: fingerprints route to
+//!   independent store stripes, each behind a `RwLock` — loads verify
+//!   under the read guard and settle under the write guard, so one stripe
+//!   still verifies concurrently. One shard is the plain store layout.
+//! - [`server`], [`tenant`] — the one request path (DESIGN.md §14): a
+//!   [`Server`] admits each job against its tenant's quota, runs
+//!   [`resolve_one`] (verified load → compile on miss → optimize → put)
+//!   on a work-stealing pool, and settles in request order.
+//!   `workers = 1` is the serial configuration, not a separate path.
+//!   [`compile_suite_cached`] is one server batch over the suite; a fully
+//!   warm run performs zero derivations. Verified loads are what make
+//!   sharing safe: artifacts serve mutually untrusting tenants because
+//!   every load re-certifies.
+//! - [`batch`] — the JSON-lines front-end (`served` binary): queued
+//!   `ping`/`compile`/`suite`/`stats` requests become one server batch,
+//!   answered in request order.
 //!
 //! The service layer additionally assumes a *hostile environment*
 //! (DESIGN.md §12): all store I/O goes through a [`backend::Backend`]
@@ -51,7 +54,6 @@ pub mod batch;
 pub mod chaos;
 pub mod env;
 pub mod fingerprint;
-pub mod incremental;
 pub mod retry;
 pub mod server;
 pub mod shard;
@@ -61,13 +63,12 @@ pub mod tenant;
 pub use backend::{Backend, FsBackend};
 pub use batch::{parse_request, serve, Request};
 pub use chaos::{ChaosBackend, FaultCounts, FaultPlan};
-pub use fingerprint::{fingerprint, Fingerprint, FORMAT_VERSION};
-pub use incremental::{
-    compile_programs_cached, compile_programs_cached_with_limits, compile_suite_cached,
-    suite_via_store, CachedResult, Provenance,
-};
+pub use fingerprint::{fingerprint, Fingerprint, FingerprintInputs, FORMAT_VERSION};
 pub use retry::{classify, with_retry, ErrorClass, RetryOutcome, RetryPolicy};
-pub use server::{serve_concurrent, CompileJob, JobOutcome, JobResponse, Server};
+pub use server::{
+    compile_suite_cached, resolve_one, suite_via_store, CachedResult, CompileJob, JobOutcome,
+    JobResponse, Provenance, Server,
+};
 pub use shard::{shard_of_key, shard_root, ShardedStore, DEFAULT_SHARDS};
 pub use store::{
     store_root_from_env, CacheStats, LoadOutcome, Store, StoreLock, DEFAULT_ROOT, STORE_ENV,

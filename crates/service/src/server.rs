@@ -1,11 +1,15 @@
-//! The concurrent multi-tenant compilation server.
+//! The compilation server: the only way a request reaches the store.
 //!
-//! This is the front door the ROADMAP asks for: the sharded artifact
-//! store ([`ShardedStore`]), the work-stealing scheduler
-//! ([`run_work_stealing`]), and per-tenant admission control
-//! ([`tenant`](crate::tenant)) composed into a [`Server`] that answers a
+//! The sharded artifact store ([`ShardedStore`]), the work-stealing
+//! scheduler ([`run_work_stealing`]), and per-tenant admission control
+//! ([`tenant`](crate::tenant)) compose into a [`Server`] that answers a
 //! batch of mixed-tenant requests with `W` workers over `N` store
-//! stripes.
+//! stripes. [`resolve_one`] is the one load → compile → optimize → put
+//! sequence; the JSON-lines front-end ([`crate::batch::serve`]), the
+//! suite driver ([`compile_suite_cached`]) and the harness binaries all
+//! go through it. There is no separate serial path: `workers = 1` runs a
+//! batch inline in request order, and `shards = 1` is the plain store
+//! layout.
 //!
 //! # Execution model
 //!
@@ -17,10 +21,10 @@
 //!    outcomes are independent of worker scheduling.
 //! 2. **Execution** (parallel): admitted jobs go to the work-stealing
 //!    pool. Each job routes by fingerprint to one store stripe: verified
-//!    load under that stripe's lock; on a miss the *compilation runs
-//!    outside any lock* (it is pure), and only the final put re-locks the
-//!    stripe. Long compilations migrate work to idle workers
-//!    automatically.
+//!    load under that stripe's read lock (bookkeeping under its write
+//!    lock); on a miss the *compilation runs outside any lock* (it is
+//!    pure), and only the final put write-locks the stripe. Long
+//!    compilations migrate work to idle workers automatically.
 //! 3. **Settlement** (serial, deterministic): results land in
 //!    request-indexed slots; per-tenant accounting
 //!    ([`TenantStats`]) is applied in request order.
@@ -37,20 +41,37 @@
 //! against a serial reference under seeded chaos backends.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::incremental::{CachedResult, Provenance};
 use crate::shard::ShardedStore;
-use crate::store::LoadOutcome;
+use crate::store::{store_root_from_env, CacheStats, LoadOutcome};
 use crate::tenant::{Admission, Rejection, TenantStats, TenantTable, DEFAULT_TENANT};
 use rupicola_core::check::CheckConfig;
-use rupicola_core::{compile_with_limits, EngineLimits, HintDbs};
-use rupicola_lang::json::Json;
+use rupicola_core::{compile_with_limits, CompileError, CompiledFunction, EngineLimits, HintDbs};
 use rupicola_opt::optimize_compiled;
-use rupicola_programs::parallel::run_work_stealing;
+use rupicola_programs::parallel::{default_workers, run_work_stealing};
 use rupicola_programs::{suite, SuiteEntry};
+
+/// How one program was obtained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Provenance {
+    /// Served from the store after a verified load.
+    Cache,
+    /// Freshly compiled (store miss or eviction).
+    Compiled,
+}
+
+/// One program's outcome, tagged with where it came from.
+#[derive(Debug)]
+pub struct CachedResult {
+    /// Program name.
+    pub name: &'static str,
+    /// Compilation (or verified-load) outcome.
+    pub result: Result<CompiledFunction, CompileError>,
+    /// Cache or fresh compile.
+    pub provenance: Provenance,
+}
 
 /// One compile request as the server schedules it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,11 +133,12 @@ impl JobResponse {
     }
 }
 
-/// Resolves one suite entry through the sharded store: verified load
-/// (one stripe locked), compile-on-miss *outside* any lock, optimize
-/// under the store's pipeline, store-back (stripe re-locked). This is the
-/// single-request analogue of the incremental driver, shaped for
-/// concurrency.
+/// Resolves one suite entry through the sharded store: verified load,
+/// compile-on-miss *outside* any lock (under the entry's limits
+/// adjustment), optimize under the store's pipeline, store-back. The
+/// store key uses the unadjusted `limits` and ignores their deadline, so
+/// a load that hits is served whatever the deadline; only fresh
+/// derivations race it.
 pub fn resolve_one(
     store: &ShardedStore,
     entry: &SuiteEntry,
@@ -135,13 +157,13 @@ pub fn resolve_one(
         // the put below refuses or fails harmlessly if the stripe cannot
         // persist (degraded shard, quarantined key).
         LoadOutcome::Miss | LoadOutcome::Evicted { .. } | LoadOutcome::Unavailable { .. } => {
-            let mut result = compile_with_limits(&model, &spec, dbs, *limits);
+            let mut result = compile_with_limits(&model, &spec, dbs, (entry.limits)(*limits));
             if let Ok(cf) = &mut result {
                 let pipeline = store.pipeline();
                 if !pipeline.passes.is_empty() {
-                    // Fresh optimization is a fresh claim: certification-
-                    // strength validation, exactly like the incremental
-                    // driver.
+                    // Fresh optimization is a fresh claim, not a reload of
+                    // an already-certified one: certification-strength
+                    // validation.
                     let _ = optimize_compiled(cf, dbs, &pipeline, &CheckConfig::default());
                 }
                 let key = store.key_for(&cf.model, &cf.spec, dbs, limits);
@@ -152,7 +174,7 @@ pub fn resolve_one(
     }
 }
 
-/// The concurrent multi-tenant server: sharded store + scheduler +
+/// The multi-tenant compilation server: sharded store + scheduler +
 /// admission, with lifetime per-tenant accounting.
 #[derive(Debug)]
 pub struct Server {
@@ -303,151 +325,46 @@ impl Server {
     }
 }
 
-/// Renders one job response as a protocol line payload.
-fn job_json(r: &JobResponse, degraded: bool) -> Json {
-    let mut fields = match &r.outcome {
-        JobOutcome::Done(result) => {
-            let j = crate::batch::program_response(result, false);
-            let Json::Obj(pairs) = j else { unreachable!("program_response returns an object") };
-            pairs
-        }
-        JobOutcome::Rejected(rejection) => vec![
-            ("ok".to_string(), Json::Bool(false)),
-            ("program".to_string(), Json::str(r.program.clone())),
-            ("rejected".to_string(), Json::Bool(true)),
-            ("reason".to_string(), Json::str(rejection.reason())),
-            ("error".to_string(), Json::str(rejection.to_string())),
-        ],
-        JobOutcome::UnknownProgram => vec![
-            ("ok".to_string(), Json::Bool(false)),
-            ("program".to_string(), Json::str(r.program.clone())),
-            ("error".to_string(), Json::str(format!("unknown program `{}`", r.program))),
-        ],
-    };
-    fields.push(("tenant".to_string(), Json::str(r.tenant.clone())));
-    if degraded {
-        fields.push(("degraded".to_string(), Json::Bool(true)));
-    }
-    Json::Obj(fields)
+/// Compiles the whole suite through `server`: one [`Server::run_batch`]
+/// over every suite program under the default tenant, results in suite
+/// order. A fully warm store performs zero derivations; fresh results are
+/// written back (write failures are non-fatal — the next run just
+/// misses).
+pub fn compile_suite_cached(server: &Server, dbs: &HintDbs) -> Vec<CachedResult> {
+    let all = suite();
+    let jobs: Vec<CompileJob> = all.iter().map(|e| CompileJob::named(e.info.name)).collect();
+    all.iter()
+        .zip(server.run_batch(&jobs, dbs))
+        .map(|(entry, r)| match r.outcome {
+            JobOutcome::Done(result) => *result,
+            // Only a tenant table whose default quota is smaller than the
+            // suite rejects here; report it in-band like any failure.
+            other => CachedResult {
+                name: entry.info.name,
+                result: Err(CompileError::Internal(format!("not resolved: {other:?}"))),
+                provenance: Provenance::Compiled,
+            },
+        })
+        .collect()
 }
 
-/// Runs one JSON-lines batch through the concurrent server: the
-/// multi-tenant analogue of [`crate::batch::serve`]. Requests may carry a
-/// `"tenant"` field; `suite` expands to one job per program under the
-/// requesting tenant. Failure reporting is in-band exactly as in the
-/// serial front-end, plus typed backpressure
-/// (`{"ok":false,"rejected":true,"reason":"queue_full",…}`).
-///
-/// Returns the number of requests answered.
-///
-/// # Errors
-///
-/// Only I/O errors on `input`/`output` are fatal.
-pub fn serve_concurrent(
-    input: impl BufRead,
-    mut output: impl Write,
-    server: &Server,
-    dbs: &HintDbs,
-) -> std::io::Result<usize> {
-    use crate::batch::{parse_request, Request};
-
-    // Phase 1: read and parse every queued request.
-    let mut requests: Vec<Result<Request, String>> = Vec::new();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        requests.push(parse_request(&line));
-    }
-
-    // Phase 2: one scheduler batch over every compile job any request
-    // expands to. `jobs_of[i]` is the half-open range of job indices
-    // request `i` owns.
-    let all = suite();
-    let mut jobs: Vec<CompileJob> = Vec::new();
-    let mut jobs_of: Vec<std::ops::Range<usize>> = Vec::with_capacity(requests.len());
-    for req in &requests {
-        let start = jobs.len();
-        match req {
-            Ok(Request::Compile { program, deadline_ms, tenant }) => {
-                jobs.push(CompileJob {
-                    tenant: tenant.clone(),
-                    program: program.clone(),
-                    deadline_ms: *deadline_ms,
-                });
-            }
-            Ok(Request::Suite) => {
-                jobs.extend(all.iter().map(|e| CompileJob::named(e.info.name)));
-            }
-            Ok(Request::Ping | Request::Stats) | Err(_) => {}
-        }
-        jobs_of.push(start..jobs.len());
-    }
-    let responses = server.run_batch(&jobs, dbs);
-    let degraded = server.store().any_degraded();
-
-    // Phase 3: answer in request order.
-    let mut answered = 0;
-    for (req, range) in requests.iter().zip(jobs_of) {
-        let line = match req {
-            Err(message) => {
-                Json::obj([("ok", Json::Bool(false)), ("error", Json::str(message.clone()))])
-            }
-            Ok(Request::Ping) => {
-                let stats = server.store().stats();
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::str("ping")),
-                    ("store", Json::str(server.store().root().display().to_string())),
-                    ("backend", Json::str(server.store().backend_name())),
-                    ("shards", Json::U64(server.store().shard_count() as u64)),
-                    ("workers", Json::U64(server.workers() as u64)),
-                    ("degraded", Json::Bool(degraded)),
-                    ("format", Json::U64(crate::fingerprint::FORMAT_VERSION)),
-                    ("retries", Json::U64(stats.retries)),
-                    ("quarantined", Json::U64(stats.quarantined as u64)),
-                    ("write_failures", Json::U64(stats.write_failures as u64)),
-                ])
-            }
-            Ok(Request::Stats) => {
-                let tenants: Vec<(String, Json)> = server
-                    .tenant_stats()
-                    .iter()
-                    .map(|(name, s)| (name.clone(), s.to_json()))
-                    .collect();
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::str("stats")),
-                    ("degraded", Json::Bool(degraded)),
-                    ("shards", Json::U64(server.store().shard_count() as u64)),
-                    ("cache", server.store().stats().to_json()),
-                    ("tenants", Json::Obj(tenants)),
-                ])
-            }
-            Ok(Request::Compile { .. }) => job_json(&responses[range.start], degraded),
-            Ok(Request::Suite) => {
-                let rows: Vec<Json> =
-                    responses[range].iter().map(|r| job_json(r, degraded)).collect();
-                let cached = rows
-                    .iter()
-                    .filter(|r| r.get("cached").and_then(Json::as_bool) == Some(true))
-                    .count();
-                Json::obj([
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::str("suite")),
-                    ("degraded", Json::Bool(degraded)),
-                    ("cached", Json::U64(cached as u64)),
-                    ("programs", Json::Arr(rows)),
-                ])
-            }
-        };
-        output.write_all(line.render_compact().as_bytes())?;
-        output.write_all(b"\n")?;
-        answered += 1;
-    }
-    output.flush()?;
-    Ok(answered)
+/// Harness-binary convenience: opens the environment-resolved store root
+/// (`$SERVICE_STORE`, default `results/store`) as a 1-shard store under a
+/// [`default_workers`]-wide server, runs the cached suite pass, and
+/// returns the results together with the store's counters. Prints the
+/// error and exits 2 if the store cannot be opened — for the
+/// `table2`/`lint`/`validate`-style binaries whose other failure paths
+/// already exit nonzero.
+pub fn suite_via_store(dbs: &HintDbs) -> (Vec<CachedResult>, CacheStats) {
+    let store = store_root_from_env()
+        .and_then(|root| ShardedStore::open(root, 1))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+    let server = Server::new(store, TenantTable::default(), default_workers());
+    let results = compile_suite_cached(&server, dbs);
+    (results, server.store().stats())
 }
 
 #[cfg(test)]
@@ -532,31 +449,37 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_protocol_round() {
-        let server = server("proto", 2, 3);
+    fn cold_then_warm_suite_serves_everything_from_cache() {
+        let server = server("suite", 1, 2);
         let dbs = standard_dbs();
-        let input = "{\"op\":\"ping\"}\n\
-             {\"op\":\"compile\",\"program\":\"fnv1a\",\"tenant\":\"acme\"}\n\
-             {\"op\":\"suite\"}\n\
-             {\"op\":\"stats\"}\n\
-             bogus\n";
-        let mut out = Vec::new();
-        let n = serve_concurrent(input.as_bytes(), &mut out, &server, &dbs).unwrap();
-        assert_eq!(n, 5);
-        let lines: Vec<Json> = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| rupicola_lang::json::parse(l).unwrap())
-            .collect();
-        assert_eq!(lines[0].get("shards").and_then(Json::as_u64), Some(2));
-        assert_eq!(lines[0].get("workers").and_then(Json::as_u64), Some(3));
-        assert_eq!(lines[1].get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(lines[1].get("tenant").and_then(Json::as_str), Some("acme"));
-        assert_eq!(lines[2].get("programs").and_then(Json::as_arr).unwrap().len(), 7);
-        let tenants = lines[3].get("tenants").expect("tenant accounting in stats");
-        assert!(tenants.get("acme").is_some());
-        assert!(tenants.get(DEFAULT_TENANT).is_some());
-        assert_eq!(lines[4].get("ok").and_then(Json::as_bool), Some(false));
+
+        let cold = compile_suite_cached(&server, &dbs);
+        assert_eq!(cold.len(), 7);
+        assert!(cold.iter().all(|r| r.provenance == Provenance::Compiled));
+        assert!(cold.iter().all(|r| r.result.is_ok()));
+        assert_eq!(server.store().stats().stores, 7);
+
+        let warm = compile_suite_cached(&server, &dbs);
+        assert!(warm.iter().all(|r| r.provenance == Provenance::Cache), "{warm:?}");
+        assert_eq!(server.store().stats().hits, 7);
+        for (c, w) in cold.iter().zip(warm.iter()) {
+            assert_eq!(c.name, w.name);
+            let (c, w) = (c.result.as_ref().unwrap(), w.result.as_ref().unwrap());
+            assert_eq!(c.function, w.function);
+            assert_eq!(c.derivation, w.derivation);
+            assert_eq!(c.stats, w.stats);
+            // The store keys under the full pipeline by default, so warm
+            // runs serve the same (re-validated) optimized body the cold
+            // run produced.
+            assert_eq!(c.optimized, w.optimized);
+        }
+        assert!(
+            cold.iter()
+                .filter(|r| r.result.as_ref().is_ok_and(|cf| cf.optimized.is_some()))
+                .count()
+                >= 3,
+            "the default pipeline should optimize several suite programs"
+        );
         let _ = std::fs::remove_dir_all(server.store().root());
     }
 }

@@ -3,10 +3,24 @@
 //! A single [`Store`] requires `&mut` for every load and put, which
 //! serializes a whole server behind one lock. [`ShardedStore`] stripes
 //! the key space over `N` independent shards — each its own [`Store`]
-//! on its own [`Backend`], behind its own `Mutex` — so concurrent
+//! on its own [`Backend`], behind its own `RwLock` — so concurrent
 //! requests whose fingerprints land in different shards proceed fully in
 //! parallel: reads, verification, eviction bookkeeping, quarantine and
 //! degraded-mode tracking are all per-shard state.
+//!
+//! # The stripe lock split
+//!
+//! Within one stripe, a verified load is two steps. The *attempt* (read,
+//! digest, decode, checker, re-validation — nearly all of a hit's cost)
+//! needs only `&Store` and runs under the stripe's **read** guard, so
+//! concurrent loads on one shard verify in parallel; a 1-shard store
+//! loses no verification parallelism to its single stripe. The
+//! *settlement* (counters, degraded tracking, quarantine, eviction) runs
+//! under the **write** guard, as does every put. Key computation and the
+//! pipeline accessors take read guards. A racing put may land between
+//! an attempt and its settlement; the worst it can cost is that a
+//! settlement evicting a corrupt read deletes the fresh file too — one
+//! spurious miss, never a wrong answer.
 //!
 //! # Routing
 //!
@@ -39,7 +53,7 @@
 //! mutually untrusting tenants share the verified cache concurrently.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use crate::backend::{Backend, FsBackend};
@@ -77,15 +91,15 @@ pub fn shard_root(root: &Path, index: usize, nshards: usize) -> PathBuf {
 }
 
 /// A lock-striped sharded artifact store: `N` independent [`Store`]s,
-/// each behind its own `Mutex`, routed by fingerprint prefix.
+/// each behind its own `RwLock`, routed by fingerprint prefix.
 ///
 /// All `&self` — this is the type that makes the service layer
-/// concurrent. A load or put locks exactly one stripe for exactly as long
-/// as that shard's I/O + verification takes.
+/// concurrent. A load verifies under one stripe's read guard and settles
+/// under its write guard; a put holds the write guard for its I/O.
 #[derive(Debug)]
 pub struct ShardedStore {
     root: PathBuf,
-    shards: Vec<Mutex<Store>>,
+    shards: Vec<RwLock<Store>>,
 }
 
 impl ShardedStore {
@@ -121,7 +135,7 @@ impl ShardedStore {
         for i in 0..nshards {
             let store = Store::open_with_backend(shard_root(&root, i, nshards), mk_backend(i))
                 .map_err(|e| format!("shard {i}/{nshards}: {e}"))?;
-            shards.push(Mutex::new(tune(store)));
+            shards.push(RwLock::new(tune(store)));
         }
         Ok(ShardedStore { root, shards })
     }
@@ -133,7 +147,7 @@ impl ShardedStore {
         let root = root.into();
         let nshards = nshards.max(1);
         let shards = (0..nshards)
-            .map(|i| Mutex::new(Store::open_degraded(shard_root(&root, i, nshards))))
+            .map(|i| RwLock::new(Store::open_degraded(shard_root(&root, i, nshards))))
             .collect();
         ShardedStore { root, shards }
     }
@@ -153,10 +167,15 @@ impl ShardedStore {
         shard_of_key(key, self.shards.len())
     }
 
-    /// Locks shard `index`'s stripe (for callers that need multi-op
+    /// Write-locks shard `index`'s stripe (for callers that need multi-op
     /// atomicity on one shard; plain loads and puts lock internally).
-    pub fn shard(&self, index: usize) -> MutexGuard<'_, Store> {
-        self.shards[index].lock().unwrap_or_else(PoisonError::into_inner)
+    pub fn shard(&self, index: usize) -> RwLockWriteGuard<'_, Store> {
+        self.shards[index].write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Read-locks shard `index`'s stripe.
+    fn read(&self, index: usize) -> RwLockReadGuard<'_, Store> {
+        self.shards[index].read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fingerprints a request with shard 0's conventions (every shard is
@@ -168,13 +187,13 @@ impl ShardedStore {
         dbs: &HintDbs,
         limits: &EngineLimits,
     ) -> Fingerprint {
-        self.shard(0).key_for(model, spec, dbs, limits)
+        self.read(0).key_for(model, spec, dbs, limits)
     }
 
     /// The optimization pipeline the shards key under (shard 0's —
     /// identical across shards by construction).
     pub fn pipeline(&self) -> rupicola_opt::PipelineConfig {
-        self.shard(0).pipeline().clone()
+        self.read(0).pipeline().clone()
     }
 
     /// Configures every shard to key under — and demand, re-validate and
@@ -192,10 +211,11 @@ impl ShardedStore {
     /// The RISC-V pipeline the shards key under, if one is configured
     /// (shard 0's — identical across shards by construction).
     pub fn rv_pipeline(&self) -> Option<RvPipelineConfig> {
-        self.shard(0).rv_pipeline().cloned()
+        self.read(0).rv_pipeline().cloned()
     }
 
-    /// Verified load, routed by fingerprint: locks exactly one stripe.
+    /// Verified load, routed by fingerprint: verifies under one stripe's
+    /// read guard, settles under its write guard (see the module docs).
     pub fn load_verified(
         &self,
         model: &Model,
@@ -203,8 +223,7 @@ impl ShardedStore {
         dbs: &HintDbs,
         limits: &EngineLimits,
     ) -> LoadOutcome {
-        let key = self.key_for(model, spec, dbs, limits);
-        self.shard(self.shard_of(key)).load_verified(model, spec, dbs, limits)
+        self.load_verified_rv(model, spec, dbs, limits).0
     }
 
     /// Put, routed by fingerprint: locks exactly one stripe.
@@ -242,7 +261,12 @@ impl ShardedStore {
         limits: &EngineLimits,
     ) -> (LoadOutcome, Option<Box<RvArtifact>>) {
         let key = self.key_for(model, spec, dbs, limits);
-        self.shard(self.shard_of(key)).load_verified_rv(model, spec, dbs, limits)
+        let index = self.shard_of(key);
+        let raw = {
+            let shard = self.read(index);
+            shard.attempt(&shard.path_for(&spec.name, key), key, model, spec, dbs)
+        };
+        self.shard(index).settle(raw)
     }
 
     /// Aggregated lifetime counters across every shard.
@@ -264,24 +288,24 @@ impl ShardedStore {
 
     /// Per-shard counters, in shard order.
     pub fn shard_stats(&self) -> Vec<CacheStats> {
-        (0..self.shards.len()).map(|i| self.shard(i).stats()).collect()
+        (0..self.shards.len()).map(|i| self.read(i).stats()).collect()
     }
 
     /// Whether *any* shard has flipped into degraded mode (the in-band
     /// `"degraded"` flag: a response may have skipped caching).
     pub fn any_degraded(&self) -> bool {
-        (0..self.shards.len()).any(|i| self.shard(i).degraded())
+        (0..self.shards.len()).any(|i| self.read(i).degraded())
     }
 
     /// Whether *every* shard is degraded (the store as a whole is
     /// effectively compile-without-cache).
     pub fn all_degraded(&self) -> bool {
-        (0..self.shards.len()).all(|i| self.shard(i).degraded())
+        (0..self.shards.len()).all(|i| self.read(i).degraded())
     }
 
     /// The backend name of shard 0 (`"fs"`, `"chaos"`), for reports.
     pub fn backend_name(&self) -> &'static str {
-        self.shard(0).backend_name()
+        self.read(0).backend_name()
     }
 
     /// Acquires the advisory cross-process locks of the shards in

@@ -79,7 +79,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, FsBackend};
-use crate::fingerprint::{fingerprint_with_pipeline_ct_rv, Fingerprint, FORMAT_VERSION};
+use crate::fingerprint::{fingerprint, Fingerprint, FingerprintInputs, FORMAT_VERSION};
 use crate::retry::{with_retry, RetryPolicy};
 use rupicola_bedrock::rv_compile::RvArtifact;
 use rupicola_bedrock::serial::{decode_rv_artifact, encode_rv_artifact};
@@ -414,16 +414,6 @@ impl Store {
         }
     }
 
-    /// Opens the store at the environment-resolved root
-    /// (see [`store_root_from_env`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates environment and filesystem errors.
-    pub fn open_from_env() -> Result<Store, String> {
-        Store::open(store_root_from_env()?)
-    }
-
     /// Replaces the checker configuration used by verified loads.
     #[must_use]
     pub fn with_check_config(mut self, check: CheckConfig) -> Store {
@@ -559,15 +549,12 @@ impl Store {
             .rv_pipeline
             .as_ref()
             .map_or_else(|| "none".to_string(), RvPipelineConfig::identity_string);
-        fingerprint_with_pipeline_ct_rv(
-            model,
-            spec,
-            dbs,
-            limits,
-            &self.pipeline.identity_string(),
-            &ct,
-            &rv,
-        )
+        fingerprint(&FingerprintInputs {
+            pipeline: &self.pipeline.identity_string(),
+            ct: &ct,
+            rv: &rv,
+            ..FingerprintInputs::new(model, spec, dbs, limits)
+        })
     }
 
     /// One backend success: resets the consecutive-failure streak.
@@ -727,10 +714,7 @@ impl Store {
         dbs: &HintDbs,
         limits: &EngineLimits,
     ) -> LoadOutcome {
-        let key = self.key_for(model, spec, dbs, limits);
-        let path = self.path_for(&spec.name, key);
-        let raw = self.attempt(&path, key, model, spec, dbs);
-        self.settle(raw).0
+        self.load_verified_rv(model, spec, dbs, limits).0
     }
 
     /// [`Store::load_verified`] returning the re-validated RISC-V machine
@@ -751,65 +735,10 @@ impl Store {
         self.settle(raw)
     }
 
-    /// Batch form of [`Store::load_verified`]: runs the read+verify part
-    /// of every request in parallel (`std::thread::scope`, worker count
-    /// capped at available parallelism), then applies counter updates and
-    /// evictions serially. Results come back in request order, and the
-    /// counters end up exactly as if the requests had been issued one by
-    /// one — verification is a pure function of the file contents and the
-    /// request, so only the bookkeeping needs the `&mut`.
-    pub fn load_verified_many(
-        &mut self,
-        requests: &[(&Model, &FnSpec)],
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> Vec<LoadOutcome> {
-        let attempt = |&(model, spec): &(&Model, &FnSpec)| -> Raw {
-            let key = self.key_for(model, spec, dbs, limits);
-            let path = self.path_for(&spec.name, key);
-            self.attempt(&path, key, model, spec, dbs)
-        };
-        let workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZero::get)
-            .min(requests.len());
-        let mut raws: Vec<Option<Raw>> = Vec::new();
-        raws.resize_with(requests.len(), || None);
-        if workers <= 1 {
-            for (slot, req) in raws.iter_mut().zip(requests) {
-                *slot = Some(attempt(req));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                type Slot<'v, 'r> = (&'v (&'r Model, &'r FnSpec), &'v mut Option<Raw>);
-                let mut views: Vec<Vec<Slot<'_, '_>>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, (req, slot)) in requests.iter().zip(raws.iter_mut()).enumerate() {
-                    views[i % workers].push((req, slot));
-                }
-                for view in views {
-                    scope.spawn(|| {
-                        for (req, slot) in view {
-                            *slot = Some(attempt(req));
-                        }
-                    });
-                }
-            });
-        }
-        raws.into_iter()
-            .map(|raw| {
-                let raw = raw.unwrap_or(Raw {
-                    retries: 0,
-                    nanos: 0,
-                    kind: RawKind::Unavailable("worker lost the slot".to_string()),
-                });
-                self.settle(raw).0
-            })
-            .collect()
-    }
-
     /// The read side of one load, free of `&mut` bookkeeping so it can
-    /// run on worker threads: retried read, then the verification ladder.
-    fn attempt(
+    /// run under a shared lock ([`crate::shard::ShardedStore`]'s read
+    /// guard): retried read, then the verification ladder.
+    pub(crate) fn attempt(
         &self,
         path: &Path,
         key: Fingerprint,
@@ -871,7 +800,7 @@ impl Store {
 
     /// The serial bookkeeping for one [`Raw`] attempt: counters, degraded
     /// tracking, quarantine, eviction.
-    fn settle(&mut self, raw: Raw) -> (LoadOutcome, Option<Box<RvArtifact>>) {
+    pub(crate) fn settle(&mut self, raw: Raw) -> (LoadOutcome, Option<Box<RvArtifact>>) {
         self.stats.retries += u64::from(raw.retries);
         self.stats.verify_nanos += raw.nanos;
         match raw.kind {
@@ -1035,7 +964,7 @@ impl Store {
 }
 
 /// One attempted load before the serial bookkeeping is applied.
-struct Raw {
+pub(crate) struct Raw {
     retries: u32,
     nanos: u128,
     kind: RawKind,

@@ -8,11 +8,24 @@ use rupicola::core::{DispatchMode, EngineLimits};
 use rupicola::ext::standard_dbs;
 use rupicola::lang::json;
 use rupicola::programs::suite;
-use rupicola::service::fingerprint::fingerprint;
-use rupicola::service::incremental::{compile_suite_cached, Provenance};
+use rupicola::core::fnspec::FnSpec;
+use rupicola::core::HintDbs;
+use rupicola::lang::Model;
+use rupicola::service::fingerprint::{fingerprint, Fingerprint, FingerprintInputs};
 use rupicola::service::store::{LoadOutcome, Store};
+use rupicola::service::{compile_suite_cached, Provenance, Server, ShardedStore, TenantTable};
 use rupicola_minicheck::check;
 use std::path::PathBuf;
+
+/// The key of a request with no pipeline, public policy and no RISC-V.
+fn key(model: &Model, spec: &FnSpec, dbs: &HintDbs, limits: &EngineLimits) -> Fingerprint {
+    fingerprint(&FingerprintInputs::new(model, spec, dbs, limits))
+}
+
+/// A 1-shard (plain store layout), 1-worker server at `root`.
+fn serial_server(root: &std::path::Path) -> Server {
+    Server::new(ShardedStore::open(root, 1).unwrap(), TenantTable::default(), 1)
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -96,7 +109,7 @@ fn targeted_corruption_evicts_and_recompiles() {
             other => panic!("{what}: expected eviction, got {other:?}"),
         }
         assert!(!path.exists(), "{what}: eviction must delete the artifact");
-        // Recompile-and-restore: the incremental path heals the store.
+        // Recompile-and-restore: a fresh compile and put heal the store.
         let healed = rupicola::core::compile(&model, &spec, &dbs).unwrap();
         store.put(key, &healed).unwrap();
         match store.load_verified(&model, &spec, &dbs, &limits) {
@@ -182,7 +195,7 @@ fn fingerprints_stable_across_processes() {
             format!(
                 "{}={}",
                 e.info.name,
-                fingerprint(&(e.model)(), &(e.spec)(), &dbs, &limits).as_hex()
+                key(&(e.model)(), &(e.spec)(), &dbs, &limits).as_hex()
             )
         })
         .collect();
@@ -218,15 +231,15 @@ fn fingerprints_track_hint_db_identity() {
     let entry = suite().into_iter().find(|e| e.info.name == "m3s").unwrap();
     let model = (entry.model)();
     let spec = (entry.spec)();
-    let base = fingerprint(&model, &spec, &standard_dbs(), &limits);
+    let base = key(&model, &spec, &standard_dbs(), &limits);
 
     // Identical rebuild: same key.
-    assert_eq!(base, fingerprint(&model, &spec, &standard_dbs(), &limits));
+    assert_eq!(base, key(&model, &spec, &standard_dbs(), &limits));
 
     // One more lemma (same behavior class, appended): different key.
     let mut extra = standard_dbs();
     extra.register_expr(rupicola::ext::arith::ExprLit);
-    assert_ne!(base, fingerprint(&model, &spec, &extra, &limits));
+    assert_ne!(base, key(&model, &spec, &extra, &limits));
 
     // Same lemma set, different order: different key. First-match
     // dispatch makes order semantically relevant, so it must be part of
@@ -234,19 +247,49 @@ fn fingerprints_track_hint_db_identity() {
     let mut reordered = standard_dbs();
     reordered.register_expr_front(rupicola::ext::arith::ExprLit);
     assert_ne!(
-        fingerprint(&model, &spec, &extra, &limits),
-        fingerprint(&model, &spec, &reordered, &limits)
+        key(&model, &spec, &extra, &limits),
+        key(&model, &spec, &reordered, &limits)
     );
 
     // Dispatch mode: different key.
     let mut linear = standard_dbs();
     linear.set_dispatch_mode(DispatchMode::Linear);
-    assert_ne!(base, fingerprint(&model, &spec, &linear, &limits));
+    assert_ne!(base, key(&model, &spec, &linear, &limits));
 
     // Solver memo toggle: different key.
     let mut memoless = standard_dbs();
     memoless.set_solver_memo(false);
-    assert_ne!(base, fingerprint(&model, &spec, &memoless, &limits));
+    assert_ne!(base, key(&model, &spec, &memoless, &limits));
+}
+
+/// Every suite program's key under `Store` defaults (full pipeline,
+/// public policy, no RISC-V, default limits), pinned to the hex values
+/// artifacts have been filed under since format version 5. Existing
+/// stores and any replay of the store's key derivation depend on these:
+/// a change here orphans every stored artifact and must come with a
+/// `FORMAT_VERSION` bump.
+#[test]
+fn suite_keys_are_pinned() {
+    let root = scratch("pinned-keys");
+    let store = Store::open(&root).unwrap();
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let keys: Vec<(&str, String)> = suite()
+        .iter()
+        .map(|e| (e.info.name, store.key_for(&(e.model)(), &(e.spec)(), &dbs, &limits).as_hex()))
+        .collect();
+    let keys: Vec<(&str, &str)> = keys.iter().map(|(n, k)| (*n, k.as_str())).collect();
+    let pinned = [
+        ("fnv1a", "9f56fdd3d7a418dd"),
+        ("utf8", "b475d9bf38997bef"),
+        ("upstr", "93db81e5b524536f"),
+        ("m3s", "efa3a08f55737b7d"),
+        ("ip", "5027adb6a3d09c31"),
+        ("fasta", "89b36f98599e87ef"),
+        ("crc32", "d60cc0e64cbbf5d8"),
+    ];
+    assert_eq!(keys, pinned);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The acceptance-criterion test: after a cold pass, a warm suite pass
@@ -255,19 +298,19 @@ fn fingerprints_track_hint_db_identity() {
 #[test]
 fn warm_suite_pass_performs_zero_derivations() {
     let root = scratch("warm-zero");
-    let mut store = Store::open(&root).unwrap();
+    let server = serial_server(&root);
     let dbs = standard_dbs();
 
-    let cold = compile_suite_cached(&mut store, &dbs);
+    let cold = compile_suite_cached(&server, &dbs);
     assert!(cold.iter().all(|r| r.provenance == Provenance::Compiled));
-    let warm = compile_suite_cached(&mut store, &dbs);
+    let warm = compile_suite_cached(&server, &dbs);
     assert_eq!(warm.len(), 7);
     // Every program came from the store — the engine compiled nothing.
     assert!(
         warm.iter().all(|r| r.provenance == Provenance::Cache),
         "warm pass recompiled something: {warm:?}"
     );
-    let stats = store.stats();
+    let stats = server.store().stats();
     assert_eq!(stats.hits, 7);
     assert_eq!(stats.evictions, 0);
     assert!(stats.verify_nanos > 0, "loads must actually re-verify");
@@ -280,19 +323,20 @@ fn warm_suite_pass_performs_zero_derivations() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Protocol smoke over the in-memory server: a mixed batch against a warm
-/// store reports cached results and coherent counters.
+/// Protocol smoke over the JSON-lines front-end: a mixed batch against a
+/// warm 1-shard, 1-worker server reports cached results and coherent
+/// counters.
 #[test]
 fn batch_protocol_end_to_end() {
     let root = scratch("protocol");
-    let mut store = Store::open(&root).unwrap();
+    let server = serial_server(&root);
     let dbs = standard_dbs();
     // Warm the store.
-    compile_suite_cached(&mut store, &dbs);
+    compile_suite_cached(&server, &dbs);
 
     let input = "{\"op\":\"compile\",\"program\":\"crc32\"}\n{\"op\":\"suite\"}\n{\"op\":\"stats\"}\n";
     let mut out = Vec::new();
-    let n = rupicola::service::serve(input.as_bytes(), &mut out, &mut store, &dbs).unwrap();
+    let n = rupicola::service::serve(input.as_bytes(), &mut out, &server, &dbs).unwrap();
     assert_eq!(n, 3);
     let lines: Vec<json::Json> = String::from_utf8(out)
         .unwrap()
