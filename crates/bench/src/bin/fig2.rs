@@ -5,6 +5,7 @@
 
 use rupicola_bench::json::{write_results, Json};
 use rupicola_bench::{fig2_rows, make_input, make_text_input, Driver};
+use rupicola_programs::parallel::{compile_entries, default_workers};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -207,8 +208,9 @@ fn main() {
     let t0 = Instant::now();
     let reps = 20;
     let mut statements = 0usize;
+    let (entries, limits) = (rupicola_programs::suite(), rupicola_core::EngineLimits::default());
     for _ in 0..reps {
-        for r in rupicola_programs::parallel::compile_suite_parallel(&dbs) {
+        for r in compile_entries(&entries, &dbs, &limits, default_workers()) {
             statements += r.result.expect("suite compiles").function.statement_count();
         }
     }
@@ -217,5 +219,5 @@ fn main() {
         "#   this engine: {:.0} statements/second ({statements} statements in {secs:.2}s)",
         statements as f64 / secs
     );
-    println!("#   (see `--bin speed` for the serial/indexed/parallel breakdown)");
+    println!("#   (see `--bin speed` for the linear/indexed/parallel breakdown)");
 }

@@ -19,7 +19,7 @@
 use crate::derive::{Derivation, DerivationNode, SideCondRecord};
 use crate::error::CompileError;
 use crate::fnspec::FnSpec;
-use crate::goal::{flatten_result, HypEntry, HypRef, RetSlot, SideCond, StmtGoal};
+use crate::goal::{flatten_result, HypRef, RetSlot, SideCond, StmtGoal};
 use crate::lemma::HintDbs;
 use crate::limits::{EngineLimits, FreshNamesExhausted, ResourceKind};
 use rupicola_bedrock::{BExpr, BFunction, BTable, Cmd};
@@ -233,104 +233,45 @@ impl<'a> Compiler<'a> {
         &self.limits
     }
 
-    /// Whether this run uses the optimized engine paths.
-    ///
-    /// `true` under [`DispatchMode::Indexed`](crate::DispatchMode::Indexed).
-    /// Under `Linear` the engine is the *reference configuration*: it keeps
-    /// the seed's implementations end to end (linear lemma scans, no
-    /// side-condition memoization, and the original allocating helper
-    /// routines in the extension crates). Helpers that grew a faster
-    /// implementation branch on this so the reference configuration stays
-    /// byte-for-byte the seed engine — that is what the equivalence battery
-    /// compares the optimized pipeline against.
-    #[must_use]
-    pub fn fast_path(&self) -> bool {
-        self.dbs.dispatch_mode() == crate::DispatchMode::Indexed
-    }
-
-    /// Copies a goal under the active configuration's cost model: a
-    /// structure-sharing `clone()` on the fast path, the seed's node-by-node
-    /// [`StmtGoal::deep_clone`] in the reference configuration. Both
-    /// results are `==` to `goal`; only the allocation behavior differs.
-    #[must_use]
-    pub fn clone_goal(&self, goal: &StmtGoal) -> StmtGoal {
-        if self.fast_path() {
-            goal.clone()
-        } else {
-            goal.deep_clone()
-        }
-    }
-
-    /// Copies a term under the active configuration's cost model (see
-    /// [`Compiler::clone_goal`]).
-    #[must_use]
-    pub fn clone_term(&self, term: &Expr) -> Expr {
-        if self.fast_path() {
-            term.clone()
-        } else {
-            term.deep_clone()
-        }
-    }
-
-    /// Renders a derivation focus of the form `{term}`. Fast path: one
-    /// buffer through [`Expr::write_into`]. Reference configuration: the
-    /// seed's `format!` through the `Display` reference printer. Identical
-    /// bytes either way (the printer-agreement invariant; the equivalence
-    /// battery compares these strings across engines).
+    /// Renders a derivation focus of the form `{term}`: one pre-sized
+    /// buffer through [`Expr::write_into`], the same bytes `Display` gives.
     #[must_use]
     pub fn focus_term(&self, term: &Expr) -> String {
-        if self.fast_path() {
-            term.display_string()
-        } else {
-            format!("{term}")
-        }
+        term.display_string()
     }
 
     /// Renders a binding focus `let/n {name} := {value}` (see
     /// [`Compiler::focus_term`]).
     #[must_use]
     pub fn focus_let(&self, name: &str, value: &Expr) -> String {
-        if self.fast_path() {
-            let mut s = String::with_capacity(64);
-            s.push_str("let/n ");
-            s.push_str(name);
-            s.push_str(" := ");
-            value.write_into(&mut s);
-            s
-        } else {
-            format!("let/n {name} := {value}")
-        }
+        let mut s = String::with_capacity(64);
+        s.push_str("let/n ");
+        s.push_str(name);
+        s.push_str(" := ");
+        let _ = value.write_into(&mut s);
+        s
     }
 
     /// Renders a resolution focus `{term} ↦ {target}` (see
     /// [`Compiler::focus_term`]).
     #[must_use]
     pub fn focus_mapsto(&self, term: &Expr, target: &str) -> String {
-        if self.fast_path() {
-            let mut s = String::with_capacity(48);
-            term.write_into(&mut s);
-            s.push_str(" ↦ ");
-            s.push_str(target);
-            s
-        } else {
-            format!("{term} ↦ {target}")
-        }
+        let mut s = String::with_capacity(48);
+        let _ = term.write_into(&mut s);
+        s.push_str(" ↦ ");
+        s.push_str(target);
+        s
     }
 
     /// Renders a literal-resolution focus `{term} ↦ {w}` (see
     /// [`Compiler::focus_term`]).
     #[must_use]
     pub fn focus_mapsto_word(&self, term: &Expr, w: u64) -> String {
-        if self.fast_path() {
-            use std::fmt::Write;
-            let mut s = String::with_capacity(48);
-            term.write_into(&mut s);
-            s.push_str(" ↦ ");
-            let _ = write!(s, "{w}");
-            s
-        } else {
-            format!("{term} ↦ {w}")
-        }
+        use std::fmt::Write;
+        let mut s = String::with_capacity(48);
+        let _ = term.write_into(&mut s);
+        let _ = write!(s, " ↦ {w}");
+        s
     }
 
     /// The current derivation path (lemma names, root first).
@@ -596,15 +537,9 @@ impl<'a> Compiler<'a> {
             // panicked — same outcome, fall through to the next solver.
             if let Ok(true) = catch_quiet(|| s.solve(&cond, hyps)) {
                 self.stats.side_conditions += 1;
-                // Snapshot the hypotheses for the record. Fast path: shallow
-                // copies into one shared allocation (also the memo-cache
-                // entry). Reference configuration: the seed's node-by-node
-                // copies.
-                let shared: Arc<[HypRef]> = if self.fast_path() {
-                    hyps.into()
-                } else {
-                    hyps.iter().map(|h| HypEntry::shared(h.hyp.deep_clone())).collect()
-                };
+                // Snapshot the hypotheses for the record: shallow copies
+                // into one shared allocation (also the memo-cache entry).
+                let shared: Arc<[HypRef]> = hyps.into();
                 if let Some(k) = key {
                     self.side_cache
                         .entry(k)

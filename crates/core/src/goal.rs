@@ -31,20 +31,6 @@ pub enum Hyp {
     LeU(Expr, Expr),
 }
 
-impl Hyp {
-    /// A copy sharing no term structure with `self` (see
-    /// [`Expr::deep_clone`]; used by the reference engine configuration to
-    /// keep the seed's copy discipline when snapshotting hypotheses).
-    #[must_use]
-    pub fn deep_clone(&self) -> Hyp {
-        match self {
-            Hyp::EqWord(a, b) => Hyp::EqWord(a.deep_clone(), b.deep_clone()),
-            Hyp::LtU(a, b) => Hyp::LtU(a.deep_clone(), b.deep_clone()),
-            Hyp::LeU(a, b) => Hyp::LeU(a.deep_clone(), b.deep_clone()),
-        }
-    }
-}
-
 impl fmt::Display for Hyp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -171,13 +157,6 @@ impl DefChain {
         }
         out.reverse();
         out
-    }
-
-    /// A copy sharing no term structure with `self` (the reference
-    /// engine configuration's discipline; see [`StmtGoal::deep_clone`]).
-    #[must_use]
-    pub fn deep_clone(&self) -> DefChain {
-        self.to_vec().into_iter().map(|(n, e)| (n, e.deep_clone())).collect()
     }
 }
 
@@ -376,31 +355,6 @@ impl StmtGoal {
     /// The `(name, definition)` evaluation prefix (see the `defs` field).
     pub fn binding_defs(&self) -> Vec<(Ident, Expr)> {
         self.defs.to_vec()
-    }
-
-    /// A copy sharing no term structure with `self`: the program remainder,
-    /// every locals binding, heaplet content/length, hypothesis, and
-    /// definition equation is rebuilt node by node
-    /// ([`Expr::deep_clone`]).
-    ///
-    /// With `Box<Expr>` subterms (the seed representation) this is what
-    /// `clone()` always did; with [`rupicola_lang::ExprRef`] sharing,
-    /// `clone()` is a handful of reference-count bumps. The reference
-    /// (`Linear`) engine configuration calls this wherever the seed engine
-    /// cloned a goal, so that the serial baseline the speed harness
-    /// measures preserves the seed compiler's allocation behavior (see
-    /// `Compiler::clone_goal`).
-    #[must_use]
-    pub fn deep_clone(&self) -> StmtGoal {
-        StmtGoal {
-            prog: self.prog.deep_clone(),
-            locals: self.locals.deep_clone(),
-            heap: self.heap.deep_clone(),
-            hyps: self.hyps.iter().map(|h| HypEntry::shared(h.hyp.deep_clone())).collect(),
-            monad: self.monad,
-            post: self.post.clone(),
-            defs: self.defs.deep_clone(),
-        }
     }
 }
 

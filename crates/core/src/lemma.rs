@@ -217,10 +217,10 @@ pub enum DispatchMode {
     /// `None`.
     #[default]
     Indexed,
-    /// The seed engine's behavior: every lemma is tried in registration
-    /// order for every goal, and the side-condition memo cache is disabled.
-    /// This is the reference mode the equivalence battery compares
-    /// [`DispatchMode::Indexed`] against, and the `serial` baseline of the
+    /// Every lemma is tried in registration order for every goal, and the
+    /// side-condition memo cache is disabled; nothing else about the engine
+    /// changes. This is the oracle the equivalence battery compares
+    /// [`DispatchMode::Indexed`] against, and the `linear` row of the
     /// `speed` harness.
     Linear,
 }
@@ -428,7 +428,7 @@ impl HintDbs {
 
     /// Sets how the engine walks this database (see [`DispatchMode`]).
     /// [`DispatchMode::Linear`] also disables the side-condition memo
-    /// cache, making the engine behave exactly like the pre-index seed.
+    /// cache.
     pub fn set_dispatch_mode(&mut self, mode: DispatchMode) -> &mut Self {
         self.mode = mode;
         self

@@ -55,25 +55,10 @@ impl ExprLemma for ExprLocal {
         goal: &StmtGoal,
         cx: &mut Compiler<'_>,
     ) -> Option<Result<AppliedExpr, CompileError>> {
-        if cx.fast_path() {
-            self.chase_borrowed(term, goal, cx)
-        } else {
-            self.chase_cloning(term, goal)
-        }
-    }
-}
-
-impl ExprLocal {
-    /// Optimized chase: terms equal to `term` under the equational
-    /// hypotheses, breadth first, bounded. The frontier holds *borrowed*
-    /// terms — `term` itself, then sides of `EqWord` hypotheses — so the
-    /// common case (hit or miss with no chase) allocates nothing.
-    fn chase_borrowed(
-        &self,
-        term: &Expr,
-        goal: &StmtGoal,
-        cx: &Compiler<'_>,
-    ) -> Option<Result<AppliedExpr, CompileError>> {
+        // Chase the terms equal to `term` under the equational hypotheses,
+        // breadth first, bounded. The frontier holds *borrowed* terms —
+        // `term` itself, then sides of `EqWord` hypotheses — so the common
+        // case (hit or miss with no chase) allocates nothing.
         let mut candidates: Vec<&Expr> = vec![term];
         let mut i = 0;
         while i < candidates.len() && candidates.len() < 16 {
@@ -103,53 +88,6 @@ impl ExprLocal {
                     }
                     if b == cur && !candidates.contains(&a) {
                         candidates.push(a);
-                    }
-                }
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// Reference chase: the seed's implementation, kept for the `Linear`
-    /// configuration. Same traversal in the same order, but the frontier
-    /// owns copied terms — `deep_clone`, because that is what `clone()`
-    /// was when subterms were `Box<Expr>`, so the reference configuration
-    /// keeps the seed's allocation behavior as well as its answers. The
-    /// equivalence battery relies on this being the seed engine's exact
-    /// behavior.
-    fn chase_cloning(
-        &self,
-        term: &Expr,
-        goal: &StmtGoal,
-    ) -> Option<Result<AppliedExpr, CompileError>> {
-        let mut candidates = vec![term.deep_clone()];
-        let mut i = 0;
-        while i < candidates.len() && candidates.len() < 16 {
-            let cur = candidates[i].clone();
-            if let Some((local, _)) = goal.locals.find_scalar(&cur) {
-                return Some(Ok(AppliedExpr {
-                    expr: BExpr::var(local),
-                    node: DerivationNode::leaf(self.name(), format!("{term} ↦ {local}")),
-                }));
-            }
-            if i > 0 {
-                if let Expr::Lit(v) = &cur {
-                    if let Some(w) = v.to_scalar_word() {
-                        return Some(Ok(AppliedExpr {
-                            expr: BExpr::lit(w),
-                            node: DerivationNode::leaf(self.name(), format!("{term} ↦ {w}")),
-                        }));
-                    }
-                }
-            }
-            for h in &goal.hyps {
-                if let rupicola_core::Hyp::EqWord(a, b) = &h.hyp {
-                    if a == &cur && !candidates.contains(b) {
-                        candidates.push(b.deep_clone());
-                    }
-                    if b == &cur && !candidates.contains(a) {
-                        candidates.push(a.deep_clone());
                     }
                 }
             }

@@ -509,7 +509,7 @@ impl CompileRangeFoldArrayPut {
         // length-preservation equation.
         let mut body_goal = goal.clone();
         for b in [i, acc] {
-            if crate::helpers::state_mentions(cx, &body_goal, b) {
+            if crate::helpers::state_mentions(&body_goal, b) {
                 let ghost = cx.fresh_ghost(b);
                 body_goal.shadow(b, &ghost);
             }

@@ -61,7 +61,7 @@ fn rebind_cell(
     body: &Expr,
 ) -> StmtGoal {
     let mut g = goal.clone();
-    if state_mentions(cx, &g, name) {
+    if state_mentions(&g, name) {
         let ghost = cx.fresh_ghost(name);
         g.shadow(name, &ghost);
         g.defs.push((ghost, Expr::Var(name.to_string())));

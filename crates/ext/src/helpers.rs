@@ -50,40 +50,17 @@ pub fn heaplet_and_ptr(goal: &StmtGoal, term: &Expr) -> Option<(HeapletId, Strin
     Some((id, ptr))
 }
 
-/// Whether any piece of the symbolic state mentions the source name.
-///
-/// Two implementations, selected by [`Compiler::fast_path`]: the optimized
-/// engine uses the allocation-free [`Expr::mentions`] walk; the reference
-/// (`Linear`) configuration keeps the seed's `free_vars()`-based scan so
-/// the baseline the speed harness and equivalence battery measure against
-/// is the seed engine, not a half-optimized hybrid. Both return the same
-/// answer on every input (`mentions` is `free_vars().contains` fused into
-/// one binder-aware traversal).
-pub fn state_mentions(cx: &Compiler<'_>, goal: &StmtGoal, name: &str) -> bool {
+/// Whether any piece of the symbolic state mentions the source name: a
+/// local of that name, or a free occurrence in a scalar binding or a
+/// heaplet's content or length ([`Expr::mentions`], a binder-aware walk
+/// that allocates nothing).
+pub fn state_mentions(goal: &StmtGoal, name: &str) -> bool {
     if goal.locals.get(name).is_some() {
         return true;
     }
-    let fast = cx.fast_path();
-    let as_var = |e: &Expr| {
-        if fast {
-            e.mentions(name)
-        } else {
-            e.free_vars().iter().any(|v| v == name)
-        }
-    };
-    for (_, v) in goal.locals.iter() {
-        if let SymValue::Scalar(_, t) = v {
-            if as_var(t) {
-                return true;
-            }
-        }
-    }
-    for (_, h) in goal.heap.iter() {
-        if as_var(&h.content) || h.len.as_ref().is_some_and(&as_var) {
-            return true;
-        }
-    }
-    false
+    let scalars = goal.locals.iter().filter_map(|(_, v)| v.scalar_term()).map(|(t, _)| t);
+    let heap_terms = goal.heap.iter().flat_map(|(_, h)| std::iter::once(&h.content).chain(&h.len));
+    scalars.chain(heap_terms).any(|t| t.mentions(name))
 }
 
 /// Rebinds `name` to a scalar: performs the ghost renaming on the symbolic
@@ -101,9 +78,9 @@ pub fn rebind_scalar(
     value: &Expr,
     body: &Expr,
 ) -> StmtGoal {
-    let mut g = cx.clone_goal(goal);
-    let mut shadowed_value = cx.clone_term(value);
-    if state_mentions(cx, &g, name) {
+    let mut g = goal.clone();
+    let mut shadowed_value = value.clone();
+    if state_mentions(&g, name) {
         let ghost = cx.fresh_ghost(name);
         g.shadow(name, &ghost);
         shadowed_value = rupicola_sep::subst(value, name, &Expr::Var(ghost.clone()));
@@ -115,9 +92,9 @@ pub fn rebind_scalar(
         .set(name.clone(), SymValue::Scalar(kind, Expr::Var(name.clone())));
     g.push_hyp(Hyp::EqWord(Expr::Var(name.clone()), shadowed_value));
     if !value.is_monadic() {
-        g.defs.push((name.clone(), cx.clone_term(value)));
+        g.defs.push((name.clone(), value.clone()));
     }
-    g.prog = cx.clone_term(body);
+    g.prog = body.clone();
     g
 }
 
@@ -136,14 +113,14 @@ pub fn rebind_pointer(
     value: &Expr,
     body: &Expr,
 ) -> StmtGoal {
-    let mut g = cx.clone_goal(goal);
-    if state_mentions(cx, &g, name) {
+    let mut g = goal.clone();
+    if state_mentions(&g, name) {
         let ghost = cx.fresh_ghost(name);
         g.shadow(name, &ghost);
         g.defs.push((ghost, Expr::Var(name.clone())));
     }
     if !value.is_monadic() {
-        g.defs.push((name.clone(), cx.clone_term(value)));
+        g.defs.push((name.clone(), value.clone()));
     }
     let old_len = g.heap.get(id).and_then(|h| h.len.clone());
     let new_len = Expr::ArrayLen { elem, arr: Expr::Var(name.clone()).boxed() };
@@ -157,7 +134,7 @@ pub fn rebind_pointer(
         }
     }
     g.locals.set(name.clone(), SymValue::Ptr(id));
-    g.prog = cx.clone_term(body);
+    g.prog = body.clone();
     g
 }
 
@@ -203,9 +180,9 @@ pub fn loop_body_goal(
     binders: &[(Ident, String, ScalarKind)],
     extra_hyps: Vec<Hyp>,
 ) -> StmtGoal {
-    let mut g = cx.clone_goal(goal);
+    let mut g = goal.clone();
     for (src, _, _) in binders {
-        if state_mentions(cx, &g, src) {
+        if state_mentions(&g, src) {
             let ghost = cx.fresh_ghost(src);
             g.shadow(src, &ghost);
         }

@@ -353,7 +353,7 @@ impl CompileRangeFoldM {
         node.children.push(c_body);
 
         let mut k_goal = goal.clone();
-        if crate::helpers::state_mentions(cx, &k_goal, name) {
+        if crate::helpers::state_mentions(&k_goal, name) {
             let ghost = cx.fresh_ghost(name);
             k_goal.shadow(name, &ghost);
             k_goal.defs.push((ghost, Expr::Var(name.to_string())));

@@ -674,437 +674,153 @@ impl Expr {
 }
 
 impl Expr {
-    /// Renders `self` into `out`: the optimized pretty-printer used by the
-    /// fast (indexed) engine to build derivation focus strings. A direct
-    /// `String`-push recursion — one pre-sized buffer, no per-node
-    /// `fmt::Formatter` dispatch — because focus rendering sits on the
-    /// compiler's hot path.
+    /// Renders `self` into `out`: the one term printer. `Display` is this
+    /// function over the `Formatter`; the engine's derivation-focus
+    /// helpers call it over a pre-sized `String`, where it monomorphizes
+    /// to direct byte pushes with no per-node `Formatter` dispatch
+    /// (focus rendering sits on the compiler's hot path).
     ///
-    /// [`fmt::Display`] keeps the original `Formatter`-recursive
-    /// implementation, verbatim, as the *reference printer*: the two must
-    /// produce byte-identical output on every term. `printers_agree` in
-    /// this module checks that grammar-directed, and the cross-engine
-    /// equivalence battery checks it on every focus string of every suite
-    /// program (the reference engine renders through `Display`, the fast
-    /// engine through here, and whole derivations must compare equal).
-    pub fn write_into(&self, out: &mut String) {
-        use fmt::Write as _;
-        let args_into = |out: &mut String, args: &[Expr]| {
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                a.write_into(out);
-            }
-        };
+    /// # Errors
+    ///
+    /// Only those `out` reports; writing into a `String` cannot fail.
+    pub fn write_into<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Expr::Var(v) => out.push_str(v),
-            Expr::Lit(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Expr::Var(v) => out.write_str(v),
+            Expr::Lit(v) => write!(out, "{v}"),
             Expr::Prim { op, args } => {
-                out.push_str(op.name());
-                out.push('(');
-                args_into(out, args);
-                out.push(')');
+                out.write_str(op.name())?;
+                Self::call_into(out, "(", args)
             }
             Expr::Extern { tag, args } | Expr::FreeOp { tag, args } => {
-                out.push_str(tag);
-                out.push('(');
-                args_into(out, args);
-                out.push(')');
+                out.write_str(tag)?;
+                Self::call_into(out, "(", args)
             }
             Expr::Let { name, value, body } => {
-                out.push_str("let/n ");
-                out.push_str(name);
-                out.push_str(" := ");
-                value.write_into(out);
-                out.push_str(" in ");
-                body.write_into(out);
+                write!(out, "let/n {name} := ")?;
+                value.write_into(out)?;
+                out.write_str(" in ")?;
+                body.write_into(out)
             }
-            Expr::Copy(e) => {
-                out.push_str("copy(");
-                e.write_into(out);
-                out.push(')');
-            }
-            Expr::Stack(e) => {
-                out.push_str("stack(");
-                e.write_into(out);
-                out.push(')');
-            }
+            Expr::Copy(e) => Self::call_into(out, "copy(", [&**e]),
+            Expr::Stack(e) => Self::call_into(out, "stack(", [&**e]),
             Expr::If { cond, then_, else_ } => {
-                out.push_str("if ");
-                cond.write_into(out);
-                out.push_str(" then ");
-                then_.write_into(out);
-                out.push_str(" else ");
-                else_.write_into(out);
+                out.write_str("if ")?;
+                cond.write_into(out)?;
+                out.write_str(" then ")?;
+                then_.write_into(out)?;
+                out.write_str(" else ")?;
+                else_.write_into(out)
             }
-            Expr::Pair(a, b) => {
-                out.push('(');
-                a.write_into(out);
-                out.push_str(", ");
-                b.write_into(out);
-                out.push(')');
-            }
-            Expr::Fst(e) => {
-                out.push_str("fst(");
-                e.write_into(out);
-                out.push(')');
-            }
-            Expr::Snd(e) => {
-                out.push_str("snd(");
-                e.write_into(out);
-                out.push(')');
-            }
-            Expr::CellGet(e) => {
-                out.push_str("get(");
-                e.write_into(out);
-                out.push(')');
-            }
-            Expr::CellPut { cell, val } => {
-                out.push_str("put(");
-                cell.write_into(out);
-                out.push_str(", ");
-                val.write_into(out);
-                out.push(')');
-            }
-            Expr::ArrayLen { arr, .. } => {
-                out.push_str("ListArray.length(");
-                arr.write_into(out);
-                out.push(')');
-            }
+            Expr::Pair(a, b) => Self::call_into(out, "(", [&**a, &**b]),
+            Expr::Fst(e) => Self::call_into(out, "fst(", [&**e]),
+            Expr::Snd(e) => Self::call_into(out, "snd(", [&**e]),
+            Expr::CellGet(e) => Self::call_into(out, "get(", [&**e]),
+            Expr::CellPut { cell, val } => Self::call_into(out, "put(", [&**cell, &**val]),
+            Expr::ArrayLen { arr, .. } => Self::call_into(out, "ListArray.length(", [&**arr]),
             Expr::ArrayGet { arr, idx, .. } => {
-                out.push_str("ListArray.get(");
-                arr.write_into(out);
-                out.push_str(", ");
-                idx.write_into(out);
-                out.push(')');
+                Self::call_into(out, "ListArray.get(", [&**arr, &**idx])
             }
             Expr::ArrayPut { arr, idx, val, .. } => {
-                out.push_str("ListArray.put(");
-                arr.write_into(out);
-                out.push_str(", ");
-                idx.write_into(out);
-                out.push_str(", ");
-                val.write_into(out);
-                out.push(')');
+                Self::call_into(out, "ListArray.put(", [&**arr, &**idx, &**val])
             }
             Expr::TableGet { table, idx } => {
-                out.push_str("InlineTable.get(");
-                out.push_str(table);
-                out.push_str(", ");
-                idx.write_into(out);
-                out.push(')');
+                write!(out, "InlineTable.get({table}, ")?;
+                idx.write_into(out)?;
+                out.write_char(')')
             }
             Expr::ArrayMap { x, f: fun, arr, .. } => {
-                out.push_str("ListArray.map (fun ");
-                out.push_str(x);
-                out.push_str(" => ");
-                fun.write_into(out);
-                out.push_str(") ");
-                arr.write_into(out);
+                write!(out, "ListArray.map (fun {x} => ")?;
+                fun.write_into(out)?;
+                out.write_str(") ")?;
+                arr.write_into(out)
             }
             Expr::ArrayFold { acc, x, f: fun, init, arr, .. } => {
-                out.push_str("List.fold_left (fun ");
-                out.push_str(acc);
-                out.push(' ');
-                out.push_str(x);
-                out.push_str(" => ");
-                fun.write_into(out);
-                out.push_str(") ");
-                arr.write_into(out);
-                out.push(' ');
-                init.write_into(out);
+                write!(out, "List.fold_left (fun {acc} {x} => ")?;
+                fun.write_into(out)?;
+                out.write_str(") ")?;
+                arr.write_into(out)?;
+                out.write_char(' ')?;
+                init.write_into(out)
             }
             Expr::RangeFold { i, acc, f: fun, init, from, to } => {
-                out.push_str("fold_range ");
-                Self::range_fold_into(out, i, acc, fun, init, from, to);
+                out.write_str("fold_range ")?;
+                Self::range_fold_into(out, i, acc, fun, init, from, to)
             }
             Expr::RangeFoldBreak { i, acc, f: fun, init, from, to } => {
-                out.push_str("fold_range_break ");
-                Self::range_fold_into(out, i, acc, fun, init, from, to);
+                out.write_str("fold_range_break ")?;
+                Self::range_fold_into(out, i, acc, fun, init, from, to)
             }
             Expr::RangeFoldM { monad, i, acc, f: fun, init, from, to } => {
-                out.push_str("fold_range[");
-                let _ = write!(out, "{monad}");
-                out.push_str("] ");
-                Self::range_fold_into(out, i, acc, fun, init, from, to);
+                write!(out, "fold_range[{monad}] ")?;
+                Self::range_fold_into(out, i, acc, fun, init, from, to)
             }
             Expr::Ret { monad, value } => {
-                out.push_str("ret[");
-                let _ = write!(out, "{monad}");
-                out.push_str("] ");
-                value.write_into(out);
+                write!(out, "ret[{monad}] ")?;
+                value.write_into(out)
             }
             Expr::Bind { monad, name, ma, body } => {
-                out.push_str("let/n! ");
-                out.push_str(name);
-                out.push_str(" :=[");
-                let _ = write!(out, "{monad}");
-                out.push_str("] ");
-                ma.write_into(out);
-                out.push_str(" in ");
-                body.write_into(out);
+                write!(out, "let/n! {name} :=[{monad}] ")?;
+                ma.write_into(out)?;
+                out.write_str(" in ")?;
+                body.write_into(out)
             }
-            Expr::NondetBytes { len } => {
-                out.push_str("nondet.bytes(");
-                len.write_into(out);
-                out.push(')');
-            }
-            Expr::NondetWord { bound } => {
-                out.push_str("nondet.word(< ");
-                bound.write_into(out);
-                out.push(')');
-            }
-            Expr::IoRead => out.push_str("io.read()"),
-            Expr::IoWrite(e) => {
-                out.push_str("io.write(");
-                e.write_into(out);
-                out.push(')');
-            }
-            Expr::WriterTell(e) => {
-                out.push_str("writer.tell(");
-                e.write_into(out);
-                out.push(')');
-            }
+            Expr::NondetBytes { len } => Self::call_into(out, "nondet.bytes(", [&**len]),
+            Expr::NondetWord { bound } => Self::call_into(out, "nondet.word(< ", [&**bound]),
+            Expr::IoRead => out.write_str("io.read()"),
+            Expr::IoWrite(e) => Self::call_into(out, "io.write(", [&**e]),
+            Expr::WriterTell(e) => Self::call_into(out, "writer.tell(", [&**e]),
         }
+    }
+
+    /// Shared shape of call-like renderings: `{open}{a}, {b}, …)`.
+    fn call_into<'e, W: fmt::Write + ?Sized>(
+        out: &mut W,
+        open: &str,
+        args: impl IntoIterator<Item = &'e Expr>,
+    ) -> fmt::Result {
+        out.write_str(open)?;
+        for (i, a) in args.into_iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            a.write_into(out)?;
+        }
+        out.write_char(')')
     }
 
     /// Shared tail of the three ranged-fold renderings:
     /// `{from} {to} (fun {i} {acc} => {f}) {init}`.
-    fn range_fold_into(
-        out: &mut String,
+    fn range_fold_into<W: fmt::Write + ?Sized>(
+        out: &mut W,
         i: &str,
         acc: &str,
         fun: &Expr,
         init: &Expr,
         from: &Expr,
         to: &Expr,
-    ) {
-        from.write_into(out);
-        out.push(' ');
-        to.write_into(out);
-        out.push_str(" (fun ");
-        out.push_str(i);
-        out.push(' ');
-        out.push_str(acc);
-        out.push_str(" => ");
-        fun.write_into(out);
-        out.push_str(") ");
-        init.write_into(out);
+    ) -> fmt::Result {
+        from.write_into(out)?;
+        out.write_char(' ')?;
+        to.write_into(out)?;
+        write!(out, " (fun {i} {acc} => ")?;
+        fun.write_into(out)?;
+        out.write_str(") ")?;
+        init.write_into(out)
     }
 
-    /// Renders `self` to a fresh `String` through [`Expr::write_into`]:
-    /// the hot-path equivalent of `format!("{self}")`, byte-identical to
-    /// it by the printer-agreement invariant.
+    /// Renders `self` to a fresh pre-sized `String` through
+    /// [`Expr::write_into`]: the same bytes as `to_string()`, without the
+    /// `Formatter` indirection.
     pub fn display_string(&self) -> String {
         let mut s = String::with_capacity(64);
-        self.write_into(&mut s);
+        let _ = self.write_into(&mut s);
         s
-    }
-
-    /// Structurally reconstructs the whole term: every node is rebuilt
-    /// and re-interned bottom-up. This is the per-node traversal work
-    /// `Clone` did when subterms were `Box<Expr>` (the seed
-    /// representation) — since the switch to [`ExprRef`], `clone()` is a
-    /// reference-count bump. The reference (`Linear`) engine
-    /// configuration deep-clones wherever the seed engine cloned, so the
-    /// baseline the speed harness measures keeps the seed compiler's
-    /// per-node copy discipline (with hash-consing, reconstruction lands
-    /// on the same interned allocations instead of fresh ones, but still
-    /// pays the full walk, hash, and table probe per node). The result is
-    /// `==` to `self`.
-    #[must_use]
-    pub fn deep_clone(&self) -> Expr {
-        fn dc(e: &ExprRef) -> ExprRef {
-            ExprRef::new(e.deep_clone())
-        }
-        fn dcv(v: &[Expr]) -> Vec<Expr> {
-            v.iter().map(Expr::deep_clone).collect()
-        }
-        match self {
-            Expr::Var(v) => Expr::Var(v.clone()),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Prim { op, args } => Expr::Prim { op: *op, args: dcv(args) },
-            Expr::Extern { tag, args } => {
-                Expr::Extern { tag: tag.clone(), args: dcv(args) }
-            }
-            Expr::FreeOp { tag, args } => {
-                Expr::FreeOp { tag: tag.clone(), args: dcv(args) }
-            }
-            Expr::Let { name, value, body } => {
-                Expr::Let { name: name.clone(), value: dc(value), body: dc(body) }
-            }
-            Expr::Copy(e) => Expr::Copy(dc(e)),
-            Expr::Stack(e) => Expr::Stack(dc(e)),
-            Expr::If { cond, then_, else_ } => {
-                Expr::If { cond: dc(cond), then_: dc(then_), else_: dc(else_) }
-            }
-            Expr::Pair(a, b) => Expr::Pair(dc(a), dc(b)),
-            Expr::Fst(e) => Expr::Fst(dc(e)),
-            Expr::Snd(e) => Expr::Snd(dc(e)),
-            Expr::CellGet(e) => Expr::CellGet(dc(e)),
-            Expr::CellPut { cell, val } => {
-                Expr::CellPut { cell: dc(cell), val: dc(val) }
-            }
-            Expr::ArrayLen { elem, arr } => {
-                Expr::ArrayLen { elem: *elem, arr: dc(arr) }
-            }
-            Expr::ArrayGet { elem, arr, idx } => {
-                Expr::ArrayGet { elem: *elem, arr: dc(arr), idx: dc(idx) }
-            }
-            Expr::ArrayPut { elem, arr, idx, val } => Expr::ArrayPut {
-                elem: *elem,
-                arr: dc(arr),
-                idx: dc(idx),
-                val: dc(val),
-            },
-            Expr::TableGet { table, idx } => {
-                Expr::TableGet { table: table.clone(), idx: dc(idx) }
-            }
-            Expr::ArrayMap { elem, x, f, arr } => Expr::ArrayMap {
-                elem: *elem,
-                x: x.clone(),
-                f: dc(f),
-                arr: dc(arr),
-            },
-            Expr::ArrayFold { elem, acc, x, f, init, arr } => Expr::ArrayFold {
-                elem: *elem,
-                acc: acc.clone(),
-                x: x.clone(),
-                f: dc(f),
-                init: dc(init),
-                arr: dc(arr),
-            },
-            Expr::RangeFold { i, acc, f, init, from, to } => Expr::RangeFold {
-                i: i.clone(),
-                acc: acc.clone(),
-                f: dc(f),
-                init: dc(init),
-                from: dc(from),
-                to: dc(to),
-            },
-            Expr::RangeFoldBreak { i, acc, f, init, from, to } => {
-                Expr::RangeFoldBreak {
-                    i: i.clone(),
-                    acc: acc.clone(),
-                    f: dc(f),
-                    init: dc(init),
-                    from: dc(from),
-                    to: dc(to),
-                }
-            }
-            Expr::RangeFoldM { monad, i, acc, f, init, from, to } => {
-                Expr::RangeFoldM {
-                    monad: *monad,
-                    i: i.clone(),
-                    acc: acc.clone(),
-                    f: dc(f),
-                    init: dc(init),
-                    from: dc(from),
-                    to: dc(to),
-                }
-            }
-            Expr::Ret { monad, value } => {
-                Expr::Ret { monad: *monad, value: dc(value) }
-            }
-            Expr::Bind { monad, name, ma, body } => Expr::Bind {
-                monad: *monad,
-                name: name.clone(),
-                ma: dc(ma),
-                body: dc(body),
-            },
-            Expr::NondetBytes { len } => Expr::NondetBytes { len: dc(len) },
-            Expr::NondetWord { bound } => Expr::NondetWord { bound: dc(bound) },
-            Expr::IoRead => Expr::IoRead,
-            Expr::IoWrite(e) => Expr::IoWrite(dc(e)),
-            Expr::WriterTell(e) => Expr::WriterTell(dc(e)),
-        }
     }
 }
 
-/// The reference printer. This is the seed compiler's `Display`
-/// implementation, kept verbatim: `format!`-based focus construction in
-/// the reference (`Linear`) engine configuration goes through here, so the
-/// baseline that the speed harness measures is the seed's rendering code,
-/// while the fast engine uses [`Expr::write_into`]. Both printers must
-/// agree byte-for-byte (see `write_into`'s doc).
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Var(v) => write!(f, "{v}"),
-            Expr::Lit(v) => write!(f, "{v}"),
-            Expr::Prim { op, args } => {
-                write!(f, "{}(", op.name())?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-            Expr::Extern { tag, args } | Expr::FreeOp { tag, args } => {
-                write!(f, "{tag}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
-            Expr::Let { name, value, body } => {
-                write!(f, "let/n {name} := {value} in {body}")
-            }
-            Expr::Copy(e) => write!(f, "copy({e})"),
-            Expr::Stack(e) => write!(f, "stack({e})"),
-            Expr::If { cond, then_, else_ } => {
-                write!(f, "if {cond} then {then_} else {else_}")
-            }
-            Expr::Pair(a, b) => write!(f, "({a}, {b})"),
-            Expr::Fst(e) => write!(f, "fst({e})"),
-            Expr::Snd(e) => write!(f, "snd({e})"),
-            Expr::CellGet(e) => write!(f, "get({e})"),
-            Expr::CellPut { cell, val } => write!(f, "put({cell}, {val})"),
-            Expr::ArrayLen { arr, .. } => write!(f, "ListArray.length({arr})"),
-            Expr::ArrayGet { arr, idx, .. } => write!(f, "ListArray.get({arr}, {idx})"),
-            Expr::ArrayPut { arr, idx, val, .. } => {
-                write!(f, "ListArray.put({arr}, {idx}, {val})")
-            }
-            Expr::TableGet { table, idx } => write!(f, "InlineTable.get({table}, {idx})"),
-            Expr::ArrayMap { x, f: fun, arr, .. } => {
-                write!(f, "ListArray.map (fun {x} => {fun}) {arr}")
-            }
-            Expr::ArrayFold { acc, x, f: fun, init, arr, .. } => {
-                write!(f, "List.fold_left (fun {acc} {x} => {fun}) {arr} {init}")
-            }
-            Expr::RangeFold { i, acc, f: fun, init, from, to } => {
-                write!(f, "fold_range {from} {to} (fun {i} {acc} => {fun}) {init}")
-            }
-            Expr::RangeFoldBreak { i, acc, f: fun, init, from, to } => {
-                write!(
-                    f,
-                    "fold_range_break {from} {to} (fun {i} {acc} => {fun}) {init}"
-                )
-            }
-            Expr::RangeFoldM { monad, i, acc, f: fun, init, from, to } => {
-                write!(
-                    f,
-                    "fold_range[{monad}] {from} {to} (fun {i} {acc} => {fun}) {init}"
-                )
-            }
-            Expr::Ret { monad, value } => write!(f, "ret[{monad}] {value}"),
-            Expr::Bind { monad, name, ma, body } => {
-                write!(f, "let/n! {name} :=[{monad}] {ma} in {body}")
-            }
-            Expr::NondetBytes { len } => write!(f, "nondet.bytes({len})"),
-            Expr::NondetWord { bound } => write!(f, "nondet.word(< {bound})"),
-            Expr::IoRead => write!(f, "io.read()"),
-            Expr::IoWrite(e) => write!(f, "io.write({e})"),
-            Expr::WriterTell(e) => write!(f, "writer.tell({e})"),
-        }
+        self.write_into(f)
     }
 }
 

@@ -1,14 +1,14 @@
-//! Suite-level compilation drivers and the generic work-stealing
-//! scheduler: serial and `std::thread::scope` parallel compilation of the
-//! §4.2 suite, with deterministic result ordering.
+//! The suite compilation driver and the generic work-stealing scheduler:
+//! `std::thread::scope` compilation of suite entries on any number of
+//! workers (serial is one), with deterministic result ordering.
 //!
 //! Workers share the hint databases by reference (`HintDbs` is `Sync`:
 //! lemmas and solvers are stateless `Send + Sync` trait objects) but each
 //! owns its private `Compiler` state — including the side-condition memo
-//! cache — so runs are isolated exactly as in the serial driver. Results
-//! are keyed by job index regardless of OS scheduling, so the output
-//! order is input order and a harness comparing serial vs parallel output
-//! can `assert_eq!` the two vectors directly.
+//! cache — so runs are isolated exactly as on one worker. Results are keyed
+//! by job index regardless of OS scheduling, so the output order is input
+//! order and a harness comparing one-worker vs many-worker output can
+//! `assert_eq!` the two vectors directly.
 //!
 //! [`run_work_stealing`] is the scheduling primitive everything here (and
 //! the service layer's concurrent multi-tenant server) is built on: a
@@ -23,7 +23,6 @@
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
-use crate::suite;
 use rupicola_core::{compile_with_limits, CompileError, CompiledFunction, EngineLimits, HintDbs};
 
 /// Worker stack size: 16 MiB, comfortably above the deepest suite
@@ -161,71 +160,23 @@ pub struct SuiteResult {
     pub result: Result<CompiledFunction, CompileError>,
 }
 
-/// Compiles every suite program against `dbs`, one after another, in
-/// suite order. This is the baseline the parallel driver is compared to
-/// by the determinism battery.
-pub fn compile_suite_serial(dbs: &HintDbs) -> Vec<SuiteResult> {
-    compile_entries_serial(&suite(), dbs, &EngineLimits::default())
-}
-
-/// Compiles an arbitrary slice of suite entries against `dbs` one after
-/// another, in slice order, applying each entry's per-program limits
-/// adjustment to `limits`. The serial counterpart of
-/// [`compile_entries_parallel_with_limits`] — harnesses comparing the two
-/// drivers hand both the same entries and base limits.
-pub fn compile_entries_serial(
-    entries: &[crate::SuiteEntry],
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-) -> Vec<SuiteResult> {
-    entries
-        .iter()
-        .map(|entry| SuiteResult {
-            name: entry.info.name,
-            result: compile_with_limits(
-                &(entry.model)(),
-                &(entry.spec)(),
-                dbs,
-                (entry.limits)(*limits),
-            ),
-        })
-        .collect()
-}
-
-/// Compiles every suite program against `dbs` under the work-stealing
-/// scheduler, with the worker count capped at the machine's available
-/// parallelism (and at the suite size). Hermetic: `std::thread::scope`
-/// only, no external crates.
+/// Compiles `entries` against `dbs` on `workers` work-stealing threads
+/// ([`run_work_stealing`]), applying each entry's per-program limits
+/// adjustment to `limits`. Results come back in slice order.
 ///
-/// Determinism: compilation is a pure function of `(model, spec, dbs)`
-/// and [`run_work_stealing`] keys results by job index — no shared
-/// mutable state, no iteration-order dependence — so the returned vector
-/// is byte-identical to [`compile_suite_serial`]'s. On a single-core
-/// machine the cap degenerates to one worker and the driver compiles
-/// inline without spawning at all, so the parallel entry point never pays
-/// thread-spawn overhead it cannot recoup.
-pub fn compile_suite_parallel(dbs: &HintDbs) -> Vec<SuiteResult> {
-    compile_entries_parallel(&suite(), dbs)
-}
-
-/// Compiles an arbitrary slice of suite entries against `dbs` in parallel,
-/// preserving slice order in the result. [`compile_suite_parallel`] is
-/// the whole-suite special case.
-pub fn compile_entries_parallel(entries: &[crate::SuiteEntry], dbs: &HintDbs) -> Vec<SuiteResult> {
-    compile_entries_parallel_with_limits(entries, dbs, &EngineLimits::default())
-}
-
-/// [`compile_entries_parallel`] under explicit [`EngineLimits`]
-/// (per-request deadlines and budget overrides). Each worker
-/// gets its own `Compiler` (and thus its own deadline clock, started at
-/// its first judgment): a deadline bounds each *program's* derivation,
-/// not the batch.
-pub fn compile_entries_parallel_with_limits(
+/// The one suite driver: serial is `workers = 1`, which compiles inline
+/// on the calling thread without spawning. Compilation is a pure function
+/// of `(model, spec, dbs, limits)` and the scheduler keys results by job
+/// index, so the returned vector is the same for every worker count.
+/// Each job builds its own `Compiler` (its own memo cache and deadline
+/// clock): a deadline bounds each *program's* derivation, not the batch.
+pub fn compile_entries(
     entries: &[crate::SuiteEntry],
     dbs: &HintDbs,
     limits: &EngineLimits,
+    workers: usize,
 ) -> Vec<SuiteResult> {
-    run_work_stealing(entries.len(), default_workers().min(entries.len()), |i| {
+    run_work_stealing(entries.len(), workers, |i| {
         let entry = &entries[i];
         SuiteResult {
             name: entry.info.name,
@@ -242,6 +193,7 @@ pub fn compile_entries_parallel_with_limits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite;
     use rupicola_ext::standard_dbs;
 
     #[test]
@@ -267,8 +219,9 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let dbs = standard_dbs();
-        let serial = compile_suite_serial(&dbs);
-        let parallel = compile_suite_parallel(&dbs);
+        let limits = EngineLimits::default();
+        let serial = compile_entries(&suite(), &dbs, &limits, 1);
+        let parallel = compile_entries(&suite(), &dbs, &limits, 4);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(parallel.iter()) {
             assert_eq!(s.name, p.name);

@@ -117,20 +117,6 @@ pub struct Heaplet {
     pub ptr_name: Ident,
 }
 
-impl Heaplet {
-    /// A copy whose content/length terms share no structure with `self`
-    /// (see [`rupicola_lang::Expr::deep_clone`]).
-    #[must_use]
-    pub fn deep_clone(&self) -> Heaplet {
-        Heaplet {
-            kind: self.kind.clone(),
-            content: self.content.deep_clone(),
-            len: self.len.as_ref().map(Expr::deep_clone),
-            ptr_name: self.ptr_name.clone(),
-        }
-    }
-}
-
 /// The symbolic heap: an ordered collection of disjoint heaplets (the
 /// iterated separating conjunction), plus an implicit frame `r` for
 /// everything the function does not own.
@@ -195,19 +181,6 @@ impl SymHeap {
     /// Whether there are no live heaplets.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A copy sharing no term structure with `self` (every heaplet's
-    /// content and length are [`Heaplet::deep_clone`]d).
-    #[must_use]
-    pub fn deep_clone(&self) -> SymHeap {
-        SymHeap {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| s.as_ref().map(Heaplet::deep_clone))
-                .collect(),
-        }
     }
 }
 
@@ -313,17 +286,6 @@ impl SymValue {
             SymValue::Scalar(..) => None,
         }
     }
-
-    /// A copy whose scalar term shares no structure with `self` (see
-    /// [`rupicola_lang::Expr::deep_clone`]; used by the reference engine
-    /// configuration to keep the seed's copy discipline).
-    #[must_use]
-    pub fn deep_clone(&self) -> SymValue {
-        match self {
-            SymValue::Scalar(k, e) => SymValue::Scalar(*k, e.deep_clone()),
-            SymValue::Ptr(id) => SymValue::Ptr(*id),
-        }
-    }
 }
 
 /// The symbolic Bedrock2 locals map (insertion-ordered, last binding wins).
@@ -388,19 +350,6 @@ impl SymLocals {
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// A copy sharing no term structure with `self` (every scalar binding's
-    /// term is [`SymValue::deep_clone`]d).
-    #[must_use]
-    pub fn deep_clone(&self) -> SymLocals {
-        SymLocals {
-            entries: self
-                .entries
-                .iter()
-                .map(|(n, v)| (n.clone(), v.deep_clone()))
-                .collect(),
-        }
     }
 }
 

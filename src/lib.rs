@@ -4,7 +4,7 @@
 //! for a guided tour and `DESIGN.md` for the system inventory.
 
 pub use rupicola_analysis as analysis;
-pub use rupicola_programs::parallel::{compile_suite_parallel, compile_suite_serial, SuiteResult};
+pub use rupicola_programs::parallel::{compile_entries, default_workers, SuiteResult};
 pub use rupicola_bedrock as bedrock;
 pub use rupicola_core as core;
 pub use rupicola_ext as ext;

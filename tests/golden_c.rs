@@ -16,8 +16,10 @@
 //! and commit the diff under `tests/golden/`.
 
 use rupicola::bedrock::cprint::function_to_c;
-use rupicola::compile_suite_parallel;
+use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
+use rupicola::programs::suite;
+use rupicola::{compile_entries, default_workers};
 use std::fs;
 use std::path::PathBuf;
 
@@ -33,7 +35,8 @@ fn c_output_matches_checked_in_goldens() {
     let dir = golden_dir();
     let dbs = standard_dbs();
     let mut mismatches = Vec::new();
-    for r in compile_suite_parallel(&dbs) {
+    let results = compile_entries(&suite(), &dbs, &EngineLimits::default(), default_workers());
+    for r in results {
         let compiled = r.result.expect("suite compiles");
         let rendered = function_to_c(&compiled.function);
         let path = dir.join(format!("{}.c", r.name));
@@ -72,7 +75,7 @@ fn goldens_cover_exactly_the_suite() {
         return; // the blessing run may be mid-update
     }
     let mut expect: Vec<String> =
-        rupicola::programs::suite().iter().map(|e| format!("{}.c", e.info.name)).collect();
+        suite().iter().map(|e| format!("{}.c", e.info.name)).collect();
     expect.sort();
     let mut have: Vec<String> = fs::read_dir(golden_dir())
         .expect("tests/golden exists")

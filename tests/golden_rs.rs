@@ -18,10 +18,11 @@
 //! and commit the diff under `tests/golden_rs/`.
 
 use rupicola::bedrock::rsprint::function_to_rust;
-use rupicola::compile_suite_parallel;
+use rupicola::core::EngineLimits;
 use rupicola::core::check::CheckConfig;
 use rupicola::ext::standard_dbs;
-use rupicola::{optimize_compiled, PipelineConfig};
+use rupicola::programs::suite;
+use rupicola::{compile_entries, default_workers, optimize_compiled, PipelineConfig};
 use std::fs;
 use std::path::PathBuf;
 
@@ -58,7 +59,8 @@ fn rust_output_matches_checked_in_goldens() {
             ));
         }
     };
-    for r in compile_suite_parallel(&dbs) {
+    let results = compile_entries(&suite(), &dbs, &EngineLimits::default(), default_workers());
+    for r in results {
         let mut compiled = r.result.expect("suite compiles");
         let rendered = function_to_rust(&compiled.function).expect("transpiles");
         compare(r.name, format!("{}.rs", r.name), &rendered);
@@ -90,7 +92,7 @@ fn goldens_cover_exactly_the_suite_both_routes() {
     if rupicola::service::env::flag("BLESS").expect("BLESS") {
         return; // the blessing run may be mid-update
     }
-    let mut expect: Vec<String> = rupicola::programs::suite()
+    let mut expect: Vec<String> = suite()
         .iter()
         .flat_map(|e| {
             [format!("{}.rs", e.info.name), format!("{}.opt.rs", e.info.name)]

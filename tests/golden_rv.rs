@@ -18,10 +18,11 @@
 //! and commit the diff under `tests/golden_rv/`.
 
 use rupicola::bedrock::rv::listing;
-use rupicola::compile_suite_parallel;
+use rupicola::core::EngineLimits;
 use rupicola::core::check::CheckConfig;
 use rupicola::ext::standard_dbs;
-use rupicola::{lower_validated, RvPipelineConfig};
+use rupicola::programs::suite;
+use rupicola::{compile_entries, default_workers, lower_validated, RvPipelineConfig};
 use std::fs;
 use std::path::PathBuf;
 
@@ -60,7 +61,8 @@ fn rv_listings_match_checked_in_goldens() {
             ));
         }
     };
-    for r in compile_suite_parallel(&dbs) {
+    let results = compile_entries(&suite(), &dbs, &EngineLimits::default(), default_workers());
+    for r in results {
         let compiled = r.result.expect("suite compiles");
         let (naive, _) = lower_validated(&compiled, &RvPipelineConfig::none(), &check)
             .unwrap_or_else(|e| panic!("{}: naive route: {e}", r.name));
@@ -88,7 +90,7 @@ fn goldens_cover_exactly_the_suite_both_routes() {
     if rupicola::service::env::flag("BLESS").expect("BLESS") {
         return; // the blessing run may be mid-update
     }
-    let mut expect: Vec<String> = rupicola::programs::suite()
+    let mut expect: Vec<String> = suite()
         .iter()
         .flat_map(|e| [format!("{}.s", e.info.name), format!("{}.opt.s", e.info.name)])
         .collect();

@@ -1,21 +1,29 @@
-//! Determinism of the suite-parallel compilation driver.
+//! Determinism of the suite compilation driver.
 //!
-//! `compile_suite_parallel` hands each worker a disjoint strided slice of
-//! pre-allocated result slots, so output order is suite order no matter how
-//! the OS schedules the workers. These tests pin the stronger claim the
-//! throughput layer rests on: the *contents* are byte-identical run to run
-//! and identical to the serial driver's — same C rendering, same witness
-//! node counts, same compile stats.
+//! `compile_entries` runs one job per suite entry on the work-stealing
+//! scheduler, which keys every result by its job index, so output order is
+//! suite order no matter which worker ran which job or how the OS
+//! scheduled them. These tests pin the stronger claim the throughput layer
+//! rests on: the *contents* are byte-identical run to run and identical to
+//! a one-worker run's — same C rendering, same witness node counts, same
+//! compile stats.
 
 use rupicola::bedrock::cprint::function_to_c;
-use rupicola::{compile_suite_parallel, compile_suite_serial};
+use rupicola::core::{EngineLimits, HintDbs};
 use rupicola::ext::standard_dbs;
+use rupicola::programs::suite;
+use rupicola::{compile_entries, default_workers, SuiteResult};
+
+/// The whole suite on `workers` threads, under default limits.
+fn compile_suite(dbs: &HintDbs, workers: usize) -> Vec<SuiteResult> {
+    compile_entries(&suite(), dbs, &EngineLimits::default(), workers)
+}
 
 #[test]
 fn parallel_runs_are_byte_identical_across_invocations() {
     let dbs = standard_dbs();
-    let first = compile_suite_parallel(&dbs);
-    let second = compile_suite_parallel(&dbs);
+    let first = compile_suite(&dbs, default_workers());
+    let second = compile_suite(&dbs, default_workers());
     assert_eq!(first.len(), second.len());
     for (a, b) in first.iter().zip(second.iter()) {
         assert_eq!(a.name, b.name, "suite order must be deterministic");
@@ -34,8 +42,10 @@ fn parallel_runs_are_byte_identical_across_invocations() {
 #[test]
 fn parallel_matches_serial_byte_for_byte() {
     let dbs = standard_dbs();
-    let serial = compile_suite_serial(&dbs);
-    let parallel = compile_suite_parallel(&dbs);
+    let serial = compile_suite(&dbs, 1);
+    // At least two workers even on a one-core host, so the scheduler's
+    // spawning path is what gets compared against the inline one.
+    let parallel = compile_suite(&dbs, default_workers().max(2));
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(parallel.iter()) {
         assert_eq!(s.name, p.name, "suite order must match");

@@ -17,6 +17,8 @@ use rupicola_minicheck::{check, Rng};
 /// A random expression drawing from every scalar constructor family plus
 /// array/table reads — broad enough to exercise hashing across variants,
 /// closed so evaluation kinds don't matter (these terms are never run).
+/// Two constructors bind a name the leaves also use (`let/n v0` and a map
+/// over element `v1`), so some occurrences are shadowed and some are free.
 fn arb_expr(rng: &mut Rng, depth: usize) -> Expr {
     if depth == 0 || rng.below(4) == 0 {
         return match rng.below(4) {
@@ -27,7 +29,7 @@ fn arb_expr(rng: &mut Rng, depth: usize) -> Expr {
         };
     }
     let a = arb_expr(rng, depth - 1);
-    match rng.below(10) {
+    match rng.below(12) {
         0 => word_add(a, arb_expr(rng, depth - 1)),
         1 => word_mul(a, arb_expr(rng, depth - 1)),
         2 => word_xor(a, arb_expr(rng, depth - 1)),
@@ -37,8 +39,29 @@ fn arb_expr(rng: &mut Rng, depth: usize) -> Expr {
         6 => array_len_w(var("st")),
         7 => table_get("t", a),
         8 => ite(bool_lit(rng.bool()), a, arb_expr(rng, depth - 1)),
-        _ => let_n(format!("x{}", rng.below(3)), a, arb_expr(rng, depth - 1)),
+        9 => let_n(format!("x{}", rng.below(3)), a, arb_expr(rng, depth - 1)),
+        10 => let_n("v0", a, arb_expr(rng, depth - 1)),
+        _ => array_map_b("v1", arb_expr(rng, depth - 1), a),
     }
+}
+
+#[test]
+fn mentions_agrees_with_free_vars() {
+    // `mentions` is the engine's allocation-free, bloom-gated occurrence
+    // test (it decides when a `let/n` rebinding must ghost-rename the
+    // state); `free_vars` is the plain binder-aware collector. They must
+    // agree on every term, shadowed names included.
+    check("mentions_iff_free_vars", 300, |rng| {
+        let e = arb_expr(rng, 4);
+        let free = e.free_vars();
+        for n in ["v0", "v1", "v2", "v3", "s", "st", "x0", "t"] {
+            assert_eq!(
+                e.mentions(n),
+                free.iter().any(|v| v == n),
+                "mentions({n}) disagrees with free_vars {free:?} on {e}"
+            );
+        }
+    });
 }
 
 #[test]
