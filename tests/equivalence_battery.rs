@@ -27,7 +27,7 @@ use rupicola::core::derive::DerivationNode;
 use rupicola::core::{compile, compile_with_limits, DispatchMode, EngineLimits, HintDbs};
 use rupicola::ext::standard_dbs;
 use rupicola::programs::parallel::on_deep_stack;
-use rupicola::programs::{perf_suite, suite};
+use rupicola::programs::{ct_suite, perf_suite, suite, SuiteEntry};
 use rupicola::{optimize_compiled, PipelineConfig};
 use rupicola_minicheck::{check, Rng};
 
@@ -201,17 +201,19 @@ fn witness_text_hash(root: &DerivationNode) -> u64 {
     h
 }
 
-/// The derivation text of every perf-suite program, pinned. The goldens
-/// pin only the emitted C, Rust and RISC-V; this pins the witness bytes
-/// (focus renderings, side conditions, hypothesis snapshots) that the
-/// store files and the checker re-reads, so a printer or goal-copy change
-/// that alters them fails here. Hashed rather than serialized: the
-/// `chacha20_block` derivation is too deep for the JSON codec's nesting
-/// limit.
+/// The derivation text of every perf-suite and CT-suite program, pinned.
+/// The goldens pin only the emitted C, Rust and RISC-V; this pins the
+/// witness bytes (focus renderings, side conditions, hypothesis snapshots)
+/// that the store files and the checker re-reads, so a printer, goal-copy
+/// or lemma-search change that alters them fails here. Hashed rather than
+/// serialized: the `chacha20_block` derivation is too deep for the JSON
+/// codec's nesting limit.
 #[test]
 fn perf_suite_witness_text_is_pinned() {
     let dbs = standard_dbs();
-    let hashes: Vec<(&str, String)> = perf_suite()
+    let entries: Vec<SuiteEntry> =
+        perf_suite().into_iter().chain(ct_suite().into_iter().map(|e| e.entry)).collect();
+    let hashes: Vec<(&str, String)> = entries
         .iter()
         .map(|entry| {
             let hash = on_deep_stack(|| {
@@ -228,7 +230,7 @@ fn perf_suite_witness_text_is_pinned() {
         })
         .collect();
     let hashes: Vec<(&str, &str)> = hashes.iter().map(|(n, h)| (*n, h.as_str())).collect();
-    let pinned: [(&str, &str); 11] = [
+    let pinned: [(&str, &str); 14] = [
         ("fnv1a", "5d2d28b5fbdd5034"),
         ("utf8", "925c3a7e83b42c3b"),
         ("upstr", "28a607d343b7ad42"),
@@ -240,6 +242,9 @@ fn perf_suite_witness_text_is_pinned() {
         ("poly_acc", "9bdc35e6b38061f3"),
         ("hex_enc", "b39ec503966a680e"),
         ("hex_dec", "f41aeade384dc59e"),
+        ("ct_memcmp", "ddbaf26a6e731c69"),
+        ("ct_select", "73ae98bda31c2123"),
+        ("chacha_qr", "6374958a5524ebcf"),
     ];
     assert_eq!(hashes, pinned);
 }
