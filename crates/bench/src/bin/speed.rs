@@ -1,143 +1,116 @@
 //! Compiler-throughput harness: statements/second of the proof-search
 //! engine on the enlarged perf suite (`perf_suite`: the seven Table 2
 //! programs plus the full ChaCha20 block, the poly1305-style accumulate,
-//! and the hex codecs — 2x+ the Table 2 statement count), in three
-//! configurations of the one engine (§4.3 reports Coq-Rupicola at 2–15
-//! statements/second; the paper names compiler speed as the practical
-//! bottleneck):
+//! and the hex codecs — 2x+ the Table 2 statement count), on one worker
+//! and on all of them (§4.3 reports Coq-Rupicola at 2–15 statements/second;
+//! the paper names compiler speed as the practical bottleneck):
 //!
-//! - `linear` — [`DispatchMode::Linear`]: every lemma tried for every
-//!   goal in registration order, memo cache off, one worker;
-//! - `indexed` — goal-head dispatch index + side-condition memo cache,
-//!   one worker;
-//! - `indexed+parallel` — the indexed engine on `available_parallelism`
+//! - `serial` — the suite compiled inline on one worker;
+//! - `parallel` — the same engine on `available_parallelism`
 //!   work-stealing workers.
 //!
-//! All three modes are timed in one process, interleaved per repetition,
-//! so the comparison is not polluted by machine-load drift between runs.
+//! Both rows are timed in one process, interleaved per repetition, so the
+//! comparison is not polluted by machine-load drift between runs. Each row
+//! reports its best suite time and the median and interquartile range of
+//! all repetitions, which is the noise band a comparison must clear.
 //! Writes `results/compiler_speed.json` (with the core count it ran on)
-//! and exits nonzero if the `indexed+parallel` throughput falls below the
+//! and exits nonzero if the `parallel` best-of throughput falls below the
 //! committed absolute floor (the CI speed gate).
 //!
 //! Run with `cargo run --release -p rupicola-bench --bin speed`.
 //! `SPEED_REPS` overrides the repetition count (default 30).
 
 use rupicola_bench::json::{write_results, Json};
-use rupicola_core::{CompileStats, DispatchMode, EngineLimits, HintDbs};
+use rupicola_core::{EngineLimits, HintDbs};
 use rupicola_ext::standard_dbs;
 use rupicola_programs::parallel::{compile_entries, default_workers, on_deep_stack, SuiteResult};
 use rupicola_programs::{perf_suite, SuiteEntry};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Absolute throughput floor for the `indexed+parallel` configuration, in
-/// statements per second. The engine measures ~11,000–13,500
-/// statements/s on a 2-core host (see `results/compiler_speed.json`, which
-/// records the core count); the floor is committed at roughly a third of
-/// that so the gate trips on real regressions — a quadratic memo-cache
-/// scan, an O(n²) goal-snapshot copy — rather than on scheduler jitter or
-/// a slower CI host.
+/// Absolute throughput floor for the `parallel` row, in statements per
+/// second. The engine measures ~11,000–15,000 statements/s on a 2-core
+/// host (see `results/compiler_speed.json`, which records the core
+/// count); the floor is committed at roughly a third of that so the gate
+/// trips on real regressions — an O(n²) goal-snapshot copy, a quadratic
+/// solver loop — rather than on scheduler jitter or a slower CI host.
 const MIN_STATEMENTS_PER_S_PARALLEL: f64 = 4_500.0;
-
-struct Mode {
-    name: &'static str,
-    dbs: HintDbs,
-    workers: usize,
-}
 
 /// One full-suite run. On a deep-stack thread because one worker compiles
 /// inline, and `chacha20_block`'s derivation overflows a default stack.
-fn run(mode: &Mode, entries: &[SuiteEntry]) -> Vec<SuiteResult> {
-    on_deep_stack(|| compile_entries(entries, &mode.dbs, &EngineLimits::default(), mode.workers))
+fn run(dbs: &HintDbs, entries: &[SuiteEntry], workers: usize) -> Vec<SuiteResult> {
+    on_deep_stack(|| compile_entries(entries, dbs, &EngineLimits::default(), workers))
 }
 
-/// Aggregates compile stats over one full-suite run.
-fn aggregate(results: &[SuiteResult]) -> CompileStats {
-    let mut total = CompileStats::default();
-    for r in results {
-        let s = r.result.as_ref().expect("suite compiles").stats;
-        total.lemma_applications += s.lemma_applications;
-        total.side_conditions += s.side_conditions;
-        total.solver_cache_hits += s.solver_cache_hits;
-        total.solver_cache_misses += s.solver_cache_misses;
-        total.solver_confirm_compares += s.solver_confirm_compares;
-    }
-    total
+/// The `q`-quantile of ascending `sorted`, interpolating linearly between
+/// neighbouring samples.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 fn main() {
     // Strict: a set-but-unparseable SPEED_REPS (e.g. `3O`) aborts with an
     // explanation instead of silently running the 30-rep default.
     let reps: u32 = rupicola_service::env::parsed_or_exit("SPEED_REPS", 30);
+    let reps = reps.max(1);
 
     let entries = perf_suite();
     let cores = default_workers();
-    let mut linear_dbs = standard_dbs();
-    linear_dbs.set_dispatch_mode(DispatchMode::Linear);
-    let modes = [
-        Mode { name: "linear", dbs: linear_dbs, workers: 1 },
-        Mode { name: "indexed", dbs: standard_dbs(), workers: 1 },
-        Mode { name: "indexed+parallel", dbs: standard_dbs(), workers: cores },
-    ];
+    let dbs = standard_dbs();
+    let rows = [("serial", 1), ("parallel", cores)];
 
     // The statement count is a property of the emitted code and identical
-    // across modes (the equivalence battery proves it); count it once.
-    let reference = run(&modes[0], &entries);
-    let total_statements: usize = reference
+    // across worker counts (the determinism battery proves it); count it
+    // once.
+    let total_statements: usize = run(&dbs, &entries, 1)
         .iter()
         .map(|r| r.result.as_ref().expect("suite compiles").function.statement_count())
         .sum();
 
-    // Warm-up, then interleave the modes per repetition and keep each
-    // mode's best suite time, so load spikes hit all modes alike.
-    for mode in &modes {
-        black_box(run(mode, &entries));
+    // Warm-up, then interleave the rows per repetition, so load spikes hit
+    // both alike.
+    for &(_, workers) in &rows {
+        black_box(run(&dbs, &entries, workers));
     }
-    let mut best = [f64::INFINITY; 3];
+    let mut times: [Vec<f64>; 2] = Default::default();
     for _ in 0..reps {
-        for (i, mode) in modes.iter().enumerate() {
+        for (i, &(_, workers)) in rows.iter().enumerate() {
             let t0 = Instant::now();
-            black_box(run(mode, &entries));
-            best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            black_box(run(&dbs, &entries, workers));
+            times[i].push(t0.elapsed().as_secs_f64() * 1e3);
         }
     }
 
-    let throughput = |secs: f64| total_statements as f64 / secs;
+    let throughput = |ms: f64| total_statements as f64 / (ms / 1e3);
     println!(
-        "{:<18} {:>10} {:>14} {:>12} {:>12} {:>12}",
-        "mode", "ms/suite", "statements/s", "cache hits", "cache misses", "confirms"
+        "{:<10} {:>10} {:>14} {:>12} {:>10} {:>14}",
+        "mode", "best ms", "statements/s", "median ms", "IQR ms", "median stmt/s"
     );
-    let mut rows = Vec::new();
-    for (i, mode) in modes.iter().enumerate() {
-        let stats = aggregate(&run(mode, &entries));
+    let mut json_rows = Vec::new();
+    for (&(name, _), samples) in rows.iter().zip(&mut times) {
+        samples.sort_by(f64::total_cmp);
+        let best = samples[0];
+        let median = quantile(samples, 0.5);
+        let iqr = quantile(samples, 0.75) - quantile(samples, 0.25);
         println!(
-            "{:<18} {:>10.3} {:>14.0} {:>12} {:>12} {:>12}",
-            mode.name,
-            best[i] * 1e3,
-            throughput(best[i]),
-            stats.solver_cache_hits,
-            stats.solver_cache_misses,
-            stats.solver_confirm_compares,
+            "{name:<10} {best:>10.3} {:>14.0} {median:>12.3} {iqr:>10.3} {:>14.0}",
+            throughput(best),
+            throughput(median),
         );
-        rows.push(Json::obj([
-            ("mode", Json::str(mode.name)),
-            ("ms_per_suite", Json::F64(best[i] * 1e3)),
-            ("statements_per_s", Json::F64(throughput(best[i]))),
-            ("solver_cache_hits", Json::U64(stats.solver_cache_hits as u64)),
-            ("solver_cache_misses", Json::U64(stats.solver_cache_misses as u64)),
-            ("solver_confirm_compares", Json::U64(stats.solver_confirm_compares as u64)),
-            (
-                "solver_cache_hit_rate",
-                stats.solver_cache_hit_rate().map_or(Json::Bool(false), Json::F64),
-            ),
+        json_rows.push(Json::obj([
+            ("mode", Json::str(name)),
+            ("ms_per_suite", Json::F64(best)),
+            ("statements_per_s", Json::F64(throughput(best))),
+            ("median_ms_per_suite", Json::F64(median)),
+            ("iqr_ms_per_suite", Json::F64(iqr)),
+            ("median_statements_per_s", Json::F64(throughput(median))),
         ]));
     }
-    let speedup_indexed = best[0] / best[1];
-    let speedup_parallel = best[0] / best[2];
-    let parallel_stmts_per_s = throughput(best[2]);
+    let parallel_stmts_per_s = throughput(times[1][0]);
     println!(
-        "\nspeedup: indexed {speedup_indexed:.2}x, indexed+parallel {speedup_parallel:.2}x \
-         over linear dispatch ({total_statements} statements, {} programs, {cores} core(s))",
+        "\n{total_statements} statements, {} programs, {cores} core(s), {reps} repetitions",
         entries.len()
     );
 
@@ -146,9 +119,7 @@ fn main() {
         ("programs", Json::U64(entries.len() as u64)),
         ("cores", Json::U64(cores as u64)),
         ("repetitions", Json::U64(u64::from(reps))),
-        ("modes", Json::Arr(rows)),
-        ("speedup_indexed", Json::F64(speedup_indexed)),
-        ("speedup_indexed_parallel", Json::F64(speedup_parallel)),
+        ("modes", Json::Arr(json_rows)),
         ("min_statements_per_s_parallel", Json::F64(MIN_STATEMENTS_PER_S_PARALLEL)),
     ]);
     match write_results("compiler_speed.json", &summary) {
@@ -160,8 +131,8 @@ fn main() {
     // regenerating the results file cannot move the bar by itself.
     if parallel_stmts_per_s < MIN_STATEMENTS_PER_S_PARALLEL {
         println!(
-            "FAIL: indexed+parallel throughput {parallel_stmts_per_s:.0} statements/s is below \
-             the committed {MIN_STATEMENTS_PER_S_PARALLEL:.0} floor"
+            "FAIL: parallel throughput {parallel_stmts_per_s:.0} statements/s is below the \
+             committed {MIN_STATEMENTS_PER_S_PARALLEL:.0} floor"
         );
         std::process::exit(1);
     }

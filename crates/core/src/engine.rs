@@ -6,6 +6,11 @@
 //! no backtracking; when nothing applies, the residual goal is surfaced to
 //! the user (§3.1).
 //!
+//! The search is one loop per judgment: every goal tries every lemma of
+//! its database in registration order, and every side condition tries
+//! every solver in order ([`Compiler::solve`]). Nothing filters or caches
+//! either loop (DESIGN.md §9 records the measurement behind that choice).
+//!
 //! The engine owns two built-in rules only:
 //!
 //! - fresh-name generation (for loop counters and ghost renames), and
@@ -27,9 +32,8 @@ use rupicola_lang::{Expr, Model};
 use std::any::Any;
 use std::cell::Cell;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 
 // --- panic isolation -------------------------------------------------------
 //
@@ -68,29 +72,6 @@ pub fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
     result
 }
 
-/// Canonical memo-cache hash for a side-condition discharge. The key
-/// hashes the condition and the *full* hypothesis list: with the interned
-/// representation, hashing a hypothesis reads its subterms' cached
-/// structural hashes, so the whole list costs the sum of top-level node
-/// widths, not a tree walk. (The pre-interning engine hashed only
-/// `hyps.len()` because anything more meant re-walking every hypothesis
-/// per solve — which made distinct hypothesis *contents* collide into one
-/// bucket and pushed the cost onto confirmation scans.) The hash only
-/// selects a bucket; every candidate in it is still confirmed by full
-/// equality — itself an id comparison per shared subterm — so collisions
-/// cannot corrupt the cache. `DefaultHasher::new()` is keyed with fixed
-/// constants, so the hash is deterministic across runs and threads.
-fn memo_hash(cond: &SideCond, hyps: &[HypRef]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    cond.hash(&mut h);
-    hyps.len().hash(&mut h);
-    for hyp in hyps {
-        hyp.hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Renders a caught panic payload (the common `&str`/`String` cases).
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -109,18 +90,12 @@ pub struct CompileStats {
     pub lemma_applications: usize,
     /// Number of side conditions discharged.
     pub side_conditions: usize,
-    /// Side conditions discharged from the memo cache (no solver ran).
+    /// Always 0: the engine has no side-condition memo cache. Kept because
+    /// the artifact codec and external benchmark readers still carry it.
     pub solver_cache_hits: usize,
-    /// Side conditions that went through the solver loop while the memo
-    /// cache was enabled (cacheable misses). Zero when the cache is off.
+    /// Always 0, for the same reason as `solver_cache_hits`.
     pub solver_cache_misses: usize,
-    /// Candidate entries compared during memo-cache bucket scans (each is
-    /// one `(cond, hyps)` equality confirm — an id comparison per shared
-    /// subterm). Now that `memo_hash` keys on the full hypothesis list,
-    /// buckets are near-singletons and this stays close to
-    /// `solver_cache_hits + solver_cache_misses`; under the old
-    /// length-only key it grew with every distinct hypothesis set that
-    /// shared a count.
+    /// Always 0, for the same reason as `solver_cache_hits`.
     pub solver_confirm_compares: usize,
     /// Optimization passes that ran and were kept (validated rewrites).
     /// Zero until the pass manager in `rupicola-opt` processes the
@@ -131,15 +106,6 @@ pub struct CompileStats {
     pub opt_passes_rolled_back: usize,
     /// Total sites rewritten by kept optimization passes.
     pub opt_sites_rewritten: usize,
-}
-
-impl CompileStats {
-    /// Cache hits as a fraction of cacheable side-condition discharges
-    /// (`None` when the cache never engaged).
-    pub fn solver_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.solver_cache_hits + self.solver_cache_misses;
-        (total > 0).then(|| self.solver_cache_hits as f64 / total as f64)
-    }
 }
 
 /// The compiler state threaded through lemma applications.
@@ -177,11 +143,6 @@ pub struct Compiler<'a> {
     /// deadline is configured, so the default configuration pays one
     /// `Option` branch per judgment and no clock reads.
     started: std::time::Instant,
-    /// Side-condition memo cache: structural hash of `(cond, hyps)` →
-    /// entries confirmed by full equality → index of the solver that
-    /// discharged it. Only successful discharges are cached; a solver that
-    /// declines or panics is always re-consulted.
-    side_cache: HashMap<u64, Vec<SideCacheEntry>>,
     /// Loop-counter locals already emitted in this run. Two sibling loops
     /// whose binders share a source name must get *distinct* Bedrock2
     /// locals — the trusted checker matches loop-head invariants by
@@ -189,11 +150,6 @@ pub struct Compiler<'a> {
     /// at the other's head (see `claim_loop_local`).
     loop_locals: std::collections::HashSet<String>,
 }
-
-/// One confirmed memo-cache entry: the condition and hypothesis snapshot
-/// (compared in full on a hash-bucket hit) and the index of the solver
-/// that discharged them.
-type SideCacheEntry = (SideCond, Arc<[HypRef]>, usize);
 
 impl<'a> Compiler<'a> {
     /// Creates a compiler for `model` using the lemmas of `dbs` with
@@ -215,7 +171,6 @@ impl<'a> Compiler<'a> {
             solver_steps: 0,
             path: Vec::new(),
             started: std::time::Instant::now(),
-            side_cache: HashMap::new(),
             loop_locals: std::collections::HashSet::new(),
         }
     }
@@ -390,13 +345,8 @@ impl<'a> Compiler<'a> {
     ) -> Result<(Cmd, DerivationNode), CompileError> {
         // Copy the `&HintDbs` out of `self` so iterating the lemma slice
         // does not hold a borrow of the compiler across `try_apply`.
-        // `stmt_order` is the dispatch index: only lemmas whose declared
-        // head set admits the goal's head, in registration order (or all of
-        // them, in `DispatchMode::Linear`).
         let dbs = self.dbs;
-        let lemmas = dbs.stmt_lemmas();
-        for &i in dbs.stmt_order(&goal.prog) {
-            let lemma = &lemmas[i as usize];
+        for lemma in dbs.stmt_lemmas() {
             self.path.push(lemma.name());
             match catch_quiet(AssertUnwindSafe(|| lemma.try_apply(goal, self))) {
                 Err(payload) => return Err(self.panic_to_error(lemma.name(), payload)),
@@ -437,9 +387,7 @@ impl<'a> Compiler<'a> {
         goal: &StmtGoal,
     ) -> Result<(BExpr, DerivationNode), CompileError> {
         let dbs = self.dbs;
-        let lemmas = dbs.expr_lemmas();
-        for &i in dbs.expr_order(term) {
-            let lemma = &lemmas[i as usize];
+        for lemma in dbs.expr_lemmas() {
             self.path.push(lemma.name());
             match catch_quiet(AssertUnwindSafe(|| lemma.try_apply(term, goal, self))) {
                 Err(payload) => return Err(self.panic_to_error(lemma.name(), payload)),
@@ -469,6 +417,8 @@ impl<'a> Compiler<'a> {
     /// [`EngineLimits::solver_step_budget`]. A panicking solver is treated
     /// as "does not prove it": the engine falls through to the next
     /// registered solver, so one buggy solver cannot take down the others.
+    /// Nothing is memoized: every call runs the solvers afresh, so a solver
+    /// need not be a pure function of `(cond, hyps)`.
     ///
     /// # Errors
     ///
@@ -481,52 +431,7 @@ impl<'a> Compiler<'a> {
         cond: SideCond,
         hyps: &[HypRef],
     ) -> Result<SideCondRecord, CompileError> {
-        // Memo cache: solvers are consulted in a fixed order and must be
-        // pure in `(cond, hyps)` (see `HintDbs::set_solver_memo`), so the
-        // first solver to discharge a condition is a function of the
-        // canonicalized pair — replaying the recorded solver name yields a
-        // byte-identical `SideCondRecord` without re-running anything.
-        // Only *successes* are cached: a decline (or a panic, which is
-        // treated as a decline) leaves no trace, so a flaky solver is
-        // always re-consulted.
-        let dbs = self.dbs;
-        let key = dbs.solver_memo_enabled().then(|| memo_hash(&cond, hyps));
-        if let Some(k) = key {
-            let mut confirms = 0usize;
-            let hit = self.side_cache.get(&k).and_then(|bucket| {
-                bucket
-                    .iter()
-                    .find(|(c, h, _)| {
-                        confirms += 1;
-                        // Entry-level pointer equality first: snapshots
-                        // share their `HypEntry` allocations across goals,
-                        // so a hit usually confirms without even the
-                        // per-entry id compares.
-                        *c == cond
-                            && h.len() == hyps.len()
-                            && h.iter()
-                                .zip(hyps)
-                                .all(|(x, y)| Arc::ptr_eq(x, y) || x == y)
-                    })
-                    .map(|(_, h, idx)| (h.clone(), *idx))
-            });
-            self.stats.solver_confirm_compares += confirms;
-            if let Some((shared, idx)) = hit {
-                self.stats.side_conditions += 1;
-                self.stats.solver_cache_hits += 1;
-                // The cached snapshot is structurally equal to `hyps`
-                // (checked above), so reusing it keeps the record
-                // byte-identical to what the solver loop would produce —
-                // without cloning the hypotheses again.
-                return Ok(SideCondRecord {
-                    cond,
-                    solver: Cow::Borrowed(dbs.solvers()[idx].name()),
-                    hyps: shared,
-                });
-            }
-            self.stats.solver_cache_misses += 1;
-        }
-        for (idx, s) in dbs.solvers().iter().enumerate() {
+        for s in self.dbs.solvers() {
             if self.solver_steps >= self.limits.solver_step_budget {
                 return Err(
                     self.exhausted(ResourceKind::SolverSteps, self.limits.solver_step_budget)
@@ -538,18 +443,11 @@ impl<'a> Compiler<'a> {
             if let Ok(true) = catch_quiet(|| s.solve(&cond, hyps)) {
                 self.stats.side_conditions += 1;
                 // Snapshot the hypotheses for the record: shallow copies
-                // into one shared allocation (also the memo-cache entry).
-                let shared: Arc<[HypRef]> = hyps.into();
-                if let Some(k) = key {
-                    self.side_cache
-                        .entry(k)
-                        .or_default()
-                        .push((cond.clone(), shared.clone(), idx));
-                }
+                // into one shared allocation.
                 return Ok(SideCondRecord {
                     cond,
                     solver: Cow::Borrowed(s.name()),
-                    hyps: shared,
+                    hyps: hyps.into(),
                 });
             }
         }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 ///
 /// All comparisons are on the numeric denotation of scalar terms (words,
 /// bytes, naturals and booleans all denote numbers).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Hyp {
     /// The two terms denote the same number.
     EqWord(Expr, Expr),
@@ -87,12 +87,6 @@ impl PartialEq for HypEntry {
 }
 
 impl Eq for HypEntry {}
-
-impl std::hash::Hash for HypEntry {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.hyp.hash(state);
-    }
-}
 
 impl fmt::Display for HypEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -205,7 +199,7 @@ impl fmt::Debug for DefChain {
 
 /// A side condition generated during compilation, to be discharged by a
 /// registered solver.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SideCond {
     /// `idx < len` (an index-bounds obligation).
     Lt(Expr, Expr),

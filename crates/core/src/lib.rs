@@ -65,4 +65,4 @@ pub use engine::{catch_quiet, compile, compile_with_limits, CompileStats, Compil
 pub use error::CompileError;
 pub use limits::{EngineLimits, ResourceKind};
 pub use goal::{DefChain, Hyp, HypEntry, HypRef, MonadCtx, Post, RetSlot, SideCond, StmtGoal};
-pub use lemma::{Applied, AppliedExpr, Dispatch, DispatchMode, ExprLemma, HeadKey, HintDbs, StmtLemma};
+pub use lemma::{Applied, AppliedExpr, ExprLemma, HintDbs, StmtLemma};

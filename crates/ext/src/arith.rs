@@ -22,9 +22,7 @@ use rupicola_core::{
     AppliedExpr,
     CompileError,
     Compiler,
-    Dispatch,
     ExprLemma,
-    HeadKey,
     SideCond,
     StmtGoal,
 };
@@ -44,10 +42,6 @@ impl ExprLemma for ExprLocal {
     fn name(&self) -> &'static str {
         "expr_local"
     }
-
-    // Deliberately inherits `Dispatch::Wildcard`: the equational-hypothesis
-    // chase can resolve a term of *any* head shape to a bound local, so no
-    // head-key bound is sound for this lemma.
 
     fn try_apply(
         &self,
@@ -108,10 +102,6 @@ impl ExprLemma for ExprProj {
         "expr_proj"
     }
 
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Fst, HeadKey::Snd])
-    }
-
     fn try_apply(
         &self,
         term: &Expr,
@@ -141,10 +131,6 @@ pub struct ExprLit;
 impl ExprLemma for ExprLit {
     fn name(&self) -> &'static str {
         "expr_lit"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Lit])
     }
 
     fn try_apply(
@@ -199,10 +185,6 @@ const NAT_MUL_BOUND: u64 = (1 << 32) - 1;
 impl ExprLemma for ExprPrim {
     fn name(&self) -> &'static str {
         "expr_prim"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Prim])
     }
 
     #[allow(clippy::too_many_lines)]

@@ -25,9 +25,7 @@ use rupicola_core::{
     AppliedExpr,
     CompileError,
     Compiler,
-    Dispatch,
     ExprLemma,
-    HeadKey,
     Hyp,
     SideCond,
     StmtGoal,
@@ -79,10 +77,6 @@ pub struct ExprArrayGet;
 impl ExprLemma for ExprArrayGet {
     fn name(&self) -> &'static str {
         "expr_array_get"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::ArrayGet])
     }
 
     fn try_apply(
@@ -137,10 +131,6 @@ pub struct CompileArrayPut;
 impl StmtLemma for CompileArrayPut {
     fn name(&self) -> &'static str {
         "compile_array_put"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -208,10 +198,6 @@ pub struct CompileArrayMap;
 impl StmtLemma for CompileArrayMap {
     fn name(&self) -> &'static str {
         "compile_array_map"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -315,10 +301,6 @@ pub struct CompileArrayFold;
 impl StmtLemma for CompileArrayFold {
     fn name(&self) -> &'static str {
         "compile_array_fold"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -448,10 +430,6 @@ pub struct CompileRangeFoldArrayPut;
 impl StmtLemma for CompileRangeFoldArrayPut {
     fn name(&self) -> &'static str {
         "compile_range_fold_array_put"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

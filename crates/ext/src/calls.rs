@@ -10,7 +10,7 @@
 //! differentially.
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
 use rupicola_bedrock::{BFunction, Cmd};
 use rupicola_lang::Expr;
 use rupicola_sep::{ScalarKind, SymValue};
@@ -46,10 +46,6 @@ impl CallLemma {
 impl StmtLemma for CallLemma {
     fn name(&self) -> &'static str {
         "compile_extern_call"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

@@ -12,9 +12,7 @@ use rupicola_core::{
     AppliedExpr,
     CompileError,
     Compiler,
-    Dispatch,
     ExprLemma,
-    HeadKey,
     StmtGoal,
     StmtLemma,
 };
@@ -29,10 +27,6 @@ pub struct ExprCellGet;
 impl ExprLemma for ExprCellGet {
     fn name(&self) -> &'static str {
         "expr_cell_get"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::CellGet])
     }
 
     fn try_apply(
@@ -86,10 +80,6 @@ impl StmtLemma for CompileCellPut {
         "compile_cell_put"
     }
 
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
-    }
-
     fn try_apply(
         &self,
         goal: &StmtGoal,
@@ -141,10 +131,6 @@ pub struct CompileCellIncr;
 impl StmtLemma for CompileCellIncr {
     fn name(&self) -> &'static str {
         "compile_cell_iadd"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -215,10 +201,6 @@ pub struct CompileCellCas;
 impl StmtLemma for CompileCellCas {
     fn name(&self) -> &'static str {
         "compile_cell_cas"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -306,10 +288,6 @@ pub struct CompileCellCasPair;
 impl StmtLemma for CompileCellCasPair {
     fn name(&self) -> &'static str {
         "compile_cell_cas_pair"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

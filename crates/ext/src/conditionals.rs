@@ -11,7 +11,7 @@
 use crate::helpers::{is_plain_scalar_value, kind_of, rebind_scalar};
 use rupicola_core::derive::DerivationNode;
 use rupicola_core::invariant::{InvariantTemplate, TargetClass};
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, Hyp, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, Hyp, StmtGoal, StmtLemma};
 use rupicola_bedrock::Cmd;
 use rupicola_lang::{Expr, PrimOp};
 
@@ -43,10 +43,6 @@ fn branch_hyps(cond: &Expr) -> (Vec<Hyp>, Vec<Hyp>) {
 impl StmtLemma for CompileScalarIf {
     fn name(&self) -> &'static str {
         "compile_if_scalar"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

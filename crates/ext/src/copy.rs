@@ -15,7 +15,7 @@
 use crate::helpers::{access_size, heaplet_and_ptr, is_plain_scalar_value, kind_of, rebind_scalar};
 use rupicola_core::derive::DerivationNode;
 use rupicola_core::solver::{linearize, rewrite};
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, Hyp, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, Hyp, StmtGoal, StmtLemma};
 use rupicola_bedrock::{BExpr, BinOp, Cmd};
 use rupicola_lang::{ElemKind, Expr, Value};
 use rupicola_sep::{Heaplet, HeapletKind, SymValue};
@@ -27,10 +27,6 @@ pub struct CompileCopyScalar;
 impl StmtLemma for CompileCopyScalar {
     fn name(&self) -> &'static str {
         "compile_copy_scalar"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -86,10 +82,6 @@ pub struct CompileCopyArrayStack;
 impl StmtLemma for CompileCopyArrayStack {
     fn name(&self) -> &'static str {
         "compile_copy_array_stack"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

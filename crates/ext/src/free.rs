@@ -7,7 +7,7 @@
 //! access, … anything the environment can answer with a word.
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
 use rupicola_bedrock::Cmd;
 use rupicola_lang::{Expr, MonadKind};
 use rupicola_sep::{ScalarKind, SymValue};
@@ -19,10 +19,6 @@ pub struct CompileFreeOp;
 impl StmtLemma for CompileFreeOp {
     fn name(&self) -> &'static str {
         "compile_free_op"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(

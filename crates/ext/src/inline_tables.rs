@@ -14,9 +14,7 @@ use rupicola_core::{
     AppliedExpr,
     CompileError,
     Compiler,
-    Dispatch,
     ExprLemma,
-    HeadKey,
     SideCond,
     StmtGoal,
 };
@@ -32,10 +30,6 @@ pub struct ExprTableGet;
 impl ExprLemma for ExprTableGet {
     fn name(&self) -> &'static str {
         "expr_table_get"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::TableGet])
     }
 
     fn try_apply(

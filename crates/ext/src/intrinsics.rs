@@ -11,7 +11,7 @@
 //! then validates that the intrinsic's semantics and the instruction agree.
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{AppliedExpr, CompileError, Compiler, Dispatch, ExprLemma, HeadKey, StmtGoal};
+use rupicola_core::{AppliedExpr, CompileError, Compiler, ExprLemma, StmtGoal};
 use rupicola_bedrock::{BExpr, BinOp};
 use rupicola_lang::{EvalError, Expr, ExternRegistry, Value};
 
@@ -32,10 +32,6 @@ impl IntrinsicLemma {
 impl ExprLemma for IntrinsicLemma {
     fn name(&self) -> &'static str {
         "expr_intrinsic"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Extern])
     }
 
     fn try_apply(

@@ -12,7 +12,7 @@
 //! apply any lemma that supports `a`" (§3.4.1).
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
 use rupicola_bedrock::Cmd;
 use rupicola_lang::{Expr, MonadKind};
 use rupicola_sep::{ScalarKind, SymValue};
@@ -25,10 +25,6 @@ pub struct MonadBindRet;
 impl StmtLemma for MonadBindRet {
     fn name(&self) -> &'static str {
         "monad_bind_ret"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(
@@ -69,10 +65,6 @@ pub struct CompileIoRead;
 impl StmtLemma for CompileIoRead {
     fn name(&self) -> &'static str {
         "compile_io_read"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(
@@ -118,10 +110,6 @@ pub struct CompileIoWrite;
 impl StmtLemma for CompileIoWrite {
     fn name(&self) -> &'static str {
         "compile_io_write"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(

@@ -11,7 +11,7 @@
 
 use crate::helpers::{is_plain_scalar_value, kind_of, rebind_scalar};
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
 use rupicola_bedrock::Cmd;
 use rupicola_lang::Expr;
 
@@ -22,10 +22,6 @@ pub struct CompileLetScalar;
 impl StmtLemma for CompileLetScalar {
     fn name(&self) -> &'static str {
         "compile_let_scalar"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -83,10 +79,6 @@ pub struct CompileLetPair;
 impl StmtLemma for CompileLetPair {
     fn name(&self) -> &'static str {
         "compile_let_pair"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

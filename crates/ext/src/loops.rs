@@ -10,7 +10,7 @@
 use crate::helpers::{kind_of, loop_body_goal, loop_counter_local, rebind_scalar};
 use rupicola_core::derive::DerivationNode;
 use rupicola_core::invariant::{LoopInvariant, LoopInvariantKind};
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, Hyp, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, Hyp, StmtGoal, StmtLemma};
 use rupicola_bedrock::{BExpr, BinOp, Cmd};
 use rupicola_lang::{Expr, Value};
 use rupicola_sep::ScalarKind;
@@ -22,10 +22,6 @@ pub struct CompileRangeFold;
 impl StmtLemma for CompileRangeFold {
     fn name(&self) -> &'static str {
         "compile_range_fold"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -129,10 +125,6 @@ pub struct CompileRangeFoldBreak;
 impl StmtLemma for CompileRangeFoldBreak {
     fn name(&self) -> &'static str {
         "compile_range_fold_break"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(
@@ -273,10 +265,6 @@ pub struct CompileRangeFoldM;
 impl StmtLemma for CompileRangeFoldM {
     fn name(&self) -> &'static str {
         "compile_range_fold_monadic"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(

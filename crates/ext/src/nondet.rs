@@ -15,8 +15,6 @@ use rupicola_core::{
     Applied,
     CompileError,
     Compiler,
-    Dispatch,
-    HeadKey,
     Hyp,
     SideCond,
     StmtGoal,
@@ -34,10 +32,6 @@ pub struct CompileNondetAlloc;
 impl StmtLemma for CompileNondetAlloc {
     fn name(&self) -> &'static str {
         "compile_nondet_alloc"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(
@@ -111,10 +105,6 @@ pub struct CompileNondetPeek;
 impl StmtLemma for CompileNondetPeek {
     fn name(&self) -> &'static str {
         "compile_nondet_peek"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(

@@ -9,7 +9,7 @@
 //! [`crate::nondet`].
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, Hyp, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, Hyp, StmtGoal, StmtLemma};
 use rupicola_bedrock::{AccessSize, BExpr, Cmd};
 use rupicola_lang::{ElemKind, Expr, Value};
 use rupicola_sep::{Heaplet, HeapletKind, SymValue};
@@ -22,10 +22,6 @@ pub struct CompileStackInit;
 impl StmtLemma for CompileStackInit {
     fn name(&self) -> &'static str {
         "compile_stack_init"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Let])
     }
 
     fn try_apply(

@@ -8,7 +8,7 @@
 //! every use.
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{AppliedExpr, CompileError, Compiler, Dispatch, ExprLemma, HeadKey, StmtGoal};
+use rupicola_core::{AppliedExpr, CompileError, Compiler, ExprLemma, StmtGoal};
 use rupicola_lang::Expr;
 use std::fmt;
 use std::sync::Arc;
@@ -40,10 +40,6 @@ impl UnfoldExpr {
 impl ExprLemma for UnfoldExpr {
     fn name(&self) -> &'static str {
         "expr_unfold"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Extern])
     }
 
     fn try_apply(

@@ -8,7 +8,7 @@
 //! writer lift law (see `rupicola-monads`).
 
 use rupicola_core::derive::DerivationNode;
-use rupicola_core::{Applied, CompileError, Compiler, Dispatch, HeadKey, StmtGoal, StmtLemma};
+use rupicola_core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
 use rupicola_bedrock::Cmd;
 use rupicola_lang::{Expr, MonadKind};
 
@@ -19,10 +19,6 @@ pub struct CompileWriterTell;
 impl StmtLemma for CompileWriterTell {
     fn name(&self) -> &'static str {
         "compile_writer_tell"
-    }
-
-    fn dispatch(&self) -> Dispatch {
-        Dispatch::Heads(&[HeadKey::Bind])
     }
 
     fn try_apply(

@@ -219,7 +219,7 @@ pub use crate::intern::ExprRef;
 // The manual `PartialEq` below is the derived comparison with subterms
 // compared by interned id (see `crate::intern`); equal terms still hash
 // equally — the derived `Hash` reads each subterm's cached structural
-// hash — so `Hash` (used by the solver memo cache) remains consistent
+// hash — so `Hash` (used by the interner's table) remains consistent
 // with it.
 #[allow(clippy::derived_hash_with_manual_eq)]
 #[derive(Debug, Clone, Eq, Hash)]

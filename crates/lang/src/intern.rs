@@ -30,14 +30,14 @@
 //! Ids are assigned by a process-local counter in first-intern order, which
 //! depends on thread interleaving under the suite-parallel driver. They are
 //! therefore **process-local ephemera**: sound for equality and for keying
-//! in-memory caches (the solver memo cache, analysis fact maps), and
+//! in-memory caches (analysis fact maps), and
 //! *forbidden* in anything persisted or fingerprinted. Serialized artifacts
 //! (`codec`) encode structure only and re-intern on decode; service
 //! fingerprints are recomputed canonically from rendered bytes (see
 //! `rupicola-service::fingerprint` and DESIGN.md §16). The cached
 //! *structural hash* is a pure function of the term's structure (it never
-//! mixes in ids), so it is deterministic within a process and safe for the
-//! memo cache; it is still not allowed in fingerprints, which must not
+//! mixes in ids), so it is deterministic within a process and safe for
+//! in-memory tables; it is still not allowed in fingerprints, which must not
 //! depend on `DefaultHasher`'s unspecified algorithm.
 
 use crate::ast::Expr;

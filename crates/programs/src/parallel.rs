@@ -168,8 +168,8 @@ pub struct SuiteResult {
 /// on the calling thread without spawning. Compilation is a pure function
 /// of `(model, spec, dbs, limits)` and the scheduler keys results by job
 /// index, so the returned vector is the same for every worker count.
-/// Each job builds its own `Compiler` (its own memo cache and deadline
-/// clock): a deadline bounds each *program's* derivation, not the batch.
+/// Each job builds its own `Compiler` (and so its own deadline clock): a
+/// deadline bounds each *program's* derivation, not the batch.
 pub fn compile_entries(
     entries: &[crate::SuiteEntry],
     dbs: &HintDbs,

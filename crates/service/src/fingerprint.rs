@@ -7,9 +7,9 @@
 //! 1. the functional **model** (its canonical JSON encoding),
 //! 2. the ABI **spec** (canonical JSON),
 //! 3. the **hint-database identity** (`HintDbs::identity_string`): lemma
-//!    names in registration order, solver names, [`DispatchMode`], and
-//!    whether the solver memo cache is enabled — registration *order*
-//!    matters because first-match dispatch makes it semantically relevant,
+//!    names in registration order and solver names, then a constant engine
+//!    segment — registration *order* matters because the engine's
+//!    first-match lemma loop makes it semantically relevant,
 //! 4. the **engine limits** (a run that fails under tight budgets is not
 //!    the same request as one under default budgets),
 //! 5. the **optimization pipeline identity** (ordered pass names) — an
@@ -27,7 +27,6 @@
 //! a wrong artifact (see `store`).
 //!
 //! [`CompiledFunction`]: rupicola_core::CompiledFunction
-//! [`DispatchMode`]: rupicola_core::DispatchMode
 
 use rupicola_core::fnspec::FnSpec;
 use rupicola_core::serial::encode_fn_spec;
@@ -209,7 +208,6 @@ pub fn fingerprint(inputs: &FingerprintInputs<'_>) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rupicola_core::DispatchMode;
     use rupicola_ext::standard_dbs;
 
     fn request() -> (Model, FnSpec) {
@@ -247,19 +245,6 @@ mod tests {
         let m2 = rupicola_programs::crc32::model();
         let s2 = rupicola_programs::crc32::spec();
         assert_ne!(key(&m1, &s1, &dbs, &limits), key(&m2, &s2, &dbs, &limits));
-    }
-
-    #[test]
-    fn dispatch_mode_is_part_of_the_key() {
-        let (model, spec) = request();
-        let limits = EngineLimits::default();
-        let indexed = standard_dbs();
-        let mut linear = standard_dbs();
-        linear.set_dispatch_mode(DispatchMode::Linear);
-        assert_ne!(
-            key(&model, &spec, &indexed, &limits),
-            key(&model, &spec, &linear, &limits)
-        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   canonical encoding of one [`FingerprintInputs`] (model, spec,
 //!   hint-db identity, engine limits, pipeline / CT-policy / RISC-V
 //!   identities, format version). Same inputs ⇒ same key across
-//!   processes; changing a lemma, the registration order, the
-//!   [`DispatchMode`], or the budgets changes the key.
+//!   processes; changing a lemma, the registration order, or the budgets
+//!   changes the key.
 //! - [`store`] — the content-addressed on-disk store with *verified
 //!   loads*: decode, cross-check the stored inputs against the request,
 //!   re-run the checker (optionally the analysis lints), and evict on any
@@ -47,7 +47,6 @@
 //! evictions or degraded compiles, never wrong answers.
 //!
 //! [`Derivation`]: rupicola_core::derive::Derivation
-//! [`DispatchMode`]: rupicola_core::DispatchMode
 
 pub mod backend;
 pub mod batch;

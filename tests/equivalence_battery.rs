@@ -1,30 +1,30 @@
-//! Equivalence battery for the throughput layer.
+//! Equivalence battery for the engine's outputs.
 //!
-//! The dispatch index and the solver memo cache are *performance* features:
-//! by construction they must not change which lemma discharges a goal, the
-//! recorded witness, or the emitted code. These tests check that claim
-//! end-to-end, the way translation validation would: run the indexed
-//! engine and the forced-linear oracle (every lemma tried in registration
-//! order, memo cache off) on the same inputs and require byte-identical
-//! artifacts. The two modes share every other line of engine code, so
-//! `perf_suite_witness_text_is_pinned` pins the derivation text itself
-//! against a hash, catching a change both modes would make identically.
+//! The engine tries every lemma in registration order for every goal and
+//! every solver in order for every side condition; nothing caches or
+//! filters that search. `perf_suite_witness_text_is_pinned` pins the
+//! derivation text of every perf-suite and CT-suite program against a
+//! hash, so any change to lemma search, focus rendering or hypothesis
+//! snapshots that alters a witness fails here, not only changes that reach
+//! the emitted code.
 //!
-//! The property test goes further than the standard databases: it samples
-//! random *subsets* of the lemma library (preserving registration order,
-//! which is semantically significant — first match wins) and requires the
-//! two engines to agree on every suite program, including agreeing that a
-//! crippled library fails to compile. A dispatch-index bug — a lemma
-//! bucketed under the wrong head constructor — shows up here as the indexed
-//! engine failing (or worse, picking a later lemma) where the linear scan
-//! succeeds.
+//! The property test goes beyond the standard databases: it samples random
+//! *subsets* of the lemma library (preserving registration order, which is
+//! semantically significant — first match wins) and requires every suite
+//! program to either fail with a typed [`CompileError`] or compile to code
+//! the trusted checker accepts. A crippled library may make a program
+//! uncompilable; it must never make the engine emit a wrong answer or
+//! escape with a panic.
+//!
+//! `optimized_body_matches_unoptimized_observable_behavior` re-checks the
+//! optimizer's output externally, by running both bodies in the
+//! interpreter.
 
-use rupicola::bedrock::cprint::function_to_c;
 use rupicola::bedrock::interp::NoExternals;
 use rupicola::bedrock::{ExecState, Interpreter, Program};
-use rupicola::core::check::{differential_inputs, CheckConfig};
+use rupicola::core::check::{check_with, differential_inputs, CheckConfig};
 use rupicola::core::derive::DerivationNode;
-use rupicola::core::{compile, compile_with_limits, DispatchMode, EngineLimits, HintDbs};
+use rupicola::core::{compile, compile_with_limits, CompileError, EngineLimits, HintDbs};
 use rupicola::ext::standard_dbs;
 use rupicola::programs::parallel::on_deep_stack;
 use rupicola::programs::{ct_suite, perf_suite, suite, SuiteEntry};
@@ -32,87 +32,61 @@ use rupicola::{optimize_compiled, PipelineConfig};
 use rupicola_minicheck::{check, Rng};
 
 /// Rebuilds `base` with the lemmas selected by `keep_stmt`/`keep_expr`, in
-/// the original registration order, and with every solver. Returns the pair
-/// (indexed, forced-linear) over the *same* library.
-fn subset_dbs(base: &HintDbs, keep_stmt: &[bool], keep_expr: &[bool]) -> (HintDbs, HintDbs) {
-    let mut indexed = HintDbs::new();
-    let mut linear = HintDbs::new();
+/// the original registration order, and with every solver.
+fn subset_dbs(base: &HintDbs, keep_stmt: &[bool], keep_expr: &[bool]) -> HintDbs {
+    let mut dbs = HintDbs::new();
     for (l, keep) in base.stmt_lemmas().iter().zip(keep_stmt) {
         if *keep {
-            indexed.register_stmt_arc(l.clone());
-            linear.register_stmt_arc(l.clone());
+            dbs.register_stmt_arc(l.clone());
         }
     }
     for (l, keep) in base.expr_lemmas().iter().zip(keep_expr) {
         if *keep {
-            indexed.register_expr_arc(l.clone());
-            linear.register_expr_arc(l.clone());
+            dbs.register_expr_arc(l.clone());
         }
     }
     for s in base.solvers() {
-        indexed.register_solver_arc(s.clone());
-        linear.register_solver_arc(s.clone());
+        dbs.register_solver_arc(s.clone());
     }
-    indexed.set_dispatch_mode(DispatchMode::Indexed);
-    linear.set_dispatch_mode(DispatchMode::Linear);
-    (indexed, linear)
-}
-
-/// Compiles every suite program under both engines and asserts agreement:
-/// same success/failure verdict, and on success byte-identical Bedrock2,
-/// C rendering, and `Derivation` tree.
-fn assert_engines_agree(indexed: &HintDbs, linear: &HintDbs) {
-    for entry in suite() {
-        let name = entry.info.name;
-        let (model, spec) = ((entry.model)(), (entry.spec)());
-        let fast = compile(&model, &spec, indexed);
-        let slow = compile(&model, &spec, linear);
-        assert_eq!(
-            fast.is_ok(),
-            slow.is_ok(),
-            "{name}: engines disagree on compilability (indexed: {fast:?}, linear: {slow:?})"
-        );
-        let (Ok(fast), Ok(slow)) = (fast, slow) else { continue };
-        assert_eq!(fast.function, slow.function, "{name}: Bedrock2 output differs");
-        assert_eq!(
-            function_to_c(&fast.function),
-            function_to_c(&slow.function),
-            "{name}: C rendering differs"
-        );
-        assert_eq!(fast.derivation, slow.derivation, "{name}: derivation tree differs");
-        assert_eq!(
-            fast.derivation.node_count, slow.derivation.node_count,
-            "{name}: witness node counts differ"
-        );
-    }
+    dbs
 }
 
 #[test]
-fn indexed_engine_matches_linear_on_standard_dbs() {
-    let base = standard_dbs();
-    let all_stmt = vec![true; base.stmt_lemmas().len()];
-    let all_expr = vec![true; base.expr_lemmas().len()];
-    let (indexed, linear) = subset_dbs(&base, &all_stmt, &all_expr);
-    assert_engines_agree(&indexed, &linear);
-}
-
-#[test]
-fn indexed_engine_matches_linear_on_random_lemma_subsets() {
+fn random_lemma_subsets_compile_to_checked_code_or_typed_errors() {
     let base = standard_dbs();
     let n_stmt = base.stmt_lemmas().len();
     let n_expr = base.expr_lemmas().len();
+    let config = CheckConfig::default();
+    let (mut compiled, mut failed) = (0usize, 0usize);
     check("equivalence/random-subsets", 24, |rng: &mut Rng| {
         // Bias toward large subsets so a healthy fraction of cases still
-        // compile (all-lemmas is exercised by the test above; tiny subsets
-        // mostly check that both engines fail identically).
+        // compile (tiny subsets mostly exercise the typed-error path).
         let keep = |rng: &mut Rng, n: usize| -> Vec<bool> {
             (0..n).map(|_| rng.below(8) != 0).collect()
         };
         let keep_stmt = keep(rng, n_stmt);
         let keep_expr = keep(rng, n_expr);
-        let (indexed, linear) = subset_dbs(&base, &keep_stmt, &keep_expr);
-        assert_engines_agree(&indexed, &linear);
+        let dbs = subset_dbs(&base, &keep_stmt, &keep_expr);
+        for entry in suite() {
+            let name = entry.info.name;
+            // `compile` returns `Result<_, CompileError>`: a panic escaping
+            // it fails the case, so reaching the `Err` arm is the typed
+            // error path.
+            let result: Result<_, CompileError> =
+                compile(&(entry.model)(), &(entry.spec)(), &dbs);
+            match result {
+                Ok(cf) => {
+                    check_with(&cf, &dbs, &config).unwrap_or_else(|e| {
+                        panic!("{name}: subset library emitted code the checker rejects: {e}")
+                    });
+                    compiled += 1;
+                }
+                Err(_) => failed += 1,
+            }
+        }
     });
+    assert!(compiled > 0, "no case compiled anything: the generator is too sparse");
+    assert!(failed > 0, "no case failed: the generator never cripples the library");
 }
 
 #[test]
@@ -247,32 +221,4 @@ fn perf_suite_witness_text_is_pinned() {
         ("chacha_qr", "6374958a5524ebcf"),
     ];
     assert_eq!(hashes, pinned);
-}
-
-#[test]
-fn memo_cache_does_not_change_artifacts() {
-    // Same dispatch mode, cache on vs off: the memo can only change *how
-    // fast* a side condition is discharged, never by which solver or with
-    // what record.
-    let mut cached = standard_dbs();
-    cached.set_solver_memo(true);
-    let mut uncached = standard_dbs();
-    uncached.set_solver_memo(false);
-    for entry in suite() {
-        let name = entry.info.name;
-        let (model, spec) = ((entry.model)(), (entry.spec)());
-        let with_memo = compile(&model, &spec, &cached).expect("suite compiles");
-        let without = compile(&model, &spec, &uncached).expect("suite compiles");
-        assert_eq!(with_memo.function, without.function, "{name}: Bedrock2 differs");
-        assert_eq!(with_memo.derivation, without.derivation, "{name}: derivation differs");
-        assert!(
-            with_memo.stats.solver_cache_hits + with_memo.stats.solver_cache_misses
-                >= without.stats.solver_cache_hits,
-            "{name}: cache counters malformed"
-        );
-        assert_eq!(
-            without.stats.solver_cache_hits, 0,
-            "{name}: disabled cache must record no hits"
-        );
-    }
 }

@@ -1,11 +1,11 @@
 //! Golden-snapshot tests for the C renderings of the benchmark suite.
 //!
-//! The throughput layer (dispatch index, memo cache, parallel driver) is
-//! required to be *byte*-output-preserving; the equivalence battery checks
-//! that the engine agrees with itself across configurations, and these
-//! snapshots pin the output against the checked-in goldens so that any
-//! engine change that perturbs emitted code — even one that perturbs every
-//! configuration identically — fails loudly in review.
+//! The suite driver is required to be *byte*-output-preserving across
+//! worker counts; `parallel_determinism` checks that the engine agrees
+//! with itself across them, and these snapshots pin the output against
+//! the checked-in goldens so that any engine change that perturbs emitted
+//! code — even one that perturbs every configuration identically — fails
+//! loudly in review.
 //!
 //! Regenerate after an intentional output change with:
 //!

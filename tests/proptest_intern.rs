@@ -4,8 +4,8 @@
 //! the JSON codec must round-trip every expression back to the *same*
 //! interned node within one process.
 //!
-//! These are the invariants the engine's deep-work layers lean on: the
-//! memo cache confirms hits by id-backed `Hyp` comparisons, the linear
+//! These are the invariants the engine's deep-work layers lean on:
+//! hypothesis snapshots compare `Hyp`s by interned id, the linear
 //! solver keys atoms by id, and `DESIGN.md` §16's soundness argument is
 //! exactly "id equality ⟺ structural equality among live refs".
 

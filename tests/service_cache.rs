@@ -4,7 +4,7 @@
 
 use rupicola::core::check::{check_with, CheckConfig};
 use rupicola::core::serial::{decode_compiled_function, encode_compiled_function};
-use rupicola::core::{DispatchMode, EngineLimits};
+use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
 use rupicola::lang::json;
 use rupicola::programs::suite;
@@ -223,8 +223,8 @@ fn fingerprints_stable_across_processes() {
     }
 }
 
-/// Changing the lemma set, the registration order, or the dispatch mode
-/// changes the key; identical rebuilds don't.
+/// Changing the lemma set or the registration order changes the key;
+/// identical rebuilds don't.
 #[test]
 fn fingerprints_track_hint_db_identity() {
     let limits = EngineLimits::default();
@@ -241,8 +241,8 @@ fn fingerprints_track_hint_db_identity() {
     extra.register_expr(rupicola::ext::arith::ExprLit);
     assert_ne!(base, key(&model, &spec, &extra, &limits));
 
-    // Same lemma set, different order: different key. First-match
-    // dispatch makes order semantically relevant, so it must be part of
+    // Same lemma set, different order: different key. The first-match
+    // lemma loop makes order semantically relevant, so it must be part of
     // the identity.
     let mut reordered = standard_dbs();
     reordered.register_expr_front(rupicola::ext::arith::ExprLit);
@@ -250,16 +250,6 @@ fn fingerprints_track_hint_db_identity() {
         key(&model, &spec, &extra, &limits),
         key(&model, &spec, &reordered, &limits)
     );
-
-    // Dispatch mode: different key.
-    let mut linear = standard_dbs();
-    linear.set_dispatch_mode(DispatchMode::Linear);
-    assert_ne!(base, key(&model, &spec, &linear, &limits));
-
-    // Solver memo toggle: different key.
-    let mut memoless = standard_dbs();
-    memoless.set_solver_memo(false);
-    assert_ne!(base, key(&model, &spec, &memoless, &limits));
 }
 
 /// Every suite program's key under `Store` defaults (full pipeline,

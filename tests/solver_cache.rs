@@ -1,20 +1,12 @@
-//! Test coverage for the side-condition solver memo cache.
-//!
-//! The cache's contract (see `Compiler::solve`): repeated `(condition,
-//! hypotheses)` pairs are discharged from the cache without re-consulting
-//! any solver, only *successes* are ever cached, and a solver panic is
-//! treated as a decline that leaves no trace — the solver must be
-//! re-consulted on the next occurrence of the same condition.
+//! The engine keeps no side-condition cache (see `Compiler::solve`): every
+//! side condition runs the solver loop afresh, so a solver need not be a
+//! pure function of its inputs. This pins that contract by counting solver
+//! consultations. That a panicking solver falls through to the next one is
+//! covered by `failure_injection::panicking_solver_falls_through_to_the_next_one`.
 
-use rupicola::core::fnspec::{ArgSpec, FnSpec, RetSpec};
 use rupicola::core::solver::SideSolver;
-use rupicola::core::{
-    compile, Applied, CompileError, Compiler, HypRef, SideCond, StmtGoal, StmtLemma,
-};
+use rupicola::core::{compile, HypRef, SideCond};
 use rupicola::ext::standard_dbs;
-use rupicola::lang::dsl::*;
-use rupicola::lang::Model;
-use rupicola::sep::ScalarKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -34,132 +26,22 @@ impl SideSolver for CountingLia {
 }
 
 #[test]
-fn repeated_side_conditions_hit_the_cache_instead_of_the_solver() {
-    // utf8 discharges the same bounds conditions many times, so it
-    // exercises both sides of the cache.
+fn every_side_condition_consults_the_solvers() {
+    // utf8 discharges the same bounds conditions several times, which a
+    // cache would have served without consulting the solver.
     let (model, spec) = (rupicola::programs::utf8::model(), rupicola::programs::utf8::spec());
-
     let calls = Arc::new(AtomicUsize::new(0));
     let mut dbs = standard_dbs();
     dbs.register_solver_front(CountingLia(calls.clone()));
-    dbs.set_solver_memo(true);
     let compiled = compile(&model, &spec, &dbs).expect("utf8 compiles");
-    assert!(compiled.stats.solver_cache_hits > 0, "utf8 must repeat side conditions");
+    let stats = compiled.stats;
+    assert!(stats.side_conditions > 0, "utf8 discharges side conditions");
+    // The front solver is `lia` itself, so it proves every condition the
+    // compile discharges: one consultation per record, none saved.
+    assert_eq!(calls.load(Ordering::Relaxed), stats.side_conditions);
     assert_eq!(
-        calls.load(Ordering::Relaxed),
-        compiled.stats.solver_cache_misses,
-        "with the memo on, the solver runs exactly once per distinct condition"
+        (stats.solver_cache_hits, stats.solver_cache_misses, stats.solver_confirm_compares),
+        (0, 0, 0),
+        "the memo counters have nothing to count"
     );
-    assert_eq!(
-        compiled.stats.side_conditions,
-        compiled.stats.solver_cache_hits + compiled.stats.solver_cache_misses,
-        "every record is either a hit or a miss"
-    );
-
-    // Same compile with the memo off: the solver runs for every record.
-    let calls_off = Arc::new(AtomicUsize::new(0));
-    let mut dbs = standard_dbs();
-    dbs.register_solver_front(CountingLia(calls_off.clone()));
-    dbs.set_solver_memo(false);
-    let uncached = compile(&model, &spec, &dbs).expect("utf8 compiles");
-    assert_eq!(uncached.stats.solver_cache_hits, 0);
-    assert_eq!(uncached.stats.solver_cache_misses, 0);
-    assert_eq!(
-        calls_off.load(Ordering::Relaxed),
-        uncached.stats.side_conditions,
-        "with the memo off, every record re-runs the solver"
-    );
-    // The cache changes consultation counts only — never the artifacts.
-    assert_eq!(compiled.function, uncached.function);
-    assert_eq!(compiled.derivation, uncached.derivation);
-}
-
-static FLAKY_CALLS: AtomicUsize = AtomicUsize::new(0);
-static PROBE_RAN: AtomicUsize = AtomicUsize::new(0);
-
-/// Panics on its first consultation, succeeds afterwards. A correct engine
-/// treats the panic as a decline and must NOT memoize anything for it.
-#[derive(Debug)]
-struct FlakySolver;
-
-impl SideSolver for FlakySolver {
-    fn name(&self) -> &'static str {
-        "flaky"
-    }
-    fn solve(&self, cond: &SideCond, _hyps: &[HypRef]) -> bool {
-        if !matches!(cond, SideCond::Lt(..)) {
-            return false;
-        }
-        let n = FLAKY_CALLS.fetch_add(1, Ordering::SeqCst);
-        assert!(n > 0, "flaky solver panics on its first consultation");
-        true
-    }
-}
-
-/// A wildcard statement lemma that, once per process, drives
-/// `Compiler::solve` three times on the same condition and checks what the
-/// cache did, then declines so normal compilation continues.
-#[derive(Debug)]
-struct CacheProbe;
-
-impl StmtLemma for CacheProbe {
-    fn name(&self) -> &'static str {
-        "cache_probe"
-    }
-    fn try_apply(
-        &self,
-        goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
-    ) -> Option<Result<Applied, CompileError>> {
-        if PROBE_RAN.swap(1, Ordering::SeqCst) != 0 {
-            return None;
-        }
-        // A condition `lia` cannot prove, so only the flaky solver matters.
-        let cond = || SideCond::Lt(var("p"), var("q"));
-        // 1st occurrence: the flaky solver panics -> treated as a decline
-        // -> no solver discharges the condition. Nothing may be cached.
-        let first = cx.solve(self.name(), cond(), &goal.hyps);
-        assert!(first.is_err(), "no solver discharges the probe on the first try");
-        // 2nd occurrence: were the panic (or the failure) cached, the
-        // solver would not be consulted again and this would fail too.
-        let second = cx
-            .solve(self.name(), cond(), &goal.hyps)
-            .expect("flaky solver must be re-consulted after a panic");
-        assert_eq!(second.solver, "flaky");
-        assert_eq!(FLAKY_CALLS.load(Ordering::SeqCst), 2, "panic + retry = two consultations");
-        // 3rd occurrence: the *success* is cached — replayed without
-        // another consultation, byte-identical.
-        let third = cx.solve(self.name(), cond(), &goal.hyps).expect("cache replays the success");
-        assert_eq!(third, second, "the cached record is byte-identical");
-        assert_eq!(FLAKY_CALLS.load(Ordering::SeqCst), 2, "the hit must not consult the solver");
-        None
-    }
-}
-
-#[test]
-fn a_panicking_solvers_result_is_never_cached() {
-    let mut dbs = standard_dbs();
-    dbs.register_solver(FlakySolver);
-    dbs.register_stmt_front(CacheProbe);
-    dbs.set_solver_memo(true);
-
-    let model = Model::new("probe_host", ["x"], var("x"));
-    let spec = FnSpec::new(
-        "probe_host",
-        vec![ArgSpec::Scalar { name: "x".into(), param: "x".into(), kind: ScalarKind::Word }],
-        vec![RetSpec::Scalar { name: "out".into(), kind: ScalarKind::Word }],
-    );
-    let compiled = compile(&model, &spec, &dbs).expect("host program compiles");
-    assert_eq!(PROBE_RAN.load(Ordering::SeqCst), 1, "the probe lemma ran");
-    // Two consultations total: the panicking first call and the succeeding
-    // second; the third `solve` was served from the cache (asserted inside
-    // the probe, where the compiler is in scope).
-    assert_eq!(FLAKY_CALLS.load(Ordering::SeqCst), 2);
-    // The probe's solves are engine-internal; the compiled artifact itself
-    // records no side conditions citing the flaky solver.
-    let mut cites_flaky = false;
-    compiled.derivation.root.walk(&mut |n| {
-        cites_flaky |= n.side_conds.iter().any(|sc| sc.solver == "flaky");
-    });
-    assert!(!cites_flaky);
 }
