@@ -6,7 +6,9 @@
 //! derivation text of every perf-suite and CT-suite program against a
 //! hash, so any change to lemma search, focus rendering or hypothesis
 //! snapshots that alters a witness fails here, not only changes that reach
-//! the emitted code.
+//! the emitted code. `perf_suite_optimized_code_is_pinned` does the same
+//! for what those programs end up as: the optimized C, the lowered RISC-V
+//! listing and the checker's report.
 //!
 //! The property test goes beyond the standard databases: it samples random
 //! *subsets* of the lemma library (preserving registration order, which is
@@ -20,7 +22,9 @@
 //! optimizer's output externally, by running both bodies in the
 //! interpreter.
 
+use rupicola::bedrock::cprint::function_to_c;
 use rupicola::bedrock::interp::NoExternals;
+use rupicola::bedrock::rv::listing;
 use rupicola::bedrock::{ExecState, Interpreter, Program};
 use rupicola::core::check::{check_with, differential_inputs, CheckConfig};
 use rupicola::core::derive::DerivationNode;
@@ -28,7 +32,7 @@ use rupicola::core::{compile, compile_with_limits, CompileError, EngineLimits, H
 use rupicola::ext::standard_dbs;
 use rupicola::programs::parallel::on_deep_stack;
 use rupicola::programs::{ct_suite, perf_suite, suite, SuiteEntry};
-use rupicola::{optimize_compiled, PipelineConfig};
+use rupicola::{lower_validated, optimize_compiled, PipelineConfig, RvPipelineConfig};
 use rupicola_minicheck::{check, Rng};
 
 /// Rebuilds `base` with the lemmas selected by `keep_stmt`/`keep_expr`, in
@@ -149,19 +153,28 @@ fn optimized_body_matches_unoptimized_observable_behavior() {
     assert!(optimized_count >= 3, "only {optimized_count} suite programs optimized");
 }
 
+/// The FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Feeds one field into an FNV-1a hash. Every field ends in a `0xff`
+/// byte, which no UTF-8 string contains, so field boundaries cannot alias.
+fn feed(h: &mut u64, s: &str) {
+    for b in s.bytes().chain([0xff]) {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Every perf-suite and CT-suite program, in pin order.
+fn pinned_entries() -> Vec<SuiteEntry> {
+    perf_suite().into_iter().chain(ct_suite().into_iter().map(|e| e.entry)).collect()
+}
+
 /// FNV-1a over the witness text of a derivation: a preorder walk feeding
 /// each node's lemma name and focus string, then each side-condition
-/// record and its hypotheses as `Display` renders them. Every field ends
-/// in a `0xff` byte, which no UTF-8 string contains, so field boundaries
-/// cannot alias.
+/// record and its hypotheses as `Display` renders them.
 fn witness_text_hash(root: &DerivationNode) -> u64 {
-    fn feed(h: &mut u64, s: &str) {
-        for b in s.bytes().chain([0xff]) {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut h = FNV_BASIS;
     root.walk(&mut |node| {
         feed(&mut h, &node.lemma);
         feed(&mut h, &node.focus);
@@ -185,8 +198,7 @@ fn witness_text_hash(root: &DerivationNode) -> u64 {
 #[test]
 fn perf_suite_witness_text_is_pinned() {
     let dbs = standard_dbs();
-    let entries: Vec<SuiteEntry> =
-        perf_suite().into_iter().chain(ct_suite().into_iter().map(|e| e.entry)).collect();
+    let entries = pinned_entries();
     let hashes: Vec<(&str, String)> = entries
         .iter()
         .map(|entry| {
@@ -219,6 +231,64 @@ fn perf_suite_witness_text_is_pinned() {
         ("ct_memcmp", "ddbaf26a6e731c69"),
         ("ct_select", "73ae98bda31c2123"),
         ("chacha_qr", "6374958a5524ebcf"),
+    ];
+    assert_eq!(hashes, pinned);
+}
+
+/// The code every perf-suite and CT-suite program ends up as, pinned: one
+/// FNV-1a per program over the C rendering of the optimized body (the
+/// certified body when no pass applied), the RISC-V listing of the fully
+/// lowered artifact, and the `Debug` text of the checker's report. The
+/// goldens pin the emitted code of the seven main-suite programs only;
+/// this covers the rest, `chacha20_block`'s load-CSE sites included, and
+/// the checker's vector, invariant and fuel counts.
+#[test]
+fn perf_suite_optimized_code_is_pinned() {
+    let dbs = standard_dbs();
+    let config = CheckConfig::default();
+    let entries = pinned_entries();
+    let hashes: Vec<(&str, String)> = entries
+        .iter()
+        .map(|entry| {
+            let name = entry.info.name;
+            let hash = on_deep_stack(|| {
+                let mut cf = compile_with_limits(
+                    &(entry.model)(),
+                    &(entry.spec)(),
+                    &dbs,
+                    (entry.limits)(EngineLimits::default()),
+                )
+                .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
+                let report = check_with(&cf, &dbs, &config)
+                    .unwrap_or_else(|e| panic!("{name} checks: {e}"));
+                optimize_compiled(&mut cf, &dbs, &PipelineConfig::full(), &config);
+                let (artifact, _) = lower_validated(&cf, &RvPipelineConfig::full(), &config)
+                    .unwrap_or_else(|e| panic!("{name} lowers: {e}"));
+                let mut h = FNV_BASIS;
+                feed(&mut h, &function_to_c(cf.optimized.as_ref().unwrap_or(&cf.function)));
+                feed(&mut h, &listing(&artifact.asm));
+                feed(&mut h, &format!("{report:?}"));
+                h
+            });
+            (name, format!("{hash:016x}"))
+        })
+        .collect();
+    let hashes: Vec<(&str, &str)> = hashes.iter().map(|(n, h)| (*n, h.as_str())).collect();
+    let pinned: [(&str, &str); 14] = [
+        ("fnv1a", "1f11cd91cd3228e8"),
+        ("utf8", "7aadb6b2abd4258b"),
+        ("upstr", "338336b22781344e"),
+        ("m3s", "f523e7f938454815"),
+        ("ip", "e7d13a526f280403"),
+        ("fasta", "7229c0f8c3452470"),
+        ("crc32", "5ed0135604404456"),
+        ("chacha20_block", "f5e446d5c8731c4b"),
+        ("poly_acc", "5d23df7785a62435"),
+        ("hex_enc", "bb8651a245b70e05"),
+        ("hex_dec", "76f262cc45536baf"),
+        ("ct_memcmp", "854e071eeaa9e6f4"),
+        ("ct_select", "ed9f4789d76ec515"),
+        ("chacha_qr", "9714f28a4c5fd5d6"),
     ];
     assert_eq!(hashes, pinned);
 }
