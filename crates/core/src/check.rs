@@ -503,10 +503,7 @@ fn describe_vector(params: &[Ident], values: &[Value]) -> String {
 /// not evaluable from the parameters alone are ignored here (they were
 /// still re-solved structurally).
 fn hints_hold(spec: &FnSpec, model: &Model, vector: &[Value], config: &CheckConfig) -> bool {
-    let mut env = Env::new();
-    for (p, v) in model.params.iter().zip(vector) {
-        env.insert(p.clone(), v.clone());
-    }
+    let mut env: Env = model.params.iter().cloned().zip(vector.iter().cloned()).collect();
     let mut world = World { externs: config.externs.clone(), ..World::default() };
     for hint in &spec.hints {
         let (a, b, test): (&Expr, &Expr, fn(u64, u64) -> bool) = match hint {
@@ -514,8 +511,8 @@ fn hints_hold(spec: &FnSpec, model: &Model, vector: &[Value], config: &CheckConf
             Hyp::LtU(a, b) => (a, b, |x, y| x < y),
             Hyp::LeU(a, b) => (a, b, |x, y| x <= y),
         };
-        let va = eval(a, &env, &model.tables, &mut world).ok().and_then(|v| v.to_scalar_word());
-        let vb = eval(b, &env, &model.tables, &mut world).ok().and_then(|v| v.to_scalar_word());
+        let va = eval(a, &mut env, &model.tables, &mut world).ok().and_then(|v| v.to_scalar_word());
+        let vb = eval(b, &mut env, &model.tables, &mut world).ok().and_then(|v| v.to_scalar_word());
         if let (Some(x), Some(y)) = (va, vb) {
             if !test(x, y) {
                 return false;
@@ -898,12 +895,9 @@ struct InvariantHook<'a> {
 
 impl InvariantHook<'_> {
     fn base_env(&self, inv: &LoopInvariant, world: &mut World) -> Result<Env, String> {
-        let mut env = Env::new();
-        for (p, v) in self.params.iter().zip(self.values) {
-            env.insert(p.clone(), v.clone());
-        }
+        let mut env: Env = self.params.iter().cloned().zip(self.values.iter().cloned()).collect();
         for (name, def) in &inv.bindings {
-            let v = eval(def, &env, &self.model.tables, world)
+            let v = eval(def, &mut env, &self.model.tables, world)
                 .map_err(|e| format!("binding `{name}`: {e}"))?;
             env.insert(name.clone(), v);
         }
@@ -927,24 +921,25 @@ impl LoopHook for InvariantHook<'_> {
             }
             let Some(&i) = locals.get(&inv.index_local) else { continue };
             let mut world = World { externs: self.externs.clone(), ..World::default() };
-            let env = self.base_env(inv, &mut world)?;
+            // The replays below bind the loop names straight into `env`:
+            // it is rebuilt for every invariant and dropped after it.
+            let mut env = self.base_env(inv, &mut world)?;
             self.checks += 1;
             match &inv.kind {
                 LoopInvariantKind::ArrayMapInPlace { ptr_local, elem, x, f, arr } => {
-                    let arr_val = eval(arr, &env, &self.model.tables, &mut world)
+                    let arr_val = eval(arr, &mut env, &self.model.tables, &mut world)
                         .map_err(|e| format!("invariant array term: {e}"))?;
                     let len = arr_val.list_len().ok_or("invariant array term is not a list")?;
                     if (i as usize) > len {
                         return Err(format!("loop counter {i} exceeds length {len}"));
                     }
-                    let mut expected = arr_val.clone();
-                    let mut env2 = env.clone();
+                    let mut expected = arr_val;
                     for k in 0..i as usize {
                         let xv = expected
                             .list_get(k)
                             .ok_or_else(|| format!("invariant element {k} out of range"))?;
-                        env2.insert(x.clone(), xv);
-                        let fx = eval(f, &env2, &self.model.tables, &mut world)
+                        env.insert(x.clone(), xv);
+                        let fx = eval(f, &mut env, &self.model.tables, &mut world)
                             .map_err(|e| format!("invariant map body: {e}"))?;
                         expected = put_elem(expected, k, &fx)?;
                     }
@@ -960,39 +955,37 @@ impl LoopHook for InvariantHook<'_> {
                     }
                 }
                 LoopInvariantKind::ArrayFoldScalar { acc_local, acc, x, f, init, arr, .. } => {
-                    let arr_val = eval(arr, &env, &self.model.tables, &mut world)
+                    let arr_val = eval(arr, &mut env, &self.model.tables, &mut world)
                         .map_err(|e| format!("invariant array term: {e}"))?;
                     let len = arr_val.list_len().ok_or("invariant array term is not a list")?;
                     if (i as usize) > len {
                         return Err(format!("loop counter {i} exceeds length {len}"));
                     }
-                    let mut accv = eval(init, &env, &self.model.tables, &mut world)
+                    let mut accv = eval(init, &mut env, &self.model.tables, &mut world)
                         .map_err(|e| format!("invariant init: {e}"))?;
-                    let mut env2 = env.clone();
                     for k in 0..i as usize {
-                        env2.insert(acc.clone(), accv);
+                        env.insert(acc.clone(), accv);
                         let xv = arr_val
                             .list_get(k)
                             .ok_or_else(|| format!("invariant element {k} out of range"))?;
-                        env2.insert(x.clone(), xv);
-                        accv = eval(f, &env2, &self.model.tables, &mut world)
+                        env.insert(x.clone(), xv);
+                        accv = eval(f, &mut env, &self.model.tables, &mut world)
                             .map_err(|e| format!("invariant fold body: {e}"))?;
                     }
                     check_scalar_local(locals, acc_local, &accv, i)?;
                 }
                 LoopInvariantKind::RangeFoldArrayPut { ptr_local, elem, i: iv, acc, f, init, from } => {
-                    let lo = eval(from, &env, &self.model.tables, &mut world)
+                    let lo = eval(from, &mut env, &self.model.tables, &mut world)
                         .ok()
                         .and_then(|v| v.to_scalar_word())
                         .ok_or("invariant `from` term not scalar")?;
-                    let mut expected = eval(init, &env, &self.model.tables, &mut world)
+                    let mut expected = eval(init, &mut env, &self.model.tables, &mut world)
                         .map_err(|e| format!("invariant init: {e}"))?;
-                    let mut env2 = env.clone();
                     let mut k = lo;
                     while k < i {
-                        env2.insert(iv.clone(), Value::Word(k));
-                        env2.insert(acc.clone(), expected);
-                        expected = eval(f, &env2, &self.model.tables, &mut world)
+                        env.insert(iv.clone(), Value::Word(k));
+                        env.insert(acc.clone(), expected);
+                        expected = eval(f, &mut env, &self.model.tables, &mut world)
                             .map_err(|e| format!("invariant put body: {e}"))?;
                         k += 1;
                     }
@@ -1008,18 +1001,17 @@ impl LoopHook for InvariantHook<'_> {
                     }
                 }
                 LoopInvariantKind::RangeFoldScalar { acc_local, i: iv, acc, f, init, from } => {
-                    let lo = eval(from, &env, &self.model.tables, &mut world)
+                    let lo = eval(from, &mut env, &self.model.tables, &mut world)
                         .ok()
                         .and_then(|v| v.to_scalar_word())
                         .ok_or("invariant `from` term not scalar")?;
-                    let mut accv = eval(init, &env, &self.model.tables, &mut world)
+                    let mut accv = eval(init, &mut env, &self.model.tables, &mut world)
                         .map_err(|e| format!("invariant init: {e}"))?;
-                    let mut env2 = env.clone();
                     let mut k = lo;
                     while k < i {
-                        env2.insert(iv.clone(), Value::Word(k));
-                        env2.insert(acc.clone(), accv);
-                        accv = eval(f, &env2, &self.model.tables, &mut world)
+                        env.insert(iv.clone(), Value::Word(k));
+                        env.insert(acc.clone(), accv);
+                        accv = eval(f, &mut env, &self.model.tables, &mut world)
                             .map_err(|e| format!("invariant fold body: {e}"))?;
                         k += 1;
                     }
