@@ -18,130 +18,147 @@
 //!   hint databases the certificate will be re-validated against.
 
 use crate::{Finding, FindingKind, Pass};
-use rupicola_core::derive::Derivation;
+use rupicola_bedrock::BFunction;
 use rupicola_core::lemma::HintDbs;
-use rupicola_core::CompiledFunction;
+use rupicola_core::{CompileError, CompiledFunction};
 use std::collections::BTreeSet;
 
-fn finding(cf: &CompiledFunction, kind: FindingKind, message: String) -> Finding {
-    Finding { pass: Pass::CertCheck, kind, function: cf.function.name.clone(), site: None, message }
+/// The findings of this pass that do not read the body: the witness
+/// recount, the spec/model goal, and the cited lemmas. They are computed
+/// once per certificate and merged with each body's ABI and table
+/// findings by [`WitnessFindings::with_body`], in the pass's fixed order.
+#[derive(Debug, Clone, Default)]
+pub struct WitnessFindings {
+    recount: Option<String>,
+    goal: Option<String>,
+    unknown_lemmas: Vec<String>,
 }
 
-/// Runs the pass. `dbs` enables the cited-lemma existence check.
-pub fn run(cf: &CompiledFunction, dbs: Option<&HintDbs>) -> Vec<Finding> {
-    let mut findings = Vec::new();
+impl WitnessFindings {
+    /// Runs the body-independent checks. `goal_error` is the failure of
+    /// [`CompiledFunction::initial_goal`], if any; `dbs` enables the
+    /// cited-lemma existence check.
+    pub fn new(
+        cf: &CompiledFunction,
+        goal_error: Option<&CompileError>,
+        dbs: Option<&HintDbs>,
+    ) -> Self {
+        // Witness integrity: recount the tree.
+        let node_count = cf.derivation.root.size();
+        let mut side_cond_count = 0;
+        cf.derivation.root.walk(&mut |n| side_cond_count += n.side_conds.len());
+        let recount = (node_count != cf.derivation.node_count
+            || side_cond_count != cf.derivation.side_cond_count)
+            .then(|| {
+                format!(
+                    "derivation summary counters are stale: recorded {} nodes / {} side \
+                     conditions, recounted {node_count} / {side_cond_count}",
+                    cf.derivation.node_count, cf.derivation.side_cond_count,
+                )
+            });
 
-    // Witness integrity: recount the tree.
-    let recount = Derivation::new(cf.derivation.root.clone());
-    if recount.node_count != cf.derivation.node_count
-        || recount.side_cond_count != cf.derivation.side_cond_count
-    {
-        findings.push(finding(
-            cf,
-            FindingKind::CertMismatch,
-            format!(
-                "derivation summary counters are stale: recorded {} nodes / {} side \
-                 conditions, recounted {} / {}",
-                cf.derivation.node_count,
-                cf.derivation.side_cond_count,
-                recount.node_count,
-                recount.side_cond_count
-            ),
-        ));
+        // The spec must still be consistent with the bundled model.
+        let goal =
+            goal_error.map(|e| format!("spec and model no longer produce an initial goal: {e}"));
+
+        // Cited lemmas must exist where the certificate claims to be
+        // re-checkable.
+        let mut unknown_lemmas = Vec::new();
+        if let Some(dbs) = dbs {
+            let mut cited = BTreeSet::new();
+            cf.derivation.root.walk(&mut |n| {
+                cited.insert(n.lemma.clone());
+            });
+            unknown_lemmas =
+                cited.into_iter().filter(|l| !dbs.knows_lemma(l)).map(|l| l.to_string()).collect();
+        }
+        WitnessFindings { recount, goal, unknown_lemmas }
     }
 
-    // ABI: the function must expose exactly the spec's interface.
-    if cf.function.args != cf.spec.arg_names() {
-        findings.push(finding(
-            cf,
-            FindingKind::CertMismatch,
-            format!(
-                "function arguments {:?} do not match the spec's {:?}",
-                cf.function.args,
-                cf.spec.arg_names()
-            ),
-        ));
-    }
-    if cf.function.rets != cf.spec.ret_names() {
-        findings.push(finding(
-            cf,
-            FindingKind::CertMismatch,
-            format!(
-                "function returns {:?} do not match the spec's scalar returns {:?}",
-                cf.function.rets,
-                cf.spec.ret_names()
-            ),
-        ));
-    }
+    /// The pass's findings for `body` as the implementation of `cf`.
+    pub fn with_body(&self, cf: &CompiledFunction, body: &BFunction) -> Vec<Finding> {
+        let finding = |kind, message| Finding {
+            pass: Pass::CertCheck,
+            kind,
+            function: body.name.clone(),
+            site: None,
+            message,
+        };
+        let mut findings = Vec::new();
+        if let Some(message) = &self.recount {
+            findings.push(finding(FindingKind::CertMismatch, message.clone()));
+        }
 
-    // The spec must still be consistent with the bundled model.
-    if let Err(e) = cf.initial_goal() {
-        findings.push(finding(
-            cf,
-            FindingKind::CertMismatch,
-            format!("spec and model no longer produce an initial goal: {e}"),
-        ));
-    }
+        // ABI: the function must expose exactly the spec's interface.
+        if body.args != cf.spec.arg_names() {
+            findings.push(finding(
+                FindingKind::CertMismatch,
+                format!(
+                    "function arguments {:?} do not match the spec's {:?}",
+                    body.args,
+                    cf.spec.arg_names()
+                ),
+            ));
+        }
+        if body.rets != cf.spec.ret_names() {
+            findings.push(finding(
+                FindingKind::CertMismatch,
+                format!(
+                    "function returns {:?} do not match the spec's scalar returns {:?}",
+                    body.rets,
+                    cf.spec.ret_names()
+                ),
+            ));
+        }
 
-    // Inline tables must be the model tables, byte for byte.
-    for t in &cf.model.tables {
-        match (t.data.to_layout_bytes(), cf.function.table(&t.name)) {
-            (Some(expected), Some(actual)) => {
-                if expected != actual.data {
+        if let Some(message) = &self.goal {
+            findings.push(finding(FindingKind::CertMismatch, message.clone()));
+        }
+
+        // Inline tables must be the model tables, byte for byte.
+        for t in &cf.model.tables {
+            match (t.data.to_layout_bytes(), body.table(&t.name)) {
+                (Some(expected), Some(actual)) => {
+                    if expected != actual.data {
+                        findings.push(finding(
+                            FindingKind::CertMismatch,
+                            format!(
+                                "inline table `{}` differs from the model table's layout bytes",
+                                t.name
+                            ),
+                        ));
+                    }
+                }
+                (Some(_), None) => {
                     findings.push(finding(
-                        cf,
                         FindingKind::CertMismatch,
-                        format!(
-                            "inline table `{}` differs from the model table's layout bytes",
-                            t.name
-                        ),
+                        format!("model table `{}` is missing from the function", t.name),
+                    ));
+                }
+                (None, _) => {
+                    findings.push(finding(
+                        FindingKind::CertMismatch,
+                        format!("model table `{}` has no byte layout", t.name),
                     ));
                 }
             }
-            (Some(_), None) => {
+        }
+        let model_tables: BTreeSet<&str> = cf.model.tables.iter().map(|t| t.name.as_str()).collect();
+        for t in &body.tables {
+            if !model_tables.contains(t.name.as_str()) {
                 findings.push(finding(
-                    cf,
                     FindingKind::CertMismatch,
-                    format!("model table `{}` is missing from the function", t.name),
-                ));
-            }
-            (None, _) => {
-                findings.push(finding(
-                    cf,
-                    FindingKind::CertMismatch,
-                    format!("model table `{}` has no byte layout", t.name),
+                    format!("function carries table `{}` with no model counterpart", t.name),
                 ));
             }
         }
-    }
-    let model_tables: BTreeSet<&str> = cf.model.tables.iter().map(|t| t.name.as_str()).collect();
-    for t in &cf.function.tables {
-        if !model_tables.contains(t.name.as_str()) {
+
+        for lemma in &self.unknown_lemmas {
             findings.push(finding(
-                cf,
-                FindingKind::CertMismatch,
-                format!("function carries table `{}` with no model counterpart", t.name),
+                FindingKind::UnknownLemma { lemma: lemma.clone() },
+                format!("derivation cites lemma `{lemma}` not present in the hint databases"),
             ));
         }
+        findings
     }
-
-    // Cited lemmas must exist where the certificate claims to be
-    // re-checkable.
-    if let Some(dbs) = dbs {
-        let mut cited = BTreeSet::new();
-        cf.derivation.root.walk(&mut |n| {
-            cited.insert(n.lemma.clone());
-        });
-        for lemma in cited {
-            if !dbs.knows_lemma(&lemma) {
-                findings.push(finding(
-                    cf,
-                    FindingKind::UnknownLemma { lemma: lemma.to_string() },
-                    format!("derivation cites lemma `{lemma}` not present in the hint databases"),
-                ));
-            }
-        }
-    }
-
-    findings
 }

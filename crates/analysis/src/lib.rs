@@ -290,18 +290,46 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
+/// The certificate phase of the lint suite: the certificate cross-checks
+/// that never read the body and the memory environment derived from the
+/// spec. [`LintCertificate::analyze`] runs the body-dependent checks and
+/// the code passes against it, so many bodies can be linted against one
+/// certificate.
+#[derive(Debug)]
+pub struct LintCertificate<'a> {
+    cf: &'a CompiledFunction,
+    witness: certcheck::WitnessFindings,
+    env: MemEnv,
+}
+
+impl<'a> LintCertificate<'a> {
+    /// Runs the certificate phase for `cf`. Pass `dbs` to also verify
+    /// cited lemmas exist.
+    pub fn new(cf: &'a CompiledFunction, dbs: Option<&HintDbs>) -> Self {
+        let goal = cf.initial_goal();
+        let witness = certcheck::WitnessFindings::new(cf, goal.as_ref().err(), dbs);
+        let env = match &goal {
+            Ok(goal) => MemEnv::from_goal(goal),
+            // Already reported as a certificate mismatch; code passes still
+            // run, with an empty footprint.
+            Err(_) => MemEnv::default(),
+        };
+        LintCertificate { cf, witness, env }
+    }
+
+    /// The body phase: every finding for `body` as the implementation of
+    /// the certified function, in pass order.
+    pub fn analyze(&self, body: &rupicola_bedrock::BFunction) -> AnalysisReport {
+        let mut findings = self.witness.with_body(self.cf, body);
+        findings.extend(run_code_passes(body, &self.env));
+        AnalysisReport { findings }
+    }
+}
+
 /// Analyzes a compilation certificate: all code passes plus certificate
 /// cross-checking. Pass `dbs` to also verify cited lemmas exist.
 pub fn analyze_with_dbs(cf: &CompiledFunction, dbs: Option<&HintDbs>) -> AnalysisReport {
-    let mut findings = certcheck::run(cf, dbs);
-    let env = match cf.initial_goal() {
-        Ok(goal) => MemEnv::from_goal(&goal),
-        // Already reported as a certificate mismatch; code passes still
-        // run, with an empty footprint.
-        Err(_) => MemEnv::default(),
-    };
-    findings.extend(run_code_passes(&cf.function, &env));
-    AnalysisReport { findings }
+    LintCertificate::new(cf, dbs).analyze(&cf.function)
 }
 
 /// [`analyze_with_dbs`] without the database-dependent checks.

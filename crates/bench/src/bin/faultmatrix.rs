@@ -23,7 +23,7 @@ use rupicola_core::check::{check_with, CheckConfig};
 use rupicola_core::faultinject::{mutants, MutationClass};
 use rupicola_ext::standard_dbs;
 use rupicola_opt::mutants::{CtPassMutant, PassMutant};
-use rupicola_opt::{validate_candidate, validate_candidate_with_policy};
+use rupicola_opt::validate_candidate_with_policy;
 use rupicola_programs::{ct_suite, ctmutants};
 use rupicola_service::suite_via_store;
 
@@ -210,7 +210,7 @@ fn main() {
         for (name, cf) in &compiled_suite {
             let Some(broken) = mutant.apply(&cf.function) else { continue };
             applicable += 1;
-            if validate_candidate(cf, &broken, &dbs, &config).is_err() {
+            if validate_candidate_with_policy(cf, &broken, &dbs, &config, None).is_err() {
                 killed += 1;
             } else {
                 pass_survivors.push(format!("{name}: [{}]", mutant.name()));

@@ -7,8 +7,8 @@
 //! allocator and mutant gates; `faultmatrix` reuses the matrix as its
 //! `rv` column; `fig2` prints the route statistics as its RISC-V rows.
 
-use rupicola_core::check::{differential_inputs, CheckConfig};
-use rupicola_core::CompiledFunction;
+use rupicola_core::check::{differential_inputs, Certificate, CheckConfig};
+use rupicola_core::{CompiledFunction, HintDbs};
 use rupicola_rv::mutants::LowerMutant;
 use rupicola_rv::{
     instr_count, lower_validated, run_artifact, validate_artifact, RvPipelineConfig, RvStageId,
@@ -142,9 +142,13 @@ pub fn rv_mutant_matrix(
     for (name, cf) in compiled {
         let (pristine, _) = lower_validated(cf, &RvPipelineConfig::full(), config)
             .map_err(|e| format!("{name}: pristine lowering failed: {e}"))?;
+        // The differential reads only the reference runs, which never
+        // consult the hint databases.
+        let dbs = HintDbs::new();
+        let cert = Certificate::new(cf, &dbs, config);
         for mutant in LowerMutant::ALL {
             let Some(broken) = mutant.apply(&pristine) else { continue };
-            let killed = validate_artifact(cf, &broken, config).is_err();
+            let killed = validate_artifact(&cert, &broken).is_err();
             if !killed {
                 matrix.survivors.push(format!("{name}: [{}]", mutant.name()));
             }

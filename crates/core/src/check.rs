@@ -19,20 +19,31 @@
 //!    interpreter's loop hook: the checker recomputes the closed-form
 //!    partial-execution term for the current iteration count and compares
 //!    it against actual locals and memory.
+//!
+//! A check runs in two phases. The **certificate phase**
+//! ([`Certificate`]) computes everything that depends only on the model,
+//! spec, witness, linked functions and configuration: layer 1, the
+//! vectors and their concretized calls, the source runs and the
+//! invariants. The **body phase** ([`Certificate::check_body`]) runs the
+//! body under test against it. [`check_with`] is the two in sequence; the
+//! optimizer and the RISC-V backend validate many bodies against one
+//! certificate.
 
 use crate::engine::CompiledFunction;
-use crate::fnspec::{concretize, ArgSpec, FnSpec, RegionLayout, RetSpec, TraceSpec};
+use crate::fnspec::{concretize, ArgSpec, ConcreteCall, FnSpec, RegionLayout, RetSpec, TraceSpec};
 use crate::goal::{Hyp, MonadCtx};
 use crate::invariant::{LoopInvariant, LoopInvariantKind};
-use rupicola_bedrock::interp::Locals;
+use rupicola_bedrock::interp::{Locals, NoExternals};
 use rupicola_bedrock::{
-    BExpr, ExecState, ExternalHandler, Interpreter, LoopHook, Memory, Program, TraceEvent,
+    BExpr, BFunction, ExecError, ExecState, ExternalHandler, Interpreter, LoopHook, Memory,
+    Program, TraceEvent,
 };
 use rupicola_lang::eval::{eval, eval_model, Env, Oracle, World};
 use rupicola_lang::{
     ElemKind, Event, Expr, ExternRegistry, Ident, Model, MonadKind, PrimOp, Value,
 };
 use rupicola_sep::ScalarKind;
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -203,7 +214,8 @@ pub fn check(
     check_with(cf, dbs, &CheckConfig::default())
 }
 
-/// Checks a compiled function.
+/// Checks a compiled function: the certificate phase, then the body phase
+/// on the certified body.
 ///
 /// # Errors
 ///
@@ -213,11 +225,312 @@ pub fn check_with(
     dbs: &crate::lemma::HintDbs,
     config: &CheckConfig,
 ) -> Result<CheckReport, CheckError> {
-    let mut report = CheckReport::default();
+    Certificate::new(cf, dbs, config).check_body(&cf.function)
+}
 
-    // Layer 1: structural validation of the witness. First the integrity
-    // counters — recompute both summaries from the tree; a mismatch means
-    // records were dropped or children truncated after construction.
+/// The poisons of the nondeterminism discipline. Every body runs under
+/// the first; a body that consumes nondeterminism also runs under the
+/// second.
+const POISONS: [u8; 2] = [0xAA, 0x55];
+
+/// The certificate phase of a check: everything validation computes from
+/// the model, spec, witness, linked functions and configuration, never
+/// from the body under test. One value serves every body validated
+/// against the same [`CompiledFunction`] — the checker's own body phase
+/// ([`Certificate::check_body`]), the optimizer's candidates and the RISC-V
+/// stages ([`Certificate::reference_runs`]).
+///
+/// Each part is computed on first use and kept: the structural result,
+/// the vectors with their precondition verdicts, descriptions and
+/// concretized calls, the source run per vector and poison, the collected
+/// invariants, and the certified body's runs on the differential inputs.
+/// A body that fails early therefore costs no more source runs than it
+/// reaches, and the second poison's source runs exist only once a body
+/// needs them.
+pub struct Certificate<'a> {
+    cf: &'a CompiledFunction,
+    dbs: &'a crate::lemma::HintDbs,
+    config: &'a CheckConfig,
+    /// The `io_read` input stream every source and target run starts from.
+    input_words: Vec<u64>,
+    /// Side conditions re-solved, or the first structural failure.
+    structural: OnceCell<Result<usize, CheckError>>,
+    vectors: OnceCell<Vec<CertVector>>,
+    invariants: OnceCell<Vec<LoopInvariant>>,
+    reference: OnceCell<Vec<ReferenceRun>>,
+}
+
+/// One generated vector and what the certificate knows about it.
+struct CertVector {
+    values: Vec<Value>,
+    desc: String,
+    /// `None` when the spec's hints exclude the vector; otherwise the
+    /// concretized call, or why the vector does not concretize.
+    call: Option<Result<ConcreteCall, String>>,
+    /// The source run under each of [`POISONS`]; `None` inside when the
+    /// model's precondition excludes the vector.
+    sources: [OnceCell<Option<SourceRun>>; 2],
+}
+
+/// What the functional model did on one vector under one poison.
+struct SourceRun {
+    value: Value,
+    writer: Vec<u64>,
+    events: Vec<Event>,
+}
+
+/// The certified body's run on one differential input: the reference a
+/// replacement body (an optimizer candidate, a machine artifact) must
+/// reproduce.
+#[derive(Debug)]
+pub struct ReferenceRun {
+    /// The input.
+    pub input: DifferentialInput,
+    /// Return words and final locals, or the interpreter's error.
+    pub outcome: Result<(Vec<u64>, Locals), ExecError>,
+    /// The final heap and event trace.
+    pub state: ExecState,
+}
+
+impl fmt::Debug for Certificate<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Certificate")
+            .field("function", &self.cf.function.name)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> Certificate<'a> {
+    /// Starts the certificate phase for `cf`. Nothing is computed until a
+    /// body is checked or the reference runs are read.
+    pub fn new(
+        cf: &'a CompiledFunction,
+        dbs: &'a crate::lemma::HintDbs,
+        config: &'a CheckConfig,
+    ) -> Self {
+        Certificate {
+            cf,
+            dbs,
+            config,
+            input_words: (0..64).map(|i| splitmix(config.seed ^ (i + 1))).collect(),
+            structural: OnceCell::new(),
+            vectors: OnceCell::new(),
+            invariants: OnceCell::new(),
+            reference: OnceCell::new(),
+        }
+    }
+
+    /// The certified function this certificate was built from.
+    pub fn compiled(&self) -> &'a CompiledFunction {
+        self.cf
+    }
+
+    /// The configuration the certificate was built under.
+    pub fn config(&self) -> &'a CheckConfig {
+        self.config
+    }
+
+    fn vectors(&self) -> &[CertVector] {
+        self.vectors.get_or_init(|| certificate_vectors(self.cf, self.config))
+    }
+
+    fn invariants(&self) -> &[LoopInvariant] {
+        self.invariants.get_or_init(|| {
+            let mut invariants = Vec::new();
+            self.cf.derivation.root.walk(&mut |n| {
+                if let Some(inv) = &n.invariant {
+                    invariants.push(inv.clone());
+                }
+            });
+            invariants
+        })
+    }
+
+    /// The model's run on `vector` under `POISONS[slot]`.
+    fn source<'v>(&self, vector: &'v CertVector, slot: usize) -> Option<&'v SourceRun> {
+        vector.sources[slot]
+            .get_or_init(|| {
+                let mut world = World::with_input(self.input_words.iter().copied())
+                    .with_oracle(PoisonOracle { byte: POISONS[slot] });
+                world.externs = self.config.externs.clone();
+                let value = eval_model(&self.cf.model, &vector.values, &mut world).ok()?;
+                Some(SourceRun { value, writer: world.writer, events: world.events })
+            })
+            .as_ref()
+    }
+
+    /// The certified body's runs on every differential input (see
+    /// [`differential_inputs`]), with the interpreter's full fuel ceiling
+    /// and no external handler.
+    pub fn reference_runs(&self) -> &[ReferenceRun] {
+        self.reference.get_or_init(|| {
+            let cf = self.cf;
+            let program = program_for(&cf.function, &cf.linked);
+            let interp = Interpreter::new(&program);
+            self.vectors()
+                .iter()
+                .filter_map(|v| match &v.call {
+                    Some(Ok(call)) => Some((v, call)),
+                    _ => None,
+                })
+                .map(|(v, call)| {
+                    let mut state = ExecState::new(call.mem.clone());
+                    let outcome = interp.call_with_locals(
+                        &cf.function.name,
+                        &call.args,
+                        &mut state,
+                        &mut NoExternals,
+                        self.config.max_fuel,
+                    );
+                    let input = DifferentialInput {
+                        args: call.args.clone(),
+                        mem: call.mem.clone(),
+                        desc: v.desc.clone(),
+                    };
+                    ReferenceRun { input, outcome, state }
+                })
+                .collect()
+        })
+    }
+
+    /// The body phase: validates `body` as the implementation of the
+    /// certified function — the witness's structural result, then the
+    /// differential against the model with invariant hooks at every loop
+    /// head.
+    ///
+    /// # Errors
+    ///
+    /// See [`CheckError`].
+    pub fn check_body(&self, body: &BFunction) -> Result<CheckReport, CheckError> {
+        let cf = self.cf;
+        let config = self.config;
+        let mut report = CheckReport {
+            side_conds_rechecked: self
+                .structural
+                .get_or_init(|| structural(cf, self.dbs))
+                .clone()?,
+            ..CheckReport::default()
+        };
+
+        // The second poison is triggered by the body: a stack allocation
+        // hands it unspecified bytes even under a deterministic spec.
+        let uses_nondet = matches!(cf.spec.monad, MonadCtx::Monadic(MonadKind::Nondet))
+            || function_has_stackalloc(&body.body);
+        let poisons = if uses_nondet { &POISONS[..] } else { &POISONS[..1] };
+        report.poison_pair = poisons.len() == 2;
+
+        let vectors = self.vectors();
+        let invariants = self.invariants();
+        let program = program_for(body, &cf.linked);
+        let interp = Interpreter::new(&program);
+
+        let mut ran = 0;
+        for vector in vectors {
+            let Some(call) = &vector.call else {
+                report.vectors_skipped += 1;
+                continue;
+            };
+            let mut this_ran = false;
+            for (slot, &poison) in poisons.iter().enumerate() {
+                let Some(src) = self.source(vector, slot) else {
+                    // Precondition excluded this input.
+                    report.vectors_skipped += 1;
+                    break;
+                };
+                this_ran = true;
+                let call = call.as_ref().map_err(|e| CheckError::Mismatch {
+                    vector: vector.desc.clone(),
+                    detail: e.clone(),
+                })?;
+
+                // Target run, with bounded fuel escalation: a run that
+                // exhausts the current fuel is re-executed from scratch
+                // with doubled fuel, distinguishing "needs more fuel"
+                // (retried transparently) from "diverges" (still starving
+                // at the cap).
+                let mut fuel = config.fuel.clamp(1, config.max_fuel);
+                let (rets, state, hook_checks) = loop {
+                    let mut state = ExecState::new(call.mem.clone()).with_stack_poison(poison);
+                    let mut ext = CheckerExternals {
+                        input: self.input_words.iter().copied().collect(),
+                        externs: config.externs.clone(),
+                    };
+                    let mut hook = InvariantHook {
+                        invariants,
+                        model: &cf.model,
+                        params: &cf.model.params,
+                        values: &vector.values,
+                        externs: &config.externs,
+                        checks: 0,
+                    };
+                    let rets = if config.check_invariants {
+                        interp.call_with_hook(
+                            &body.name,
+                            &call.args,
+                            &mut state,
+                            &mut ext,
+                            fuel,
+                            &mut hook,
+                        )
+                    } else {
+                        interp.call(&body.name, &call.args, &mut state, &mut ext, fuel)
+                    };
+                    report.max_fuel_used = report.max_fuel_used.max(state.fuel_used);
+                    match rets {
+                        Err(ExecError::OutOfFuel) if fuel < config.max_fuel => {
+                            report.fuel_escalations += 1;
+                            fuel = fuel.saturating_mul(2).min(config.max_fuel);
+                        }
+                        Err(ExecError::OutOfFuel) => {
+                            return Err(CheckError::Divergence {
+                                vector: vector.desc.clone(),
+                                fuel_cap: config.max_fuel,
+                            });
+                        }
+                        other => break (other, state, hook.checks),
+                    }
+                };
+                report.invariant_checks += hook_checks;
+                let rets = rets.map_err(|e| match e {
+                    ExecError::HookFailure(m) => CheckError::InvariantViolated {
+                        vector: vector.desc.clone(),
+                        detail: m,
+                    },
+                    other => CheckError::TargetStuck {
+                        vector: vector.desc.clone(),
+                        error: other.to_string(),
+                    },
+                })?;
+
+                compare_outputs(
+                    cf,
+                    &src.value,
+                    &rets,
+                    &state,
+                    &call.regions,
+                    &vector.values,
+                    &vector.desc,
+                )?;
+                compare_traces(&cf.spec, src, &state, &vector.desc)?;
+            }
+            if this_ran {
+                ran += 1;
+            }
+        }
+        report.vectors_run = ran;
+        if ran == 0 || ran * 4 < vectors.len() {
+            return Err(CheckError::InsufficientCoverage { ran, attempted: vectors.len() });
+        }
+        Ok(report)
+    }
+}
+
+/// Layer 1: structural validation of the witness. Returns the number of
+/// side conditions re-solved.
+fn structural(cf: &CompiledFunction, dbs: &crate::lemma::HintDbs) -> Result<usize, CheckError> {
+    // First the integrity counters — recompute both summaries from the
+    // tree; a mismatch means records were dropped or children truncated
+    // after construction.
     let node_count = cf.derivation.root.size();
     if node_count != cf.derivation.node_count {
         return Err(CheckError::WitnessCorrupted {
@@ -241,13 +554,14 @@ pub fn check_with(
     // Then per-node validation: every lemma registered, every side
     // condition re-solved. Solvers are untrusted extensions: a panicking
     // solver counts as "does not re-solve", not as a checker crash.
-    let mut structural: Result<(), CheckError> = Ok(());
+    let mut rechecked = 0;
+    let mut result: Result<(), CheckError> = Ok(());
     cf.derivation.root.walk(&mut |node| {
-        if structural.is_err() {
+        if result.is_err() {
             return;
         }
         if !dbs.knows_lemma(&node.lemma) {
-            structural = Err(CheckError::UnknownLemma(node.lemma.to_string()));
+            result = Err(CheckError::UnknownLemma(node.lemma.to_string()));
             return;
         }
         for sc in &node.side_conds {
@@ -255,133 +569,39 @@ pub fn check_with(
                 crate::engine::catch_quiet(|| s.solve(&sc.cond, &sc.hyps)).unwrap_or(false)
             });
             if !solved {
-                structural = Err(CheckError::SideCondition {
+                result = Err(CheckError::SideCondition {
                     cond: sc.cond.to_string(),
                     lemma: node.lemma.to_string(),
                 });
                 return;
             }
-            report.side_conds_rechecked += 1;
+            rechecked += 1;
         }
     });
-    structural?;
+    result.map(|()| rechecked)
+}
 
-    // Layer 2 + 3: differential execution with invariant hooks.
-    let uses_nondet = matches!(cf.spec.monad, MonadCtx::Monadic(MonadKind::Nondet))
-        || function_has_stackalloc(&cf.function.body);
-    let poisons: &[u8] = if uses_nondet { &[0xAA, 0x55] } else { &[0xAA] };
-    report.poison_pair = poisons.len() == 2;
-
-    let vectors = generate_vectors(&cf.spec, &cf.model, config);
-    let mut invariants = Vec::new();
-    cf.derivation.root.walk(&mut |n| {
-        if let Some(inv) = &n.invariant {
-            invariants.push(inv.clone());
-        }
-    });
-
+fn program_for(main: &BFunction, linked: &[BFunction]) -> Program {
     let mut program = Program::new();
-    program.insert(cf.function.clone());
-    for callee in &cf.linked {
+    program.insert(main.clone());
+    for callee in linked {
         program.insert(callee.clone());
     }
-    let interp = Interpreter::new(&program);
+    program
+}
 
-    let mut ran = 0;
-    for vector in &vectors {
-        let vector_desc = describe_vector(&cf.model.params, vector);
-        if !hints_hold(&cf.spec, &cf.model, vector, config) {
-            report.vectors_skipped += 1;
-            continue;
-        }
-        let mut this_ran = false;
-        for &poison in poisons {
-            // Source run.
-            let input_words: Vec<u64> = (0..64).map(|i| splitmix(config.seed ^ (i + 1))).collect();
-            let mut world = World::with_input(input_words.clone())
-                .with_oracle(PoisonOracle { byte: poison });
-            world.externs = config.externs.clone();
-            let src = eval_model(&cf.model, vector, &mut world);
-            let Ok(src_value) = src else {
-                // Precondition excluded this input.
-                report.vectors_skipped += 1;
-                break;
-            };
-            this_ran = true;
-
-            // Target run, with bounded fuel escalation: a run that
-            // exhausts the current fuel is re-executed from scratch with
-            // doubled fuel, distinguishing "needs more fuel" (retried
-            // transparently) from "diverges" (still starving at the cap).
-            let mut fuel = config.fuel.clamp(1, config.max_fuel);
-            let (rets, state, regions, hook_checks) = loop {
-                let call = concretize(&cf.spec, &cf.model.params, vector).map_err(|e| {
-                    CheckError::Mismatch { vector: vector_desc.clone(), detail: e }
-                })?;
-                let mut state = ExecState::new(call.mem).with_stack_poison(poison);
-                let mut ext = CheckerExternals {
-                    input: input_words.iter().copied().collect(),
-                    externs: config.externs.clone(),
-                };
-                let mut hook = InvariantHook {
-                    invariants: &invariants,
-                    model: &cf.model,
-                    params: &cf.model.params,
-                    values: vector,
-                    externs: &config.externs,
-                    checks: 0,
-                };
-                let rets = if config.check_invariants {
-                    interp.call_with_hook(
-                        &cf.function.name,
-                        &call.args,
-                        &mut state,
-                        &mut ext,
-                        fuel,
-                        &mut hook,
-                    )
-                } else {
-                    interp.call(&cf.function.name, &call.args, &mut state, &mut ext, fuel)
-                };
-                report.max_fuel_used = report.max_fuel_used.max(state.fuel_used);
-                match rets {
-                    Err(rupicola_bedrock::ExecError::OutOfFuel) if fuel < config.max_fuel => {
-                        report.fuel_escalations += 1;
-                        fuel = fuel.saturating_mul(2).min(config.max_fuel);
-                    }
-                    Err(rupicola_bedrock::ExecError::OutOfFuel) => {
-                        return Err(CheckError::Divergence {
-                            vector: vector_desc.clone(),
-                            fuel_cap: config.max_fuel,
-                        });
-                    }
-                    other => break (other, state, call.regions, hook.checks),
-                }
-            };
-            report.invariant_checks += hook_checks;
-            let rets = rets.map_err(|e| match e {
-                rupicola_bedrock::ExecError::HookFailure(m) => CheckError::InvariantViolated {
-                    vector: vector_desc.clone(),
-                    detail: m,
-                },
-                other => CheckError::TargetStuck {
-                    vector: vector_desc.clone(),
-                    error: other.to_string(),
-                },
-            })?;
-
-            compare_outputs(cf, &src_value, &rets, &state, &regions, vector, &vector_desc)?;
-            compare_traces(&cf.spec, &world, &state, &vector_desc)?;
-        }
-        if this_ran {
-            ran += 1;
-        }
-    }
-    report.vectors_run = ran;
-    if ran == 0 || ran * 4 < vectors.len() {
-        return Err(CheckError::InsufficientCoverage { ran, attempted: vectors.len() });
-    }
-    Ok(report)
+/// The generated vectors with their precondition verdicts, descriptions
+/// and concretized calls.
+fn certificate_vectors(cf: &CompiledFunction, config: &CheckConfig) -> Vec<CertVector> {
+    generate_vectors(&cf.spec, &cf.model, config)
+        .into_iter()
+        .map(|values| {
+            let desc = describe_vector(&cf.model.params, &values);
+            let call = hints_hold(&cf.spec, &cf.model, &values, config)
+                .then(|| concretize(&cf.spec, &cf.model.params, &values));
+            CertVector { values, desc, call, sources: Default::default() }
+        })
+        .collect()
 }
 
 /// One concretized differential-test input: the same machine state the
@@ -398,26 +618,18 @@ pub struct DifferentialInput {
 
 /// Concretizes the checker's test vectors for `cf` into interpreter-ready
 /// inputs, skipping vectors outside the spec's precondition (its hint
-/// hypotheses). The optimization validator and the equivalence battery use
-/// these to differential-test two Bedrock2 bodies on exactly the inputs
-/// the certificate was checked on.
+/// hypotheses). These are exactly the inputs of
+/// [`Certificate::reference_runs`]; the equivalence battery and the
+/// benchmarks use them to run machine code on the inputs the certificate
+/// was checked on.
 pub fn differential_inputs(cf: &CompiledFunction, config: &CheckConfig) -> Vec<DifferentialInput> {
-    let vectors = generate_vectors(&cf.spec, &cf.model, config);
-    let mut out = Vec::new();
-    for vector in &vectors {
-        if !hints_hold(&cf.spec, &cf.model, vector, config) {
-            continue;
-        }
-        let Ok(call) = concretize(&cf.spec, &cf.model.params, vector) else {
-            continue;
-        };
-        out.push(DifferentialInput {
-            args: call.args,
-            mem: call.mem,
-            desc: describe_vector(&cf.model.params, vector),
-        });
-    }
-    out
+    certificate_vectors(cf, config)
+        .into_iter()
+        .filter_map(|v| match v.call {
+            Some(Ok(call)) => Some(DifferentialInput { args: call.args, mem: call.mem, desc: v.desc }),
+            _ => None,
+        })
+        .collect()
 }
 
 fn function_has_stackalloc(cmd: &rupicola_bedrock::Cmd) -> bool {
@@ -663,7 +875,7 @@ fn mask_for_kind(kind: ScalarKind, w: u64) -> u64 {
 
 fn compare_traces(
     spec: &FnSpec,
-    world: &World,
+    source: &SourceRun,
     state: &ExecState,
     vector_desc: &str,
 ) -> Result<(), CheckError> {
@@ -672,12 +884,12 @@ fn compare_traces(
         .iter()
         .partition(|e| e.action == "writer_tell");
     let writer_got: Vec<u64> = writer_events.iter().filter_map(|e| e.args.first().copied()).collect();
-    if writer_got != world.writer {
+    if writer_got != source.writer {
         return Err(CheckError::Mismatch {
             vector: vector_desc.to_string(),
             detail: format!(
                 "writer output: model {:?}, compiled {:?}",
-                world.writer, writer_got
+                source.writer, writer_got
             ),
         });
     }
@@ -694,7 +906,7 @@ fn compare_traces(
             }
         }
         TraceSpec::MirrorsSource => {
-            let expected: Vec<TraceEvent> = world.events.iter().map(event_to_trace).collect();
+            let expected: Vec<TraceEvent> = source.events.iter().map(event_to_trace).collect();
             let got: Vec<TraceEvent> = other_events.into_iter().cloned().collect();
             if expected != got {
                 return Err(CheckError::Mismatch {
@@ -1156,6 +1368,89 @@ mod tests {
         cf.derivation = Derivation::new(node);
         let err = check(&cf, &HintDbs::new()).unwrap_err();
         assert!(matches!(err, CheckError::SideCondition { .. }), "got {err:?}");
+    }
+
+    /// The identity body with a stack allocation whose unspecified
+    /// contents reach the output: it behaves like the identity under the
+    /// first poison only.
+    fn poison_dependent_body() -> Cmd {
+        use rupicola_bedrock::{AccessSize, BExpr, BinOp};
+        let byte = |addr| BExpr::load(AccessSize::One, addr);
+        Cmd::StackAlloc {
+            var: "tmp".into(),
+            nbytes: 8,
+            body: Box::new(Cmd::if_(
+                BExpr::var("len"),
+                Cmd::seq([
+                    Cmd::set("x", BExpr::op(BinOp::Xor, byte(BExpr::var("tmp")), BExpr::lit(0xAA))),
+                    Cmd::store(
+                        AccessSize::One,
+                        BExpr::var("s"),
+                        BExpr::op(BinOp::Xor, byte(BExpr::var("s")), BExpr::var("x")),
+                    ),
+                ]),
+                Cmd::Skip,
+            )),
+        }
+    }
+
+    /// `check_with` on a function carrying `body`: the reference the
+    /// shared certificate must reproduce exactly.
+    fn one_shot(cf: &CompiledFunction, body: &Cmd) -> Result<CheckReport, CheckError> {
+        let mut fresh = cf.clone();
+        fresh.function.body = body.clone();
+        check_with(&fresh, &HintDbs::new(), &CheckConfig::default())
+    }
+
+    #[test]
+    fn one_certificate_checks_many_bodies_like_check_with() {
+        let cf = identity_compiled();
+        let dbs = HintDbs::new();
+        let config = CheckConfig::default();
+        let cert = Certificate::new(&cf, &dbs, &config);
+        let broken = Cmd::store(
+            rupicola_bedrock::AccessSize::One,
+            rupicola_bedrock::BExpr::var("s"),
+            rupicola_bedrock::BExpr::lit(0),
+        );
+        let certified = cf.function.body.clone();
+        for body in [&certified, &broken, &poison_dependent_body(), &certified] {
+            let mut candidate = cf.function.clone();
+            candidate.body = body.clone();
+            let shared = cert.check_body(&candidate);
+            let fresh = one_shot(&cf, body);
+            assert_eq!(shared, fresh, "body {body:?}");
+            assert_eq!(
+                shared.as_ref().map_err(ToString::to_string),
+                fresh.as_ref().map_err(ToString::to_string)
+            );
+        }
+        assert!(cert.check_body(&cf.function).is_ok());
+    }
+
+    #[test]
+    fn a_candidate_stack_allocation_runs_the_second_poison() {
+        // The certified body allocates nothing under a deterministic spec,
+        // so its check runs one poison; a candidate that adds a stack
+        // allocation must still get the pair from the shared certificate.
+        let cf = identity_compiled();
+        let dbs = HintDbs::new();
+        let config = CheckConfig::default();
+        let cert = Certificate::new(&cf, &dbs, &config);
+        assert!(!cert.check_body(&cf.function).unwrap().poison_pair);
+
+        let mut harmless = cf.function.clone();
+        harmless.body = Cmd::StackAlloc { var: "tmp".into(), nbytes: 8, body: Box::new(Cmd::Skip) };
+        let report = cert.check_body(&harmless).unwrap();
+        assert!(report.poison_pair);
+        assert_eq!(Ok(report), one_shot(&cf, &harmless.body));
+
+        // Correct under the first poison, wrong under the second.
+        let mut leaky = cf.function.clone();
+        leaky.body = poison_dependent_body();
+        let err = cert.check_body(&leaky).unwrap_err();
+        assert!(matches!(err, CheckError::Mismatch { .. }), "got {err:?}");
+        assert_eq!(Err(err), one_shot(&cf, &leaky.body));
     }
 
     #[test]

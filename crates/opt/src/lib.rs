@@ -8,19 +8,23 @@
 //! body is re-validated against the **original** certificate by three
 //! independent layers (CompCert-style translation validation):
 //!
-//! 1. the trusted checker re-runs ([`rupicola_core::check::check_with`]) —
-//!    witness recount, side-condition re-solving, and the model-vs-code
-//!    differential on fresh vectors;
+//! 1. the trusted checker's body phase
+//!    ([`rupicola_core::check::Certificate::check_body`]) — the witness's
+//!    structural result and the model-vs-code differential on the
+//!    certificate's vectors;
 //! 2. the derivation-blind lint suite re-audits the candidate
-//!    ([`rupicola_analysis::analyze_with_dbs`]);
+//!    ([`rupicola_analysis::LintCertificate::analyze`]);
 //! 3. the Bedrock2 interpreter differential-tests the candidate against
-//!    the pre-pass body on the checker's concretized inputs, comparing
-//!    return values, heap, trace, and final locals;
+//!    the certified body's reference runs on the checker's concretized
+//!    inputs, comparing return values, heap, trace, and final locals;
 //! 4. when the pipeline carries a [`SecrecyPolicy`], the
 //!    secret-independence analysis ([`rupicola_analysis::ct`]) re-runs on
 //!    the candidate: a pass that turns a CT-clean body into one with a
 //!    secret-dependent branch, address, or variable-latency operand is
 //!    rolled back even though it is functionally correct.
+//!
+//! The layers read one checker certificate and one lint certificate,
+//! built once per function on its first candidate ([`validate`]).
 //!
 //! A pass whose output fails any layer is **rolled back** — its
 //! [`PassReport`] records a typed [`OptError`], the pipeline continues
@@ -53,14 +57,15 @@ pub mod passes;
 mod validate;
 
 use rupicola_bedrock::BFunction;
-use rupicola_core::check::CheckConfig;
+use rupicola_core::check::{Certificate, CheckConfig};
 use rupicola_core::lemma::HintDbs;
 use rupicola_core::CompiledFunction;
+use std::cell::OnceCell;
 use std::fmt;
 
-pub use validate::{validate_candidate, validate_candidate_with_policy};
+pub use validate::{validate, validate_candidate_with_policy};
 
-use rupicola_analysis::SecrecyPolicy;
+use rupicola_analysis::{LintCertificate, SecrecyPolicy};
 
 /// Reserved prefix for temporaries introduced by optimization passes.
 /// The interpreter-differential validator uses it to tell pass-introduced
@@ -317,6 +322,10 @@ pub fn optimize_compiled(
 ) -> PipelineReport {
     let mut current = cf.function.clone();
     let mut report = PipelineReport::default();
+    // Every candidate is validated against the same certificate, built on
+    // the first candidate: a program no pass rewrites builds none.
+    let certified: &CompiledFunction = cf;
+    let certs = OnceCell::new();
 
     for &pass in &pipeline.passes {
         let outcome = match rupicola_core::catch_quiet(|| run_pass(pass, &current)) {
@@ -350,13 +359,10 @@ pub fn optimize_compiled(
             });
             continue;
         }
-        match validate::validate_candidate_with_policy(
-            cf,
-            &outcome.function,
-            dbs,
-            config,
-            pipeline.ct_policy.as_ref(),
-        ) {
+        let (cert, lint) = certs.get_or_init(|| {
+            (Certificate::new(certified, dbs, config), LintCertificate::new(certified, Some(dbs)))
+        });
+        match validate::validate(cert, lint, &outcome.function, pipeline.ct_policy.as_ref()) {
             Ok(()) => {
                 current = outcome.function;
                 report.passes.push(PassReport {

@@ -7,32 +7,39 @@
 //! `FnSpec` the relational compiler certified.
 
 use crate::{OptError, TEMP_PREFIX};
-use rupicola_analysis::{analyze_with_dbs, ct, SecrecyPolicy};
+use rupicola_analysis::{ct, LintCertificate, SecrecyPolicy};
 use rupicola_bedrock::interp::NoExternals;
 use rupicola_bedrock::{BFunction, ExecState, Interpreter, Program};
-use rupicola_core::check::{check_with, differential_inputs, CheckConfig, CheckError};
+use rupicola_core::check::{Certificate, CheckConfig, CheckError};
 use rupicola_core::lemma::HintDbs;
 use rupicola_core::CompiledFunction;
 
-/// Validates `candidate` as a replacement body for `cf.function`.
+/// Validates `candidate` as a replacement body for `cf.function` with a
+/// fresh certificate: see [`validate`].
 ///
 /// # Errors
 ///
-/// A typed [`OptError`] naming the first layer that rejected it:
-/// the trusted checker, the lint suite, or the interpreter differential.
-pub fn validate_candidate(
+/// A typed [`OptError`] naming the first layer that rejected the
+/// candidate.
+pub fn validate_candidate_with_policy(
     cf: &CompiledFunction,
     candidate: &BFunction,
     dbs: &HintDbs,
     config: &CheckConfig,
+    policy: Option<&SecrecyPolicy>,
 ) -> Result<(), OptError> {
-    validate_candidate_with_policy(cf, candidate, dbs, config, None)
+    let cert = Certificate::new(cf, dbs, config);
+    validate(&cert, &LintCertificate::new(cf, Some(dbs)), candidate, policy)
 }
 
-/// [`validate_candidate`] plus the optional fourth layer: when a
-/// [`SecrecyPolicy`] is supplied and the **original** certified body is
-/// CT-clean under it, the candidate must be too. A candidate that
-/// introduces a secret-dependent branch, memory address, or
+/// Validates `candidate` as a replacement body for the certified function
+/// of `cert` (whose lint certificate is `lint`): the trusted checker's
+/// body phase, the lint suite, and the interpreter differential against
+/// the certified body's reference runs.
+///
+/// With a [`SecrecyPolicy`], a fourth layer applies: when the **original**
+/// certified body is CT-clean under it, the candidate must be too. A
+/// candidate that introduces a secret-dependent branch, memory address, or
 /// variable-latency operand is rejected with [`OptError::CtRegressed`] —
 /// functional equivalence (layers 1–3) is deliberately not enough, since
 /// an if-conversion in the wrong direction preserves values while leaking
@@ -46,21 +53,16 @@ pub fn validate_candidate(
 ///
 /// A typed [`OptError`] naming the first layer that rejected the
 /// candidate.
-pub fn validate_candidate_with_policy(
-    cf: &CompiledFunction,
+pub fn validate(
+    cert: &Certificate<'_>,
+    lint: &LintCertificate<'_>,
     candidate: &BFunction,
-    dbs: &HintDbs,
-    config: &CheckConfig,
     policy: Option<&SecrecyPolicy>,
 ) -> Result<(), OptError> {
-    let cand_cf = CompiledFunction {
-        function: candidate.clone(),
-        optimized: None,
-        ..cf.clone()
-    };
+    let cf = cert.compiled();
 
     // Layer 1: the trusted checker, against the original spec and witness.
-    if let Err(e) = check_with(&cand_cf, dbs, config) {
+    if let Err(e) = cert.check_body(candidate) {
         return Err(match e {
             CheckError::Divergence { .. } => {
                 OptError::InterpDiverged { detail: e.to_string() }
@@ -70,7 +72,7 @@ pub fn validate_candidate_with_policy(
     }
 
     // Layer 2: the derivation-blind lint suite.
-    let report = analyze_with_dbs(&cand_cf, Some(dbs));
+    let report = lint.analyze(candidate);
     if report.has_errors() {
         let detail = report
             .errors()
@@ -80,8 +82,8 @@ pub fn validate_candidate_with_policy(
         return Err(OptError::LintFailed { detail });
     }
 
-    // Layer 3: the interpreter differential against the pre-pass body.
-    differential(cf, candidate, config)?;
+    // Layer 3: the interpreter differential against the certified body.
+    differential(cert, candidate)?;
 
     // Layer 4: secret-independence. Only a *regression* is a failure.
     if let Some(policy) = policy {
@@ -101,40 +103,30 @@ pub fn validate_candidate_with_policy(
     Ok(())
 }
 
-fn program_for(main: &BFunction, linked: &[BFunction]) -> Program {
-    let mut p = Program::new();
-    p.insert(main.clone());
-    for f in linked {
-        p.insert(f.clone());
+/// Runs the candidate on the checker's concretized inputs and demands
+/// byte-identical observable behavior with the certified body's
+/// reference runs: return words, final heap, event trace — and locals, up
+/// to pass-introduced `_cse*` temporaries on the optimized side and
+/// eliminated temporaries on the original side.
+fn differential(cert: &Certificate<'_>, candidate: &BFunction) -> Result<(), OptError> {
+    let cf = cert.compiled();
+    let mut prog_cand = Program::new();
+    prog_cand.insert(candidate.clone());
+    for f in &cf.linked {
+        prog_cand.insert(f.clone());
     }
-    p
-}
-
-/// Runs both bodies on the checker's concretized inputs and demands
-/// byte-identical observable behavior: return words, final heap, event
-/// trace — and locals, up to pass-introduced `_cse*` temporaries on the
-/// optimized side and eliminated temporaries on the original side.
-fn differential(
-    cf: &CompiledFunction,
-    candidate: &BFunction,
-    config: &CheckConfig,
-) -> Result<(), OptError> {
-    let prog_orig = program_for(&cf.function, &cf.linked);
-    let prog_cand = program_for(candidate, &cf.linked);
-    let interp_orig = Interpreter::new(&prog_orig);
     let interp_cand = Interpreter::new(&prog_cand);
     let name = &cf.function.name;
-    let fuel = config.max_fuel;
+    let fuel = cert.config().max_fuel;
 
-    for input in differential_inputs(cf, config) {
-        let mut st_o = ExecState::new(input.mem.clone());
-        let res_o =
-            interp_orig.call_with_locals(name, &input.args, &mut st_o, &mut NoExternals, fuel);
-        let mut st_c = ExecState::new(input.mem);
+    for reference in cert.reference_runs() {
+        let input = &reference.input;
+        let st_o = &reference.state;
+        let mut st_c = ExecState::new(input.mem.clone());
         let res_c =
             interp_cand.call_with_locals(name, &input.args, &mut st_c, &mut NoExternals, fuel);
 
-        match (res_o, res_c) {
+        match (&reference.outcome, res_c) {
             // Matching faults are equivalent (messages may differ: a pass
             // may legally reorder which of several traps fires first).
             (Err(_), Err(_)) => {}
@@ -152,7 +144,7 @@ fn differential(
                 });
             }
             (Ok((rets_o, locals_o)), Ok((rets_c, locals_c))) => {
-                if rets_o != rets_c {
+                if *rets_o != rets_c {
                     return Err(OptError::InterpDiverged {
                         detail: format!(
                             "return values differ on [{}]: {rets_o:?} vs {rets_c:?}",

@@ -19,8 +19,7 @@ use rupicola_core::compile;
 use rupicola_ext::standard_dbs;
 use rupicola_opt::mutants::CtPassMutant;
 use rupicola_opt::{
-    optimize_compiled, validate_candidate, validate_candidate_with_policy, OptError,
-    PipelineConfig,
+    optimize_compiled, validate_candidate_with_policy, OptError, PipelineConfig,
 };
 use rupicola_programs::ct_suite;
 
@@ -75,7 +74,7 @@ fn backwards_if_conversion_is_killed_by_layer_4_alone() {
             .unwrap_or_else(|| panic!("{name}: mutant finds a site"));
 
         // Layers 1–3 accept it: the rewrite is functionally correct.
-        validate_candidate(&cf, &leaky, &dbs, &config).unwrap_or_else(|err| {
+        validate_candidate_with_policy(&cf, &leaky, &dbs, &config, None).unwrap_or_else(|err| {
             panic!("{name}: functional layers should accept the leaky body: {err}")
         });
 

@@ -16,7 +16,7 @@ use rupicola_core::check::CheckConfig;
 use rupicola_core::compile;
 use rupicola_ext::standard_dbs;
 use rupicola_opt::mutants::PassMutant;
-use rupicola_opt::{optimize_compiled, validate_candidate, PipelineConfig};
+use rupicola_opt::{optimize_compiled, validate_candidate_with_policy, PipelineConfig};
 use rupicola_programs::suite;
 
 #[test]
@@ -75,7 +75,7 @@ fn every_applicable_mutant_is_killed() {
             let Some(broken) = mutant.apply(&cf.function) else { continue };
             applicable += 1;
             fired.insert(mutant.name());
-            match validate_candidate(&cf, &broken, &dbs, &config) {
+            match validate_candidate_with_policy(&cf, &broken, &dbs, &config, None) {
                 Err(_) => killed += 1,
                 Ok(()) => panic!("{name}: mutant {} survived validation", mutant.name()),
             }

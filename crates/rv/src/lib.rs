@@ -46,12 +46,12 @@ pub mod validate;
 
 use rupicola_bedrock::rv::Asm;
 use rupicola_bedrock::rv_compile::{compile_function, RvArtifact};
-use rupicola_core::check::CheckConfig;
-use rupicola_core::CompiledFunction;
+use rupicola_core::check::{Certificate, CheckConfig};
+use rupicola_core::{CompiledFunction, HintDbs};
 use std::fmt;
 
 pub use lower::{linear_scan, lower_allocated, Assignment, POOL_BASE, POOL_LAST};
-pub use validate::{run_artifact, validate_artifact, validate_artifact_on, RvRunOutcome, RV_FUEL};
+pub use validate::{run_artifact, validate_artifact, RvRunOutcome, RV_FUEL};
 
 /// Identifies one stage of the RISC-V lowering pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -277,8 +277,11 @@ pub fn lower_validated(
     pipeline: &RvPipelineConfig,
     config: &CheckConfig,
 ) -> Result<(RvArtifact, RvReport), RvBackendError> {
-    let inputs = rupicola_core::check::differential_inputs(cf, config);
-    if inputs.is_empty() {
+    // The differential reads only the certificate's reference runs, which
+    // never consult the hint databases.
+    let dbs = HintDbs::new();
+    let cert = Certificate::new(cf, &dbs, config);
+    if cert.reference_runs().is_empty() {
         return Err(RvBackendError::Internal {
             detail: "no differential input concretizes; refusing to validate on nothing".into(),
         });
@@ -286,7 +289,7 @@ pub fn lower_validated(
 
     let naive =
         compile_function(&cf.function).map_err(|e| RvBackendError::Compile { detail: e.to_string() })?;
-    validate::validate_artifact_on(cf, &naive, config, &inputs).map_err(|e| match e {
+    validate_artifact(&cert, &naive).map_err(|e| match e {
         RvBackendError::Diverged { detail } => RvBackendError::BaselineDiverged { detail },
         other => other,
     })?;
@@ -343,7 +346,7 @@ pub fn lower_validated(
             });
             continue;
         }
-        match validate::validate_artifact_on(cf, &candidate, config, &inputs) {
+        match validate_artifact(&cert, &candidate) {
             Ok(()) => {
                 report.stages.push(StageReport {
                     stage,

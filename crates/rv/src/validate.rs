@@ -10,12 +10,10 @@
 //! the answer right but clobbers a neighbour has nowhere to hide.
 
 use crate::RvBackendError;
-use rupicola_bedrock::interp::NoExternals;
 use rupicola_bedrock::rv::{assemble, Machine, Reg, RvError};
 use rupicola_bedrock::rv_compile::RvArtifact;
-use rupicola_bedrock::{ExecState, Interpreter, Memory, Program};
-use rupicola_core::check::{differential_inputs, CheckConfig, DifferentialInput};
-use rupicola_core::CompiledFunction;
+use rupicola_bedrock::Memory;
+use rupicola_core::check::Certificate;
 use std::collections::HashMap;
 
 /// The frame-pointer register of the lowering ABI.
@@ -121,15 +119,6 @@ pub fn run_artifact(
     outcome
 }
 
-fn program_for(cf: &CompiledFunction) -> Program {
-    let mut p = Program::new();
-    p.insert(cf.function.clone());
-    for f in &cf.linked {
-        p.insert(f.clone());
-    }
-    p
-}
-
 fn is_assembly_error(e: &RvError) -> bool {
     matches!(
         e,
@@ -138,9 +127,9 @@ fn is_assembly_error(e: &RvError) -> bool {
 }
 
 /// Differentially validates `artifact` against the **certified** body of
-/// `cf` (never against another artifact) on pre-computed inputs. Use
-/// [`validate_artifact`] unless the caller amortizes input generation
-/// across stages.
+/// `cert` (never against another artifact) on the certificate's
+/// reference runs, which are computed once however many artifacts are
+/// validated against it.
 ///
 /// Equivalence is judged per input as: both fault, or both succeed with
 /// identical return words, identical final heaps (region by region —
@@ -150,21 +139,24 @@ fn is_assembly_error(e: &RvError) -> bool {
 ///
 /// # Errors
 ///
+/// [`RvBackendError::Internal`] when the checker concretizes no inputs at
+/// all (validating against nothing proves nothing);
 /// [`RvBackendError::Assembly`] when the artifact does not even assemble;
 /// [`RvBackendError::Diverged`] naming the first disagreeing input.
-pub fn validate_artifact_on(
-    cf: &CompiledFunction,
+pub fn validate_artifact(
+    cert: &Certificate<'_>,
     artifact: &RvArtifact,
-    config: &CheckConfig,
-    inputs: &[DifferentialInput],
 ) -> Result<(), RvBackendError> {
-    let prog = program_for(cf);
-    let interp = Interpreter::new(&prog);
-    let name = &cf.function.name;
-    for input in inputs {
-        let mut st = ExecState::new(input.mem.clone());
-        let res_b =
-            interp.call_with_locals(name, &input.args, &mut st, &mut NoExternals, config.max_fuel);
+    let runs = cert.reference_runs();
+    if runs.is_empty() {
+        return Err(RvBackendError::Internal {
+            detail: "checker produced no differential inputs; refusing to validate on nothing"
+                .to_string(),
+        });
+    }
+    for reference in runs {
+        let input = &reference.input;
+        let st = &reference.state;
         let mut mem_m = input.mem.clone();
         let res_m = run_artifact(artifact, &mut mem_m, &input.args, RV_FUEL);
         if let Err(e) = &res_m {
@@ -172,7 +164,7 @@ pub fn validate_artifact_on(
                 return Err(RvBackendError::Assembly { detail: e.to_string() });
             }
         }
-        match (res_b, res_m) {
+        match (&reference.outcome, res_m) {
             // Matching faults are equivalent: the lowering may hit its
             // trap at a different point, but both executions get stuck.
             (Err(_), Err(_)) => {}
@@ -190,7 +182,7 @@ pub fn validate_artifact_on(
                 });
             }
             (Ok((rets_b, locals_b)), Ok(out)) => {
-                if rets_b != out.rets {
+                if *rets_b != out.rets {
                     return Err(RvBackendError::Diverged {
                         detail: format!(
                             "return values differ on [{}]: {rets_b:?} vs {:?}",
@@ -218,7 +210,7 @@ pub fn validate_artifact_on(
                         });
                     }
                 }
-                for (var, val) in &locals_b {
+                for (var, val) in locals_b {
                     match out.locals.get(var) {
                         Some(frame_val) if frame_val == val => {}
                         Some(frame_val) => {
@@ -243,28 +235,6 @@ pub fn validate_artifact_on(
         }
     }
     Ok(())
-}
-
-/// [`validate_artifact_on`] over freshly concretized checker inputs.
-///
-/// # Errors
-///
-/// See [`validate_artifact_on`]; additionally
-/// [`RvBackendError::Internal`] when the checker concretizes no inputs at
-/// all (validating against nothing proves nothing).
-pub fn validate_artifact(
-    cf: &CompiledFunction,
-    artifact: &RvArtifact,
-    config: &CheckConfig,
-) -> Result<(), RvBackendError> {
-    let inputs = differential_inputs(cf, config);
-    if inputs.is_empty() {
-        return Err(RvBackendError::Internal {
-            detail: "checker produced no differential inputs; refusing to validate on nothing"
-                .to_string(),
-        });
-    }
-    validate_artifact_on(cf, artifact, config, &inputs)
 }
 
 #[cfg(test)]

@@ -25,12 +25,18 @@
 //! 3. cross-checks that the decoded model and spec are structurally equal
 //!    to the *requested* ones (a fingerprint collision or a hand-edited
 //!    file thus turns into an eviction, never a wrong answer),
-//! 4. re-runs the independent checker ([`check_with`]) on the decoded
-//!    artifact — the same witness re-validation a fresh compilation gets,
+//! 4. re-runs the independent checker ([`Certificate::check_body`]) on the
+//!    decoded artifact — the same witness re-validation a fresh
+//!    compilation gets,
 //! 5. re-runs the full translation-validation stack on any stored
 //!    *optimized* body (checker against the original certificate, lint
 //!    suite, interpreter differential),
-//! 6. optionally re-runs the static-analysis lints ([`lint_on_load`]).
+//! 6. optionally re-runs the static-analysis lints ([`lint_on_load`]),
+//! 7. differentially re-validates a stored machine artifact when the
+//!    store serves one.
+//!
+//! Steps 4–7 validate their bodies against one [`Certificate`], built
+//! once per load.
 //!
 //! Any failure at any step *evicts* the artifact (the file is deleted)
 //! and reports [`LoadOutcome::Evicted`]; the caller recompiles. A decode
@@ -72,6 +78,7 @@
 //! [`Backend`]: crate::backend::Backend
 //! [`RetryPolicy`]: crate::retry::RetryPolicy
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{self, Write as _};
@@ -81,15 +88,16 @@ use std::time::{Duration, Instant};
 use crate::backend::{Backend, FsBackend};
 use crate::fingerprint::{fingerprint, Fingerprint, FingerprintInputs, FORMAT_VERSION};
 use crate::retry::{with_retry, RetryPolicy};
+use rupicola_analysis::LintCertificate;
 use rupicola_bedrock::rv_compile::RvArtifact;
 use rupicola_bedrock::serial::{decode_rv_artifact, encode_rv_artifact};
-use rupicola_core::check::{check_with, CheckConfig};
+use rupicola_core::check::{Certificate, CheckConfig};
 use rupicola_core::fnspec::FnSpec;
 use rupicola_core::serial::{decode_compiled_function, encode_compiled_function};
 use rupicola_core::{CompiledFunction, EngineLimits, HintDbs};
 use rupicola_lang::json::Json;
 use rupicola_lang::Model;
-use rupicola_opt::{validate_candidate_with_policy, PipelineConfig};
+use rupicola_opt::PipelineConfig;
 use rupicola_rv::{validate_artifact, RvPipelineConfig};
 
 /// Name of the environment variable overriding the store root.
@@ -884,8 +892,12 @@ impl Store {
         }
         // The load-bearing step: the independent checker re-validates the
         // witness and re-runs the differential test battery, exactly as it
-        // would after a fresh compilation. The cache adds no trust.
-        check_with(&cf, dbs, &self.check).map_err(|e| format!("re-check failed: {e}"))?;
+        // would after a fresh compilation. The cache adds no trust. Every
+        // step below validates a body against this one certificate.
+        let cert = Certificate::new(&cf, dbs, &self.check);
+        cert.check_body(&cf.function).map_err(|e| format!("re-check failed: {e}"))?;
+        let lint_cert = OnceCell::new();
+        let lint = || lint_cert.get_or_init(|| LintCertificate::new(&cf, Some(dbs)));
         // A stored optimized body is as untrusted as the pass that made
         // it: re-run the full translation-validation stack (checker
         // against the original certificate, lints, interpreter
@@ -895,11 +907,11 @@ impl Store {
         // too: an optimized body that regresses secret-independence under
         // the active policy is evicted, even if it is functionally sound.
         if let Some(opt) = &cf.optimized {
-            validate_candidate_with_policy(&cf, opt, dbs, &self.check, self.pipeline.ct_policy.as_ref())
+            rupicola_opt::validate(&cert, lint(), opt, self.pipeline.ct_policy.as_ref())
                 .map_err(|e| format!("optimized body failed re-validation: {e}"))?;
         }
         if self.lint_on_load {
-            let report = rupicola_analysis::analyze_with_dbs(&cf, Some(dbs));
+            let report = lint().analyze(&cf.function);
             if report.has_errors() {
                 let first = report
                     .errors()
@@ -936,7 +948,7 @@ impl Store {
                     art.name, cf.function.name
                 ));
             }
-            validate_artifact(&cf, &art, &self.check)
+            validate_artifact(&cert, &art)
                 .map_err(|e| format!("machine artifact failed re-validation: {e}"))?;
             Some(Box::new(art))
         } else {
