@@ -34,7 +34,7 @@ use crate::dataflow::{forward_solve, ForwardAnalysis, Lattice};
 use crate::{Finding, FindingKind, Pass};
 use rupicola_bedrock::cfg::{Cfg, Stmt, Terminator};
 use rupicola_bedrock::{AccessSize, BExpr, BFunction, BinOp, Cmd};
-use rupicola_core::goal::{Hyp, HypRef, StmtGoal};
+use rupicola_core::goal::{Hyp, HypContext, StmtGoal};
 use rupicola_lang::{Expr, ExprRef, Value};
 use rupicola_sep::{RegionSize, SymValue};
 use std::collections::{BTreeMap, BTreeSet};
@@ -192,7 +192,7 @@ struct FactIndex {
 }
 
 impl FactIndex {
-    fn from_hyps(hyps: &[HypRef]) -> FactIndex {
+    fn from_hyps(hyps: &HypContext) -> FactIndex {
         let mut bounds: std::collections::HashMap<u64, (u64, Option<u64>)> =
             std::collections::HashMap::new();
         let mut keys = Vec::new();
@@ -210,7 +210,7 @@ impl FactIndex {
             }
             keys.push(key);
         };
-        for h in hyps {
+        for h in hyps.iter() {
             match &h.hyp {
                 Hyp::LeU(a, b) => {
                     if let Some(k) = lit_u64(a) {
@@ -322,7 +322,7 @@ impl MemEnv {
             }
         }
         let mut count_equal = Vec::new();
-        for h in &goal.hyps {
+        for h in goal.hyps.iter() {
             if let Hyp::EqWord(a, b) = &h.hyp {
                 let find = |t: &Expr| counts.iter().position(|c| c.as_ref() == Some(t));
                 if let (Some(i), Some(j)) = (find(a), find(b)) {

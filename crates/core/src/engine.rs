@@ -24,7 +24,7 @@
 use crate::derive::{Derivation, DerivationNode, SideCondRecord};
 use crate::error::CompileError;
 use crate::fnspec::FnSpec;
-use crate::goal::{flatten_result, HypRef, RetSlot, SideCond, StmtGoal};
+use crate::goal::{flatten_result, HypContext, RetSlot, SideCond, StmtGoal};
 use crate::lemma::HintDbs;
 use crate::limits::{EngineLimits, FreshNamesExhausted, ResourceKind};
 use rupicola_bedrock::{BExpr, BFunction, BTable, Cmd};
@@ -429,8 +429,11 @@ impl<'a> Compiler<'a> {
         &mut self,
         lemma: &str,
         cond: SideCond,
-        hyps: &[HypRef],
+        hyps: &HypContext,
     ) -> Result<SideCondRecord, CompileError> {
+        // The one flat copy of the context: what every solver reads and
+        // what the record keeps.
+        let hyps = hyps.snapshot();
         for s in self.dbs.solvers() {
             if self.solver_steps >= self.limits.solver_step_budget {
                 return Err(
@@ -440,15 +443,9 @@ impl<'a> Compiler<'a> {
             self.solver_steps += 1;
             // `Ok(false)` means the solver declined; `Err(_)` means it
             // panicked — same outcome, fall through to the next solver.
-            if let Ok(true) = catch_quiet(|| s.solve(&cond, hyps)) {
+            if let Ok(true) = catch_quiet(|| s.solve(&cond, &hyps)) {
                 self.stats.side_conditions += 1;
-                // Snapshot the hypotheses for the record: shallow copies
-                // into one shared allocation.
-                return Ok(SideCondRecord {
-                    cond,
-                    solver: Cow::Borrowed(s.name()),
-                    hyps: hyps.into(),
-                });
+                return Ok(SideCondRecord { cond, solver: Cow::Borrowed(s.name()), hyps });
             }
         }
         Err(CompileError::SideCondition {

@@ -183,8 +183,7 @@ impl FnSpec {
     pub fn initial_goal(&self, model: &Model) -> Result<StmtGoal, CompileError> {
         let mut locals = SymLocals::new();
         let mut heap = SymHeap::new();
-        let mut hyps: Vec<crate::goal::HypRef> =
-            self.hints.iter().cloned().map(crate::goal::HypEntry::shared).collect();
+        let mut hyps: crate::goal::HypContext = self.hints.iter().cloned().collect();
         let mut bound: HashMap<&str, ()> = HashMap::new();
         let mut heaplet_of_param: HashMap<&str, rupicola_sep::HeapletId> = HashMap::new();
 
@@ -268,13 +267,13 @@ impl FnSpec {
 
         // Inline-table bounds are structural facts about the model.
         for t in &model.tables {
-            hyps.push(crate::goal::HypEntry::shared(Hyp::EqWord(
+            hyps.push(Hyp::EqWord(
                 Expr::ArrayLen {
                     elem: t.elem,
                     arr: Expr::Var(format!("table:{}", t.name)).boxed(),
                 },
                 Expr::Lit(Value::Word(t.len() as u64)),
-            )));
+            ));
         }
 
         Ok(StmtGoal {

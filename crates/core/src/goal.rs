@@ -11,11 +11,14 @@
 //! binding facts (`i = 0`), loop bounds (`i < length s`) and user hints
 //! (§3.4.2's "incidental properties").
 
-use rupicola_lang::intern::{name_bit, occ_bloom};
+use crate::pmap::PMap;
+use rupicola_lang::intern::structural_hash;
 use rupicola_lang::{Expr, Ident, MonadKind};
 use rupicola_sep::{HeapletId, SymHeap, SymLocals, SymValue};
 use std::fmt;
-use std::sync::Arc;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// A hypothesis: a fact about source terms known to hold at this point.
 ///
@@ -41,42 +44,59 @@ impl fmt::Display for Hyp {
     }
 }
 
-/// One entry of a goal's hypothesis snapshot: the hypothesis behind a
-/// shared pointer (so snapshotting a goal bumps a reference count per
-/// entry instead of deep-copying two term trees), plus the union of the
-/// terms' variable-occurrence blooms, computed once at construction.
-///
-/// The bloom makes [`StmtGoal::shadow`]'s "does this hypothesis mention
-/// the rebound name?" test O(1) for the common case (it does not): a
-/// clear bit proves the name occurs nowhere in either term. Equality and
-/// hashing delegate to the hypothesis itself — the bloom is derived data.
+/// One entry of a goal's hypothesis context: the hypothesis behind a
+/// shared pointer (so a context and the side-condition records that
+/// snapshot it share one copy of each term tree), plus the keys
+/// [`HypContext`]'s index files it under: one per free variable of its
+/// terms and, for an `EqWord`, one per side. The keys are computed once,
+/// when a context first files the entry, so an entry that never enters a
+/// context (one decoded from a stored artifact) never pays for them.
+/// Equality delegates to the hypothesis itself — the keys are derived
+/// data.
 #[derive(Debug)]
 pub struct HypEntry {
     /// The hypothesis.
     pub hyp: Hyp,
-    occ: u64,
+    keys: OnceLock<Box<[u64]>>,
 }
 
-/// A shared hypothesis-snapshot entry. `Vec<HypRef>` clones in one memcpy
-/// plus a reference-count bump per entry — this is what lets every
-/// `let/n` rebinding snapshot a goal with hundreds of accumulated
-/// hypotheses without an O(hyps × term-size) copy.
+/// A shared hypothesis entry. Side-condition records hold their snapshot
+/// as `Arc<[HypRef]>`, and solvers read it as `&[HypRef]`.
 pub type HypRef = Arc<HypEntry>;
 
 impl HypEntry {
-    /// Wraps a hypothesis for a goal snapshot, precomputing its
-    /// occurrence bloom.
+    /// Wraps a hypothesis for a goal context or a side-condition record.
     pub fn shared(hyp: Hyp) -> HypRef {
-        let occ = match &hyp {
-            Hyp::EqWord(a, b) | Hyp::LtU(a, b) | Hyp::LeU(a, b) => occ_bloom(a) | occ_bloom(b),
-        };
-        Arc::new(HypEntry { hyp, occ })
+        Arc::new(HypEntry { hyp, keys: OnceLock::new() })
     }
 
-    /// Whether either term *may* mention `name` (one-sided: `false` is
-    /// definitive, `true` means "check exactly").
-    pub fn may_mention(&self, name: &str) -> bool {
-        self.occ & name_bit(name) != 0
+    /// The index keys, sorted and deduplicated.
+    fn keys(&self) -> &[u64] {
+        self.keys.get_or_init(|| {
+            let (a, b) = self.hyp.terms();
+            let mut keys: Vec<u64> =
+                a.free_vars().iter().chain(&b.free_vars()).map(|n| name_key(n)).collect();
+            if let Hyp::EqWord(a, b) = &self.hyp {
+                keys.extend([side_key(a), side_key(b)]);
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            keys.into()
+        })
+    }
+
+    /// Whether either term has a free occurrence of `name`.
+    pub fn mentions(&self, name: &str) -> bool {
+        let (a, b) = self.hyp.terms();
+        a.mentions(name) || b.mentions(name)
+    }
+}
+
+impl Hyp {
+    /// The two terms the hypothesis relates.
+    pub fn terms(&self) -> (&Expr, &Expr) {
+        let (Hyp::EqWord(a, b) | Hyp::LtU(a, b) | Hyp::LeU(a, b)) = self;
+        (a, b)
     }
 }
 
@@ -91,6 +111,171 @@ impl Eq for HypEntry {}
 impl fmt::Display for HypEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.hyp.fmt(f)
+    }
+}
+
+/// The index key of a variable name: even, so no name key equals a side
+/// key. Keys are hashes; every query re-checks its candidates exactly, so
+/// a collision costs only a filtered candidate.
+fn name_key(name: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish() << 1
+}
+
+/// The index key of an equation side: odd. `Expr`'s `Hash` reads each
+/// interned subterm's cached hash, so this never walks below the top
+/// node's interned children.
+fn side_key(term: &Expr) -> u64 {
+    structural_hash(term) << 1 | 1
+}
+
+/// A goal's hypotheses: an ordered, persistent, indexed context.
+///
+/// Every compiled statement snapshots its goal, and a straight-line
+/// program adds about one hypothesis per statement, so with a flat list
+/// each snapshot, drop, rename and lookup would cost O(hypotheses) — the
+/// engine's per-statement cost would grow with the program. Here the
+/// entries live in a persistent ordered map keyed by insertion sequence
+/// number (see [`crate::pmap`]), and a second persistent map indexes them
+/// under `(key, sequence number)` for two kinds of key:
+///
+/// - **name keys**: which entries have a free occurrence of a variable —
+///   the entries [`HypContext::shadow`] must rewrite;
+/// - **side keys**: which equations have a given term as one side — the
+///   steps of `ExprLocal`'s equational chase.
+///
+/// A snapshot (`clone`) and dropping one are O(1). [`HypContext::push`]
+/// and each entry a shadow rewrites cost O(log n), and a rewritten entry
+/// keeps its sequence number, hence its position. Both queries answer in
+/// hypothesis order and re-check each candidate exactly (keys are hashes),
+/// so a lemma scanning a query's answer picks the same candidate a scan
+/// of the whole list would. The flat form is built only where a consumer
+/// reads the whole list: solver calls and the side-condition records
+/// ([`HypContext::snapshot`]).
+#[derive(Clone, Default)]
+pub struct HypContext {
+    entries: PMap<usize, HypRef>,
+    index: PMap<(u64, usize), ()>,
+    next: usize,
+}
+
+impl HypContext {
+    /// The empty context.
+    pub fn new() -> HypContext {
+        HypContext::default()
+    }
+
+    /// Number of hypotheses (entries are rewritten in place, never
+    /// removed).
+    pub fn len(&self) -> usize {
+        self.next
+    }
+
+    /// Whether there are no hypotheses.
+    pub fn is_empty(&self) -> bool {
+        self.next == 0
+    }
+
+    /// Appends a hypothesis. O(log n).
+    pub fn push(&mut self, hyp: Hyp) {
+        let seq = self.next;
+        self.next += 1;
+        self.file(seq, None, HypEntry::shared(hyp));
+    }
+
+    /// The hypotheses in order.
+    pub fn iter(&self) -> impl Iterator<Item = &HypRef> + '_ {
+        self.entries.iter().map(|(_, e)| e)
+    }
+
+    /// The hypotheses in order, as one shared slice: the form solvers
+    /// read and side-condition records keep. O(n).
+    pub fn snapshot(&self) -> Arc<[HypRef]> {
+        self.iter().cloned().collect()
+    }
+
+    /// The hypotheses with a free occurrence of `name`, in order.
+    pub fn mentioning<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a HypRef> + 'a {
+        self.keyed(name_key(name)).map(|(_, e)| e).filter(move |e| e.mentions(name))
+    }
+
+    /// The `EqWord` hypotheses with `side` as either side, in order.
+    pub fn equations_with<'a>(&'a self, side: &'a Expr) -> impl Iterator<Item = &'a HypRef> + 'a {
+        self.keyed(side_key(side))
+            .map(|(_, e)| e)
+            .filter(move |e| matches!(&e.hyp, Hyp::EqWord(a, b) if a == side || b == side))
+    }
+
+    /// Rewrites every hypothesis mentioning `name` with `replacement`
+    /// substituted for its free occurrences, in place: each rewritten
+    /// entry keeps its position. O(log n) per rewritten entry.
+    pub fn shadow(&mut self, name: &str, replacement: &Expr) {
+        let hits: Vec<(usize, HypRef)> = self
+            .keyed(name_key(name))
+            .filter(|(_, e)| e.mentions(name))
+            .map(|(seq, e)| (seq, Arc::clone(e)))
+            .collect();
+        let sub = |e: &Expr| rupicola_sep::subst(e, name, replacement);
+        for (seq, old) in hits {
+            let rewritten = HypEntry::shared(match &old.hyp {
+                Hyp::EqWord(a, b) => Hyp::EqWord(sub(a), sub(b)),
+                Hyp::LtU(a, b) => Hyp::LtU(sub(a), sub(b)),
+                Hyp::LeU(a, b) => Hyp::LeU(sub(a), sub(b)),
+            });
+            self.file(seq, Some(&old), rewritten);
+        }
+    }
+
+    /// Files `entry` under `seq`, replacing `old` (the entry there now, if
+    /// any): the entry map takes the new entry, and the index gains the
+    /// keys only the new entry has and loses those only the old one had.
+    fn file(&mut self, seq: usize, old: Option<&HypEntry>, entry: HypRef) {
+        let old_keys = old.map_or(&[][..], HypEntry::keys);
+        for k in old_keys {
+            if entry.keys().binary_search(k).is_err() {
+                self.index.remove(&(*k, seq));
+            }
+        }
+        for k in entry.keys() {
+            if old_keys.binary_search(k).is_err() {
+                self.index.insert((*k, seq), ());
+            }
+        }
+        self.entries.insert(seq, entry);
+    }
+
+    /// The entries the index files under `key`, with their sequence
+    /// numbers, in order.
+    fn keyed(&self, key: u64) -> impl Iterator<Item = (usize, &HypRef)> + '_ {
+        self.index
+            .range_from(&(key, 0))
+            .take_while(move |((k, _), _)| *k == key)
+            .filter_map(|((_, seq), _)| Some((*seq, self.entries.get(seq)?)))
+    }
+}
+
+impl FromIterator<Hyp> for HypContext {
+    fn from_iter<I: IntoIterator<Item = Hyp>>(iter: I) -> HypContext {
+        let mut ctx = HypContext::new();
+        for h in iter {
+            ctx.push(h);
+        }
+        ctx
+    }
+}
+
+impl PartialEq for HypContext {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for HypContext {}
+
+impl fmt::Debug for HypContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -280,9 +465,9 @@ pub struct StmtGoal {
     pub locals: SymLocals,
     /// Symbolic heap (separation-logic context).
     pub heap: SymHeap,
-    /// Hypotheses available to side-condition solvers, as shared
-    /// snapshot entries (see [`HypEntry`]).
-    pub hyps: Vec<HypRef>,
+    /// Hypotheses available to side-condition solvers (see
+    /// [`HypContext`]).
+    pub hyps: HypContext,
     /// The ambient monad.
     pub monad: MonadCtx,
     /// Result slots.
@@ -303,11 +488,11 @@ impl StmtGoal {
     /// pattern).
     pub fn shadow(&mut self, name: &str, ghost: &str) {
         let replacement = Expr::Var(ghost.to_string());
-        let sub = |e: &Expr| rupicola_sep::subst(e, name, &replacement);
-        let names: Vec<String> = self.locals.iter().map(|(n, _)| n.to_string()).collect();
-        for n in names {
-            if let Some(SymValue::Scalar(k, term)) = self.locals.get(&n).cloned() {
-                self.locals.set(n, SymValue::Scalar(k, sub(&term)));
+        for v in self.locals.values_mut() {
+            if let SymValue::Scalar(_, term) = v {
+                if term.mentions(name) {
+                    *term = rupicola_sep::subst(term, name, &replacement);
+                }
             }
         }
         let ids: Vec<HeapletId> = self.heap.iter().map(|(id, _)| id).collect();
@@ -319,31 +504,19 @@ impl StmtGoal {
                 }
             }
         }
-        for h in &mut self.hyps {
-            // Bloom gate: most hypotheses do not mention the rebound name
-            // (a straight-line program accumulates one equation per past
-            // statement, almost all about other names), and a clear bit
-            // proves it without walking either term.
-            if !h.may_mention(name) {
-                continue;
-            }
-            let rewritten = match &h.hyp {
-                Hyp::EqWord(a, b) => Hyp::EqWord(sub(a), sub(b)),
-                Hyp::LtU(a, b) => Hyp::LtU(sub(a), sub(b)),
-                Hyp::LeU(a, b) => Hyp::LeU(sub(a), sub(b)),
-            };
-            *h = HypEntry::shared(rewritten);
-        }
+        self.hyps.shadow(name, &replacement);
     }
 
-    /// Appends a hypothesis to the snapshot.
+    /// Appends a hypothesis to the context.
     pub fn push_hyp(&mut self, h: Hyp) {
-        self.hyps.push(HypEntry::shared(h));
+        self.hyps.push(h);
     }
 
-    /// Appends every hypothesis in `hyps` to the snapshot.
+    /// Appends every hypothesis in `hyps` to the context.
     pub fn extend_hyps<I: IntoIterator<Item = Hyp>>(&mut self, hyps: I) {
-        self.hyps.extend(hyps.into_iter().map(HypEntry::shared));
+        for h in hyps {
+            self.hyps.push(h);
+        }
     }
 
     /// The `(name, definition)` evaluation prefix (see the `defs` field).
@@ -397,7 +570,7 @@ mod tests {
             prog: var("acc"),
             locals,
             heap: SymHeap::new(),
-            hyps: vec![HypEntry::shared(Hyp::EqWord(var("acc"), word_lit(0)))],
+            hyps: [Hyp::EqWord(var("acc"), word_lit(0))].into_iter().collect(),
             monad: MonadCtx::Pure,
             post: Post::default(),
             defs: vec![("acc".to_string(), word_lit(0))].into(),
@@ -410,7 +583,7 @@ mod tests {
         g.shadow("acc", "acc'0");
         let (term, _) = g.locals.get("acc").unwrap().scalar_term().unwrap();
         assert_eq!(term, &var("acc'0"));
-        assert_eq!(g.hyps[0].hyp, Hyp::EqWord(var("acc'0"), word_lit(0)));
+        assert_eq!(g.hyps.iter().next().unwrap().hyp, Hyp::EqWord(var("acc'0"), word_lit(0)));
         assert_eq!(g.prog, var("acc")); // program text untouched
     }
 
@@ -427,6 +600,34 @@ mod tests {
         let (_, h) = g.heap.iter().next().unwrap();
         assert_eq!(h.content, array_put_b(var("s'1"), word_lit(0), byte_lit(1)));
         assert_eq!(h.len, Some(array_len_b(var("s'1"))));
+    }
+
+    #[test]
+    fn shadow_keeps_a_rewritten_entry_in_place() {
+        let mut g = goal_with_acc();
+        g.push_hyp(Hyp::LtU(var("i"), var("n")));
+        g.push_hyp(Hyp::LeU(var("acc"), var("n")));
+        let before = g.clone();
+        // `acc = 0` (first) and `acc ≤ n` (last) mention `acc`; the middle
+        // entry does not and must stay shared, not re-created.
+        g.shadow("acc", "acc'0");
+        let hyps: Vec<Hyp> = g.hyps.iter().map(|h| h.hyp.clone()).collect();
+        assert_eq!(
+            hyps,
+            vec![
+                Hyp::EqWord(var("acc'0"), word_lit(0)),
+                Hyp::LtU(var("i"), var("n")),
+                Hyp::LeU(var("acc'0"), var("n")),
+            ]
+        );
+        let middle = |g: &StmtGoal| Arc::clone(g.hyps.iter().nth(1).unwrap());
+        assert!(Arc::ptr_eq(&middle(&g), &middle(&before)));
+        // The snapshot taken before the shadow still reads the old names.
+        assert_eq!(before.hyps.iter().next().unwrap().hyp, Hyp::EqWord(var("acc"), word_lit(0)));
+        assert_eq!(g.hyps.mentioning("acc").count(), 0);
+        assert_eq!(g.hyps.mentioning("acc'0").count(), 2);
+        assert_eq!(g.hyps.mentioning("n").count(), 2);
+        assert_eq!(g.hyps.snapshot().len(), 3);
     }
 
     #[test]
@@ -460,3 +661,4 @@ mod tests {
         assert!(shown.contains("acc = 0"));
     }
 }
+

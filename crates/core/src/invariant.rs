@@ -233,7 +233,7 @@ mod tests {
             prog: var("c"),
             locals,
             heap,
-            hyps: vec![],
+            hyps: Default::default(),
             monad: MonadCtx::Pure,
             post: Post::default(),
             defs: Default::default(),

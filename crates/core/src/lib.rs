@@ -58,11 +58,14 @@ pub mod goal;
 pub mod invariant;
 pub mod lemma;
 pub mod limits;
+mod pmap;
 pub mod serial;
 pub mod solver;
 
 pub use engine::{catch_quiet, compile, compile_with_limits, CompileStats, CompiledFunction, Compiler};
 pub use error::CompileError;
 pub use limits::{EngineLimits, ResourceKind};
-pub use goal::{DefChain, Hyp, HypEntry, HypRef, MonadCtx, Post, RetSlot, SideCond, StmtGoal};
+pub use goal::{
+    DefChain, Hyp, HypContext, HypEntry, HypRef, MonadCtx, Post, RetSlot, SideCond, StmtGoal,
+};
 pub use lemma::{Applied, AppliedExpr, ExprLemma, HintDbs, StmtLemma};

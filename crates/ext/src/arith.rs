@@ -52,7 +52,9 @@ impl ExprLemma for ExprLocal {
         // Chase the terms equal to `term` under the equational hypotheses,
         // breadth first, bounded. The frontier holds *borrowed* terms —
         // `term` itself, then sides of `EqWord` hypotheses — so the common
-        // case (hit or miss with no chase) allocates nothing.
+        // case (hit or miss with no chase) allocates nothing. Each step
+        // asks the context's side index for the equations with `cur` as a
+        // side, in hypothesis order, instead of scanning every hypothesis.
         let mut candidates: Vec<&Expr> = vec![term];
         let mut i = 0;
         while i < candidates.len() && candidates.len() < 16 {
@@ -75,7 +77,7 @@ impl ExprLemma for ExprLocal {
                     }
                 }
             }
-            for h in &goal.hyps {
+            for h in goal.hyps.equations_with(cur) {
                 if let rupicola_core::Hyp::EqWord(a, b) = &h.hyp {
                     if a == cur && !candidates.contains(&b) {
                         candidates.push(b);
@@ -339,7 +341,7 @@ mod tests {
             prog: word_lit(0),
             locals: l,
             heap: SymHeap::new(),
-            hyps: vec![],
+            hyps: Default::default(),
             monad: MonadCtx::Pure,
             post: Post::default(),
             defs: Default::default(),
@@ -364,6 +366,27 @@ mod tests {
         let mut goal = goal_with(&[("len", ScalarKind::Word, array_len_b(var("s'0")))]);
         goal.push_hyp(Hyp::EqWord(array_len_b(var("s")), array_len_b(var("s'0"))));
         assert_eq!(compile(&array_len_b(var("s")), &goal).unwrap(), BExpr::var("len"));
+    }
+
+    #[test]
+    fn chase_takes_the_first_equation_in_hypothesis_order() {
+        // Both `t = q` and `t = p` lead to a live local; the chase must
+        // follow the earlier hypothesis, as a scan of the list would.
+        // The first equation starts as `t = x` and is rewritten to `t = q`
+        // by a shadow *after* `t = p` was pushed: a rewritten entry keeps
+        // its position, so it still comes first.
+        let mut goal = goal_with(&[("a", ScalarKind::Word, var("p"))]);
+        goal.push_hyp(Hyp::EqWord(var("t"), var("x")));
+        goal.push_hyp(Hyp::EqWord(var("t"), var("p")));
+        goal.shadow("x", "q");
+        goal.locals.set("b".to_string(), SymValue::Scalar(ScalarKind::Word, var("q")));
+        assert_eq!(compile(&var("t"), &goal).unwrap(), BExpr::var("b"));
+
+        let mut flipped = goal_with(&[("a", ScalarKind::Word, var("p"))]);
+        flipped.push_hyp(Hyp::EqWord(var("p"), var("t")));
+        flipped.push_hyp(Hyp::EqWord(var("q"), var("t")));
+        flipped.locals.set("b".to_string(), SymValue::Scalar(ScalarKind::Word, var("q")));
+        assert_eq!(compile(&var("t"), &flipped).unwrap(), BExpr::var("a"));
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl CompileCopyScalar {
 /// the same fact as a spec hint).
 fn constant_len(goal: &StmtGoal, elem: ElemKind, arr: &Expr) -> Option<u64> {
     let len_term = Expr::ArrayLen { elem, arr: arr.clone().boxed() };
-    let reduced = rewrite(&len_term, &goal.hyps, 8);
+    let reduced = rewrite(&len_term, &goal.hyps.snapshot(), 8);
     let lin = linearize(&reduced);
     lin.as_constant().and_then(|c| u64::try_from(c).ok())
 }

@@ -228,7 +228,7 @@ mod tests {
             prog: var("s"),
             locals,
             heap,
-            hyps: vec![],
+            hyps: Default::default(),
             monad: MonadCtx::Pure,
             post: Post::default(),
             defs: Default::default(),

@@ -63,7 +63,7 @@ use rupicola_core::CompiledFunction;
 use std::cell::OnceCell;
 use std::fmt;
 
-pub use validate::{validate, validate_candidate_with_policy};
+pub use validate::{validate, validate_candidate_with_policy, CtBaseline};
 
 use rupicola_analysis::{LintCertificate, SecrecyPolicy};
 
@@ -322,8 +322,9 @@ pub fn optimize_compiled(
 ) -> PipelineReport {
     let mut current = cf.function.clone();
     let mut report = PipelineReport::default();
-    // Every candidate is validated against the same certificate, built on
-    // the first candidate: a program no pass rewrites builds none.
+    // Every candidate is validated against the same certificates and CT
+    // baseline, built on the first candidate: a program no pass rewrites
+    // builds none.
     let certified: &CompiledFunction = cf;
     let certs = OnceCell::new();
 
@@ -359,10 +360,14 @@ pub fn optimize_compiled(
             });
             continue;
         }
-        let (cert, lint) = certs.get_or_init(|| {
-            (Certificate::new(certified, dbs, config), LintCertificate::new(certified, Some(dbs)))
+        let (cert, lint, ct) = certs.get_or_init(|| {
+            (
+                Certificate::new(certified, dbs, config),
+                LintCertificate::new(certified, Some(dbs)),
+                CtBaseline::new(certified, pipeline.ct_policy.as_ref()),
+            )
         });
-        match validate::validate(cert, lint, &outcome.function, pipeline.ct_policy.as_ref()) {
+        match validate::validate(cert, lint, &outcome.function, ct) {
             Ok(()) => {
                 current = outcome.function;
                 report.passes.push(PassReport {

@@ -29,16 +29,35 @@ pub fn validate_candidate_with_policy(
     policy: Option<&SecrecyPolicy>,
 ) -> Result<(), OptError> {
     let cert = Certificate::new(cf, dbs, config);
-    validate(&cert, &LintCertificate::new(cf, Some(dbs)), candidate, policy)
+    validate(&cert, &LintCertificate::new(cf, Some(dbs)), candidate, &CtBaseline::new(cf, policy))
+}
+
+/// Validation layer 4's reference side, decided once per certified
+/// function: the [`SecrecyPolicy`] a candidate must be CT-clean under,
+/// which is the configured policy when the certified body is itself clean
+/// under it, and none otherwise (no policy configured, or a body that was
+/// already dirty: the layer gates regressions, not pre-existing findings).
+#[derive(Debug, Clone, Copy)]
+pub struct CtBaseline<'p> {
+    gate: Option<&'p SecrecyPolicy>,
+}
+
+impl<'p> CtBaseline<'p> {
+    /// Runs the CT analysis on `cf`'s certified body under `policy`, once.
+    pub fn new(cf: &CompiledFunction, policy: Option<&'p SecrecyPolicy>) -> CtBaseline<'p> {
+        let gate = policy.filter(|p| ct::run_function(&cf.function, &cf.spec, p).is_empty());
+        CtBaseline { gate }
+    }
 }
 
 /// Validates `candidate` as a replacement body for the certified function
-/// of `cert` (whose lint certificate is `lint`): the trusted checker's
-/// body phase, the lint suite, and the interpreter differential against
-/// the certified body's reference runs.
+/// of `cert` (whose lint certificate is `lint`, and CT baseline `ct`): the
+/// trusted checker's body phase, the lint suite, and the interpreter
+/// differential against the certified body's reference runs.
 ///
 /// With a [`SecrecyPolicy`], a fourth layer applies: when the **original**
-/// certified body is CT-clean under it, the candidate must be too. A
+/// certified body is CT-clean under it (see [`CtBaseline`]), the
+/// candidate must be too. A
 /// candidate that introduces a secret-dependent branch, memory address, or
 /// variable-latency operand is rejected with [`OptError::CtRegressed`] —
 /// functional equivalence (layers 1–3) is deliberately not enough, since
@@ -57,7 +76,7 @@ pub fn validate(
     cert: &Certificate<'_>,
     lint: &LintCertificate<'_>,
     candidate: &BFunction,
-    policy: Option<&SecrecyPolicy>,
+    ct: &CtBaseline<'_>,
 ) -> Result<(), OptError> {
     let cf = cert.compiled();
 
@@ -86,18 +105,15 @@ pub fn validate(
     differential(cert, candidate)?;
 
     // Layer 4: secret-independence. Only a *regression* is a failure.
-    if let Some(policy) = policy {
-        let orig_findings = ct::run_function(&cf.function, &cf.spec, policy);
-        if orig_findings.is_empty() {
-            let cand_findings = ct::run_function(candidate, &cf.spec, policy);
-            if !cand_findings.is_empty() {
-                let detail = cand_findings
-                    .iter()
-                    .map(std::string::ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(OptError::CtRegressed { detail });
-            }
+    if let Some(policy) = ct.gate {
+        let cand_findings = ct::run_function(candidate, &cf.spec, policy);
+        if !cand_findings.is_empty() {
+            let detail = cand_findings
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("; ");
+            return Err(OptError::CtRegressed { detail });
         }
     }
     Ok(())

@@ -10,8 +10,10 @@
 //!    locals — layers 1–3 accept it — but the policy-aware validator
 //!    rejects it with a typed [`OptError::CtRegressed`] and the pipeline
 //!    rolls it back.
-//! 3. **The layer gates regressions, not pre-existing findings**: with no
-//!    policy attached, behavior is exactly the old three-layer stack.
+//! 3. **The layer gates regressions, not pre-existing findings**: a
+//!    certified body that is already dirty under the policy gates
+//!    nothing, and with no policy attached, behavior is exactly the old
+//!    three-layer stack.
 
 use rupicola_analysis::{ct, SecrecyPolicy};
 use rupicola_core::check::CheckConfig;
@@ -86,6 +88,22 @@ fn backwards_if_conversion_is_killed_by_layer_4_alone() {
             other => panic!("{name}: expected CtRegressed, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn an_already_dirty_certified_body_gates_nothing() {
+    // Certify the leaky body itself: layer 4's baseline is then dirty, so
+    // a candidate with the same findings is not a regression.
+    let dbs = standard_dbs();
+    let config = CheckConfig::default();
+    let e = &ct_suite()[1];
+    let policy = policy_of(e.secret_params);
+    let mut cf = (e.entry.compiled)().expect("compiles");
+    let leaky = CtPassMutant::IfConvertBackwards.apply(&cf.function).expect("site");
+    assert!(!ct::run_function(&leaky, &cf.spec, &policy).is_empty());
+    cf.function = leaky.clone();
+    let verdict = validate_candidate_with_policy(&cf, &leaky, &dbs, &config, Some(&policy));
+    assert_eq!(verdict, Ok(()));
 }
 
 #[test]

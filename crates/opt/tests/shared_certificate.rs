@@ -1,9 +1,9 @@
 //! One certificate, many candidates.
 //!
-//! `optimize_compiled` builds the checker's and the lint's certificates
-//! once per function and validates every candidate against them. These
-//! tests pin that sharing to the one-shot validator, which builds fresh
-//! certificates for each candidate: over every perf-suite and CT-suite
+//! `optimize_compiled` builds the checker's and the lint's certificates and
+//! the CT baseline once per function and validates every candidate
+//! against them. These tests pin that sharing to the one-shot validator,
+//! which builds them fresh for each candidate: over every perf-suite and CT-suite
 //! program, the pipeline reports must be equal (error details included),
 //! and every seeded pass mutant must get the same verdict from the shared
 //! certificates as from fresh ones — failing bodies interleaved with
@@ -16,8 +16,8 @@ use rupicola_core::{CompiledFunction, HintDbs};
 use rupicola_ext::standard_dbs;
 use rupicola_opt::mutants::{CtPassMutant, PassMutant};
 use rupicola_opt::{
-    optimize_compiled, run_pass, validate, validate_candidate_with_policy, PassReport,
-    PipelineConfig, PipelineReport,
+    optimize_compiled, run_pass, validate, validate_candidate_with_policy, CtBaseline,
+    PassReport, PipelineConfig, PipelineReport,
 };
 use rupicola_programs::parallel::on_deep_stack;
 use rupicola_programs::{ct_suite, perf_suite};
@@ -111,6 +111,7 @@ fn mutant_verdicts_equal() {
         let policy = pipeline.ct_policy.as_ref();
         let cert = Certificate::new(&cf, &dbs, &config);
         let lint = LintCertificate::new(&cf, Some(&dbs));
+        let ct = CtBaseline::new(&cf, policy);
         let mutants = PassMutant::ALL
             .iter()
             .map(|m| (m.name(), m.apply(&cf.function)))
@@ -120,7 +121,7 @@ fn mutant_verdicts_equal() {
             // The certified body after each mutant, against the same certificates.
             let bodies: [(&str, &BFunction); 2] = [(mutant, &broken), ("certified", &cf.function)];
             for (what, body) in bodies {
-                let shared = validate(&cert, &lint, body, policy);
+                let shared = validate(&cert, &lint, body, &ct);
                 let fresh = validate_candidate_with_policy(&cf, body, &dbs, &config, policy);
                 assert_eq!(shared, fresh, "{name}: {what}");
                 killed += usize::from(shared.is_err());

@@ -75,13 +75,20 @@ fn quarter_round(a: usize, b: usize, c: usize, d: usize, rest: Expr) -> Expr {
     step(a, b, d, 16, step(c, d, b, 12, step(a, b, d, 8, step(c, d, b, 7, rest))))
 }
 
-/// The functional model.
+/// The functional model: ten double rounds ([`model_with_rounds`]).
 pub fn model() -> Model {
+    model_with_rounds(10)
+}
+
+/// The block function with `double_rounds` double rounds instead of ten:
+/// the same let-spine shape at 33 + 64·`double_rounds` statements, which
+/// is what `speed`'s compile-time scaling series sweeps.
+pub fn model_with_rounds(double_rounds: usize) -> Model {
     // model-begin
     // chacha20_block st :=
     //   let/n x0 := st[0] in … let/n x15 := st[15] in
-    //   (ten double rounds, each: QR on the four columns then the four
-    //    diagonals — 80 quarter-rounds, unrolled)
+    //   (double_rounds double rounds, each: QR on the four columns then
+    //    the four diagonals — 8 quarter-rounds per double round, unrolled)
     //   let/n st := st[0 := x0 + st[0]] in … st[15 := x15 + st[15]] in st
     let mut body = var("st");
     for i in (0..16).rev() {
@@ -95,7 +102,7 @@ pub fn model() -> Model {
             body,
         );
     }
-    for _ in 0..10 {
+    for _ in 0..double_rounds {
         for &(a, b, c, d) in QUARTER_ROUNDS.iter().rev() {
             body = quarter_round(a, b, c, d, body);
         }

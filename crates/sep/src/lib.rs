@@ -342,6 +342,11 @@ impl SymLocals {
         self.entries.iter().map(|(n, v)| (n.as_str(), v))
     }
 
+    /// The bound values, mutably, in insertion order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut SymValue> {
+        self.entries.iter_mut().map(|(_, v)| v)
+    }
+
     /// Number of bindings.
     pub fn len(&self) -> usize {
         self.entries.len()

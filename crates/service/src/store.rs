@@ -907,7 +907,8 @@ impl Store {
         // too: an optimized body that regresses secret-independence under
         // the active policy is evicted, even if it is functionally sound.
         if let Some(opt) = &cf.optimized {
-            rupicola_opt::validate(&cert, lint(), opt, self.pipeline.ct_policy.as_ref())
+            let ct = rupicola_opt::CtBaseline::new(&cf, self.pipeline.ct_policy.as_ref());
+            rupicola_opt::validate(&cert, lint(), opt, &ct)
                 .map_err(|e| format!("optimized body failed re-validation: {e}"))?;
         }
         if self.lint_on_load {

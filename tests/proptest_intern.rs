@@ -8,10 +8,17 @@
 //! hypothesis snapshots compare `Hyp`s by interned id, the linear
 //! solver keys atoms by id, and `DESIGN.md` §16's soundness argument is
 //! exactly "id equality ⟺ structural equality among live refs".
+//!
+//! The last property pins the engine's persistent hypothesis context
+//! (`HypContext`) to the flat list it replaces: random pushes, shadows and
+//! snapshots must leave it, its two indexes, and every earlier snapshot
+//! exactly where a `Vec<HypRef>` reference model says.
 
+use rupicola::core::{Hyp, HypContext, HypEntry, HypRef};
 use rupicola::lang::codec::{decode_expr, encode_expr};
 use rupicola::lang::dsl::*;
 use rupicola::lang::{Expr, ExprRef};
+use rupicola::sep::subst;
 use rupicola_minicheck::{check, Rng};
 
 /// A random expression drawing from every scalar constructor family plus
@@ -129,5 +136,102 @@ fn ids_are_stable_while_a_ref_is_live() {
             let _ = ExprRef::new(arb_expr(rng, 3));
         }
         assert_eq!(ExprRef::new(e).id(), id);
+    });
+}
+
+/// A random hypothesis: usually an equation, often with a bare variable
+/// side (the shape a `let/n` rebinding records), sometimes an inequality.
+fn arb_hyp(rng: &mut Rng, names: &[String]) -> Hyp {
+    let term = |rng: &mut Rng| {
+        if rng.below(3) == 0 {
+            var(names[rng.below(names.len() as u64) as usize].clone())
+        } else {
+            arb_expr(rng, 2)
+        }
+    };
+    let (a, b) = (term(rng), term(rng));
+    match rng.below(5) {
+        0 => Hyp::LtU(a, b),
+        1 => Hyp::LeU(a, b),
+        _ => Hyp::EqWord(a, b),
+    }
+}
+
+fn hyps_of<'a>(entries: impl Iterator<Item = &'a HypRef>) -> Vec<Hyp> {
+    entries.map(|e| e.hyp.clone()).collect()
+}
+
+#[test]
+fn hyp_context_matches_a_flat_list() {
+    check("hyp_context_vs_vec", 150, |rng| {
+        let mut names: Vec<String> =
+            ["v0", "v1", "v2", "v3", "s", "x0"].map(String::from).to_vec();
+        let mut ctx = HypContext::new();
+        let mut model: Vec<HypRef> = Vec::new();
+        let mut snapshots: Vec<(HypContext, Vec<Hyp>)> = Vec::new();
+        for step in 0..48 {
+            match rng.below(5) {
+                0..=2 => {
+                    let h = arb_hyp(rng, &names);
+                    ctx.push(h.clone());
+                    model.push(HypEntry::shared(h));
+                }
+                3 => {
+                    let name = names[rng.below(names.len() as u64) as usize].clone();
+                    let ghost = format!("{name}'{step}");
+                    let replacement = var(ghost.clone());
+                    ctx.shadow(&name, &replacement);
+                    for e in &mut model {
+                        let (a, b) = e.hyp.terms();
+                        if a.mentions(&name) || b.mentions(&name) {
+                            let a = subst(a, &name, &replacement);
+                            let b = subst(b, &name, &replacement);
+                            *e = HypEntry::shared(match &e.hyp {
+                                Hyp::EqWord(..) => Hyp::EqWord(a, b),
+                                Hyp::LtU(..) => Hyp::LtU(a, b),
+                                Hyp::LeU(..) => Hyp::LeU(a, b),
+                            });
+                        }
+                    }
+                    names.push(ghost);
+                }
+                _ => snapshots.push((ctx.clone(), hyps_of(model.iter()))),
+            }
+
+            // The materialized list, both ways, is the model's, in order.
+            assert_eq!(ctx.len(), model.len());
+            assert_eq!(hyps_of(ctx.iter()), hyps_of(model.iter()));
+            assert_eq!(hyps_of(ctx.snapshot().iter()), hyps_of(model.iter()));
+
+            // The name index answers exactly what a scan finds, in order.
+            for n in &names {
+                let scan = model.iter().filter(|e| {
+                    let (a, b) = e.hyp.terms();
+                    a.mentions(n) || b.mentions(n)
+                });
+                assert_eq!(hyps_of(ctx.mentioning(n)), hyps_of(scan), "mentioning {n}");
+            }
+
+            // So does the side index, for every side present and a few
+            // absent terms.
+            let mut probes: Vec<Expr> = model
+                .iter()
+                .flat_map(|e| {
+                    let (a, b) = e.hyp.terms();
+                    [a.clone(), b.clone()]
+                })
+                .collect();
+            probes.push(arb_expr(rng, 2));
+            for t in &probes {
+                let scan = model
+                    .iter()
+                    .filter(|e| matches!(&e.hyp, Hyp::EqWord(a, b) if a == t || b == t));
+                assert_eq!(hyps_of(ctx.equations_with(t)), hyps_of(scan), "equations with {t}");
+            }
+        }
+        // Every snapshot is untouched by the pushes and shadows after it.
+        for (snap, expected) in &snapshots {
+            assert_eq!(&hyps_of(snap.iter()), expected);
+        }
     });
 }
