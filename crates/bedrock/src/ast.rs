@@ -181,6 +181,17 @@ impl BExpr {
         out
     }
 
+    /// Whether this expression reads the variable `name` (allocation-free
+    /// [`BExpr::vars`] membership).
+    pub fn mentions(&self, name: &str) -> bool {
+        match self {
+            BExpr::Lit(_) => false,
+            BExpr::Var(v) => v == name,
+            BExpr::Load(_, e) | BExpr::InlineTable { index: e, .. } => e.mentions(name),
+            BExpr::Op(_, a, b) => a.mentions(name) || b.mentions(name),
+        }
+    }
+
     fn vars_into(&self, out: &mut Vec<String>) {
         match self {
             BExpr::Lit(_) => {}
@@ -483,6 +494,10 @@ mod tests {
             BExpr::op(BinOp::Mul, BExpr::var("x"), BExpr::var("y")),
         );
         assert_eq!(e.vars(), vec!["x".to_string(), "y".to_string()]);
+        let e = BExpr::load(AccessSize::One, BExpr::table(AccessSize::One, "t", e));
+        for name in ["x", "y", "t", "z"] {
+            assert_eq!(e.mentions(name), e.vars().iter().any(|v| v == name), "{name}");
+        }
     }
 
     #[test]

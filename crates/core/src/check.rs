@@ -16,9 +16,10 @@
 //!    contents.
 //! 3. **Invariants**: the loop invariants inferred by §3.4.2's heuristic are
 //!    evaluated *at every loop head* of the real execution, via the
-//!    interpreter's loop hook: the checker recomputes the closed-form
-//!    partial-execution term for the current iteration count and compares
-//!    it against actual locals and memory.
+//!    interpreter's loop hook: the checker extends the closed-form
+//!    partial-execution term to the current iteration count, one model
+//!    step per loop iteration, and compares it against actual locals and
+//!    memory.
 //!
 //! A check runs in two phases. The **certificate phase**
 //! ([`Certificate`]) computes everything that depends only on the model,
@@ -455,14 +456,13 @@ impl<'a> Certificate<'a> {
                         input: self.input_words.iter().copied().collect(),
                         externs: config.externs.clone(),
                     };
-                    let mut hook = InvariantHook {
+                    let mut hook = InvariantHook::new(
+                        &body.name,
                         invariants,
-                        model: &cf.model,
-                        params: &cf.model.params,
-                        values: &vector.values,
-                        externs: &config.externs,
-                        checks: 0,
-                    };
+                        &cf.model,
+                        &vector.values,
+                        &config.externs,
+                    );
                     let rets = if config.check_invariants {
                         interp.call_with_hook(
                             &body.name,
@@ -1095,144 +1095,249 @@ fn generate_vectors(spec: &FnSpec, model: &Model, config: &CheckConfig) -> Vec<V
     out
 }
 
-/// The loop-head invariant checker.
+/// The loop-head invariant checker for one target run of the body under
+/// test.
+///
+/// Each invariant's model-side fold is replayed *incrementally*: the hook
+/// keeps a [`Replay`] per invariant and, at a loop head with counter `i`,
+/// extends it from the iteration it reached to `i`. A replay to `i` is the
+/// replay to `k` followed by steps `k..i` — the same deterministic `eval`s
+/// on the same environment and world — so every verdict equals that of a
+/// from-scratch replay, at one model step per loop iteration instead of
+/// `i` per head. A counter below the one reached (a second call of the
+/// loop, an inner loop restarting) starts the replay over.
 struct InvariantHook<'a> {
+    /// The body under test: loop heads of linked callees are not its
+    /// loops, whatever their conditions mention.
+    function: &'a str,
     invariants: &'a [LoopInvariant],
     model: &'a Model,
-    params: &'a [Ident],
     values: &'a [Value],
     externs: &'a ExternRegistry,
+    /// Per invariant, the replay reached in this run; `None` before its
+    /// first loop head and after a failed one.
+    replays: Vec<Option<Replay>>,
     checks: usize,
+    /// Fold-body evaluations performed (the replay's cost).
+    #[cfg(test)]
+    steps: usize,
 }
 
-impl InvariantHook<'_> {
-    fn base_env(&self, inv: &LoopInvariant, world: &mut World) -> Result<Env, String> {
-        let mut env: Env = self.params.iter().cloned().zip(self.values.iter().cloned()).collect();
+/// One invariant's model-side fold, replayed up to iteration `k`.
+struct Replay {
+    /// The prefix bindings' environment; the fold binds its names here.
+    env: Env,
+    world: World,
+    /// The evaluated array term of `ArrayFoldScalar` (`Unit` otherwise).
+    arr: Value,
+    /// The accumulator (scalar kinds) or the expected array.
+    acc: Value,
+    /// The array term's length (`Array*` kinds): it bounds the counter.
+    len: Option<usize>,
+    /// The first iteration: 0 for `Array*` kinds, the evaluated `from`
+    /// for range kinds.
+    lo: u64,
+    /// The iteration reached, `lo <= k`.
+    k: u64,
+}
+
+impl<'a> InvariantHook<'a> {
+    fn new(
+        function: &'a str,
+        invariants: &'a [LoopInvariant],
+        model: &'a Model,
+        values: &'a [Value],
+        externs: &'a ExternRegistry,
+    ) -> Self {
+        InvariantHook {
+            function,
+            invariants,
+            model,
+            values,
+            externs,
+            replays: invariants.iter().map(|_| None).collect(),
+            checks: 0,
+            #[cfg(test)]
+            steps: 0,
+        }
+    }
+
+    /// A fresh replay of `inv` at its first iteration: the prefix
+    /// bindings, then the array term (`Array*` kinds, whose length must
+    /// admit counter `i`) or the loop start, then the initial accumulator.
+    fn start(&mut self, inv: &LoopInvariant, i: u64) -> Result<Replay, String> {
+        let tables = &self.model.tables;
+        let mut world = World { externs: self.externs.clone(), ..World::default() };
+        let mut env: Env =
+            self.model.params.iter().cloned().zip(self.values.iter().cloned()).collect();
         for (name, def) in &inv.bindings {
-            let v = eval(def, &mut env, &self.model.tables, world)
+            let v = eval(def, &mut env, tables, &mut world)
                 .map_err(|e| format!("binding `{name}`: {e}"))?;
             env.insert(name.clone(), v);
         }
-        Ok(env)
+        self.checks += 1;
+        let (arr, len, lo) = match &inv.kind {
+            LoopInvariantKind::ArrayMapInPlace { arr, .. }
+            | LoopInvariantKind::ArrayFoldScalar { arr, .. } => {
+                let arr = eval(arr, &mut env, tables, &mut world)
+                    .map_err(|e| format!("invariant array term: {e}"))?;
+                let len = arr.list_len().ok_or("invariant array term is not a list")?;
+                counter_within(i, len)?;
+                (arr, Some(len), 0)
+            }
+            LoopInvariantKind::RangeFoldArrayPut { from, .. }
+            | LoopInvariantKind::RangeFoldScalar { from, .. } => {
+                let lo = eval(from, &mut env, tables, &mut world)
+                    .ok()
+                    .and_then(|v| v.to_scalar_word())
+                    .ok_or("invariant `from` term not scalar")?;
+                (Value::Unit, None, lo)
+            }
+        };
+        let (arr, acc) = match &inv.kind {
+            LoopInvariantKind::ArrayMapInPlace { .. } => (Value::Unit, arr),
+            LoopInvariantKind::ArrayFoldScalar { init, .. }
+            | LoopInvariantKind::RangeFoldArrayPut { init, .. }
+            | LoopInvariantKind::RangeFoldScalar { init, .. } => {
+                let acc = eval(init, &mut env, tables, &mut world)
+                    .map_err(|e| format!("invariant init: {e}"))?;
+                (arr, acc)
+            }
+        };
+        Ok(Replay { env, world, arr, acc, len, lo, k: lo })
+    }
+
+    /// Extends `r` from iteration `r.k` to `to` (nothing when `to <= r.k`),
+    /// one fold-body evaluation per iteration.
+    fn advance(&mut self, r: &mut Replay, kind: &LoopInvariantKind, to: u64) -> Result<(), String> {
+        let tables = &self.model.tables;
+        let Replay { env, world, arr, acc: accv, k, .. } = r;
+        while *k < to {
+            #[cfg(test)]
+            {
+                self.steps += 1;
+            }
+            let idx = *k as usize;
+            let prev = std::mem::replace(accv, Value::Unit);
+            *accv = match kind {
+                LoopInvariantKind::ArrayMapInPlace { x, f, .. } => {
+                    let xv = prev
+                        .list_get(idx)
+                        .ok_or_else(|| format!("invariant element {idx} out of range"))?;
+                    env.insert(x.clone(), xv);
+                    let fx = eval(f, env, tables, world)
+                        .map_err(|e| format!("invariant map body: {e}"))?;
+                    put_elem(prev, idx, &fx)?
+                }
+                LoopInvariantKind::ArrayFoldScalar { acc, x, f, .. } => {
+                    env.insert(acc.clone(), prev);
+                    let xv = arr
+                        .list_get(idx)
+                        .ok_or_else(|| format!("invariant element {idx} out of range"))?;
+                    env.insert(x.clone(), xv);
+                    eval(f, env, tables, world).map_err(|e| format!("invariant fold body: {e}"))?
+                }
+                LoopInvariantKind::RangeFoldArrayPut { i, acc, f, .. } => {
+                    env.insert(i.clone(), Value::Word(*k));
+                    env.insert(acc.clone(), prev);
+                    eval(f, env, tables, world).map_err(|e| format!("invariant put body: {e}"))?
+                }
+                LoopInvariantKind::RangeFoldScalar { i, acc, f, .. } => {
+                    env.insert(i.clone(), Value::Word(*k));
+                    env.insert(acc.clone(), prev);
+                    eval(f, env, tables, world).map_err(|e| format!("invariant fold body: {e}"))?
+                }
+            };
+            *k += 1;
+        }
+        Ok(())
+    }
+
+    /// Checks `inv` at a loop head with counter `i`, extending or
+    /// restarting its replay.
+    fn check_one(
+        &mut self,
+        slot: usize,
+        inv: &LoopInvariant,
+        i: u64,
+        locals: &Locals,
+        mem: &Memory,
+    ) -> Result<(), String> {
+        // Taken out for the check and put back only when it passes: a
+        // failed head leaves no half-advanced replay behind.
+        let mut r = match self.replays[slot].take() {
+            // A fresh replay to `i` would stand at `max(i, lo)`: this one
+            // extends to it unless it is already past.
+            Some(r) if r.k <= i.max(r.lo) => {
+                self.checks += 1;
+                if let Some(len) = r.len {
+                    counter_within(i, len)?;
+                }
+                r
+            }
+            _ => self.start(inv, i)?,
+        };
+        self.advance(&mut r, &inv.kind, i)?;
+        match &inv.kind {
+            LoopInvariantKind::ArrayMapInPlace { ptr_local, elem, .. }
+            | LoopInvariantKind::RangeFoldArrayPut { ptr_local, elem, .. } => {
+                let base = *locals
+                    .get(ptr_local)
+                    .ok_or_else(|| format!("no local `{ptr_local}`"))?;
+                let got = mem.region(base).ok_or("array region missing at loop head")?;
+                let want = r.acc.to_layout_bytes().ok_or("no layout")?;
+                if got != want.as_slice() {
+                    let term = if matches!(inv.kind, LoopInvariantKind::ArrayMapInPlace { .. }) {
+                        format!("map f (first {i} l) ++ skip {i} l")
+                    } else {
+                        format!("fold_range ({}) {i} put", r.lo)
+                    };
+                    return Err(format!(
+                        "iteration {i}: memory is {got:?}, invariant predicts {term} = {want:?} ({elem})"
+                    ));
+                }
+            }
+            LoopInvariantKind::ArrayFoldScalar { acc_local, .. }
+            | LoopInvariantKind::RangeFoldScalar { acc_local, .. } => {
+                check_scalar_local(locals, acc_local, &r.acc, i)?;
+            }
+        }
+        self.replays[slot] = Some(r);
+        Ok(())
     }
 }
 
 impl LoopHook for InvariantHook<'_> {
     fn at_loop_head(
         &mut self,
-        _function: &str,
+        function: &str,
         cond: &BExpr,
         locals: &Locals,
         mem: &Memory,
     ) -> Result<(), String> {
-        for inv in self.invariants {
+        if function != self.function {
+            return Ok(());
+        }
+        let invariants = self.invariants;
+        for (slot, inv) in invariants.iter().enumerate() {
             // Each invariant belongs to one loop: the one whose condition
             // tests its counter.
-            if !cond.vars().iter().any(|v| v == &inv.index_local) {
+            if !cond.mentions(&inv.index_local) {
                 continue;
             }
             let Some(&i) = locals.get(&inv.index_local) else { continue };
-            let mut world = World { externs: self.externs.clone(), ..World::default() };
-            // The replays below bind the loop names straight into `env`:
-            // it is rebuilt for every invariant and dropped after it.
-            let mut env = self.base_env(inv, &mut world)?;
-            self.checks += 1;
-            match &inv.kind {
-                LoopInvariantKind::ArrayMapInPlace { ptr_local, elem, x, f, arr } => {
-                    let arr_val = eval(arr, &mut env, &self.model.tables, &mut world)
-                        .map_err(|e| format!("invariant array term: {e}"))?;
-                    let len = arr_val.list_len().ok_or("invariant array term is not a list")?;
-                    if (i as usize) > len {
-                        return Err(format!("loop counter {i} exceeds length {len}"));
-                    }
-                    let mut expected = arr_val;
-                    for k in 0..i as usize {
-                        let xv = expected
-                            .list_get(k)
-                            .ok_or_else(|| format!("invariant element {k} out of range"))?;
-                        env.insert(x.clone(), xv);
-                        let fx = eval(f, &mut env, &self.model.tables, &mut world)
-                            .map_err(|e| format!("invariant map body: {e}"))?;
-                        expected = put_elem(expected, k, &fx)?;
-                    }
-                    let base = *locals
-                        .get(ptr_local)
-                        .ok_or_else(|| format!("no local `{ptr_local}`"))?;
-                    let got = mem.region(base).ok_or("array region missing at loop head")?;
-                    let want = expected.to_layout_bytes().ok_or("no layout")?;
-                    if got != want.as_slice() {
-                        return Err(format!(
-                            "iteration {i}: memory is {got:?}, invariant predicts map f (first {i} l) ++ skip {i} l = {want:?} ({elem})"
-                        ));
-                    }
-                }
-                LoopInvariantKind::ArrayFoldScalar { acc_local, acc, x, f, init, arr, .. } => {
-                    let arr_val = eval(arr, &mut env, &self.model.tables, &mut world)
-                        .map_err(|e| format!("invariant array term: {e}"))?;
-                    let len = arr_val.list_len().ok_or("invariant array term is not a list")?;
-                    if (i as usize) > len {
-                        return Err(format!("loop counter {i} exceeds length {len}"));
-                    }
-                    let mut accv = eval(init, &mut env, &self.model.tables, &mut world)
-                        .map_err(|e| format!("invariant init: {e}"))?;
-                    for k in 0..i as usize {
-                        env.insert(acc.clone(), accv);
-                        let xv = arr_val
-                            .list_get(k)
-                            .ok_or_else(|| format!("invariant element {k} out of range"))?;
-                        env.insert(x.clone(), xv);
-                        accv = eval(f, &mut env, &self.model.tables, &mut world)
-                            .map_err(|e| format!("invariant fold body: {e}"))?;
-                    }
-                    check_scalar_local(locals, acc_local, &accv, i)?;
-                }
-                LoopInvariantKind::RangeFoldArrayPut { ptr_local, elem, i: iv, acc, f, init, from } => {
-                    let lo = eval(from, &mut env, &self.model.tables, &mut world)
-                        .ok()
-                        .and_then(|v| v.to_scalar_word())
-                        .ok_or("invariant `from` term not scalar")?;
-                    let mut expected = eval(init, &mut env, &self.model.tables, &mut world)
-                        .map_err(|e| format!("invariant init: {e}"))?;
-                    let mut k = lo;
-                    while k < i {
-                        env.insert(iv.clone(), Value::Word(k));
-                        env.insert(acc.clone(), expected);
-                        expected = eval(f, &mut env, &self.model.tables, &mut world)
-                            .map_err(|e| format!("invariant put body: {e}"))?;
-                        k += 1;
-                    }
-                    let base = *locals
-                        .get(ptr_local)
-                        .ok_or_else(|| format!("no local `{ptr_local}`"))?;
-                    let got = mem.region(base).ok_or("array region missing at loop head")?;
-                    let want = expected.to_layout_bytes().ok_or("no layout")?;
-                    if got != want.as_slice() {
-                        return Err(format!(
-                            "iteration {i}: memory is {got:?}, invariant predicts fold_range ({lo}) {i} put = {want:?} ({elem})"
-                        ));
-                    }
-                }
-                LoopInvariantKind::RangeFoldScalar { acc_local, i: iv, acc, f, init, from } => {
-                    let lo = eval(from, &mut env, &self.model.tables, &mut world)
-                        .ok()
-                        .and_then(|v| v.to_scalar_word())
-                        .ok_or("invariant `from` term not scalar")?;
-                    let mut accv = eval(init, &mut env, &self.model.tables, &mut world)
-                        .map_err(|e| format!("invariant init: {e}"))?;
-                    let mut k = lo;
-                    while k < i {
-                        env.insert(iv.clone(), Value::Word(k));
-                        env.insert(acc.clone(), accv);
-                        accv = eval(f, &mut env, &self.model.tables, &mut world)
-                            .map_err(|e| format!("invariant fold body: {e}"))?;
-                        k += 1;
-                    }
-                    check_scalar_local(locals, acc_local, &accv, i)?;
-                }
-            }
+            self.check_one(slot, inv, i, locals, mem)?;
         }
         Ok(())
     }
+}
+
+/// An `Array*` invariant's counter never passes its array's length.
+fn counter_within(i: u64, len: usize) -> Result<(), String> {
+    if (i as usize) > len {
+        return Err(format!("loop counter {i} exceeds length {len}"));
+    }
+    Ok(())
 }
 
 fn check_scalar_local(locals: &Locals, name: &str, want: &Value, i: u64) -> Result<(), String> {
@@ -1463,5 +1568,404 @@ mod tests {
         };
         let err = check(&cf, &HintDbs::new()).unwrap_err();
         assert!(matches!(err, CheckError::Mismatch { .. }), "got {err:?}");
+    }
+
+    /// The from-scratch replay the incremental hook replaced, kept as its
+    /// reference model: at every head, each invariant's fold is replayed
+    /// from its first iteration in a fresh environment and world.
+    #[allow(clippy::too_many_arguments)]
+    fn from_scratch_at_loop_head(
+        invariants: &[LoopInvariant],
+        model: &Model,
+        values: &[Value],
+        externs: &ExternRegistry,
+        cond: &BExpr,
+        locals: &Locals,
+        mem: &Memory,
+        checks: &mut usize,
+    ) -> Result<(), String> {
+        for inv in invariants {
+            if !cond.vars().iter().any(|v| v == &inv.index_local) {
+                continue;
+            }
+            let Some(&i) = locals.get(&inv.index_local) else { continue };
+            let mut world = World { externs: externs.clone(), ..World::default() };
+            let mut env: Env = model.params.iter().cloned().zip(values.iter().cloned()).collect();
+            for (name, def) in &inv.bindings {
+                let v = eval(def, &mut env, &model.tables, &mut world)
+                    .map_err(|e| format!("binding `{name}`: {e}"))?;
+                env.insert(name.clone(), v);
+            }
+            *checks += 1;
+            match &inv.kind {
+                LoopInvariantKind::ArrayMapInPlace { ptr_local, elem, x, f, arr } => {
+                    let arr_val = eval(arr, &mut env, &model.tables, &mut world)
+                        .map_err(|e| format!("invariant array term: {e}"))?;
+                    let len = arr_val.list_len().ok_or("invariant array term is not a list")?;
+                    if (i as usize) > len {
+                        return Err(format!("loop counter {i} exceeds length {len}"));
+                    }
+                    let mut expected = arr_val;
+                    for k in 0..i as usize {
+                        let xv = expected
+                            .list_get(k)
+                            .ok_or_else(|| format!("invariant element {k} out of range"))?;
+                        env.insert(x.clone(), xv);
+                        let fx = eval(f, &mut env, &model.tables, &mut world)
+                            .map_err(|e| format!("invariant map body: {e}"))?;
+                        expected = put_elem(expected, k, &fx)?;
+                    }
+                    let base = *locals
+                        .get(ptr_local)
+                        .ok_or_else(|| format!("no local `{ptr_local}`"))?;
+                    let got = mem.region(base).ok_or("array region missing at loop head")?;
+                    let want = expected.to_layout_bytes().ok_or("no layout")?;
+                    if got != want.as_slice() {
+                        return Err(format!(
+                            "iteration {i}: memory is {got:?}, invariant predicts map f (first {i} l) ++ skip {i} l = {want:?} ({elem})"
+                        ));
+                    }
+                }
+                LoopInvariantKind::ArrayFoldScalar { acc_local, acc, x, f, init, arr, .. } => {
+                    let arr_val = eval(arr, &mut env, &model.tables, &mut world)
+                        .map_err(|e| format!("invariant array term: {e}"))?;
+                    let len = arr_val.list_len().ok_or("invariant array term is not a list")?;
+                    if (i as usize) > len {
+                        return Err(format!("loop counter {i} exceeds length {len}"));
+                    }
+                    let mut accv = eval(init, &mut env, &model.tables, &mut world)
+                        .map_err(|e| format!("invariant init: {e}"))?;
+                    for k in 0..i as usize {
+                        env.insert(acc.clone(), accv);
+                        let xv = arr_val
+                            .list_get(k)
+                            .ok_or_else(|| format!("invariant element {k} out of range"))?;
+                        env.insert(x.clone(), xv);
+                        accv = eval(f, &mut env, &model.tables, &mut world)
+                            .map_err(|e| format!("invariant fold body: {e}"))?;
+                    }
+                    check_scalar_local(locals, acc_local, &accv, i)?;
+                }
+                LoopInvariantKind::RangeFoldArrayPut { ptr_local, elem, i: iv, acc, f, init, from } => {
+                    let lo = eval(from, &mut env, &model.tables, &mut world)
+                        .ok()
+                        .and_then(|v| v.to_scalar_word())
+                        .ok_or("invariant `from` term not scalar")?;
+                    let mut expected = eval(init, &mut env, &model.tables, &mut world)
+                        .map_err(|e| format!("invariant init: {e}"))?;
+                    let mut k = lo;
+                    while k < i {
+                        env.insert(iv.clone(), Value::Word(k));
+                        env.insert(acc.clone(), expected);
+                        expected = eval(f, &mut env, &model.tables, &mut world)
+                            .map_err(|e| format!("invariant put body: {e}"))?;
+                        k += 1;
+                    }
+                    let base = *locals
+                        .get(ptr_local)
+                        .ok_or_else(|| format!("no local `{ptr_local}`"))?;
+                    let got = mem.region(base).ok_or("array region missing at loop head")?;
+                    let want = expected.to_layout_bytes().ok_or("no layout")?;
+                    if got != want.as_slice() {
+                        return Err(format!(
+                            "iteration {i}: memory is {got:?}, invariant predicts fold_range ({lo}) {i} put = {want:?} ({elem})"
+                        ));
+                    }
+                }
+                LoopInvariantKind::RangeFoldScalar { acc_local, i: iv, acc, f, init, from } => {
+                    let lo = eval(from, &mut env, &model.tables, &mut world)
+                        .ok()
+                        .and_then(|v| v.to_scalar_word())
+                        .ok_or("invariant `from` term not scalar")?;
+                    let mut accv = eval(init, &mut env, &model.tables, &mut world)
+                        .map_err(|e| format!("invariant init: {e}"))?;
+                    let mut k = lo;
+                    while k < i {
+                        env.insert(iv.clone(), Value::Word(k));
+                        env.insert(acc.clone(), accv);
+                        accv = eval(f, &mut env, &model.tables, &mut world)
+                            .map_err(|e| format!("invariant fold body: {e}"))?;
+                        k += 1;
+                    }
+                    check_scalar_local(locals, acc_local, &accv, i)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One invariant of each kind over the model parameters `s` (bytes)
+    /// and `n` (a word), each with its own counter: `i`, `j`, `c`, `d`.
+    fn one_invariant_per_kind() -> (Model, Vec<LoopInvariant>) {
+        let model = Model::new("kinds", ["s", "n"], var("s"));
+        let invariants = vec![
+            LoopInvariant {
+                index_local: "i".into(),
+                bindings: vec![("t".into(), var("s"))],
+                kind: LoopInvariantKind::ArrayMapInPlace {
+                    ptr_local: "p".into(),
+                    elem: ElemKind::Byte,
+                    x: "b".into(),
+                    f: byte_add(var("b"), byte_lit(1)),
+                    arr: var("t"),
+                },
+            },
+            LoopInvariant {
+                index_local: "j".into(),
+                bindings: vec![],
+                kind: LoopInvariantKind::ArrayFoldScalar {
+                    acc_local: "h".into(),
+                    elem: ElemKind::Byte,
+                    acc: "a".into(),
+                    x: "b".into(),
+                    f: word_add(word_mul(var("a"), word_lit(31)), word_of_byte(var("b"))),
+                    init: word_lit(7),
+                    arr: var("s"),
+                },
+            },
+            LoopInvariant {
+                index_local: "c".into(),
+                bindings: vec![],
+                kind: LoopInvariantKind::RangeFoldArrayPut {
+                    ptr_local: "q".into(),
+                    elem: ElemKind::Byte,
+                    i: "m".into(),
+                    acc: "arr".into(),
+                    f: array_put_b(var("arr"), var("m"), byte_of_word(var("m"))),
+                    init: var("s"),
+                    from: word_lit(2),
+                },
+            },
+            LoopInvariant {
+                index_local: "d".into(),
+                bindings: vec![],
+                kind: LoopInvariantKind::RangeFoldScalar {
+                    acc_local: "r".into(),
+                    i: "m".into(),
+                    acc: "a".into(),
+                    f: word_add(var("a"), word_mul(var("m"), var("m"))),
+                    init: var("n"),
+                    from: word_lit(3),
+                },
+            },
+        ];
+        (model, invariants)
+    }
+
+    /// What a correct loop holds at counter `k` for each invariant of
+    /// [`one_invariant_per_kind`]: the mapped prefix, the fold, the
+    /// scattered array (past the array's end the replay fails anyway), the
+    /// sum of squares.
+    fn correct_state(s: &[u8], n: u64, k: [u64; 4]) -> (Vec<u8>, u64, Vec<u8>, u64) {
+        let mapped = s
+            .iter()
+            .enumerate()
+            .map(|(idx, &b)| if (idx as u64) < k[0] { b.wrapping_add(1) } else { b })
+            .collect();
+        let fold = s[..(k[1] as usize).min(s.len())]
+            .iter()
+            .fold(7u64, |a, &b| a.wrapping_mul(31).wrapping_add(u64::from(b)));
+        let mut scattered = s.to_vec();
+        for m in 2..k[2] {
+            if let Some(slot) = scattered.get_mut(m as usize) {
+                *slot = m as u8;
+            }
+        }
+        let sum = (3..k[3].max(3)).fold(n, |a, m| a.wrapping_add(m * m));
+        (mapped, fold, scattered, sum)
+    }
+
+    #[test]
+    fn incremental_replay_matches_the_from_scratch_reference() {
+        let (model, invariants) = one_invariant_per_kind();
+        let externs = ExternRegistry::new();
+        let counters = ["i", "j", "c", "d"];
+        // Per kind, heads that passed and heads that failed while that
+        // invariant's loop was the one checked.
+        let mut seen = [[0usize; 2]; 4];
+        for case in 0..300u64 {
+            let mut seed = splitmix(case + 1);
+            let mut next = move |n: u64| {
+                seed = splitmix(seed);
+                seed % n.max(1)
+            };
+            let s: Vec<u8> = (0..next(11)).map(|_| next(256) as u8).collect();
+            let n = next(1 << 20);
+            let values = [Value::ByteList(s.clone()), Value::Word(n)];
+            let mut hook = InvariantHook::new("f", &invariants, &model, &values, &externs);
+            let mut ref_checks = 0;
+            let mut k = [0u64; 4];
+            for _ in 0..40 {
+                // Each counter stays, steps by one, jumps ahead, restarts
+                // at 0, or lands anywhere (past the array's end included).
+                for c in &mut k {
+                    *c = match next(8) {
+                        0 | 1 => *c,
+                        2..=4 => *c + 1,
+                        5 => *c + 1 + next(4),
+                        6 => 0,
+                        _ => next(s.len() as u64 + 4),
+                    };
+                }
+                let tested: Vec<usize> = (0..4).filter(|_| next(3) != 0).collect();
+                let cond = tested.iter().fold(BExpr::var("len"), |e, &t| {
+                    BExpr::op(rupicola_bedrock::BinOp::LtU, BExpr::var(counters[t]), e)
+                });
+                let (mut mapped, mut fold, mut scattered, mut sum) = correct_state(&s, n, k);
+                // Occasionally a wrong value, to exercise every failure.
+                match next(10) {
+                    0 if !mapped.is_empty() => mapped[0] ^= 1,
+                    1 => fold ^= 1,
+                    2 if !scattered.is_empty() => scattered[0] ^= 1,
+                    3 => sum ^= 1,
+                    _ => {}
+                }
+                let mut mem = Memory::new();
+                let mut locals = Locals::new();
+                locals.insert("p".into(), mem.alloc(mapped));
+                locals.insert("q".into(), mem.alloc(scattered));
+                locals.insert("h".into(), fold);
+                locals.insert("r".into(), sum);
+                for (t, name) in counters.iter().enumerate() {
+                    locals.insert((*name).into(), k[t]);
+                }
+                match next(12) {
+                    0 => drop(locals.remove(counters[next(4) as usize])),
+                    1 => drop(locals.remove(["p", "q", "h", "r"][next(4) as usize])),
+                    2 => drop(locals.insert("p".into(), 8)),
+                    _ => {}
+                }
+
+                let got = hook.at_loop_head("f", &cond, &locals, &mem);
+                let want = from_scratch_at_loop_head(
+                    &invariants,
+                    &model,
+                    &values,
+                    &externs,
+                    &cond,
+                    &locals,
+                    &mem,
+                    &mut ref_checks,
+                );
+                assert_eq!(got, want, "case {case}, counters {k:?}, cond {cond:?}");
+                assert_eq!(hook.checks, ref_checks, "case {case}");
+                if let [t] = tested[..] {
+                    seen[t][usize::from(got.is_err())] += 1;
+                }
+            }
+        }
+        for (kind, [ok, err]) in seen.iter().enumerate() {
+            assert!(*ok > 0 && *err > 0, "invariant {kind}: {ok} passing, {err} failing heads");
+        }
+    }
+
+    /// A loop folding `h := h * 31 + s[i]` over `s`, with the invariant
+    /// the engine would infer for it.
+    fn fold_loop() -> (Cmd, LoopInvariant) {
+        use rupicola_bedrock::{AccessSize, BinOp};
+        let loop_ = Cmd::seq([
+            Cmd::set("i", BExpr::lit(0)),
+            Cmd::set("h", BExpr::lit(7)),
+            Cmd::while_(
+                BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::var("len")),
+                Cmd::seq([
+                    Cmd::set(
+                        "h",
+                        BExpr::op(
+                            BinOp::Add,
+                            BExpr::op(BinOp::Mul, BExpr::var("h"), BExpr::lit(31)),
+                            BExpr::load(
+                                AccessSize::One,
+                                BExpr::op(BinOp::Add, BExpr::var("s"), BExpr::var("i")),
+                            ),
+                        ),
+                    ),
+                    Cmd::set("i", BExpr::op(BinOp::Add, BExpr::var("i"), BExpr::lit(1))),
+                ]),
+            ),
+        ]);
+        let (_, invariants) = one_invariant_per_kind();
+        let mut inv = invariants[1].clone();
+        inv.index_local = "i".into();
+        (loop_, inv)
+    }
+
+    #[test]
+    fn the_replay_costs_one_fold_step_per_iteration() {
+        let (loop_, inv) = fold_loop();
+        let model = Model::new("fold", ["s", "n"], var("s"));
+        let s: Vec<u8> = (0..32u8).map(|b| b.wrapping_mul(37)).collect();
+        let values = [Value::ByteList(s.clone()), Value::Word(0)];
+        let externs = ExternRegistry::new();
+        let invariants = [inv];
+        // One run of `body`: its loop-head checks and fold-body evaluations.
+        let run = |body: Cmd| {
+            let f = BFunction::new("fold", ["s", "len"], ["h"], body);
+            let program = program_for(&f, &[]);
+            let mut mem = Memory::new();
+            let base = mem.alloc(s.clone());
+            let mut state = ExecState::new(mem);
+            let mut hook = InvariantHook::new("fold", &invariants, &model, &values, &externs);
+            Interpreter::new(&program)
+                .call_with_hook("fold", &[base, 32], &mut state, &mut NoExternals, 1 << 20, &mut hook)
+                .unwrap();
+            (hook.checks, hook.steps)
+        };
+        // 33 heads, one fold step per iteration: 32, where replaying from
+        // scratch at every head costs 0 + 1 + … + 32 = 528.
+        assert_eq!(run(loop_.clone()), (33, 32));
+        // A second pass restarts the counter: one more replay, no more.
+        assert_eq!(run(Cmd::seq([loop_.clone(), loop_])), (66, 64));
+    }
+
+    #[test]
+    fn a_linked_callee_loop_is_not_the_body_loop() {
+        use rupicola_bedrock::BinOp;
+        // The identity with a counting loop over `i` whose invariant the
+        // derivation records, then a call to a linked callee that loops
+        // over a local of the same name (and has no `acc`).
+        let mut cf = identity_compiled();
+        let mut node = DerivationNode::leaf("done", "s");
+        node.invariant = Some(LoopInvariant {
+            index_local: "i".into(),
+            bindings: vec![],
+            kind: LoopInvariantKind::RangeFoldScalar {
+                acc_local: "acc".into(),
+                i: "m".into(),
+                acc: "a".into(),
+                f: word_add(var("a"), word_lit(1)),
+                init: word_lit(0),
+                from: word_lit(0),
+            },
+        });
+        cf.derivation = Derivation::new(node);
+        let step = |v: &str| Cmd::set(v, BExpr::op(BinOp::Add, BExpr::var(v), BExpr::lit(1)));
+        let count = Cmd::seq([
+            Cmd::set("i", BExpr::lit(0)),
+            Cmd::set("acc", BExpr::lit(0)),
+            Cmd::while_(
+                BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::var("len")),
+                Cmd::seq([step("acc"), step("i")]),
+            ),
+        ]);
+        cf.function.body = count.clone();
+        let alone = check(&cf, &HintDbs::new()).unwrap();
+        assert!(alone.invariant_checks > 0);
+
+        cf.linked = vec![BFunction::new(
+            "spin",
+            ["n"],
+            Vec::<String>::new(),
+            Cmd::seq([
+                Cmd::set("i", BExpr::lit(0)),
+                Cmd::while_(BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::lit(3)), step("i")),
+            ]),
+        )];
+        cf.function.body = Cmd::seq([
+            count,
+            Cmd::Call { rets: vec![], func: "spin".into(), args: vec![BExpr::var("len")] },
+        ]);
+        let linked = check(&cf, &HintDbs::new()).unwrap();
+        assert_eq!(linked.invariant_checks, alone.invariant_checks);
     }
 }

@@ -61,15 +61,11 @@ fn subst(e: &BExpr, env: &HashMap<String, BExpr>, sites: &mut usize) -> BExpr {
     })
 }
 
-fn mentions(e: &BExpr, var: &str) -> bool {
-    e.vars().iter().any(|v| v == var)
-}
-
 /// Drops every mapping invalidated by an assignment to `var`: the mapping
 /// for `var` itself, and any mapping whose replacement reads `var`.
 fn purge(env: &mut HashMap<String, BExpr>, var: &str) {
     env.remove(var);
-    env.retain(|_, rep| !mentions(rep, var));
+    env.retain(|_, rep| !rep.mentions(var));
 }
 
 /// Locals a command may write: `Set`/`Unset` targets, call and interact

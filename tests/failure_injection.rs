@@ -159,6 +159,54 @@ fn tampered_loop_invariant_is_rejected_at_the_loop_head() {
 }
 
 #[test]
+fn late_corruption_of_a_finished_element_is_rejected_at_the_next_loop_head() {
+    // upstr's map-in-place, with a body that at iteration 5 flips a bit
+    // of element 0, finished four iterations earlier. The invariant covers
+    // the whole array at every head, so the head right after the write
+    // (counter 6) must object before the differential sees the output.
+    let dbs = standard_dbs();
+    let mut compiled = rupicola::programs::upstr::compiled().unwrap();
+    let mut counter = None;
+    compiled.derivation.root.walk(&mut |n| {
+        if let Some(inv) = &n.invariant {
+            counter = Some(inv.index_local.clone());
+        }
+    });
+    let counter = counter.expect("upstr records its loop invariant");
+    fn corrupt_at_5(c: &mut Cmd, counter: &str) {
+        match c {
+            Cmd::While { body, .. } => {
+                let flip = Cmd::store(
+                    AccessSize::One,
+                    BExpr::var("s"),
+                    BExpr::op(
+                        BinOp::Xor,
+                        BExpr::load(AccessSize::One, BExpr::var("s")),
+                        BExpr::lit(0x80),
+                    ),
+                );
+                let at_5 = BExpr::op(BinOp::Eq, BExpr::var(counter), BExpr::lit(5));
+                let old = std::mem::replace(body.as_mut(), Cmd::Skip);
+                **body = Cmd::seq([Cmd::if_(at_5, flip, Cmd::Skip), old]);
+            }
+            Cmd::Seq(a, b) => {
+                corrupt_at_5(a, counter);
+                corrupt_at_5(b, counter);
+            }
+            _ => {}
+        }
+    }
+    corrupt_at_5(&mut compiled.function.body, &counter);
+    let err = check(&compiled, &dbs).unwrap_err();
+    match &err {
+        CheckError::InvariantViolated { detail, .. } => {
+            assert!(detail.starts_with("iteration 6: memory is"), "{detail}");
+        }
+        other => panic!("expected an invariant violation, got {other:?}"),
+    }
+}
+
+#[test]
 fn mutating_a_non_output_array_is_rejected() {
     // The model mutates `s` but the spec does not declare it an output —
     // the implicit ensures clause says the caller's memory is unchanged,
