@@ -1,6 +1,6 @@
 //! Fact export API: analysis results as consumable data, not just lints.
 //!
-//! The lint passes report human-readable [`Finding`]s; the optimization
+//! The lint passes report human-readable [`Finding`](crate::Finding)s; the optimization
 //! pass manager in `rupicola-opt` needs the *facts underneath* — which
 //! assignment sites are dead, whether a right-hand side can be deleted
 //! without deleting a trap, what value range an expression is confined to.

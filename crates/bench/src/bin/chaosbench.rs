@@ -1,9 +1,9 @@
 //! Fault-injection benchmark of the service layer (DESIGN.md §12).
 //!
 //! Drives thousands of mixed compile requests through a 1-shard store
-//! (the plain store layout) whose I/O backend injects faults from a **seeded** schedule (transient
-//! `EIO`/`ENOSPC`, torn writes, post-write bit flips, rename failures,
-//! stale temp-file litter), then replays three more scenarios: a total
+//! (the root layout) whose I/O backend injects faults from a **seeded**
+//! schedule (transient `EIO`/`ENOSPC`, torn writes, post-write bit
+//! flips, rename failures, stale temp-file litter), then replays three more scenarios: a total
 //! outage (the store must degrade to compile-without-cache, not fail the
 //! requests), a crash mid-store (reopen must scavenge the orphans and
 //! keep serving), and one JSON-lines protocol round (ping, malformed

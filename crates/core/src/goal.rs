@@ -137,7 +137,7 @@ fn side_key(term: &Expr) -> u64 {
 /// each snapshot, drop, rename and lookup would cost O(hypotheses) — the
 /// engine's per-statement cost would grow with the program. Here the
 /// entries live in a persistent ordered map keyed by insertion sequence
-/// number (see [`crate::pmap`]), and a second persistent map indexes them
+/// number (the crate-private `pmap` module), and a second persistent map indexes them
 /// under `(key, sequence number)` for two kinds of key:
 ///
 /// - **name keys**: which entries have a free occurrence of a variable —

@@ -12,7 +12,7 @@
 //!   counters (stored *as-is*, NOT recomputed on decode — the checker
 //!   recounts them, so a corrupted artifact that drops a node without
 //!   fixing the counters is rejected structurally),
-//! - the source [`Model`] and the [`FnSpec`] ABI (from which the checker
+//! - the source [`Model`](rupicola_lang::Model) and the [`FnSpec`] ABI (from which the checker
 //!   rebuilds the initial goal and concretizes test vectors),
 //! - the [`CompileStats`] of the original run (so cached suite passes
 //!   still cross-check against build-time stats).

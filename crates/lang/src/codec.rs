@@ -4,7 +4,7 @@
 //! `CompiledFunction` — including its source [`Model`] and derivation
 //! witness — to disk and reads it back on a cache hit. This module is the
 //! source-language half of that codec: [`Value`], [`Expr`], [`TableDef`],
-//! and [`Model`] to and from the [`Json`](crate::json::Json) tree.
+//! and [`Model`] to and from the [`Json`] tree.
 //!
 //! Encoding conventions, shared with the other `*_serial` modules up the
 //! crate stack:

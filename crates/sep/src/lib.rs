@@ -184,7 +184,7 @@ impl SymHeap {
     }
 }
 
-/// The extent of one region in a [`Footprint`].
+/// The extent of one region in a heap footprint ([`RegionFootprint`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegionSize {
     /// `count` elements of the given kind (`count` is a source-level term;

@@ -1,5 +1,5 @@
-//! Storage backends: the I/O seam between the artifact [`Store`] and the
-//! world.
+//! Storage backends: the I/O seam between the artifact store's [`Store`]
+//! stripes and the world.
 //!
 //! The store never touches `std::fs` directly; every read, atomic
 //! publish, delete and directory listing goes through a [`Backend`] trait
@@ -59,13 +59,13 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// Concurrent readers see the old contents or the new contents, never
     /// a torn file. On failure the implementation removes `tmp` on a
     /// best-effort basis — a mid-write crash is exactly what leaves the
-    /// orphans that [`Store::open`] scavenges.
+    /// orphans that opening a store ([`ShardedStore::open`]) scavenges.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     ///
-    /// [`Store::open`]: crate::store::Store::open
+    /// [`ShardedStore::open`]: crate::shard::ShardedStore::open
     fn write_atomic(&self, tmp: &Path, dst: &Path, bytes: &[u8]) -> io::Result<()>;
 
     /// Deletes the file at `path`.

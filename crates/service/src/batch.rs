@@ -294,7 +294,7 @@ mod tests {
         Server::new(store, TenantTable::default(), workers)
     }
 
-    /// The serial configuration: one shard (the plain store layout), one
+    /// The serial configuration: one shard (the root layout), one
     /// worker.
     fn serial_server(tag: &str) -> Server {
         server_over(ShardedStore::open(scratch(tag), 1).unwrap(), 1)

@@ -15,7 +15,7 @@
 //!
 //! | variable        | default              | meaning |
 //! |-----------------|----------------------|---------|
-//! | `SERVED_SHARDS` | 1                    | store stripes (1 = plain single-store layout) |
+//! | `SERVED_SHARDS` | 1                    | store stripes (1 = artifacts at the store root) |
 //! | `SERVED_WORKERS`| available parallelism| scheduler threads (1 = serial, in request order) |
 //! | `SERVED_LINT`   | off                  | run analysis lints on every cache load |
 //!

@@ -15,15 +15,17 @@
 //!   identities, format version). Same inputs ⇒ same key across
 //!   processes; changing a lemma, the registration order, or the budgets
 //!   changes the key.
-//! - [`store`] — the content-addressed on-disk store with *verified
-//!   loads*: decode, cross-check the stored inputs against the request,
-//!   re-run the checker (optionally the analysis lints), and evict on any
-//!   failure. Counters ([`CacheStats`]) account every hit, miss,
-//!   eviction, store, and verify-nanosecond.
-//! - [`shard`] — the lock-striped [`ShardedStore`]: fingerprints route to
-//!   independent store stripes, each behind a `RwLock` — loads verify
-//!   under the read guard and settle under the write guard, so one stripe
-//!   still verifies concurrently. One shard is the plain store layout.
+//! - [`store`] — one stripe of the content-addressed on-disk store, with
+//!   *verified loads*: decode, cross-check the stored inputs against the
+//!   request, re-run the checker (optionally the analysis lints), and
+//!   evict on any failure. Counters ([`CacheStats`]) account every hit,
+//!   miss, eviction, store, and verify-nanosecond.
+//! - [`shard`] — the lock-striped [`ShardedStore`], the only way to load
+//!   or put (one [`ShardedStore::put`], one
+//!   [`ShardedStore::load_verified`]): fingerprints route to independent
+//!   store stripes, each behind a `RwLock` — loads verify under the read
+//!   guard and settle under the write guard, so one stripe still verifies
+//!   concurrently. One shard files artifacts at the store root.
 //! - [`server`], [`tenant`] — the one request path (DESIGN.md §14): a
 //!   [`Server`] admits each job against its tenant's quota, runs
 //!   [`resolve_one`] (verified load → compile on miss → optimize → put)
@@ -70,7 +72,8 @@ pub use server::{
 };
 pub use shard::{shard_of_key, shard_root, ShardedStore, DEFAULT_SHARDS};
 pub use store::{
-    store_root_from_env, CacheStats, LoadOutcome, Store, StoreLock, DEFAULT_ROOT, STORE_ENV,
+    store_root_from_env, CacheStats, LoadOutcome, Store, StoreLock, Verified, DEFAULT_ROOT,
+    STORE_ENV,
 };
 pub use tenant::{
     Admission, Rejection, TenantPolicy, TenantStats, TenantTable, DEFAULT_TENANT,

@@ -8,8 +8,8 @@
 //! sequence; the JSON-lines front-end ([`crate::batch::serve`]), the
 //! suite driver ([`compile_suite_cached`]) and the harness binaries all
 //! go through it. There is no separate serial path: `workers = 1` runs a
-//! batch inline in request order, and `shards = 1` is the plain store
-//! layout.
+//! batch inline in request order, and `shards = 1` files artifacts at
+//! the store root.
 //!
 //! # Execution model
 //!
@@ -148,9 +148,9 @@ pub fn resolve_one(
     let model = (entry.model)();
     let spec = (entry.spec)();
     match store.load_verified(&model, &spec, dbs, limits) {
-        LoadOutcome::Hit(cf) => CachedResult {
+        LoadOutcome::Hit(hit) => CachedResult {
             name: entry.info.name,
-            result: Ok(*cf),
+            result: Ok(hit.cf),
             provenance: Provenance::Cache,
         },
         // Miss, eviction and unavailable all degrade to a fresh compile;

@@ -1,26 +1,28 @@
-//! The lock-striped sharded artifact store.
+//! The lock-striped sharded artifact store: the only way to load or put.
 //!
-//! A single [`Store`] requires `&mut` for every load and put, which
-//! serializes a whole server behind one lock. [`ShardedStore`] stripes
-//! the key space over `N` independent shards — each its own [`Store`]
-//! on its own [`Backend`], behind its own `RwLock` — so concurrent
-//! requests whose fingerprints land in different shards proceed fully in
-//! parallel: reads, verification, eviction bookkeeping, quarantine and
-//! degraded-mode tracking are all per-shard state.
+//! [`ShardedStore`] stripes the key space over `N` independent shards —
+//! each a [`Store`] stripe on its own [`Backend`], behind its own
+//! `RwLock` — so concurrent requests whose fingerprints land in
+//! different shards proceed fully in parallel: reads, verification,
+//! eviction bookkeeping, quarantine and degraded-mode tracking are all
+//! per-shard state. It has one [`put`](ShardedStore::put) and one
+//! [`load_verified`](ShardedStore::load_verified); a stripe is configured
+//! only through [`ShardedStore::open_with`]'s `tune` hook.
 //!
 //! # The stripe lock split
 //!
 //! Within one stripe, a verified load is two steps. The *attempt* (read,
 //! digest, decode, checker, re-validation — nearly all of a hit's cost)
-//! needs only `&Store` and runs under the stripe's **read** guard, so
-//! concurrent loads on one shard verify in parallel; a 1-shard store
-//! loses no verification parallelism to its single stripe. The
+//! needs only a shared borrow of the stripe and runs under its **read**
+//! guard, so concurrent loads on one shard verify in parallel; a 1-shard
+//! store loses no verification parallelism to its single stripe. The
 //! *settlement* (counters, degraded tracking, quarantine, eviction) runs
-//! under the **write** guard, as does every put. Key computation and the
-//! pipeline accessors take read guards. A racing put may land between
-//! an attempt and its settlement; the worst it can cost is that a
-//! settlement evicting a corrupt read deletes the fresh file too — one
-//! spurious miss, never a wrong answer.
+//! under the **write** guard, as does every put's write. Key computation
+//! and the pipeline accessors take read guards; an rv-keyed put lowers
+//! its machine artifact before it takes any guard, as a compile does. A
+//! racing put may land between an attempt and its settlement; the worst
+//! it can cost is that a settlement evicting a corrupt read deletes the
+//! fresh file too — one spurious miss, never a wrong answer.
 //!
 //! # Routing
 //!
@@ -38,16 +40,17 @@
 //!
 //! # Layout
 //!
-//! `shards = 1` uses the root directory itself — byte-identical layout to
-//! a plain [`Store`], which keeps every existing single-store tool,
-//! test and artifact compatible. `shards = N > 1` places shard `i` under
-//! `<root>/shard-<i:02x>/`. The shard count is a *deployment* choice, not
-//! part of any fingerprint: resharding is `rsync` by filename, and a
-//! request's key is the same under every shard count.
+//! `shards = 1` uses the root directory itself
+//! (`<root>/<program>-<key>.json`, the layout every store has written
+//! since before sharding; `tests/shard_routing.rs` pins the bytes).
+//! `shards = N > 1` places shard `i` under `<root>/shard-<i:02x>/`. The
+//! shard count is a *deployment* choice, not part of any fingerprint:
+//! resharding is `rsync` by filename, and a request's key is the same
+//! under every shard count.
 //!
 //! # Trust
 //!
-//! Unchanged. Every shard is a full [`Store`]: verified loads (re-check,
+//! Unchanged. Every shard is a full stripe: verified loads (re-check,
 //! never believe), per-key quarantine, per-shard degraded mode and
 //! startup recovery. Striping moves no trust boundary — it only lets
 //! mutually untrusting tenants share the verified cache concurrently.
@@ -59,11 +62,10 @@ use std::time::Duration;
 use crate::backend::{Backend, FsBackend};
 use crate::fingerprint::Fingerprint;
 use crate::store::{CacheStats, LoadOutcome, Store, StoreLock};
-use rupicola_bedrock::rv_compile::RvArtifact;
+use rupicola_core::check::CheckConfig;
 use rupicola_core::fnspec::FnSpec;
 use rupicola_core::{CompiledFunction, EngineLimits, HintDbs};
 use rupicola_lang::Model;
-use rupicola_rv::RvPipelineConfig;
 
 /// Default shard count for the concurrent server: enough stripes that a
 /// handful of workers rarely contend, few enough that a suite-sized
@@ -80,8 +82,7 @@ pub fn shard_of_key(key: Fingerprint, nshards: usize) -> usize {
 }
 
 /// The root directory of shard `index` out of `nshards`, under `root`.
-/// The 1-shard layout is the root itself — identical to a plain
-/// [`Store`].
+/// The 1-shard layout is the root itself.
 pub fn shard_root(root: &Path, index: usize, nshards: usize) -> PathBuf {
     if nshards <= 1 {
         root.to_path_buf()
@@ -90,12 +91,12 @@ pub fn shard_root(root: &Path, index: usize, nshards: usize) -> PathBuf {
     }
 }
 
-/// A lock-striped sharded artifact store: `N` independent [`Store`]s,
-/// each behind its own `RwLock`, routed by fingerprint prefix.
+/// A lock-striped sharded artifact store: `N` independent [`Store`]
+/// stripes, each behind its own `RwLock`, routed by fingerprint prefix.
 ///
 /// All `&self` — this is the type that makes the service layer
 /// concurrent. A load verifies under one stripe's read guard and settles
-/// under its write guard; a put holds the write guard for its I/O.
+/// under its write guard; a put holds the write guard for its I/O only.
 #[derive(Debug)]
 pub struct ShardedStore {
     root: PathBuf,
@@ -116,8 +117,9 @@ impl ShardedStore {
     /// [`ShardedStore::open`] with an explicit [`Backend`] per shard
     /// (`mk_backend(i)` builds shard `i`'s — the concurrency battery
     /// hands every shard its own seeded `ChaosBackend`) and a `tune`
-    /// hook applied to each shard's `Store` builder (retry policy, check
-    /// config, pipeline, quarantine thresholds).
+    /// hook applied to each shard's [`Store`] — the one place a stripe is
+    /// configured (retry policy, check config, pipeline, rv pipeline,
+    /// lints on load, degrade and quarantine thresholds).
     ///
     /// # Errors
     ///
@@ -133,7 +135,7 @@ impl ShardedStore {
         let nshards = nshards.max(1);
         let mut shards = Vec::with_capacity(nshards);
         for i in 0..nshards {
-            let store = Store::open_with_backend(shard_root(&root, i, nshards), mk_backend(i))
+            let store = Store::open(shard_root(&root, i, nshards), mk_backend(i))
                 .map_err(|e| format!("shard {i}/{nshards}: {e}"))?;
             shards.push(RwLock::new(tune(store)));
         }
@@ -141,8 +143,10 @@ impl ShardedStore {
     }
 
     /// A sharded store whose every shard is **born degraded**
-    /// (compile-without-cache): the concurrent server's fallback when the
-    /// root cannot be opened, mirroring [`Store::open_degraded`].
+    /// (compile-without-cache): it never touches the disk, every load
+    /// answers [`LoadOutcome::Unavailable`] and every put is skipped. This
+    /// is `served`'s fallback when the root cannot be opened at all — the
+    /// batch still gets answered, just without persistence.
     pub fn open_degraded(root: impl Into<PathBuf>, nshards: usize) -> ShardedStore {
         let root = root.into();
         let nshards = nshards.max(1);
@@ -167,8 +171,10 @@ impl ShardedStore {
         shard_of_key(key, self.shards.len())
     }
 
-    /// Write-locks shard `index`'s stripe (for callers that need multi-op
-    /// atomicity on one shard; plain loads and puts lock internally).
+    /// Write-locks shard `index`'s stripe, for reading its configuration
+    /// and state (`key_for`, `path_for`, `stats`, `degraded`); loads and
+    /// puts go through [`ShardedStore::load_verified`] and
+    /// [`ShardedStore::put`], which lock internally.
     pub fn shard(&self, index: usize) -> RwLockWriteGuard<'_, Store> {
         self.shards[index].write().unwrap_or_else(PoisonError::into_inner)
     }
@@ -196,26 +202,11 @@ impl ShardedStore {
         self.read(0).pipeline().clone()
     }
 
-    /// Configures every shard to key under — and demand, re-validate and
-    /// serve — RISC-V machine artifacts produced by `pipeline`. Mirrors
-    /// [`Store::with_rv_pipeline`] across all stripes; every shard stays
-    /// identically configured, so routing and keys remain agreed.
-    #[must_use]
-    pub fn with_rv_pipeline(self, pipeline: RvPipelineConfig) -> ShardedStore {
-        for i in 0..self.shards.len() {
-            self.shard(i).set_rv_pipeline(pipeline.clone());
-        }
-        self
-    }
-
-    /// The RISC-V pipeline the shards key under, if one is configured
-    /// (shard 0's — identical across shards by construction).
-    pub fn rv_pipeline(&self) -> Option<RvPipelineConfig> {
-        self.read(0).rv_pipeline().cloned()
-    }
-
     /// Verified load, routed by fingerprint: verifies under one stripe's
-    /// read guard, settles under its write guard (see the module docs).
+    /// read guard, settles under its write guard (see the module docs and
+    /// the ladder in [`crate::store`]). A hit carries the re-certified
+    /// artifact and, on an rv-keyed store, its re-validated machine
+    /// artifact.
     pub fn load_verified(
         &self,
         model: &Model,
@@ -223,43 +214,6 @@ impl ShardedStore {
         dbs: &HintDbs,
         limits: &EngineLimits,
     ) -> LoadOutcome {
-        self.load_verified_rv(model, spec, dbs, limits).0
-    }
-
-    /// Put, routed by fingerprint: locks exactly one stripe.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::put`] — degraded shards and quarantined keys refuse.
-    pub fn put(&self, key: Fingerprint, cf: &CompiledFunction) -> Result<PathBuf, String> {
-        self.shard(self.shard_of(key)).put(key, cf)
-    }
-
-    /// [`ShardedStore::put`] carrying a validated RISC-V machine
-    /// artifact, routed by fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// See [`Store::put_with_rv`].
-    pub fn put_with_rv(
-        &self,
-        key: Fingerprint,
-        cf: &CompiledFunction,
-        rv: Option<&RvArtifact>,
-    ) -> Result<PathBuf, String> {
-        self.shard(self.shard_of(key)).put_with_rv(key, cf, rv)
-    }
-
-    /// [`ShardedStore::load_verified`] that also surfaces the
-    /// re-validated machine artifact on a hit (see
-    /// [`Store::load_verified_rv`]).
-    pub fn load_verified_rv(
-        &self,
-        model: &Model,
-        spec: &FnSpec,
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> (LoadOutcome, Option<Box<RvArtifact>>) {
         let key = self.key_for(model, spec, dbs, limits);
         let index = self.shard_of(key);
         let raw = {
@@ -269,9 +223,36 @@ impl ShardedStore {
         self.shard(index).settle(raw)
     }
 
+    /// Files `cf` under `key` in the stripe the key routes to. On an
+    /// rv-keyed store the put first lowers and validates the machine
+    /// artifact the key promises (`rupicola_rv::lower_validated` at
+    /// [`CheckConfig::default`], the strength a fresh compile is optimized
+    /// at), outside any lock; only the write holds the stripe's write
+    /// guard.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the machine artifact cannot be lowered or validated, on
+    /// post-retry I/O errors, in a degraded shard and for quarantined
+    /// keys.
+    pub fn put(&self, key: Fingerprint, cf: &CompiledFunction) -> Result<PathBuf, String> {
+        let index = self.shard_of(key);
+        let mut shard = self.shard(index);
+        let Some(pipeline) = shard.rv_pipeline.clone() else {
+            return shard.write(key, cf, None);
+        };
+        // Lowering is pure and costly: like a compile, it runs with the
+        // stripe unlocked.
+        drop(shard);
+        let (art, _) = rupicola_rv::lower_validated(cf, &pipeline, &CheckConfig::default())
+            .map_err(|e| format!("cannot lower `{}` for the store: {e}", cf.function.name))?;
+        self.shard(index).write(key, cf, Some(&art))
+    }
+
     /// Aggregated lifetime counters across every shard.
     pub fn stats(&self) -> CacheStats {
-        self.shard_stats().iter().fold(CacheStats::default(), |mut acc, s| {
+        let shards = (0..self.shards.len()).map(|i| self.read(i).stats());
+        shards.fold(CacheStats::default(), |mut acc, s| {
             acc.hits += s.hits;
             acc.misses += s.misses;
             acc.evictions += s.evictions;
@@ -284,11 +265,6 @@ impl ShardedStore {
             acc.verify_nanos += s.verify_nanos;
             acc
         })
-    }
-
-    /// Per-shard counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        (0..self.shards.len()).map(|i| self.read(i).stats()).collect()
     }
 
     /// Whether *any* shard has flipped into degraded mode (the in-band
@@ -338,15 +314,6 @@ impl ShardedStore {
         }
         Ok(locks)
     }
-
-    /// Acquires every shard's advisory lock.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedStore::lock_shards`].
-    pub fn lock_all(&self, wait: Duration) -> Result<Vec<StoreLock>, String> {
-        self.lock_shards(0..self.shards.len(), wait)
-    }
 }
 
 #[cfg(test)]
@@ -382,29 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_layout_matches_plain_store() {
-        let root = scratch("flat");
-        let sharded = ShardedStore::open(&root, 1).unwrap();
-        let dbs = standard_dbs();
-        let limits = EngineLimits::default();
-        let model = rupicola_programs::fnv1a::model();
-        let spec = rupicola_programs::fnv1a::spec();
-        let cf = rupicola_programs::fnv1a::compiled().unwrap();
-        let key = sharded.key_for(&model, &spec, &dbs, &limits);
-        let path = sharded.put(key, &cf).unwrap();
-        assert_eq!(path.parent().unwrap(), root, "1-shard artifacts live at the root");
-        // A plain single Store opened at the same root serves the same
-        // artifact (and vice versa): the layouts are identical.
-        let mut plain = Store::open(&root).unwrap();
-        assert_eq!(plain.key_for(&model, &spec, &dbs, &limits), key);
-        match plain.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn multi_shard_round_trip_routes_by_prefix() {
         let root = scratch("multi");
         let sharded = ShardedStore::open(&root, 8).unwrap();
@@ -419,7 +363,7 @@ mod tests {
             let expected_dir = shard_root(&root, sharded.shard_of(key), 8);
             assert_eq!(path.parent().unwrap(), expected_dir);
             match sharded.load_verified(&model, &spec, &dbs, &limits) {
-                LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+                LoadOutcome::Hit(loaded) => assert_eq!(loaded.cf.function, cf.function),
                 other => panic!("{}: expected hit, got {other:?}", entry.info.name),
             }
         }
@@ -434,12 +378,20 @@ mod tests {
         use crate::chaos::{ChaosBackend, FaultPlan};
         use crate::retry::RetryPolicy;
         let root = scratch("perdegrade");
-        // Shard 0 suffers a total outage; every other shard is healthy.
+        let dbs = standard_dbs();
+        let limits = EngineLimits::default();
+        let model = rupicola_programs::fnv1a::model();
+        let spec = rupicola_programs::fnv1a::spec();
+        // The stripe fnv1a routes to suffers a total outage; every other
+        // shard is healthy. (A born-degraded store computes keys without
+        // touching the disk.)
+        let key = ShardedStore::open_degraded(&root, 4).key_for(&model, &spec, &dbs, &limits);
+        let sick = shard_of_key(key, 4);
         let sharded = ShardedStore::open_with(
             &root,
             4,
             |i| {
-                if i == 0 {
+                if i == sick {
                     Box::new(ChaosBackend::new(FaultPlan::outage(5)))
                 } else {
                     Box::new(FsBackend)
@@ -455,23 +407,23 @@ mod tests {
             },
         )
         .unwrap();
-        let dbs = standard_dbs();
-        let limits = EngineLimits::default();
-        // Hammer shard 0 with loads until it degrades.
-        let model = rupicola_programs::fnv1a::model();
-        let spec = rupicola_programs::fnv1a::spec();
+        // Hammer the sick shard with loads until it degrades.
         for _ in 0..4 {
-            let _ = sharded.shard(0).load_verified(&model, &spec, &dbs, &limits);
+            let _ = sharded.load_verified(&model, &spec, &dbs, &limits);
         }
-        assert!(sharded.shard(0).degraded());
+        assert!(sharded.shard(sick).degraded());
         assert!(sharded.any_degraded());
         assert!(!sharded.all_degraded(), "an outage on one stripe is not a store outage");
         // Healthy shards still store and serve.
-        let cf = rupicola_programs::fnv1a::compiled().unwrap();
-        let key = sharded.key_for(&model, &spec, &dbs, &limits);
-        let healthy = (sharded.shard_of(key) + 1) % 4;
-        let healthy = if healthy == 0 { 1 } else { healthy };
-        sharded.shard(healthy).put(key, &cf).unwrap();
+        let healthy = rupicola_programs::suite()
+            .into_iter()
+            .find(|e| {
+                let key = sharded.key_for(&(e.model)(), &(e.spec)(), &dbs, &limits);
+                sharded.shard_of(key) != sick
+            })
+            .expect("a program routed to a healthy shard");
+        let key = sharded.key_for(&(healthy.model)(), &(healthy.spec)(), &dbs, &limits);
+        sharded.put(key, &(healthy.compiled)().unwrap()).unwrap();
         assert_eq!(sharded.stats().stores, 1);
         let _ = fs::remove_dir_all(&root);
     }
@@ -490,7 +442,7 @@ mod tests {
         drop(locks);
         drop(free);
         // Released: every stripe acquirable again.
-        let all = sharded.lock_all(Duration::from_millis(10)).unwrap();
+        let all = sharded.lock_shards(0..4, Duration::from_millis(10)).unwrap();
         assert_eq!(all.len(), 4);
         let _ = fs::remove_dir_all(&root);
     }

@@ -33,7 +33,7 @@
 //!    suite, interpreter differential),
 //! 6. optionally re-runs the static-analysis lints ([`lint_on_load`]),
 //! 7. differentially re-validates a stored machine artifact when the
-//!    store serves one.
+//!    store is rv-keyed ([`Store::with_rv_pipeline`]).
 //!
 //! Steps 4–7 validate their bodies against one [`Certificate`], built
 //! once per load.
@@ -60,14 +60,15 @@
 //!   [`QUARANTINE_AFTER`] times stops being cached at all (loads answer
 //!   `Unavailable`, puts are refused), so a bad sector cannot cause an
 //!   endless store → evict → recompile → store cycle;
-//! - **crash recovery**: [`Store::open`] scavenges orphaned
-//!   `…tmp.<pid>` files left by processes killed mid-store (only files
-//!   whose writer pid is provably dead are reaped);
-//! - **multi-process sharing** is serialized by an advisory
-//!   [`StoreLock`] (`<root>/.lock`, holder pid inside, stale locks of
-//!   dead holders are broken automatically). Publishing is atomic
-//!   (temp + rename) either way; the lock exists so two `served`
-//!   processes do not interleave scavenging with each other's batches.
+//! - **crash recovery**: opening a store ([`ShardedStore::open`])
+//!   scavenges orphaned `…tmp.<pid>` files left by processes killed
+//!   mid-store (only files whose writer pid is provably dead are reaped);
+//! - **multi-process sharing** is serialized by advisory [`StoreLock`]s
+//!   (`<stripe root>/.lock`, holder pid inside, stale locks of dead
+//!   holders are broken automatically; see
+//!   [`ShardedStore::lock_shards`]). Publishing is atomic (temp + rename)
+//!   either way; the lock exists so two `served` processes do not
+//!   interleave scavenging with each other's batches.
 //!
 //! None of this machinery is trusted: `chaosbench` replays thousands of
 //! requests against a fault-injecting backend and gates that every fault
@@ -77,6 +78,8 @@
 //! [`lint_on_load`]: Store::with_lint_on_load
 //! [`Backend`]: crate::backend::Backend
 //! [`RetryPolicy`]: crate::retry::RetryPolicy
+//! [`ShardedStore::open`]: crate::shard::ShardedStore::open
+//! [`ShardedStore::lock_shards`]: crate::shard::ShardedStore::lock_shards
 
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -111,8 +114,11 @@ pub const STORE_ENV: &str = "SERVICE_STORE";
 /// certification when it was stored, and every structural layer of the
 /// checker (witness integrity counters, side-condition re-solving,
 /// invariant replay) runs in full regardless of the vector count. Callers
-/// that want certification-strength loads can say
-/// [`Store::with_check_config`]`(CheckConfig::default())`.
+/// that want certification-strength loads say
+/// [`Store::with_check_config`]`(CheckConfig::default())` in the store's
+/// `tune` hook ([`ShardedStore::open_with`]).
+///
+/// [`ShardedStore::open_with`]: crate::shard::ShardedStore::open_with
 pub const LOAD_CHECK_VECTORS: usize = 4;
 
 /// Default store root, relative to the current directory.
@@ -216,11 +222,13 @@ impl CacheStats {
     }
 }
 
-/// Outcome of a [`Store::load_verified`] call.
+/// Outcome of a [`ShardedStore::load_verified`] call.
+///
+/// [`ShardedStore::load_verified`]: crate::shard::ShardedStore::load_verified
 #[derive(Debug)]
 pub enum LoadOutcome {
     /// A verified artifact, served from disk. No derivation was performed.
-    Hit(Box<CompiledFunction>),
+    Hit(Box<Verified>),
     /// Nothing stored under this key.
     Miss,
     /// An artifact existed but failed verification and was deleted.
@@ -236,6 +244,18 @@ pub enum LoadOutcome {
         /// Why the store could not answer.
         reason: String,
     },
+}
+
+/// What a verified load serves: the re-certified artifact and, when the
+/// store is rv-keyed, the machine artifact that was just differentially
+/// re-executed against it — as trustworthy as the certificate itself.
+#[derive(Debug)]
+pub struct Verified {
+    /// The certificate: compiled function, witness and optimized body.
+    pub cf: CompiledFunction,
+    /// The re-validated RISC-V machine artifact; `Some` exactly when the
+    /// store keys under an rv pipeline.
+    pub rv: Option<RvArtifact>,
 }
 
 /// An advisory, cross-process store lock: `<root>/.lock` created
@@ -317,7 +337,16 @@ impl Drop for StoreLock {
     }
 }
 
-/// A content-addressed on-disk artifact store with verified loads.
+/// One stripe of a [`ShardedStore`]: its configuration and state.
+///
+/// A stripe is configured only through the `tune` hook of
+/// [`ShardedStore::open_with`] (the `with_*` setters below) and reached
+/// only through [`ShardedStore::shard`]; loads and puts go through the
+/// [`ShardedStore`], which locks the stripe a key routes to.
+///
+/// [`ShardedStore`]: crate::shard::ShardedStore
+/// [`ShardedStore::open_with`]: crate::shard::ShardedStore::open_with
+/// [`ShardedStore::shard`]: crate::shard::ShardedStore::shard
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
@@ -327,11 +356,12 @@ pub struct Store {
     lint_on_load: bool,
     pipeline: PipelineConfig,
     /// When set, artifacts are keyed under this RISC-V lowering pipeline,
-    /// envelopes must carry a machine artifact produced under it, and
-    /// every load differentially re-validates that artifact against the
-    /// decoded certificate (evicting on divergence). `None` — the default
-    /// and the pre-v4 behavior — neither stores nor expects machine code.
-    rv_pipeline: Option<RvPipelineConfig>,
+    /// every put files the machine artifact lowered under it, and every
+    /// load differentially re-validates that artifact against the decoded
+    /// certificate (evicting on absence or divergence). `None` — the
+    /// default and the pre-v4 behavior — neither stores nor expects
+    /// machine code.
+    pub(crate) rv_pipeline: Option<RvPipelineConfig>,
     stats: CacheStats,
     /// Set once [`DEGRADE_AFTER`] consecutive backend failures accrue;
     /// never cleared for the lifetime of this instance (recovery is a
@@ -347,73 +377,43 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (creating if needed) a store rooted at `root` on the real
-    /// filesystem, then runs startup recovery (orphaned temp files whose
+    /// Opens (creating if needed) a stripe rooted at `root` over
+    /// `backend`, then runs startup recovery (orphaned temp files whose
     /// writer process is dead are scavenged — see
     /// [`CacheStats::scavenged`]).
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created (after retries).
-    pub fn open(root: impl Into<PathBuf>) -> Result<Store, String> {
-        Store::open_with_backend(root, Box::new(FsBackend))
-    }
-
-    /// [`Store::open`] over an explicit [`Backend`] — the chaos backend
-    /// in tests and `chaosbench`, the plain filesystem in production.
-    ///
-    /// # Errors
-    ///
     /// Fails if the root directory cannot be created (after retries).
-    pub fn open_with_backend(
-        root: impl Into<PathBuf>,
-        backend: Box<dyn Backend>,
-    ) -> Result<Store, String> {
-        let root = root.into();
+    pub(crate) fn open(root: PathBuf, backend: Box<dyn Backend>) -> Result<Store, String> {
         let retry = RetryPolicy::default();
         let mk = with_retry(&retry, || backend.create_dir_all(&root));
-        let retries = mk.retries;
         mk.result
             .map_err(|e| format!("cannot create store root {}: {e}", root.display()))?;
-        let check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
-        let mut store = Store {
-            root,
-            backend,
-            retry,
-            check,
-            lint_on_load: false,
-            pipeline: PipelineConfig::full(),
-            rv_pipeline: None,
-            stats: CacheStats::default(),
-            degraded: false,
-            degrade_after: DEGRADE_AFTER,
-            consecutive_failures: 0,
-            evict_counts: HashMap::new(),
-            quarantine: HashSet::new(),
-            quarantine_after: QUARANTINE_AFTER,
-        };
-        store.stats.retries += u64::from(retries);
+        let mut store = Store::new(root, backend, retry, false);
+        store.stats.retries += u64::from(mk.retries);
         store.recover();
         Ok(store)
     }
 
-    /// A store that is **born degraded**: it never touches the disk, every
-    /// load answers [`LoadOutcome::Unavailable`] and every put is
-    /// skipped. This is the compile-without-cache fallback `served` uses
-    /// when the store root cannot be opened at all — the batch still gets
-    /// answered, just without persistence.
-    pub fn open_degraded(root: impl Into<PathBuf>) -> Store {
-        let check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
+    /// A stripe that is **born degraded**: it never touches the disk,
+    /// every load answers [`LoadOutcome::Unavailable`] and every put is
+    /// skipped.
+    pub(crate) fn open_degraded(root: PathBuf) -> Store {
+        Store::new(root, Box::new(FsBackend), RetryPolicy::none(), true)
+    }
+
+    fn new(root: PathBuf, backend: Box<dyn Backend>, retry: RetryPolicy, degraded: bool) -> Store {
         Store {
-            root: root.into(),
-            backend: Box::new(FsBackend),
-            retry: RetryPolicy::none(),
-            check,
+            root,
+            backend,
+            retry,
+            check: CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() },
             lint_on_load: false,
             pipeline: PipelineConfig::full(),
             rv_pipeline: None,
             stats: CacheStats::default(),
-            degraded: true,
+            degraded,
             degrade_after: DEGRADE_AFTER,
             consecutive_failures: 0,
             evict_counts: HashMap::new(),
@@ -447,27 +447,16 @@ impl Store {
         self
     }
 
-    /// Keys and verifies artifacts under a RISC-V lowering pipeline
-    /// (consuming builder form of [`Store::set_rv_pipeline`]).
-    #[must_use]
-    pub fn with_rv_pipeline(mut self, rv: RvPipelineConfig) -> Store {
-        self.set_rv_pipeline(rv);
-        self
-    }
-
     /// Keys and verifies artifacts under a RISC-V lowering pipeline: the
-    /// pipeline identity joins the fingerprint, [`Store::put_with_rv`]
-    /// persists the machine artifact in the envelope, and every load
+    /// pipeline identity joins the fingerprint, every put lowers and
+    /// files the machine artifact in the envelope, and every load
     /// requires one and differentially re-validates it against the
     /// decoded certificate (evicting on absence, identity mismatch, or
     /// divergence).
-    pub fn set_rv_pipeline(&mut self, rv: RvPipelineConfig) {
+    #[must_use]
+    pub fn with_rv_pipeline(mut self, rv: RvPipelineConfig) -> Store {
         self.rv_pipeline = Some(rv);
-    }
-
-    /// The RISC-V lowering pipeline this store keys under, if any.
-    pub fn rv_pipeline(&self) -> Option<&RvPipelineConfig> {
-        self.rv_pipeline.as_ref()
+        self
     }
 
     /// Replaces the transient-fault retry policy.
@@ -500,11 +489,6 @@ impl Store {
         &self.pipeline
     }
 
-    /// The store root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -519,15 +503,6 @@ impl Store {
     /// The backend's short name (`"fs"`, `"chaos"`), for reports.
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
-    }
-
-    /// Acquires the advisory cross-process lock for this store's root.
-    ///
-    /// # Errors
-    ///
-    /// See [`StoreLock::acquire`].
-    pub fn lock(&self, wait: Duration) -> Result<StoreLock, String> {
-        StoreLock::acquire(&self.root, wait)
     }
 
     /// The file an artifact for `(name, key)` lives in.
@@ -616,53 +591,25 @@ impl Store {
         }
     }
 
-    /// Writes `cf` under `key`. The write goes through a temporary file in
-    /// the same directory followed by a rename (see
-    /// [`Backend::write_atomic`]), so concurrent readers see either the
-    /// old artifact or the new one, never a torn file. Transient I/O
-    /// faults are retried; a degraded store and quarantined keys skip the
-    /// write.
+    /// The write half of a put: files `cf` (and `rv`, the machine
+    /// artifact an rv-keyed stripe promises) under `key`. The write goes
+    /// through a temporary file in the same directory followed by a
+    /// rename (see [`Backend::write_atomic`]), so concurrent readers see
+    /// either the old artifact or the new one, never a torn file.
+    /// Transient I/O faults are retried; a degraded store and quarantined
+    /// keys skip the write.
     ///
     /// # Errors
     ///
     /// Fails on post-retry I/O errors, in degraded mode, and for
     /// quarantined keys; the store counters are only bumped on success.
-    pub fn put(&mut self, key: Fingerprint, cf: &CompiledFunction) -> Result<PathBuf, String> {
-        self.put_with_rv(key, cf, None)
-    }
-
-    /// [`Store::put`] with an optional validated RISC-V machine artifact
-    /// riding in the envelope. When this store was configured with a
-    /// [`RvPipelineConfig`], the artifact is *required* — persisting a
-    /// certificate without the machine code the key promises would make
-    /// every subsequent load an eviction.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Store::put`] can report, plus a configuration
-    /// mismatch between the store's rv pipeline and `rv_artifact`.
-    pub fn put_with_rv(
+    pub(crate) fn write(
         &mut self,
         key: Fingerprint,
         cf: &CompiledFunction,
-        rv_artifact: Option<&RvArtifact>,
+        rv: Option<&RvArtifact>,
     ) -> Result<PathBuf, String> {
         let path = self.path_for(&cf.function.name, key);
-        match (&self.rv_pipeline, rv_artifact) {
-            (Some(_), None) => {
-                return Err(format!(
-                    "store keys under an rv pipeline but no machine artifact was supplied for {}",
-                    path.display()
-                ));
-            }
-            (None, Some(_)) => {
-                return Err(format!(
-                    "machine artifact supplied but this store has no rv pipeline; not persisting {}",
-                    path.display()
-                ));
-            }
-            _ => {}
-        }
         if self.degraded {
             return Err(format!(
                 "store degraded; not persisting {} (compile-without-cache mode)",
@@ -684,11 +631,11 @@ impl Store {
             ("digest", Json::str(digest)),
             ("artifact", artifact),
         ];
-        if let (Some(rv), Some(art)) = (&self.rv_pipeline, rv_artifact) {
+        if let (Some(pipeline), Some(art)) = (&self.rv_pipeline, rv) {
             fields.push((
                 "rv",
                 Json::obj([
-                    ("pipeline", Json::str(rv.identity_string())),
+                    ("pipeline", Json::str(pipeline.identity_string())),
                     ("artifact", encode_rv_artifact(art)),
                 ]),
             ));
@@ -710,37 +657,6 @@ impl Store {
                 Err(format!("cannot write artifact {}: {e}", path.display()))
             }
         }
-    }
-
-    /// Attempts a verified load of the artifact for `(model, spec, dbs,
-    /// limits)`. See the module docs for the verification ladder; on any
-    /// failure the artifact is evicted and the caller should recompile.
-    pub fn load_verified(
-        &mut self,
-        model: &Model,
-        spec: &FnSpec,
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> LoadOutcome {
-        self.load_verified_rv(model, spec, dbs, limits).0
-    }
-
-    /// [`Store::load_verified`] returning the re-validated RISC-V machine
-    /// artifact alongside the certificate. The artifact is `Some` exactly
-    /// on a hit of a store configured with an rv pipeline — and it has
-    /// just been differentially re-executed against the decoded
-    /// certificate, so it is as trustworthy as the certificate itself.
-    pub fn load_verified_rv(
-        &mut self,
-        model: &Model,
-        spec: &FnSpec,
-        dbs: &HintDbs,
-        limits: &EngineLimits,
-    ) -> (LoadOutcome, Option<Box<RvArtifact>>) {
-        let key = self.key_for(model, spec, dbs, limits);
-        let path = self.path_for(&spec.name, key);
-        let raw = self.attempt(&path, key, model, spec, dbs);
-        self.settle(raw)
     }
 
     /// The read side of one load, free of `&mut` bookkeeping so it can
@@ -801,28 +717,28 @@ impl Store {
         let outcome = self.verify(&text, key, model, spec, dbs);
         let nanos = started.elapsed().as_nanos();
         match outcome {
-            Ok((cf, rv)) => Raw { retries, nanos, kind: RawKind::Hit(cf, rv) },
+            Ok(hit) => Raw { retries, nanos, kind: RawKind::Hit(hit) },
             Err(reason) => Raw { retries, nanos, kind: RawKind::Evict(path.to_path_buf(), reason) },
         }
     }
 
     /// The serial bookkeeping for one [`Raw`] attempt: counters, degraded
     /// tracking, quarantine, eviction.
-    pub(crate) fn settle(&mut self, raw: Raw) -> (LoadOutcome, Option<Box<RvArtifact>>) {
+    pub(crate) fn settle(&mut self, raw: Raw) -> LoadOutcome {
         self.stats.retries += u64::from(raw.retries);
         self.stats.verify_nanos += raw.nanos;
         match raw.kind {
             RawKind::Miss => {
                 self.note_backend_ok();
                 self.stats.misses += 1;
-                (LoadOutcome::Miss, None)
+                LoadOutcome::Miss
             }
-            RawKind::Hit(cf, rv) => {
+            RawKind::Hit(hit) => {
                 self.note_backend_ok();
                 self.stats.hits += 1;
-                (LoadOutcome::Hit(cf), rv)
+                LoadOutcome::Hit(hit)
             }
-            RawKind::Evict(path, reason) => (self.evict(&path, reason), None),
+            RawKind::Evict(path, reason) => self.evict(&path, reason),
             RawKind::Unavailable(reason) => {
                 // A degraded/quarantined skip is not a fresh backend
                 // failure; only real post-retry I/O errors count toward
@@ -831,7 +747,7 @@ impl Store {
                     self.note_backend_failure();
                 }
                 self.stats.unavailable += 1;
-                (LoadOutcome::Unavailable { reason }, None)
+                LoadOutcome::Unavailable { reason }
             }
         }
     }
@@ -845,7 +761,7 @@ impl Store {
         model: &Model,
         spec: &FnSpec,
         dbs: &HintDbs,
-    ) -> Result<(Box<CompiledFunction>, Option<Box<RvArtifact>>), String> {
+    ) -> Result<Box<Verified>, String> {
         let envelope =
             rupicola_lang::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         match envelope.get("format").and_then(Json::as_u64) {
@@ -951,11 +867,11 @@ impl Store {
             }
             validate_artifact(&cert, &art)
                 .map_err(|e| format!("machine artifact failed re-validation: {e}"))?;
-            Some(Box::new(art))
+            Some(art)
         } else {
             None
         };
-        Ok((Box::new(cf), rv))
+        Ok(Box::new(Verified { cf, rv }))
     }
 
     fn evict(&mut self, path: &Path, reason: String) -> LoadOutcome {
@@ -985,7 +901,7 @@ pub(crate) struct Raw {
 
 enum RawKind {
     Miss,
-    Hit(Box<CompiledFunction>, Option<Box<RvArtifact>>),
+    Hit(Box<Verified>),
     Evict(PathBuf, String),
     Unavailable(String),
 }
@@ -994,6 +910,7 @@ enum RawKind {
 mod tests {
     use super::*;
     use crate::chaos::{ChaosBackend, FaultPlan};
+    use crate::shard::ShardedStore;
     use rupicola_ext::standard_dbs;
 
     fn scratch_root(tag: &str) -> PathBuf {
@@ -1003,9 +920,19 @@ mod tests {
         dir
     }
 
+    /// A 1-shard store (the root layout) at a fresh scratch root.
+    fn open(tag: &str) -> ShardedStore {
+        ShardedStore::open(scratch_root(tag), 1).unwrap()
+    }
+
+    /// [`open`] with `tune` applied to the stripe.
+    fn open_tuned(tag: &str, tune: impl Fn(Store) -> Store) -> ShardedStore {
+        ShardedStore::open_with(scratch_root(tag), 1, |_| Box::new(FsBackend), tune).unwrap()
+    }
+
     #[test]
     fn put_then_load_verified_hits() {
-        let mut store = Store::open(scratch_root("hit")).unwrap();
+        let store = open("hit");
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1015,9 +942,10 @@ mod tests {
         store.put(key, &cf).unwrap();
         match store.load_verified(&model, &spec, &dbs, &limits) {
             LoadOutcome::Hit(loaded) => {
-                assert_eq!(loaded.function, cf.function);
-                assert_eq!(loaded.derivation, cf.derivation);
-                assert_eq!(loaded.stats, cf.stats);
+                assert_eq!(loaded.cf.function, cf.function);
+                assert_eq!(loaded.cf.derivation, cf.derivation);
+                assert_eq!(loaded.cf.stats, cf.stats);
+                assert!(loaded.rv.is_none(), "a plain store files no machine code");
             }
             other => panic!("expected hit, got {other:?}"),
         }
@@ -1025,13 +953,13 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.evictions, stats.stores), (1, 0, 0, 1));
         assert!(stats.verify_nanos > 0);
         assert_eq!(stats.retries, 0, "no faults, no retries");
-        assert!(!store.degraded());
+        assert!(!store.any_degraded());
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn empty_store_misses() {
-        let mut store = Store::open(scratch_root("miss")).unwrap();
+        let store = open("miss");
         let dbs = standard_dbs();
         let outcome = store.load_verified(
             &rupicola_programs::fnv1a::model(),
@@ -1046,13 +974,13 @@ mod tests {
 
     #[test]
     fn garbage_artifact_is_evicted() {
-        let mut store = Store::open(scratch_root("garbage")).unwrap();
+        let store = open("garbage");
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let path = store.path_for(&spec.name, key);
+        let path = store.shard(0).path_for(&spec.name, key);
         fs::write(&path, "{ not json").unwrap();
         match store.load_verified(&model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => assert!(reason.contains("invalid JSON"), "{reason}"),
@@ -1066,26 +994,26 @@ mod tests {
 
     #[test]
     fn non_utf8_artifact_is_evicted_not_unavailable() {
-        let mut store = Store::open(scratch_root("utf8")).unwrap();
+        let store = open("utf8");
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let path = store.path_for(&spec.name, key);
+        let path = store.shard(0).path_for(&spec.name, key);
         fs::write(&path, [0xff, 0xfe, 0x00, 0x41]).unwrap();
         match store.load_verified(&model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => assert!(reason.contains("corrupt"), "{reason}"),
             other => panic!("expected eviction, got {other:?}"),
         }
         assert!(!path.exists());
-        assert!(!store.degraded(), "corruption is not an I/O outage");
+        assert!(!store.any_degraded(), "corruption is not an I/O outage");
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn optimized_artifact_round_trips_and_reverifies() {
-        let mut store = Store::open(scratch_root("opt-roundtrip")).unwrap();
+        let store = open("opt-roundtrip");
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1100,8 +1028,8 @@ mod tests {
         store.put(key, &cf).unwrap();
         match store.load_verified(&model, &spec, &dbs, &limits) {
             LoadOutcome::Hit(loaded) => {
-                assert_eq!(loaded.optimized.as_ref(), Some(&optimized));
-                assert_eq!(loaded.stats, cf.stats);
+                assert_eq!(loaded.cf.optimized.as_ref(), Some(&optimized));
+                assert_eq!(loaded.cf.stats, cf.stats);
             }
             other => panic!("expected hit, got {other:?}"),
         }
@@ -1110,7 +1038,7 @@ mod tests {
 
     #[test]
     fn tampered_optimized_body_is_evicted() {
-        let mut store = Store::open(scratch_root("opt-tamper")).unwrap();
+        let store = open("opt-tamper");
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1130,13 +1058,13 @@ mod tests {
             }
             other => panic!("expected eviction, got {other:?}"),
         }
-        assert!(!store.path_for(&spec.name, key).exists());
+        assert!(!store.shard(0).path_for(&spec.name, key).exists());
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn flipped_descriptive_byte_is_evicted_by_the_digest() {
-        let mut store = Store::open(scratch_root("digest-tamper")).unwrap();
+        let store = open("digest-tamper");
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1158,15 +1086,14 @@ mod tests {
             }
             other => panic!("expected digest eviction, got {other:?}"),
         }
-        assert!(!store.path_for(&spec.name, key).exists());
+        assert!(!store.shard(0).path_for(&spec.name, key).exists());
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
     fn pipeline_config_changes_the_key() {
-        let store_full = Store::open(scratch_root("key-full")).unwrap();
-        let store_none =
-            Store::open(scratch_root("key-none")).unwrap().with_pipeline(PipelineConfig::none());
+        let store_full = open("key-full");
+        let store_none = open_tuned("key-none", |s| s.with_pipeline(PipelineConfig::none()));
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1182,10 +1109,10 @@ mod tests {
     #[test]
     fn ct_policy_changes_the_key() {
         use rupicola_analysis::SecrecyPolicy;
-        let plain = Store::open(scratch_root("key-ct-plain")).unwrap();
-        let strict = Store::open(scratch_root("key-ct-strict")).unwrap().with_pipeline(
-            PipelineConfig::full().with_ct_policy(SecrecyPolicy::secrets(["data"])),
-        );
+        let plain = open("key-ct-plain");
+        let strict = open_tuned("key-ct-strict", |s| {
+            s.with_pipeline(PipelineConfig::full().with_ct_policy(SecrecyPolicy::secrets(["data"])))
+        });
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1202,7 +1129,7 @@ mod tests {
 
     #[test]
     fn deadline_is_not_part_of_the_key() {
-        let store = Store::open(scratch_root("key-deadline")).unwrap();
+        let store = open("key-deadline");
         let dbs = standard_dbs();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
@@ -1233,17 +1160,20 @@ mod tests {
     fn outage_backend_degrades_instead_of_erroring_forever() {
         let root = scratch_root("outage");
         fs::create_dir_all(&root).unwrap();
-        let mut store = Store::open_with_backend(
+        let store = ShardedStore::open_with(
             &root,
-            Box::new(ChaosBackend::new(FaultPlan::outage(11))),
+            1,
+            |_| Box::new(ChaosBackend::new(FaultPlan::outage(11))),
+            |s| {
+                s.with_retry_policy(RetryPolicy {
+                    max_attempts: 2,
+                    base_delay: Duration::from_micros(10),
+                    max_delay: Duration::from_micros(20),
+                })
+                .with_degrade_after(2)
+            },
         )
-        .unwrap()
-        .with_retry_policy(RetryPolicy {
-            max_attempts: 2,
-            base_delay: Duration::from_micros(10),
-            max_delay: Duration::from_micros(20),
-        })
-        .with_degrade_after(2);
+        .unwrap();
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
@@ -1256,7 +1186,7 @@ mod tests {
                 other => panic!("expected unavailable under total outage, got {other:?}"),
             }
         }
-        assert!(store.degraded());
+        assert!(store.all_degraded());
         let stats = store.stats();
         assert_eq!(stats.unavailable, 5);
         assert!(stats.retries > 0, "transient faults must be retried before giving up");
@@ -1271,14 +1201,13 @@ mod tests {
 
     #[test]
     fn repeated_corruption_quarantines_the_key() {
-        let mut store =
-            Store::open(scratch_root("quarantine")).unwrap().with_quarantine_after(3);
+        let store = open_tuned("quarantine", |s| s.with_quarantine_after(3));
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();
         let spec = rupicola_programs::fnv1a::spec();
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let path = store.path_for(&spec.name, key);
+        let path = store.shard(0).path_for(&spec.name, key);
         // A persistently corrupting environment: every write lands
         // corrupt, every load evicts. The third eviction quarantines.
         for i in 0..3 {
@@ -1305,7 +1234,7 @@ mod tests {
         let cf = rupicola_programs::fnv1a::compiled().unwrap();
         let err = store.put(key, &cf).unwrap_err();
         assert!(err.contains("quarantined"), "{err}");
-        assert!(!store.degraded(), "quarantine is per-key, not a store-wide outage");
+        assert!(!store.any_degraded(), "quarantine is per-key, not a store-wide outage");
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -1321,7 +1250,7 @@ mod tests {
         fs::write(&live, "in flight").unwrap();
         let artifact = root.join("prog-0011223344556677.json");
         fs::write(&artifact, "{}").unwrap();
-        let store = Store::open(&root).unwrap();
+        let store = ShardedStore::open(&root, 1).unwrap();
         assert_eq!(store.stats().scavenged, 2);
         assert!(live.exists(), "live writers' temp files are never touched");
         assert!(artifact.exists(), "artifacts are never scavenged");
@@ -1390,8 +1319,8 @@ mod tests {
     fn born_degraded_store_never_touches_disk() {
         let root = scratch_root("born-degraded");
         // Deliberately never created on disk.
-        let mut store = Store::open_degraded(&root);
-        assert!(store.degraded());
+        let store = ShardedStore::open_degraded(&root, 1);
+        assert!(store.all_degraded());
         let dbs = standard_dbs();
         let limits = EngineLimits::default();
         let model = rupicola_programs::fnv1a::model();

@@ -17,5 +17,5 @@ pub use rupicola_rv as rv;
 pub use rupicola_rv::{lower_validated, RvBackendError, RvPipelineConfig, RvReport, RvStageId};
 pub use rupicola_sep as sep;
 pub use rupicola_service as service;
-pub use rupicola_service::{compile_suite_cached, CachedResult, Server, ShardedStore, Store};
+pub use rupicola_service::{compile_suite_cached, CachedResult, Server, ShardedStore};
 pub use rupicola_stackm as stackm;

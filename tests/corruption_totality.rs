@@ -18,7 +18,8 @@ use rupicola::ext::standard_dbs;
 use rupicola::lang::dsl::*;
 use rupicola::lang::Model;
 use rupicola::sep::ScalarKind;
-use rupicola::service::store::{LoadOutcome, Store};
+use rupicola::service::store::LoadOutcome;
+use rupicola::service::{FsBackend, ShardedStore};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -55,10 +56,13 @@ fn truncation_at_every_byte_offset_evicts_or_serves_certified() {
     // Quarantine off: this test evicts the same key thousands of times on
     // purpose. Full-strength check config so a surviving Hit is held to
     // the same bar the test re-checks it against.
-    let mut store = Store::open(&root)
-        .unwrap()
-        .with_quarantine_after(0)
-        .with_check_config(CheckConfig::default());
+    let store = ShardedStore::open_with(
+        &root,
+        1,
+        |_| Box::new(FsBackend),
+        |s| s.with_quarantine_after(0).with_check_config(CheckConfig::default()),
+    )
+    .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
     let path = store.put(key, &cf).unwrap();
     let pristine = std::fs::read(&path).unwrap();
@@ -73,9 +77,9 @@ fn truncation_at_every_byte_offset_evicts_or_serves_certified() {
             LoadOutcome::Hit(loaded) => {
                 // Only the full-length "truncation" should land here, and
                 // a served artifact must certify and answer this request.
-                assert_eq!(loaded.model, model, "offset {cut}");
-                assert_eq!(loaded.spec, spec, "offset {cut}");
-                check_with(&loaded, &dbs, &CheckConfig::default()).unwrap_or_else(|e| {
+                assert_eq!(loaded.cf.model, model, "offset {cut}");
+                assert_eq!(loaded.cf.spec, spec, "offset {cut}");
+                check_with(&loaded.cf, &dbs, &CheckConfig::default()).unwrap_or_else(|e| {
                     panic!("offset {cut}: served artifact fails the checker: {e}")
                 });
             }
@@ -85,7 +89,7 @@ fn truncation_at_every_byte_offset_evicts_or_serves_certified() {
             }
         }
     }
-    assert!(!store.degraded(), "corruption must never flip the store into degraded mode");
+    assert!(!store.any_degraded(), "corruption must never flip the store into degraded mode");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -96,7 +100,9 @@ fn bit_flips_in_every_header_field_evict() {
     let (model, spec) = small_artifact();
     let cf = rupicola::core::compile(&model, &spec, &dbs).unwrap();
     let root = scratch("header-flip");
-    let mut store = Store::open(&root).unwrap().with_quarantine_after(0);
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
     let path = store.put(key, &cf).unwrap();
     let pristine = std::fs::read(&path).unwrap();
@@ -136,9 +142,9 @@ fn bit_flips_in_every_header_field_evict() {
                     }
                     LoadOutcome::Hit(loaded) => {
                         benign += 1;
-                        assert_eq!(loaded.model, model, "{field} byte {at} bit {bit}");
-                        assert_eq!(loaded.spec, spec, "{field} byte {at} bit {bit}");
-                        check_with(&loaded, &dbs, &CheckConfig::default()).unwrap_or_else(|e| {
+                        assert_eq!(loaded.cf.model, model, "{field} byte {at} bit {bit}");
+                        assert_eq!(loaded.cf.spec, spec, "{field} byte {at} bit {bit}");
+                        check_with(&loaded.cf, &dbs, &CheckConfig::default()).unwrap_or_else(|e| {
                             panic!(
                                 "{field} byte {at} bit {bit}: served artifact fails: {e}"
                             )

@@ -12,8 +12,10 @@ use rupicola::core::fnspec::FnSpec;
 use rupicola::core::HintDbs;
 use rupicola::lang::Model;
 use rupicola::service::fingerprint::{fingerprint, Fingerprint, FingerprintInputs};
-use rupicola::service::store::{LoadOutcome, Store};
-use rupicola::service::{compile_suite_cached, Provenance, Server, ShardedStore, TenantTable};
+use rupicola::service::store::LoadOutcome;
+use rupicola::service::{
+    compile_suite_cached, FsBackend, Provenance, Server, ShardedStore, TenantTable,
+};
 use rupicola_minicheck::check;
 use std::path::PathBuf;
 
@@ -22,7 +24,7 @@ fn key(model: &Model, spec: &FnSpec, dbs: &HintDbs, limits: &EngineLimits) -> Fi
     fingerprint(&FingerprintInputs::new(model, spec, dbs, limits))
 }
 
-/// A 1-shard (plain store layout), 1-worker server at `root`.
+/// A 1-shard (root layout), 1-worker server at `root`.
 fn serial_server(root: &std::path::Path) -> Server {
     Server::new(ShardedStore::open(root, 1).unwrap(), TenantTable::default(), 1)
 }
@@ -96,7 +98,9 @@ fn targeted_corruption_evicts_and_recompiles() {
     let root = scratch("targeted-corruption");
     // This test evicts the same key once per corruption; quarantine (which
     // has its own test) would kick in after the third and refuse the heal.
-    let mut store = Store::open(&root).unwrap().with_quarantine_after(0);
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
     let path = store.put(key, &cf).unwrap();
     let pristine = std::fs::read_to_string(&path).unwrap();
@@ -113,7 +117,7 @@ fn targeted_corruption_evicts_and_recompiles() {
         let healed = rupicola::core::compile(&model, &spec, &dbs).unwrap();
         store.put(key, &healed).unwrap();
         match store.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+            LoadOutcome::Hit(loaded) => assert_eq!(loaded.cf.function, cf.function),
             other => panic!("{what}: healed store should hit, got {other:?}"),
         }
         std::fs::write(&path, &pristine).unwrap();
@@ -142,10 +146,13 @@ fn random_bit_flips_never_yield_an_unverified_artifact() {
     // legitimately serve a flip that only vector 11 distinguishes).
     // Quarantine off: 48 flips against one key would trip it long before
     // the property finishes exercising the evict-or-certify contract.
-    let mut store = Store::open(&root)
-        .unwrap()
-        .with_check_config(CheckConfig::default())
-        .with_quarantine_after(0);
+    let store = ShardedStore::open_with(
+        &root,
+        1,
+        |_| Box::new(FsBackend),
+        |s| s.with_check_config(CheckConfig::default()).with_quarantine_after(0),
+    )
+    .unwrap();
     let key = store.key_for(&model, &spec, &dbs, &limits);
     let path = store.put(key, &cf).unwrap();
     let pristine = std::fs::read(&path).unwrap();
@@ -166,9 +173,9 @@ fn random_bit_flips_never_yield_an_unverified_artifact() {
                 // Flip was immaterial (e.g. inside a focus label): the
                 // served artifact still passed the checker on this load,
                 // and must be for the requested inputs.
-                assert_eq!(loaded.model, model);
-                assert_eq!(loaded.spec, spec);
-                check_with(&loaded, &dbs, &CheckConfig::default())
+                assert_eq!(loaded.cf.model, model);
+                assert_eq!(loaded.cf.spec, spec);
+                check_with(&loaded.cf, &dbs, &CheckConfig::default())
                     .expect("served artifact must certify under the full config");
                 std::fs::write(&path, &pristine).unwrap();
             }
@@ -252,7 +259,7 @@ fn fingerprints_track_hint_db_identity() {
     );
 }
 
-/// Every suite program's key under `Store` defaults (full pipeline,
+/// Every suite program's key under store defaults (full pipeline,
 /// public policy, no RISC-V, default limits), pinned to the hex values
 /// artifacts have been filed under since format version 5. Existing
 /// stores and any replay of the store's key derivation depend on these:
@@ -261,7 +268,7 @@ fn fingerprints_track_hint_db_identity() {
 #[test]
 fn suite_keys_are_pinned() {
     let root = scratch("pinned-keys");
-    let store = Store::open(&root).unwrap();
+    let store = ShardedStore::open(&root, 1).unwrap();
     let dbs = standard_dbs();
     let limits = EngineLimits::default();
     let keys: Vec<(&str, String)> = suite()

@@ -1,18 +1,22 @@
 //! Integration battery for RISC-V machine artifacts in the service store:
-//! a validated [`RvArtifact`] rides the envelope under the rv-pipeline
-//! fingerprint, is differentially re-validated on every load, round-trips
-//! through both the plain and the sharded store, and is evicted the
-//! moment its machine code is corrupted.
+//! an rv-keyed store's put lowers and validates the machine artifact
+//! itself and files it in the envelope under the rv-pipeline fingerprint,
+//! every load differentially re-validates it and serves it beside the
+//! certificate, a corrupted machine artifact is evicted, and a server
+//! over an rv-keyed store caches. Each store check runs at 1 shard (the
+//! root layout) and at 8.
 
 use rupicola::core::check::CheckConfig;
 use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
 use rupicola::programs::suite;
-use rupicola::service::store::{LoadOutcome, Store};
-use rupicola::service::ShardedStore;
+use rupicola::service::store::LoadOutcome;
+use rupicola::service::{
+    shard_root, CompileJob, FsBackend, JobOutcome, Provenance, Server, ShardedStore, TenantTable,
+};
 use rupicola::{lower_validated, RvPipelineConfig};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
@@ -27,48 +31,59 @@ fn upstr() -> (rupicola::lang::Model, rupicola::core::fnspec::FnSpec, rupicola::
     ((entry.model)(), (entry.spec)(), (entry.compiled)().unwrap())
 }
 
-#[test]
-fn rv_artifact_round_trips_through_the_store() {
-    let root = scratch("roundtrip");
+/// A store keyed under the full RISC-V lowering pipeline.
+fn rv_store(root: &Path, shards: usize) -> ShardedStore {
+    ShardedStore::open_with(root, shards, |_| Box::new(FsBackend), |s| {
+        s.with_rv_pipeline(RvPipelineConfig::full())
+    })
+    .unwrap()
+}
+
+fn round_trip(shards: usize) {
+    let root = scratch(&format!("roundtrip-{shards}"));
     let dbs = standard_dbs();
     let limits = EngineLimits::default();
-    let pipeline = RvPipelineConfig::full();
     let (model, spec, cf) = upstr();
-    let (art, _) = lower_validated(&cf, &pipeline, &CheckConfig::default()).unwrap();
+    let (art, _) =
+        lower_validated(&cf, &RvPipelineConfig::full(), &CheckConfig::default()).unwrap();
 
-    let mut store = Store::open(&root).unwrap().with_rv_pipeline(pipeline.clone());
+    let store = rv_store(&root, shards);
     let key = store.key_for(&model, &spec, &dbs, &limits);
     // The rv pipeline is part of the key: a plain store disagrees.
-    let mut plain = Store::open(scratch("plainkey")).unwrap();
+    let plain = ShardedStore::open_degraded(scratch("plainkey"), shards);
     assert_ne!(key, plain.key_for(&model, &spec, &dbs, &limits));
 
-    // An rv-keyed store refuses envelopes without the machine artifact —
-    // a hit would otherwise silently downgrade the backend.
-    assert!(store.put(key, &cf).is_err(), "rv store must demand the machine artifact");
-    // And a plain store refuses to carry one it cannot re-validate.
-    assert!(plain.put_with_rv(key, &cf, Some(&art)).is_err());
-
-    store.put_with_rv(key, &cf, Some(&art)).unwrap();
-    let (outcome, loaded_rv) = store.load_verified_rv(&model, &spec, &dbs, &limits);
-    match outcome {
-        LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
-        other => panic!("expected hit, got {other:?}"),
+    // The put lowers and files the machine artifact the key promises.
+    let path = store.put(key, &cf).unwrap();
+    assert_eq!(path.parent().unwrap(), shard_root(&root, store.shard_of(key), shards));
+    match store.load_verified(&model, &spec, &dbs, &limits) {
+        LoadOutcome::Hit(loaded) => {
+            assert_eq!(loaded.cf.function, cf.function);
+            assert_eq!(
+                loaded.rv.as_ref(),
+                Some(&art),
+                "machine artifact must round-trip bit-for-bit"
+            );
+        }
+        other => panic!("{shards} shard(s): expected hit, got {other:?}"),
     }
-    assert_eq!(
-        loaded_rv.as_deref(),
-        Some(&art),
-        "machine artifact must round-trip bit-for-bit"
-    );
     let _ = fs::remove_dir_all(&root);
 }
 
 #[test]
-fn corrupted_rv_artifact_is_evicted() {
+fn rv_artifact_round_trips_through_the_store() {
+    round_trip(1);
+}
+
+#[test]
+fn rv_artifact_round_trips_through_the_sharded_store() {
+    round_trip(8);
+}
+
+fn evictions(shards: usize) {
     let dbs = standard_dbs();
     let limits = EngineLimits::default();
-    let pipeline = RvPipelineConfig::full();
     let (model, spec, cf) = upstr();
-    let (art, _) = lower_validated(&cf, &pipeline, &CheckConfig::default()).unwrap();
 
     // (corruption name, raw-text edit applied to the stored envelope)
     type Edit = Box<dyn Fn(&str) -> String>;
@@ -88,55 +103,61 @@ fn corrupted_rv_artifact_is_evicted() {
         ("rv block dropped", Box::new(|t: &str| t.replacen("\"rv\"", "\"xx\"", 1))),
     ];
     for (tag, edit) in corruptions {
-        let root = scratch(&format!("evict-{}", tag.replace(' ', "-")));
-        let mut store = Store::open(&root).unwrap().with_rv_pipeline(pipeline.clone());
+        let root = scratch(&format!("evict-{shards}-{}", tag.replace(' ', "-")));
+        let store = rv_store(&root, shards);
         let key = store.key_for(&model, &spec, &dbs, &limits);
-        let path = store.put_with_rv(key, &cf, Some(&art)).unwrap();
+        let path = store.put(key, &cf).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         let corrupted = edit(&text);
         assert_ne!(text, corrupted, "{tag}: the edit must change the envelope");
         fs::write(&path, corrupted).unwrap();
-        let (outcome, loaded_rv) = store.load_verified_rv(&model, &spec, &dbs, &limits);
-        match outcome {
+        match store.load_verified(&model, &spec, &dbs, &limits) {
             LoadOutcome::Evicted { reason } => {
                 assert!(!path.exists(), "{tag}: evicted artifact must be deleted ({reason})");
             }
-            other => panic!("{tag}: expected eviction, got {other:?}"),
+            other => panic!("{tag} ({shards} shard(s)): expected eviction, got {other:?}"),
         }
-        assert!(loaded_rv.is_none(), "{tag}: no machine artifact may survive eviction");
         let _ = fs::remove_dir_all(&root);
     }
 }
 
 #[test]
-fn rv_artifact_round_trips_through_the_sharded_store() {
-    let root = scratch("sharded");
+fn corrupted_rv_artifact_is_evicted() {
+    for shards in [1, 8] {
+        evictions(shards);
+    }
+}
+
+/// A server over an rv-keyed store files what it compiles: the second
+/// identical batch is a verified hit, and the hit's machine artifact is
+/// the one a fresh validated lowering of the served certificate yields.
+#[test]
+fn an_rv_keyed_server_caches() {
+    let root = scratch("server");
+    let server = Server::new(rv_store(&root, 1), TenantTable::default(), 1);
     let dbs = standard_dbs();
     let limits = EngineLimits::default();
-    let pipeline = RvPipelineConfig::full();
-    let (model, spec, cf) = upstr();
-    let (art, _) = lower_validated(&cf, &pipeline, &CheckConfig::default()).unwrap();
+    let jobs = [CompileJob::named("upstr")];
+    let run = || match server.run_batch(&jobs, &dbs).remove(0).outcome {
+        JobOutcome::Done(done) => *done,
+        other => panic!("upstr not resolved: {other:?}"),
+    };
+    assert_eq!(run().provenance, Provenance::Compiled);
+    let warm = run();
+    assert_eq!(warm.provenance, Provenance::Cache);
+    let stats = server.store().stats();
+    assert_eq!((stats.stores, stats.hits, stats.write_failures), (1, 1, 0));
 
-    let sharded = ShardedStore::open(&root, 8).unwrap().with_rv_pipeline(pipeline.clone());
-    assert_eq!(sharded.rv_pipeline().as_ref(), Some(&pipeline));
-    let key = sharded.key_for(&model, &spec, &dbs, &limits);
-    let path = sharded.put_with_rv(key, &cf, Some(&art)).unwrap();
-    let (outcome, loaded_rv) = sharded.load_verified_rv(&model, &spec, &dbs, &limits);
-    match outcome {
-        LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
+    let served = warm.result.unwrap();
+    let (art, _) =
+        lower_validated(&served, &RvPipelineConfig::full(), &CheckConfig::default()).unwrap();
+    let (model, spec, _) = upstr();
+    match server.store().load_verified(&model, &spec, &dbs, &limits) {
+        LoadOutcome::Hit(hit) => {
+            assert_eq!(hit.cf.function, served.function);
+            assert_eq!(hit.rv.as_ref(), Some(&art));
+        }
         other => panic!("expected hit, got {other:?}"),
     }
-    assert_eq!(loaded_rv.as_deref(), Some(&art));
-
-    // Corrupt the shard's file on disk: the routed verified load evicts.
-    let text = fs::read_to_string(&path).unwrap();
-    fs::write(&path, text.replacen("lbu", "lhu", 1)).unwrap();
-    let (outcome, loaded_rv) = sharded.load_verified_rv(&model, &spec, &dbs, &limits);
-    assert!(
-        matches!(outcome, LoadOutcome::Evicted { .. }),
-        "expected eviction, got {outcome:?}"
-    );
-    assert!(loaded_rv.is_none());
-    assert!(!path.exists(), "evicted artifact must be deleted");
     let _ = fs::remove_dir_all(&root);
 }

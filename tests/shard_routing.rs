@@ -1,15 +1,15 @@
 //! Property battery for the sharded store's routing function
 //! (DESIGN.md §14): fingerprint→shard assignment is a pure, stable,
-//! uniform function of the key prefix, and the 1-shard configuration is
-//! byte-equivalent to the plain single [`Store`] — the regression anchor
-//! that keeps every pre-sharding artifact, tool and test
-//! (`tests/service_cache.rs`) valid against a sharded deployment.
+//! uniform function of the key prefix, and the 1-shard configuration
+//! keeps the on-disk format every store has written since before
+//! sharding — envelope paths and bytes are pinned, the regression anchor
+//! that keeps every stored artifact valid.
 
 use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
-use rupicola::programs::suite;
+use rupicola::programs::{fnv1a, suite};
 use rupicola::service::fingerprint::Fingerprint;
-use rupicola::service::store::{LoadOutcome, Store};
+use rupicola::service::store::LoadOutcome;
 use rupicola::service::{shard_of_key, shard_root, ShardedStore};
 use rupicola_minicheck::{check, Rng};
 use std::path::PathBuf;
@@ -103,54 +103,51 @@ fn routing_is_uniform_within_2x_over_1k_random_keys() {
     }
 }
 
-/// The 1-shard configuration is **byte-equivalent** to a plain single
-/// `Store`: same artifact path, same file bytes, mutually readable. This
-/// is the regression anchor for all pre-sharding behavior.
+/// The 1-shard layout is the on-disk format every store before sharding
+/// wrote: each suite envelope lives at `<root>/<program>-<key>.json`, no
+/// `shard-*` directory exists, a reopened store serves every artifact,
+/// and the envelope bytes hash (FNV-1a/64) to the values pinned below.
+/// Envelopes carry no timings, so their bytes are deterministic; a change
+/// here orphans every stored artifact and must come with a
+/// `FORMAT_VERSION` bump.
 #[test]
-fn one_shard_config_is_byte_equivalent_to_plain_store() {
+fn one_shard_envelopes_are_pinned_at_the_root() {
     let dbs = standard_dbs();
     let limits = EngineLimits::default();
-    let sharded_root = scratch("flat-sharded");
-    let plain_root = scratch("flat-plain");
-    let sharded = ShardedStore::open(&sharded_root, 1).unwrap();
-    let mut plain = Store::open(&plain_root).unwrap();
+    let root = scratch("flat");
+    let store = ShardedStore::open(&root, 1).unwrap();
+    let mut hashes = Vec::new();
     for entry in suite() {
-        let model = (entry.model)();
-        let spec = (entry.spec)();
-        let cf = (entry.compiled)().unwrap();
-        let key = sharded.key_for(&model, &spec, &dbs, &limits);
-        assert_eq!(key, plain.key_for(&model, &spec, &dbs, &limits), "{}", entry.info.name);
-        let sharded_path = sharded.put(key, &cf).unwrap();
-        let plain_path = plain.put(key, &cf).unwrap();
-        // Identical layout: same file name relative to the root…
-        assert_eq!(
-            sharded_path.strip_prefix(&sharded_root).unwrap(),
-            plain_path.strip_prefix(&plain_root).unwrap(),
-            "{}: 1-shard layout must match the plain store's",
-            entry.info.name
-        );
-        // …and identical bytes on disk.
-        assert_eq!(
-            std::fs::read(&sharded_path).unwrap(),
-            std::fs::read(&plain_path).unwrap(),
-            "{}: 1-shard artifact bytes must match the plain store's",
-            entry.info.name
-        );
-        // Cross-readability: the plain store serves the sharded artifact.
-        let mut cross = Store::open(&sharded_root).unwrap();
-        match cross.load_verified(&model, &spec, &dbs, &limits) {
-            LoadOutcome::Hit(loaded) => assert_eq!(loaded.function, cf.function),
-            other => panic!("{}: plain store must read 1-shard layout: {other:?}", entry.info.name),
-        }
+        let key = store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &limits);
+        let path = store.put(key, &(entry.compiled)().unwrap()).unwrap();
+        assert_eq!(path, root.join(format!("{}-{key}.json", entry.info.name)));
+        let bytes = std::fs::read(&path).unwrap();
+        hashes.push((entry.info.name, format!("{:016x}", fnv1a::reference(&bytes))));
     }
-    // No shard directories were created in the 1-shard layout.
     assert!(
-        !std::fs::read_dir(&sharded_root)
+        !std::fs::read_dir(&root)
             .unwrap()
             .filter_map(Result::ok)
             .any(|e| e.file_name().to_string_lossy().starts_with("shard-")),
         "1-shard config must not create shard directories"
     );
-    let _ = std::fs::remove_dir_all(&sharded_root);
-    let _ = std::fs::remove_dir_all(&plain_root);
+    let reopened = ShardedStore::open(&root, 1).unwrap();
+    for entry in suite() {
+        match reopened.load_verified(&(entry.model)(), &(entry.spec)(), &dbs, &limits) {
+            LoadOutcome::Hit(_) => {}
+            other => panic!("{}: expected hit after reopen, got {other:?}", entry.info.name),
+        }
+    }
+    let hashes: Vec<(&str, &str)> = hashes.iter().map(|(n, h)| (*n, h.as_str())).collect();
+    let pinned = [
+        ("fnv1a", "1847f68e587bd091"),
+        ("utf8", "76ebd5090f842fad"),
+        ("upstr", "24bfb023118e9933"),
+        ("m3s", "2755c01e9d8a912d"),
+        ("ip", "807d75ebc10be3ab"),
+        ("fasta", "270e01a40e04d3fd"),
+        ("crc32", "38cd6992ecf98049"),
+    ];
+    assert_eq!(hashes, pinned);
+    let _ = std::fs::remove_dir_all(&root);
 }
