@@ -24,14 +24,20 @@ use rupicola_core::{CompileError, CompiledFunction};
 use std::collections::BTreeSet;
 
 /// The findings of this pass that do not read the body: the witness
-/// recount, the spec/model goal, and the cited lemmas. They are computed
-/// once per certificate and merged with each body's ABI and table
-/// findings by [`WitnessFindings::with_body`], in the pass's fixed order.
+/// recount, the spec/model goal, and the cited lemmas, plus the spec's
+/// interface and the model's table layouts a body is held to. They are
+/// computed once per certificate and merged with each body's ABI and
+/// table findings by [`WitnessFindings::with_body`], in the pass's fixed
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct WitnessFindings {
     recount: Option<String>,
     goal: Option<String>,
     unknown_lemmas: Vec<String>,
+    arg_names: Vec<String>,
+    ret_names: Vec<String>,
+    /// Each model table's name and layout bytes (`None`: no layout).
+    tables: Vec<(String, Option<Vec<u8>>)>,
 }
 
 impl WitnessFindings {
@@ -72,11 +78,24 @@ impl WitnessFindings {
             unknown_lemmas =
                 cited.into_iter().filter(|l| !dbs.knows_lemma(l)).map(|l| l.to_string()).collect();
         }
-        WitnessFindings { recount, goal, unknown_lemmas }
+        WitnessFindings {
+            recount,
+            goal,
+            unknown_lemmas,
+            arg_names: cf.spec.arg_names(),
+            ret_names: cf.spec.ret_names(),
+            tables: cf
+                .model
+                .tables
+                .iter()
+                .map(|t| (t.name.clone(), t.data.to_layout_bytes()))
+                .collect(),
+        }
     }
 
-    /// The pass's findings for `body` as the implementation of `cf`.
-    pub fn with_body(&self, cf: &CompiledFunction, body: &BFunction) -> Vec<Finding> {
+    /// The pass's findings for `body` as the implementation of the
+    /// function these findings were computed for.
+    pub fn with_body(&self, body: &BFunction) -> Vec<Finding> {
         let finding = |kind, message| Finding {
             pass: Pass::CertCheck,
             kind,
@@ -90,23 +109,21 @@ impl WitnessFindings {
         }
 
         // ABI: the function must expose exactly the spec's interface.
-        if body.args != cf.spec.arg_names() {
+        if body.args != self.arg_names {
             findings.push(finding(
                 FindingKind::CertMismatch,
                 format!(
                     "function arguments {:?} do not match the spec's {:?}",
-                    body.args,
-                    cf.spec.arg_names()
+                    body.args, self.arg_names
                 ),
             ));
         }
-        if body.rets != cf.spec.ret_names() {
+        if body.rets != self.ret_names {
             findings.push(finding(
                 FindingKind::CertMismatch,
                 format!(
                     "function returns {:?} do not match the spec's scalar returns {:?}",
-                    body.rets,
-                    cf.spec.ret_names()
+                    body.rets, self.ret_names
                 ),
             ));
         }
@@ -116,15 +133,14 @@ impl WitnessFindings {
         }
 
         // Inline tables must be the model tables, byte for byte.
-        for t in &cf.model.tables {
-            match (t.data.to_layout_bytes(), body.table(&t.name)) {
+        for (name, layout) in &self.tables {
+            match (layout, body.table(name)) {
                 (Some(expected), Some(actual)) => {
-                    if expected != actual.data {
+                    if *expected != actual.data {
                         findings.push(finding(
                             FindingKind::CertMismatch,
                             format!(
-                                "inline table `{}` differs from the model table's layout bytes",
-                                t.name
+                                "inline table `{name}` differs from the model table's layout bytes"
                             ),
                         ));
                     }
@@ -132,18 +148,19 @@ impl WitnessFindings {
                 (Some(_), None) => {
                     findings.push(finding(
                         FindingKind::CertMismatch,
-                        format!("model table `{}` is missing from the function", t.name),
+                        format!("model table `{name}` is missing from the function"),
                     ));
                 }
                 (None, _) => {
                     findings.push(finding(
                         FindingKind::CertMismatch,
-                        format!("model table `{}` has no byte layout", t.name),
+                        format!("model table `{name}` has no byte layout"),
                     ));
                 }
             }
         }
-        let model_tables: BTreeSet<&str> = cf.model.tables.iter().map(|t| t.name.as_str()).collect();
+        let model_tables: BTreeSet<&str> =
+            self.tables.iter().map(|(name, _)| name.as_str()).collect();
         for t in &body.tables {
             if !model_tables.contains(t.name.as_str()) {
                 findings.push(finding(

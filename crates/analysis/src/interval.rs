@@ -38,7 +38,7 @@ use rupicola_core::goal::{Hyp, HypContext, StmtGoal};
 use rupicola_lang::{Expr, ExprRef, Value};
 use rupicola_sep::{RegionSize, SymValue};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Upper bound of a [`Range`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -592,7 +592,7 @@ pub struct MemState {
     dead: BTreeSet<usize>,
     /// Shared region table; carried in the state so the lattice join has
     /// the context needed to compare symbolic bounds.
-    regions: Rc<Vec<RegionInfo>>,
+    regions: Arc<Vec<RegionInfo>>,
 }
 
 impl MemState {
@@ -674,7 +674,7 @@ impl Lattice for MemState {
 
 struct MemAnalysis<'a> {
     function: &'a BFunction,
-    regions: Rc<Vec<RegionInfo>>,
+    regions: Arc<Vec<RegionInfo>>,
     entry: &'a [(String, AbsVal)],
     /// Region index of each syntactic `stackalloc` site.
     alloc_region_base: usize,
@@ -1159,7 +1159,7 @@ impl<'a> ForwardAnalysis for MemAnalysis<'a> {
             reachable: true,
             vars: self.entry.iter().cloned().collect(),
             dead: BTreeSet::new(),
-            regions: Rc::clone(&self.regions),
+            regions: Arc::clone(&self.regions),
         }
     }
 
@@ -1168,7 +1168,7 @@ impl<'a> ForwardAnalysis for MemAnalysis<'a> {
             reachable: false,
             vars: BTreeMap::new(),
             dead: BTreeSet::new(),
-            regions: Rc::clone(&self.regions),
+            regions: Arc::clone(&self.regions),
         }
     }
 
@@ -1243,7 +1243,7 @@ pub fn run(f: &BFunction, env: &MemEnv) -> Vec<Finding> {
 
     let analysis = MemAnalysis {
         function: f,
-        regions: Rc::new(all_regions),
+        regions: Arc::new(all_regions),
         entry: &env.entry,
         alloc_region_base,
         count_class,

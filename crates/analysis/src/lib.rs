@@ -294,18 +294,24 @@ impl fmt::Display for AnalysisReport {
 /// that never read the body and the memory environment derived from the
 /// spec. [`LintCertificate::analyze`] runs the body-dependent checks and
 /// the code passes against it, so many bodies can be linted against one
-/// certificate.
+/// certificate. It owns everything it computed and is `Send + Sync`, so
+/// it can outlive the request that built it.
 #[derive(Debug)]
-pub struct LintCertificate<'a> {
-    cf: &'a CompiledFunction,
+pub struct LintCertificate {
     witness: certcheck::WitnessFindings,
     env: MemEnv,
 }
 
-impl<'a> LintCertificate<'a> {
+// A lint certificate may be shared between threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<LintCertificate>();
+};
+
+impl LintCertificate {
     /// Runs the certificate phase for `cf`. Pass `dbs` to also verify
     /// cited lemmas exist.
-    pub fn new(cf: &'a CompiledFunction, dbs: Option<&HintDbs>) -> Self {
+    pub fn new(cf: &CompiledFunction, dbs: Option<&HintDbs>) -> Self {
         let goal = cf.initial_goal();
         let witness = certcheck::WitnessFindings::new(cf, goal.as_ref().err(), dbs);
         let env = match &goal {
@@ -314,13 +320,13 @@ impl<'a> LintCertificate<'a> {
             // run, with an empty footprint.
             Err(_) => MemEnv::default(),
         };
-        LintCertificate { cf, witness, env }
+        LintCertificate { witness, env }
     }
 
     /// The body phase: every finding for `body` as the implementation of
     /// the certified function, in pass order.
     pub fn analyze(&self, body: &rupicola_bedrock::BFunction) -> AnalysisReport {
-        let mut findings = self.witness.with_body(self.cf, body);
+        let mut findings = self.witness.with_body(body);
         findings.extend(run_code_passes(body, &self.env));
         AnalysisReport { findings }
     }

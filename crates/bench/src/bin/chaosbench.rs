@@ -3,11 +3,14 @@
 //! Drives thousands of mixed compile requests through a 1-shard store
 //! (the root layout) whose I/O backend injects faults from a **seeded**
 //! schedule (transient `EIO`/`ENOSPC`, torn writes, post-write bit
-//! flips, rename failures, stale temp-file litter), then replays three more scenarios: a total
+//! flips, rename failures, stale temp-file litter), then replays four more scenarios: a total
 //! outage (the store must degrade to compile-without-cache, not fail the
 //! requests), a crash mid-store (reopen must scavenge the orphans and
-//! keep serving), and one JSON-lines protocol round (ping, malformed
-//! line, suite, stats) over the chaos store.
+//! keep serving), one JSON-lines protocol round (ping, malformed
+//! line, suite, stats) over the chaos store, and witness swaps (cached
+//! keys' artifacts rewritten between loads with valid digests and
+//! altered witnesses, which the keys' cached certificates must never
+//! vouch for).
 //!
 //! Gates (exit 1 on violation):
 //!
@@ -19,7 +22,10 @@
 //! - **bounded retries** — total retries stay under the per-operation
 //!   policy bound times a small per-request operation count;
 //! - **recovery** — after the simulated crash the reopened store
-//!   scavenges every orphan and serves a verified hit.
+//!   scavenges every orphan and serves a verified hit;
+//! - **witness swaps** — every rewritten artifact is evicted, never
+//!   served, the key then hits again, and the trial reused cached
+//!   certificates at least once.
 //!
 //! Environment: `CHAOS_SEED` (default `0xC0FFEE`) seeds the fault
 //! schedule, `CHAOS_REQUESTS` (default 1200) sizes the trial,
@@ -33,9 +39,10 @@ use rupicola_core::check::{check_with, CheckConfig};
 use rupicola_core::{CompiledFunction, EngineLimits};
 use rupicola_ext::standard_dbs;
 use rupicola_programs::suite;
+use rupicola_service::store::LOAD_CHECK_VECTORS;
 use rupicola_service::{
     resolve_one, serve, Backend, CachedResult, ChaosBackend, FaultPlan, Provenance, RetryPolicy,
-    Server, ShardedStore, Store, TenantTable,
+    Server, ShardedStore, Store, TenantTable, WitnessEdit,
 };
 use std::path::{Path, PathBuf};
 
@@ -265,6 +272,69 @@ fn main() {
     }
     println!("chaosbench: recovery: {scavenged} orphan(s) scavenged, verified hit after reopen");
 
+    // ---- Scenario 5: witness swaps under cached certificates -----------
+    // A clean store whose keys have cached certificates. Between loads, a
+    // key's artifact is rewritten with a valid digest and an altered
+    // witness that a fresh check rejects. The cached certificate must
+    // never vouch for it: each rewrite is evicted and recompiled, and the
+    // healed key hits again.
+    let swap_root = scratch("swap");
+    let swap_store = open_store(&swap_root, fs, |s| s.with_quarantine_after(0));
+    let load_check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
+    for entry in &all {
+        check_answer(&resolve_one(&swap_store, entry, &dbs, &limits), "swap-warmup");
+    }
+    let swap_rounds = (requests / 8).max(16);
+    let mut rewrites = 0usize;
+    for _ in 0..swap_rounds {
+        let i = (mix(&mut picker) as usize) % all.len();
+        let (entry, good) = (&all[i], &reference[i]);
+        let site = mix(&mut picker) as usize;
+        let edit = match mix(&mut picker) % 3 {
+            0 => WitnessEdit::DropHyps(site % 4),
+            1 => WitnessEdit::ForgeLemma(site % good.derivation.node_count.max(1)),
+            _ => WitnessEdit::ForgeNodeCount,
+        };
+        // Only material edits are rewrites: an edit the checker accepts
+        // is a different certified witness, not a forgery.
+        if let Some(forged) = edit.apply(good).filter(|f| check_with(f, &dbs, &load_check).is_err())
+        {
+            let key = swap_store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &limits);
+            if let Err(e) = swap_store.put(key, &forged) {
+                fail("witness-swap", format!("cannot file {edit:?} for {}: {e}", entry.info.name));
+            }
+            rewrites += 1;
+            let served = resolve_one(&swap_store, entry, &dbs, &limits);
+            check_answer(&served, "witness-swap");
+            if served.provenance == Provenance::Cache {
+                fail(
+                    "wrong-answer",
+                    format!("witness-swap: {edit:?} of {} was served", entry.info.name),
+                );
+            }
+        }
+        let healed = resolve_one(&swap_store, entry, &dbs, &limits);
+        check_answer(&healed, "witness-swap");
+        if healed.provenance != Provenance::Cache {
+            fail("witness-swap", format!("{} did not hit between rewrites", entry.info.name));
+        }
+    }
+    let swap_stats = swap_store.stats();
+    if swap_stats.evictions != rewrites {
+        fail(
+            "witness-swap",
+            format!("{} evictions for {rewrites} rewrites", swap_stats.evictions),
+        );
+    }
+    if swap_stats.cert_reuses == 0 {
+        fail("witness-swap", "no load reused a cached certificate".to_string());
+    }
+    println!(
+        "chaosbench: witness swaps: {rewrites} rewrite(s) over {swap_rounds} rounds, all \
+         evicted; {} certificate reuses",
+        swap_stats.cert_reuses
+    );
+
     // ---- Results -------------------------------------------------------
     let summary = Json::obj([
         ("seed", Json::U64(seed)),
@@ -278,6 +348,8 @@ fn main() {
         ("outage_answered", Json::U64(outage_ok as u64)),
         ("outage_degraded", Json::Bool(true)),
         ("recovery_scavenged", Json::U64(scavenged as u64)),
+        ("swap_rewrites", Json::U64(rewrites as u64)),
+        ("swap_cert_reuses", Json::U64(swap_stats.cert_reuses as u64)),
         ("cache", trial_stats.to_json()),
         (
             "plan",
@@ -306,5 +378,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&outage_root);
     let _ = std::fs::remove_dir_all(&crash_root);
+    let _ = std::fs::remove_dir_all(&swap_root);
     println!("chaosbench: ok (zero wrong answers over {} served results)", requests);
 }

@@ -44,9 +44,9 @@ use rupicola_lang::{
     ElemKind, Event, Expr, ExternRegistry, Ident, Model, MonadKind, PrimOp, Value,
 };
 use rupicola_sep::ScalarKind;
-use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Configuration of a checking run.
 #[derive(Debug, Clone)]
@@ -248,17 +248,78 @@ const POISONS: [u8; 2] = [0xAA, 0x55];
 /// A body that fails early therefore costs no more source runs than it
 /// reaches, and the second poison's source runs exist only once a body
 /// needs them.
+///
+/// The parts live in the certificate ([`Certificate::new`]) or in a
+/// [`CertificateParts`] that outlives it ([`Certificate::with_parts`]),
+/// so a caller that validates bodies of one certified function across
+/// many requests computes them once.
 pub struct Certificate<'a> {
     cf: &'a CompiledFunction,
     dbs: &'a crate::lemma::HintDbs,
     config: &'a CheckConfig,
+    parts: Parts<'a>,
+}
+
+/// Where a [`Certificate`]'s parts live.
+enum Parts<'a> {
+    Own(CertificateParts),
+    Shared(&'a CertificateParts),
+}
+
+impl std::ops::Deref for Parts<'_> {
+    type Target = CertificateParts;
+
+    fn deref(&self) -> &CertificateParts {
+        match self {
+            Parts::Own(parts) => parts,
+            Parts::Shared(parts) => parts,
+        }
+    }
+}
+
+/// The computed parts of a [`Certificate`], owned and `Send + Sync`, so
+/// they can outlive one request and be shared between threads. Each part
+/// is computed at most once, by whichever certificate first needs it.
+///
+/// Parts are only meaningful for the inputs they were first used with: a
+/// [`CompiledFunction`] whose model, spec, derivation, linked functions
+/// and certified body are equal, one [`CheckConfig`], and hint databases
+/// of one identity. Keeping that pairing is the caller's job.
+pub struct CertificateParts {
     /// The `io_read` input stream every source and target run starts from.
     input_words: Vec<u64>,
     /// Side conditions re-solved, or the first structural failure.
-    structural: OnceCell<Result<usize, CheckError>>,
-    vectors: OnceCell<Vec<CertVector>>,
-    invariants: OnceCell<Vec<LoopInvariant>>,
-    reference: OnceCell<Vec<ReferenceRun>>,
+    structural: OnceLock<Result<usize, CheckError>>,
+    vectors: OnceLock<Vec<CertVector>>,
+    invariants: OnceLock<Vec<LoopInvariant>>,
+    reference: OnceLock<Vec<ReferenceRun>>,
+}
+
+impl CertificateParts {
+    /// Parts for a certificate under `config`, none computed yet.
+    pub fn new(config: &CheckConfig) -> CertificateParts {
+        CertificateParts {
+            input_words: (0..64).map(|i| splitmix(config.seed ^ (i + 1))).collect(),
+            structural: OnceLock::new(),
+            vectors: OnceLock::new(),
+            invariants: OnceLock::new(),
+            reference: OnceLock::new(),
+        }
+    }
+}
+
+// Parts outlive one request and are shared between threads.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<CertificateParts>();
+};
+
+impl fmt::Debug for CertificateParts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CertificateParts")
+            .field("structural", &self.structural.get())
+            .finish_non_exhaustive()
+    }
 }
 
 /// One generated vector and what the certificate knows about it.
@@ -270,7 +331,7 @@ struct CertVector {
     call: Option<Result<ConcreteCall, String>>,
     /// The source run under each of [`POISONS`]; `None` inside when the
     /// model's precondition excludes the vector.
-    sources: [OnceCell<Option<SourceRun>>; 2],
+    sources: [OnceLock<Option<SourceRun>>; 2],
 }
 
 /// What the functional model did on one vector under one poison.
@@ -309,16 +370,21 @@ impl<'a> Certificate<'a> {
         dbs: &'a crate::lemma::HintDbs,
         config: &'a CheckConfig,
     ) -> Self {
-        Certificate {
-            cf,
-            dbs,
-            config,
-            input_words: (0..64).map(|i| splitmix(config.seed ^ (i + 1))).collect(),
-            structural: OnceCell::new(),
-            vectors: OnceCell::new(),
-            invariants: OnceCell::new(),
-            reference: OnceCell::new(),
-        }
+        Certificate { cf, dbs, config, parts: Parts::Own(CertificateParts::new(config)) }
+    }
+
+    /// A certificate for `cf` whose parts live in `parts`: whatever an
+    /// earlier certificate over the same parts computed is reused, and
+    /// whatever this one computes is kept there. `parts` must come from
+    /// [`CertificateParts::new`] under `config`, and only ever be paired
+    /// with an equal `cf` and hint databases of `dbs`'s identity.
+    pub fn with_parts(
+        cf: &'a CompiledFunction,
+        dbs: &'a crate::lemma::HintDbs,
+        config: &'a CheckConfig,
+        parts: &'a CertificateParts,
+    ) -> Self {
+        Certificate { cf, dbs, config, parts: Parts::Shared(parts) }
     }
 
     /// The certified function this certificate was built from.
@@ -332,11 +398,11 @@ impl<'a> Certificate<'a> {
     }
 
     fn vectors(&self) -> &[CertVector] {
-        self.vectors.get_or_init(|| certificate_vectors(self.cf, self.config))
+        self.parts.vectors.get_or_init(|| certificate_vectors(self.cf, self.config))
     }
 
     fn invariants(&self) -> &[LoopInvariant] {
-        self.invariants.get_or_init(|| {
+        self.parts.invariants.get_or_init(|| {
             let mut invariants = Vec::new();
             self.cf.derivation.root.walk(&mut |n| {
                 if let Some(inv) = &n.invariant {
@@ -351,7 +417,7 @@ impl<'a> Certificate<'a> {
     fn source<'v>(&self, vector: &'v CertVector, slot: usize) -> Option<&'v SourceRun> {
         vector.sources[slot]
             .get_or_init(|| {
-                let mut world = World::with_input(self.input_words.iter().copied())
+                let mut world = World::with_input(self.parts.input_words.iter().copied())
                     .with_oracle(PoisonOracle { byte: POISONS[slot] });
                 world.externs = self.config.externs.clone();
                 let value = eval_model(&self.cf.model, &vector.values, &mut world).ok()?;
@@ -364,7 +430,7 @@ impl<'a> Certificate<'a> {
     /// [`differential_inputs`]), with the interpreter's full fuel ceiling
     /// and no external handler.
     pub fn reference_runs(&self) -> &[ReferenceRun] {
-        self.reference.get_or_init(|| {
+        self.parts.reference.get_or_init(|| {
             let cf = self.cf;
             let program = program_for(&cf.function, &cf.linked);
             let interp = Interpreter::new(&program);
@@ -407,6 +473,7 @@ impl<'a> Certificate<'a> {
         let config = self.config;
         let mut report = CheckReport {
             side_conds_rechecked: self
+                .parts
                 .structural
                 .get_or_init(|| structural(cf, self.dbs))
                 .clone()?,
@@ -453,7 +520,7 @@ impl<'a> Certificate<'a> {
                 let (rets, state, hook_checks) = loop {
                     let mut state = ExecState::new(call.mem.clone()).with_stack_poison(poison);
                     let mut ext = CheckerExternals {
-                        input: self.input_words.iter().copied().collect(),
+                        input: self.parts.input_words.iter().copied().collect(),
                         externs: config.externs.clone(),
                     };
                     let mut hook = InvariantHook::new(

@@ -18,8 +18,6 @@
 //!   (floats render at fixed 4-digit precision for human-readable rate
 //!   summaries and are not used in stored artifacts).
 
-use std::fmt::Write as _;
-
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -92,37 +90,6 @@ impl Json {
 
     fn render_into(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::F64(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x:.4}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -153,7 +120,7 @@ impl Json {
                     }
                     out.push('\n');
                     out.push_str(&"  ".repeat(indent + 1));
-                    Json::Str(k.clone()).render_into(out, indent + 1);
+                    write_escaped(k, out);
                     out.push_str(": ");
                     v.render_into(out, indent + 1);
                 }
@@ -161,6 +128,8 @@ impl Json {
                 out.push_str(&"  ".repeat(indent));
                 out.push('}');
             }
+            // Scalars render the same either way.
+            scalar => scalar.write_compact(out),
         }
     }
 
@@ -177,37 +146,112 @@ impl Json {
     /// newlines outside string escapes).
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.render_compact_into(&mut out);
+        self.write_compact(&mut out);
         out
     }
 
-    fn render_compact_into(&self, out: &mut String) {
+    /// Writes the compact rendering ([`Json::render_compact`]) into `sink`
+    /// chunk by chunk, without building it: a consumer that only hashes
+    /// the rendering (the artifact store's content digest and request
+    /// keys) allocates nothing for it.
+    pub fn write_compact(&self, sink: &mut impl Sink) {
         match self {
+            Json::Null => sink.put("null"),
+            Json::Bool(b) => sink.put(if *b { "true" } else { "false" }),
+            Json::U64(n) => write_u64(*n, sink),
+            Json::F64(x) => {
+                if x.is_finite() {
+                    sink.put(&format!("{x:.4}"));
+                } else {
+                    sink.put("null");
+                }
+            }
+            Json::Str(s) => write_escaped(s, sink),
             Json::Arr(items) => {
-                out.push('[');
+                sink.put("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        sink.put(",");
                     }
-                    item.render_compact_into(out);
+                    item.write_compact(sink);
                 }
-                out.push(']');
+                sink.put("]");
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                sink.put("{");
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        sink.put(",");
                     }
-                    Json::Str(k.clone()).render_into(out, 0);
-                    out.push(':');
-                    v.render_compact_into(out);
+                    write_escaped(k, sink);
+                    sink.put(":");
+                    v.write_compact(sink);
                 }
-                out.push('}');
+                sink.put("}");
             }
-            other => other.render_into(out, 0),
         }
     }
+}
+
+/// Where [`Json::write_compact`] puts a rendering: a sequence of chunks
+/// whose concatenation is the rendered text.
+pub trait Sink {
+    /// Appends one chunk.
+    fn put(&mut self, chunk: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, chunk: &str) {
+        self.push_str(chunk);
+    }
+}
+
+/// Writes `n` in decimal.
+fn write_u64(mut n: u64, sink: &mut impl Sink) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    sink.put(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Writes `s` as a quoted JSON string: `"` and `\` escaped, `\n`, `\r`
+/// and `\t` by name, other control characters as `\u00XX`, and
+/// everything else verbatim, in runs between escapes.
+fn write_escaped(s: &str, sink: &mut impl Sink) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    sink.put("\"");
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // An ASCII byte is a whole character, so the runs stay UTF-8.
+        sink.put(&s[run..at]);
+        match named {
+            Some(escape) => sink.put(escape),
+            None => {
+                let (hi, lo) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]);
+                let code = [b'\\', b'u', b'0', b'0', hi, lo];
+                sink.put(std::str::from_utf8(&code).expect("escape is ASCII"));
+            }
+        }
+        run = at + 1;
+    }
+    sink.put(&s[run..]);
+    sink.put("\"");
 }
 
 /// A parse failure: what went wrong and the byte offset it was noticed at.
@@ -539,6 +583,117 @@ mod tests {
         ]);
         assert_eq!(parse(&v.render()).unwrap(), v);
         assert_eq!(parse(&v.render_compact()).unwrap(), v);
+    }
+
+    /// The compact renderer as it was before it wrote to a [`Sink`]:
+    /// character by character into one string. The oracle for
+    /// [`write_compact_matches_the_reference_rendering`].
+    fn reference_compact(v: &Json, out: &mut String) {
+        use std::fmt::Write as _;
+        let string = |s: &str, out: &mut String| {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        };
+        match v {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::F64(x) if x.is_finite() => {
+                let _ = write!(out, "{x:.4}");
+            }
+            Json::F64(_) => out.push_str("null"),
+            Json::Str(s) => string(s, out),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference_compact(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    string(k, out);
+                    out.push(':');
+                    reference_compact(v, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    fn random_string(rng: &mut rupicola_minicheck::Rng) -> String {
+        const CHARS: &[char] = &[
+            'a', 'Z', '0', ' ', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '↦',
+            '😀',
+        ];
+        (0..rng.range(0, 8)).map(|_| *rng.pick(CHARS)).collect()
+    }
+
+    fn random_tree(rng: &mut rupicola_minicheck::Rng, depth: usize) -> Json {
+        let leaf = depth == 0 || rng.below(3) == 0;
+        match rng.below(if leaf { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.bool()),
+            2 => Json::U64(match rng.below(3) {
+                0 => rng.below(10),
+                1 => u64::MAX - rng.below(3),
+                _ => rng.next_u64(),
+            }),
+            3 => Json::F64(rng.below(1_000_000) as f64 / 64.0),
+            4 => Json::Str(random_string(rng)),
+            5 => Json::Arr((0..rng.range(0, 4)).map(|_| random_tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.range(0, 4))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Records every chunk a [`Sink`] receives, as bytes.
+    struct Bytes(Vec<u8>);
+
+    impl Sink for Bytes {
+        fn put(&mut self, chunk: &str) {
+            self.0.extend_from_slice(chunk.as_bytes());
+        }
+    }
+
+    #[test]
+    fn write_compact_matches_the_reference_rendering() {
+        rupicola_minicheck::check("write_compact_matches_the_reference_rendering", 500, |rng| {
+            let tree = random_tree(rng, 4);
+            let mut sink = Bytes(Vec::new());
+            tree.write_compact(&mut sink);
+            let mut reference = String::new();
+            reference_compact(&tree, &mut reference);
+            assert_eq!(sink.0, reference.as_bytes(), "{tree:?}");
+            assert_eq!(tree.render_compact(), reference, "{tree:?}");
+        });
     }
 
     #[test]

@@ -37,15 +37,17 @@ pub fn validate_candidate_with_policy(
 /// which is the configured policy when the certified body is itself clean
 /// under it, and none otherwise (no policy configured, or a body that was
 /// already dirty: the layer gates regressions, not pre-existing findings).
-#[derive(Debug, Clone, Copy)]
-pub struct CtBaseline<'p> {
-    gate: Option<&'p SecrecyPolicy>,
+/// It owns the decision, so it can outlive the request that made it.
+#[derive(Debug, Clone, Default)]
+pub struct CtBaseline {
+    gate: Option<SecrecyPolicy>,
 }
 
-impl<'p> CtBaseline<'p> {
+impl CtBaseline {
     /// Runs the CT analysis on `cf`'s certified body under `policy`, once.
-    pub fn new(cf: &CompiledFunction, policy: Option<&'p SecrecyPolicy>) -> CtBaseline<'p> {
-        let gate = policy.filter(|p| ct::run_function(&cf.function, &cf.spec, p).is_empty());
+    pub fn new(cf: &CompiledFunction, policy: Option<&SecrecyPolicy>) -> CtBaseline {
+        let gate =
+            policy.filter(|p| ct::run_function(&cf.function, &cf.spec, p).is_empty()).cloned();
         CtBaseline { gate }
     }
 }
@@ -74,9 +76,9 @@ impl<'p> CtBaseline<'p> {
 /// candidate.
 pub fn validate(
     cert: &Certificate<'_>,
-    lint: &LintCertificate<'_>,
+    lint: &LintCertificate,
     candidate: &BFunction,
-    ct: &CtBaseline<'_>,
+    ct: &CtBaseline,
 ) -> Result<(), OptError> {
     let cf = cert.compiled();
 
@@ -105,7 +107,7 @@ pub fn validate(
     differential(cert, candidate)?;
 
     // Layer 4: secret-independence. Only a *regression* is a failure.
-    if let Some(policy) = ct.gate {
+    if let Some(policy) = &ct.gate {
         let cand_findings = ct::run_function(candidate, &cf.spec, policy);
         if !cand_findings.is_empty() {
             let detail = cand_findings

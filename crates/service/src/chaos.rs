@@ -22,6 +22,12 @@
 //! transient errors are retried and then degrade gracefully, rename
 //! failures and litter are scavenged by startup recovery. `chaosbench`
 //! is the gate that keeps that sentence true.
+//!
+//! Faults that are not random are [`WitnessEdit`]s: material edits of a
+//! stored witness that a buggy or hostile writer could file under a key
+//! with a *valid* content digest. They exercise the store's reuse of
+//! cached certificates — a certificate checked for one witness must never
+//! vouch for another.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -29,6 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::backend::{Backend, FsBackend};
+use rupicola_core::derive::DerivationNode;
+use rupicola_core::CompiledFunction;
 
 const EIO: i32 = 5;
 const ENOSPC: i32 = 28;
@@ -310,6 +318,64 @@ impl Backend for ChaosBackend {
 
     fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.inner.create_exclusive(path, bytes)
+    }
+}
+
+/// A material edit of a compiled function's witness. Filed with
+/// [`ShardedStore::put`](crate::ShardedStore::put), it lands under the
+/// request's key with a valid content digest, so only the verified
+/// load's checker stands between it and a served answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WitnessEdit {
+    /// Drops the hypotheses of the `n`-th side condition that records
+    /// any, in preorder. Material exactly when the condition needed them.
+    DropHyps(usize),
+    /// Renames the `n`-th derivation node's lemma, in preorder, to one no
+    /// database registers.
+    ForgeLemma(usize),
+    /// Bumps the witness's recorded node count.
+    ForgeNodeCount,
+}
+
+impl WitnessEdit {
+    /// `cf` with this edit applied, or `None` when the witness has no
+    /// `n`-th site for it.
+    pub fn apply(self, cf: &CompiledFunction) -> Option<CompiledFunction> {
+        let mut edited = cf.clone();
+        let mut seen = 0;
+        let mut applied = false;
+        match self {
+            WitnessEdit::DropHyps(n) => preorder_mut(&mut edited.derivation.root, &mut |node| {
+                for record in &mut node.side_conds {
+                    if !record.hyps.is_empty() {
+                        if seen == n && !applied {
+                            record.hyps = Vec::new().into();
+                            applied = true;
+                        }
+                        seen += 1;
+                    }
+                }
+            }),
+            WitnessEdit::ForgeLemma(n) => preorder_mut(&mut edited.derivation.root, &mut |node| {
+                if seen == n {
+                    node.lemma = format!("{}_forged", node.lemma).into();
+                    applied = true;
+                }
+                seen += 1;
+            }),
+            WitnessEdit::ForgeNodeCount => {
+                edited.derivation.node_count += 1;
+                applied = true;
+            }
+        }
+        applied.then_some(edited)
+    }
+}
+
+fn preorder_mut(node: &mut DerivationNode, visit: &mut dyn FnMut(&mut DerivationNode)) {
+    visit(node);
+    for child in &mut node.children {
+        preorder_mut(child, visit);
     }
 }
 

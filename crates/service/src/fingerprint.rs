@@ -32,6 +32,7 @@ use rupicola_core::fnspec::FnSpec;
 use rupicola_core::serial::encode_fn_spec;
 use rupicola_core::{EngineLimits, HintDbs};
 use rupicola_lang::codec::encode_model;
+use rupicola_lang::json::{Json, Sink};
 use rupicola_lang::Model;
 
 /// Version of the on-disk artifact format. Bump whenever the codec or the
@@ -90,6 +91,16 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
+/// FNV-1a/64 as a rendering [`Sink`]: hashes JSON renderings and other
+/// canonical text as it is written, without building it.
+struct Fnv(u64);
+
+impl Sink for Fnv {
+    fn put(&mut self, chunk: &str) {
+        self.0 = fnv1a(self.0, chunk.as_bytes());
+    }
+}
+
 /// Content digest of an encoded artifact subtree, as 16 lowercase hex
 /// digits. Computed over the *canonical compact rendering* on both the
 /// write and the load side, so it is insensitive to whitespace but
@@ -97,63 +108,55 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 /// re-validates semantics, but free-text witness fields (a derivation
 /// node's `focus` rendering, a solver name) are semantically inert, and
 /// a bit flip there must still read as corruption, not be served.
-pub(crate) fn content_digest(artifact: &rupicola_lang::json::Json) -> String {
-    format!("{:016x}", fnv1a(FNV_OFFSET, artifact.render_compact().as_bytes()))
+pub fn content_digest(artifact: &Json) -> String {
+    let mut digest = Fnv(FNV_OFFSET);
+    artifact.write_compact(&mut digest);
+    format!("{:016x}", digest.0)
 }
 
-/// The canonical byte string a request hashes to. Exposed (crate-public)
-/// so tests can assert on *why* two keys differ, not just that they do.
-pub(crate) fn canonical_bytes(
-    model: &Model,
-    spec: &FnSpec,
-    dbs: &HintDbs,
-    limits: &EngineLimits,
-    pipeline: &str,
-    ct: &str,
-    rv: &str,
-) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(4096);
-    bytes.extend_from_slice(b"rupicola-artifact-v");
-    bytes.extend_from_slice(FORMAT_VERSION.to_string().as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(encode_model(model).render_compact().as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(encode_fn_spec(spec).render_compact().as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(dbs.identity_string().as_bytes());
-    bytes.push(0);
+/// Writes the canonical text a request hashes to into `sink`: the format
+/// version, the compact renderings of model and spec, the hint-database
+/// identity, the four determinism-relevant limits and the three identity
+/// strings, `NUL`-separated.
+fn write_canonical(inputs: &FingerprintInputs<'_>, sink: &mut impl Sink) {
+    let FingerprintInputs { model, spec, dbs, limits, pipeline, ct, rv } = *inputs;
+    sink.put("rupicola-artifact-v");
+    sink.put(&FORMAT_VERSION.to_string());
+    sink.put("\0");
+    encode_model(model).write_compact(sink);
+    sink.put("\0");
+    encode_fn_spec(spec).write_compact(sink);
+    sink.put("\0");
+    sink.put(&dbs.identity_string());
+    sink.put("\0");
     // Exactly the four *determinism-relevant* budgets. `max_wall_ms` is
     // deliberately excluded: a wall-clock deadline changes when an answer
     // arrives (and whether it arrives at all), never which artifact is
     // correct for the request — keying on it would fragment the cache
     // across callers with different latency budgets for no safety gain.
-    bytes.extend_from_slice(
-        format!(
-            "limits:lemmas={};depth={};names={};solver={}",
-            limits.max_lemma_applications,
-            limits.max_recursion_depth,
-            limits.max_fresh_names,
-            limits.solver_step_budget
-        )
-        .as_bytes(),
-    );
-    bytes.push(0);
-    bytes.extend_from_slice(b"pipeline:");
-    bytes.extend_from_slice(pipeline.as_bytes());
-    bytes.push(0);
+    sink.put(&format!(
+        "limits:lemmas={};depth={};names={};solver={}",
+        limits.max_lemma_applications,
+        limits.max_recursion_depth,
+        limits.max_fresh_names,
+        limits.solver_step_budget
+    ));
+    sink.put("\0");
+    sink.put("pipeline:");
+    sink.put(pipeline);
+    sink.put("\0");
     // The secrecy policy is *included* (unlike `max_wall_ms`): which CT
     // findings gate an artifact is part of what was verified about it, so
     // a cached artifact must never satisfy a request made under a policy
     // it was not checked against.
-    bytes.extend_from_slice(b"ct:");
-    bytes.extend_from_slice(ct.as_bytes());
-    bytes.push(0);
+    sink.put("ct:");
+    sink.put(ct);
+    sink.put("\0");
     // The RISC-V stage-pipeline identity: whether (and through which
     // validated stages) machine code was lowered is part of what the
     // envelope contains, exactly like the Bedrock2 pass pipeline.
-    bytes.extend_from_slice(b"rv:");
-    bytes.extend_from_slice(rv.as_bytes());
-    bytes
+    sink.put("rv:");
+    sink.put(rv);
 }
 
 /// Everything a compilation request's key depends on (see the module
@@ -201,8 +204,9 @@ impl<'a> FingerprintInputs<'a> {
 
 /// Fingerprints a compilation request: FNV-1a/64 over its canonical bytes.
 pub fn fingerprint(inputs: &FingerprintInputs<'_>) -> Fingerprint {
-    let FingerprintInputs { model, spec, dbs, limits, pipeline, ct, rv } = *inputs;
-    Fingerprint(fnv1a(FNV_OFFSET, &canonical_bytes(model, spec, dbs, limits, pipeline, ct, rv)))
+    let mut key = Fnv(FNV_OFFSET);
+    write_canonical(inputs, &mut key);
+    Fingerprint(key.0)
 }
 
 #[cfg(test)]
@@ -224,6 +228,23 @@ mod tests {
         assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn hashing_as_written_equals_hashing_the_whole_text() {
+        let (model, spec) = request();
+        let dbs = standard_dbs();
+        let limits = EngineLimits::default();
+        let inputs = FingerprintInputs::new(&model, &spec, &dbs, &limits);
+        let mut text = String::new();
+        write_canonical(&inputs, &mut text);
+        assert!(text.starts_with("rupicola-artifact-v5\0"));
+        assert_eq!(fingerprint(&inputs).0, fnv1a(FNV_OFFSET, text.as_bytes()));
+        let artifact = encode_fn_spec(&spec);
+        assert_eq!(
+            content_digest(&artifact),
+            format!("{:016x}", fnv1a(FNV_OFFSET, artifact.render_compact().as_bytes()))
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod tenant;
 
 pub use backend::{Backend, FsBackend};
 pub use batch::{parse_request, serve, Request};
-pub use chaos::{ChaosBackend, FaultCounts, FaultPlan};
+pub use chaos::{ChaosBackend, FaultCounts, FaultPlan, WitnessEdit};
 pub use fingerprint::{fingerprint, Fingerprint, FingerprintInputs, FORMAT_VERSION};
 pub use retry::{classify, with_retry, ErrorClass, RetryOutcome, RetryPolicy};
 pub use server::{

@@ -16,8 +16,10 @@
 //! needs only a shared borrow of the stripe and runs under its **read**
 //! guard, so concurrent loads on one shard verify in parallel; a 1-shard
 //! store loses no verification parallelism to its single stripe. The
-//! *settlement* (counters, degraded tracking, quarantine, eviction) runs
-//! under the **write** guard, as does every put's write. Key computation
+//! *settlement* (counters, degraded tracking, quarantine, eviction, and
+//! inserting or dropping the key's cached certificate) runs under the
+//! **write** guard, as does every put's write. Concurrent attempts on one
+//! key share its cached certificate and fill its parts once. Key computation
 //! and the pipeline accessors take read guards; an rv-keyed put lowers
 //! its machine artifact before it takes any guard, as a compile does. A
 //! racing put may land between an attempt and its settlement; the worst
@@ -263,6 +265,7 @@ impl ShardedStore {
             acc.scavenged += s.scavenged;
             acc.quarantined += s.quarantined;
             acc.verify_nanos += s.verify_nanos;
+            acc.cert_reuses += s.cert_reuses;
             acc
         })
     }

@@ -35,8 +35,12 @@
 //! 7. differentially re-validates a stored machine artifact when the
 //!    store is rv-keyed ([`Store::with_rv_pipeline`]).
 //!
-//! Steps 4–7 validate their bodies against one [`Certificate`], built
-//! once per load.
+//! Steps 4–7 validate their bodies against one [`Certificate`]. Its parts
+//! depend only on the decoded model, spec, witness, linked functions and
+//! certified body, so each stripe keeps them per key and a load whose
+//! decoded artifact is equal in all five (under the same hint-database
+//! identity) reuses them instead of rebuilding them; the bodies are still
+//! validated on every load (DESIGN.md §10).
 //!
 //! Any failure at any step *evicts* the artifact (the file is deleted)
 //! and reports [`LoadOutcome::Evicted`]; the caller recompiles. A decode
@@ -81,11 +85,12 @@
 //! [`ShardedStore::open`]: crate::shard::ShardedStore::open
 //! [`ShardedStore::lock_shards`]: crate::shard::ShardedStore::lock_shards
 
-use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, FsBackend};
@@ -94,13 +99,13 @@ use crate::retry::{with_retry, RetryPolicy};
 use rupicola_analysis::LintCertificate;
 use rupicola_bedrock::rv_compile::RvArtifact;
 use rupicola_bedrock::serial::{decode_rv_artifact, encode_rv_artifact};
-use rupicola_core::check::{Certificate, CheckConfig};
+use rupicola_core::check::{Certificate, CertificateParts, CheckConfig};
 use rupicola_core::fnspec::FnSpec;
 use rupicola_core::serial::{decode_compiled_function, encode_compiled_function};
 use rupicola_core::{CompiledFunction, EngineLimits, HintDbs};
 use rupicola_lang::json::Json;
 use rupicola_lang::Model;
-use rupicola_opt::PipelineConfig;
+use rupicola_opt::{CtBaseline, PipelineConfig};
 use rupicola_rv::{validate_artifact, RvPipelineConfig};
 
 /// Name of the environment variable overriding the store root.
@@ -202,6 +207,9 @@ pub struct CacheStats {
     /// Total nanoseconds spent re-verifying loaded artifacts (decode +
     /// cross-check + checker + lints), over hits *and* evictions.
     pub verify_nanos: u128,
+    /// Verified loads (hits and evictions) that validated against their
+    /// key's cached certificate instead of building one.
+    pub cert_reuses: usize,
 }
 
 impl CacheStats {
@@ -218,6 +226,7 @@ impl CacheStats {
             ("scavenged", Json::U64(self.scavenged as u64)),
             ("quarantined", Json::U64(self.quarantined as u64)),
             ("verify_nanos", Json::U64(u64::try_from(self.verify_nanos).unwrap_or(u64::MAX))),
+            ("cert_reuses", Json::U64(self.cert_reuses as u64)),
         ])
     }
 }
@@ -374,6 +383,9 @@ pub struct Store {
     /// Paths this store refuses to cache (load or put) any further.
     quarantine: HashSet<PathBuf>,
     quarantine_after: u32,
+    /// Each key's checked certificate, inserted by the settlement of a
+    /// hit that built it and dropped when the key is evicted.
+    certs: HashMap<Fingerprint, Arc<CertEntry>>,
 }
 
 impl Store {
@@ -419,6 +431,7 @@ impl Store {
             evict_counts: HashMap::new(),
             quarantine: HashSet::new(),
             quarantine_after: QUARANTINE_AFTER,
+            certs: HashMap::new(),
         }
     }
 
@@ -670,63 +683,80 @@ impl Store {
         spec: &FnSpec,
         dbs: &HintDbs,
     ) -> Raw {
+        let raw = |retries, kind| Raw { retries, nanos: 0, key, cert: None, kind };
         if self.degraded {
-            return Raw {
-                retries: 0,
-                nanos: 0,
-                kind: RawKind::Unavailable("store degraded (compile-without-cache)".to_string()),
-            };
+            return raw(
+                0,
+                RawKind::Unavailable("store degraded (compile-without-cache)".to_string()),
+            );
         }
         if self.quarantine.contains(path) {
-            return Raw {
-                retries: 0,
-                nanos: 0,
-                kind: RawKind::Unavailable(format!(
+            return raw(
+                0,
+                RawKind::Unavailable(format!(
                     "{} quarantined after repeated evictions",
                     path.display()
                 )),
-            };
+            );
         }
         let read = with_retry(&self.retry, || self.backend.read_to_string(path));
         let retries = read.retries;
         let text = match read.result {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Raw { retries, nanos: 0, kind: RawKind::Miss };
-            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return raw(retries, RawKind::Miss),
             // Non-UTF-8 contents are *corruption*, not an I/O fault: the
             // artifact must be evicted, exactly like undecodable JSON.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return Raw {
+                return raw(
                     retries,
-                    nanos: 0,
-                    kind: RawKind::Evict(path.to_path_buf(), format!("unreadable (corrupt): {e}")),
-                };
+                    RawKind::Evict(path.to_path_buf(), format!("unreadable (corrupt): {e}")),
+                );
             }
             Err(e) => {
-                return Raw {
+                return raw(
                     retries,
-                    nanos: 0,
-                    kind: RawKind::Unavailable(format!(
-                        "read failed after {retries} retries: {e}"
-                    )),
-                };
+                    RawKind::Unavailable(format!("read failed after {retries} retries: {e}")),
+                );
             }
         };
         let started = Instant::now();
-        let outcome = self.verify(&text, key, model, spec, dbs);
+        let mut cert = None;
+        let outcome = unseal(&text, key, model, spec).and_then(|(envelope, cf)| {
+            let dbs_identity = dbs.identity_string();
+            let (entry, used) = match self.certs.get(&key) {
+                Some(entry) if entry.covers(&cf, &dbs_identity) => {
+                    (Arc::clone(entry), CertUse::Reused)
+                }
+                _ => {
+                    let entry = Arc::new(CertEntry::new(&cf, dbs_identity, &self.check));
+                    (Arc::clone(&entry), CertUse::Built(entry))
+                }
+            };
+            cert = Some(used);
+            let rv = self.validate(&envelope, &cf, &entry, dbs)?;
+            Ok(Box::new(Verified { cf, rv }))
+        });
         let nanos = started.elapsed().as_nanos();
-        match outcome {
-            Ok(hit) => Raw { retries, nanos, kind: RawKind::Hit(hit) },
-            Err(reason) => Raw { retries, nanos, kind: RawKind::Evict(path.to_path_buf(), reason) },
-        }
+        let kind = match outcome {
+            Ok(hit) => RawKind::Hit(hit),
+            Err(reason) => RawKind::Evict(path.to_path_buf(), reason),
+        };
+        Raw { retries, nanos, key, cert, kind }
     }
 
     /// The serial bookkeeping for one [`Raw`] attempt: counters, degraded
-    /// tracking, quarantine, eviction.
+    /// tracking, quarantine, eviction, and the key's certificate entry.
     pub(crate) fn settle(&mut self, raw: Raw) -> LoadOutcome {
         self.stats.retries += u64::from(raw.retries);
         self.stats.verify_nanos += raw.nanos;
+        let built = match raw.cert {
+            Some(CertUse::Reused) => {
+                self.stats.cert_reuses += 1;
+                None
+            }
+            Some(CertUse::Built(entry)) => Some(entry),
+            None => None,
+        };
         match raw.kind {
             RawKind::Miss => {
                 self.note_backend_ok();
@@ -734,11 +764,17 @@ impl Store {
                 LoadOutcome::Miss
             }
             RawKind::Hit(hit) => {
+                if let Some(entry) = built {
+                    self.certs.insert(raw.key, entry);
+                }
                 self.note_backend_ok();
                 self.stats.hits += 1;
                 LoadOutcome::Hit(hit)
             }
-            RawKind::Evict(path, reason) => self.evict(&path, reason),
+            RawKind::Evict(path, reason) => {
+                self.certs.remove(&raw.key);
+                self.evict(&path, reason)
+            }
             RawKind::Unavailable(reason) => {
                 // A degraded/quarantined skip is not a fresh backend
                 // failure; only real post-retry I/O errors count toward
@@ -752,68 +788,27 @@ impl Store {
         }
     }
 
-    /// The verification ladder proper: envelope → decode → input
-    /// cross-check → independent checker → (optional) lints.
-    fn verify(
+    /// The second half of the ladder: every body the artifact serves,
+    /// validated against `entry`'s certificate — the checker's body phase
+    /// on the certified body, the optimized body's translation
+    /// validation, the optional lints, and the machine artifact's
+    /// differential. Returns the re-validated machine artifact when the
+    /// store is rv-keyed.
+    fn validate(
         &self,
-        text: &str,
-        key: Fingerprint,
-        model: &Model,
-        spec: &FnSpec,
+        envelope: &Json,
+        cf: &CompiledFunction,
+        entry: &CertEntry,
         dbs: &HintDbs,
-    ) -> Result<Box<Verified>, String> {
-        let envelope =
-            rupicola_lang::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        match envelope.get("format").and_then(Json::as_u64) {
-            Some(FORMAT_VERSION) => {}
-            Some(v) => return Err(format!("format version {v}, expected {FORMAT_VERSION}")),
-            None => return Err("missing format version".to_string()),
-        }
-        if envelope.get("key").and_then(Json::as_str) != Some(key.as_hex().as_str()) {
-            return Err("stored key does not match filename key".to_string());
-        }
-        match envelope.get("program").and_then(Json::as_str) {
-            Some(p) if p == spec.name => {}
-            Some(p) => {
-                return Err(format!("envelope program `{p}`, requested `{}`", spec.name));
-            }
-            None => return Err("missing program field".to_string()),
-        }
-        let artifact = envelope.get("artifact").ok_or("missing artifact")?;
-        // Byte-level integrity: recompute the content digest over the
-        // canonical rendering of the stored artifact. The checker below
-        // re-proves the *semantics*; this step catches corruption in the
-        // semantically inert parts of the witness (focus renderings,
-        // solver names) that a flipped backend read could otherwise smuggle
-        // into a served answer.
-        match envelope.get("digest").and_then(Json::as_str) {
-            Some(d) if d == crate::fingerprint::content_digest(artifact) => {}
-            Some(_) => return Err("artifact content digest mismatch".to_string()),
-            None => return Err("missing content digest".to_string()),
-        }
-        let cf = decode_compiled_function(artifact).map_err(|e| format!("decode: {e}"))?;
-        // Stale-input cross-check: the artifact must be *for this request*,
-        // not merely a well-formed artifact filed under a colliding key.
-        if cf.function.name != spec.name {
-            return Err(format!(
-                "artifact is for `{}`, requested `{}`",
-                cf.function.name, spec.name
-            ));
-        }
-        if cf.model != *model {
-            return Err("stored model differs from requested model".to_string());
-        }
-        if cf.spec != *spec {
-            return Err("stored spec differs from requested spec".to_string());
-        }
+    ) -> Result<Option<RvArtifact>, String> {
         // The load-bearing step: the independent checker re-validates the
-        // witness and re-runs the differential test battery, exactly as it
-        // would after a fresh compilation. The cache adds no trust. Every
-        // step below validates a body against this one certificate.
-        let cert = Certificate::new(&cf, dbs, &self.check);
+        // certified body against the witness's certificate and re-runs
+        // the differential test battery, exactly as it would after a
+        // fresh compilation. The cache adds no trust. Every step below
+        // validates a body against this one certificate.
+        let cert = Certificate::with_parts(&entry.cf, dbs, &self.check, &entry.cert);
         cert.check_body(&cf.function).map_err(|e| format!("re-check failed: {e}"))?;
-        let lint_cert = OnceCell::new();
-        let lint = || lint_cert.get_or_init(|| LintCertificate::new(&cf, Some(dbs)));
+        let lint = || entry.lint.get_or_init(|| LintCertificate::new(&entry.cf, Some(dbs)));
         // A stored optimized body is as untrusted as the pass that made
         // it: re-run the full translation-validation stack (checker
         // against the original certificate, lints, interpreter
@@ -823,8 +818,10 @@ impl Store {
         // too: an optimized body that regresses secret-independence under
         // the active policy is evicted, even if it is functionally sound.
         if let Some(opt) = &cf.optimized {
-            let ct = rupicola_opt::CtBaseline::new(&cf, self.pipeline.ct_policy.as_ref());
-            rupicola_opt::validate(&cert, lint(), opt, &ct)
+            let ct = entry
+                .ct
+                .get_or_init(|| CtBaseline::new(&entry.cf, self.pipeline.ct_policy.as_ref()));
+            rupicola_opt::validate(&cert, lint(), opt, ct)
                 .map_err(|e| format!("optimized body failed re-validation: {e}"))?;
         }
         if self.lint_on_load {
@@ -843,35 +840,31 @@ impl Store {
         // it is differentially re-executed against the just-re-certified
         // Bedrock2 body before being served. Absence, identity mismatch,
         // or divergence evicts — never a wrong answer.
-        let rv = if let Some(rv_pipeline) = &self.rv_pipeline {
-            let block = envelope
-                .get("rv")
-                .ok_or("rv pipeline configured but envelope carries no machine artifact")?;
-            match block.get("pipeline").and_then(Json::as_str) {
-                Some(id) if id == rv_pipeline.identity_string() => {}
-                Some(id) => {
-                    return Err(format!(
-                        "machine artifact lowered under `{id}`, requested `{}`",
-                        rv_pipeline.identity_string()
-                    ));
-                }
-                None => return Err("rv block missing pipeline identity".to_string()),
-            }
-            let encoded = block.get("artifact").ok_or("rv block missing artifact")?;
-            let art = decode_rv_artifact(encoded).map_err(|e| format!("rv decode: {e}"))?;
-            if art.name != cf.function.name {
+        let Some(rv_pipeline) = &self.rv_pipeline else { return Ok(None) };
+        let block = envelope
+            .get("rv")
+            .ok_or("rv pipeline configured but envelope carries no machine artifact")?;
+        match block.get("pipeline").and_then(Json::as_str) {
+            Some(id) if id == rv_pipeline.identity_string() => {}
+            Some(id) => {
                 return Err(format!(
-                    "machine artifact is for `{}`, certificate is `{}`",
-                    art.name, cf.function.name
+                    "machine artifact lowered under `{id}`, requested `{}`",
+                    rv_pipeline.identity_string()
                 ));
             }
-            validate_artifact(&cert, &art)
-                .map_err(|e| format!("machine artifact failed re-validation: {e}"))?;
-            Some(art)
-        } else {
-            None
-        };
-        Ok(Box::new(Verified { cf, rv }))
+            None => return Err("rv block missing pipeline identity".to_string()),
+        }
+        let encoded = block.get("artifact").ok_or("rv block missing artifact")?;
+        let art = decode_rv_artifact(encoded).map_err(|e| format!("rv decode: {e}"))?;
+        if art.name != cf.function.name {
+            return Err(format!(
+                "machine artifact is for `{}`, certificate is `{}`",
+                art.name, cf.function.name
+            ));
+        }
+        validate_artifact(&cert, &art)
+            .map_err(|e| format!("machine artifact failed re-validation: {e}"))?;
+        Ok(Some(art))
     }
 
     fn evict(&mut self, path: &Path, reason: String) -> LoadOutcome {
@@ -892,11 +885,137 @@ impl Store {
     }
 }
 
+/// The first half of the verification ladder: envelope → digest →
+/// decode → input cross-check. Returns the parsed envelope and the
+/// decoded artifact, which is for this request.
+fn unseal(
+    text: &str,
+    key: Fingerprint,
+    model: &Model,
+    spec: &FnSpec,
+) -> Result<(Json, CompiledFunction), String> {
+    let envelope =
+        rupicola_lang::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    match envelope.get("format").and_then(Json::as_u64) {
+        Some(FORMAT_VERSION) => {}
+        Some(v) => return Err(format!("format version {v}, expected {FORMAT_VERSION}")),
+        None => return Err("missing format version".to_string()),
+    }
+    if envelope.get("key").and_then(Json::as_str) != Some(key.as_hex().as_str()) {
+        return Err("stored key does not match filename key".to_string());
+    }
+    match envelope.get("program").and_then(Json::as_str) {
+        Some(p) if p == spec.name => {}
+        Some(p) => {
+            return Err(format!("envelope program `{p}`, requested `{}`", spec.name));
+        }
+        None => return Err("missing program field".to_string()),
+    }
+    let artifact = envelope.get("artifact").ok_or("missing artifact")?;
+    // Byte-level integrity: recompute the content digest over the
+    // canonical rendering of the stored artifact. The checker below
+    // re-proves the *semantics*; this step catches corruption in the
+    // semantically inert parts of the witness (focus renderings,
+    // solver names) that a flipped backend read could otherwise smuggle
+    // into a served answer.
+    match envelope.get("digest").and_then(Json::as_str) {
+        Some(d) if d == crate::fingerprint::content_digest(artifact) => {}
+        Some(_) => return Err("artifact content digest mismatch".to_string()),
+        None => return Err("missing content digest".to_string()),
+    }
+    let cf = decode_compiled_function(artifact).map_err(|e| format!("decode: {e}"))?;
+    // Stale-input cross-check: the artifact must be *for this request*,
+    // not merely a well-formed artifact filed under a colliding key.
+    if cf.function.name != spec.name {
+        return Err(format!(
+            "artifact is for `{}`, requested `{}`",
+            cf.function.name, spec.name
+        ));
+    }
+    if cf.model != *model {
+        return Err("stored model differs from requested model".to_string());
+    }
+    if cf.spec != *spec {
+        return Err("stored spec differs from requested spec".to_string());
+    }
+    Ok((envelope, cf))
+}
+
+/// One key's checked certificate: everything a verified load validates
+/// bodies against that depends only on the certified function — the
+/// checker's certificate parts (structural result, vectors, source runs,
+/// invariants, reference runs), the lint certificate and the CT baseline
+/// decision — with the inputs they were built from. Each part is
+/// computed on first use and kept, so every later load of the key that
+/// [`covers`](CertEntry::covers) reuses it (DESIGN.md §10).
+///
+/// The stripe's [`CheckConfig`] and CT policy are fixed when it is
+/// opened, so an entry in a stripe always matches the stripe's
+/// configuration.
+pub(crate) struct CertEntry {
+    /// The certified function the parts were computed from (no optimized
+    /// body: an entry certifies, it does not serve).
+    cf: CompiledFunction,
+    /// `HintDbs::identity_string` of the databases the side conditions
+    /// were re-solved under.
+    dbs_identity: String,
+    cert: CertificateParts,
+    lint: OnceLock<LintCertificate>,
+    ct: OnceLock<CtBaseline>,
+}
+
+impl CertEntry {
+    fn new(cf: &CompiledFunction, dbs_identity: String, check: &CheckConfig) -> CertEntry {
+        CertEntry {
+            cf: CompiledFunction { optimized: None, ..cf.clone() },
+            dbs_identity,
+            cert: CertificateParts::new(check),
+            lint: OnceLock::new(),
+            ct: OnceLock::new(),
+        }
+    }
+
+    /// The reuse rule: this entry certifies `cf` under databases of
+    /// identity `dbs_identity` exactly when everything the certificate
+    /// reads — model, spec, witness, linked functions and certified body
+    /// — is equal, and the databases' identity is the one the entry was
+    /// built under.
+    fn covers(&self, cf: &CompiledFunction, dbs_identity: &str) -> bool {
+        self.dbs_identity == dbs_identity
+            && self.cf.model == cf.model
+            && self.cf.spec == cf.spec
+            && self.cf.function == cf.function
+            && self.cf.linked == cf.linked
+            && self.cf.derivation == cf.derivation
+    }
+}
+
+impl fmt::Debug for CertEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CertEntry")
+            .field("function", &self.cf.function.name)
+            .field("cert", &self.cert)
+            .finish_non_exhaustive()
+    }
+}
+
 /// One attempted load before the serial bookkeeping is applied.
 pub(crate) struct Raw {
     retries: u32,
     nanos: u128,
+    key: Fingerprint,
+    /// The certificate entry the attempt validated against, if it got
+    /// that far.
+    cert: Option<CertUse>,
     kind: RawKind,
+}
+
+/// How an attempt came by its certificate entry.
+enum CertUse {
+    /// The key's cached entry covered the artifact.
+    Reused,
+    /// A fresh entry, inserted if the attempt is a hit.
+    Built(Arc<CertEntry>),
 }
 
 enum RawKind {

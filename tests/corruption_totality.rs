@@ -2,9 +2,11 @@
 //! the file contents. DESIGN.md §12 claims any environmental corruption
 //! collapses to eviction-and-recompile; this battery makes the claim
 //! exhaustive rather than sampled — a stored envelope is truncated at
-//! **every** byte offset, and every header field (`format`, `key`,
-//! `program`) has **every bit of every byte** flipped. No outcome may be
-//! a panic, and no served artifact may fail the checker.
+//! **every** byte offset, every header field (`format`, `key`,
+//! `program`) has **every bit of every byte** flipped, and **every byte**
+//! of the artifact body has a bit flipped while the key's certificate is
+//! cached. No outcome may be a panic, and no served artifact may fail
+//! the checker or differ from the artifact that was stored.
 //!
 //! The envelope deliberately contains non-ASCII text (derivation focus
 //! strings use `↦`), so truncation and bit flips routinely produce
@@ -164,5 +166,60 @@ fn bit_flips_in_every_header_field_evict() {
         benign * 20 < flips,
         "header flips should be overwhelmingly material: {benign}/{flips} benign"
     );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every byte of the artifact body flipped while the key's certificate is
+/// cached (DESIGN.md §10): each flip must end in an eviction, or in a hit
+/// that serves exactly the stored function and witness. A flip must
+/// never be served on the strength of the certificate checked for the
+/// pristine artifact.
+#[test]
+fn bit_flips_in_every_body_byte_evict_or_serve_the_stored_artifact() {
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let (model, spec) = small_artifact();
+    let cf = rupicola::core::compile(&model, &spec, &dbs).unwrap();
+    let root = scratch("body-flip");
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
+    let key = store.key_for(&model, &spec, &dbs, &limits);
+    let path = store.put(key, &cf).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let text = String::from_utf8(pristine.clone()).unwrap();
+    // The body: the `artifact` field's value, up to the envelope's
+    // closing brace.
+    let field = "\"artifact\": ";
+    let start = text.find(field).expect("envelope lost its artifact") + field.len();
+    let end = text.trim_end().len() - 1;
+    assert!(end - start > 512, "artifact body suspiciously small: {}", end - start);
+
+    let mut benign = 0usize;
+    for at in start..end {
+        // A verified hit first, so the key's certificate is cached.
+        std::fs::write(&path, &pristine).unwrap();
+        assert!(
+            matches!(store.load_verified(&model, &spec, &dbs, &limits), LoadOutcome::Hit(_)),
+            "byte {at}: the pristine artifact must hit"
+        );
+        let mut corrupt = pristine.clone();
+        corrupt[at] ^= 1 << (at % 8);
+        std::fs::write(&path, &corrupt).unwrap();
+        match store.load_verified(&model, &spec, &dbs, &limits) {
+            LoadOutcome::Evicted { .. } => assert!(!path.exists(), "byte {at}"),
+            LoadOutcome::Hit(loaded) => {
+                benign += 1;
+                assert_eq!(loaded.cf.function, cf.function, "byte {at}");
+                assert_eq!(loaded.cf.derivation, cf.derivation, "byte {at}");
+            }
+            other => panic!("byte {at}: expected eviction or the stored artifact, got {other:?}"),
+        }
+    }
+    let flips = end - start;
+    let stats = store.stats();
+    assert_eq!(stats.evictions, flips - benign);
+    assert_eq!(stats.hits, flips + benign, "every pristine load and benign flip hits");
+    assert!(benign * 20 < flips, "body flips should be overwhelmingly material: {benign}/{flips}");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -4,7 +4,7 @@
 
 use rupicola::core::check::{check_with, CheckConfig};
 use rupicola::core::serial::{decode_compiled_function, encode_compiled_function};
-use rupicola::core::EngineLimits;
+use rupicola::core::{CompiledFunction, EngineLimits};
 use rupicola::ext::standard_dbs;
 use rupicola::lang::json;
 use rupicola::programs::suite;
@@ -12,9 +12,9 @@ use rupicola::core::fnspec::FnSpec;
 use rupicola::core::HintDbs;
 use rupicola::lang::Model;
 use rupicola::service::fingerprint::{fingerprint, Fingerprint, FingerprintInputs};
-use rupicola::service::store::LoadOutcome;
+use rupicola::service::store::{LoadOutcome, LOAD_CHECK_VECTORS};
 use rupicola::service::{
-    compile_suite_cached, FsBackend, Provenance, Server, ShardedStore, TenantTable,
+    compile_suite_cached, FsBackend, Provenance, Server, ShardedStore, TenantTable, WitnessEdit,
 };
 use rupicola_minicheck::check;
 use std::path::PathBuf;
@@ -185,6 +185,82 @@ fn random_bit_flips_never_yield_an_unverified_artifact() {
             }
         }
     });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A key's cached certificate vouches only for the witness it was
+/// checked against. After the entry exists, an envelope filed under the
+/// key with a *valid* digest but a different witness — one side
+/// condition stripped of the hypotheses it needs — is evicted by a
+/// freshly built structural check; and a valid-digest envelope with the
+/// cached witness but a miscomputing optimized body is evicted by
+/// re-validation against the cached certificate.
+#[test]
+fn a_cached_certificate_never_vouches_for_another_witness() {
+    use rupicola::core::check::{check_with, CheckError};
+    use rupicola::opt::mutants::PassMutant;
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let model = rupicola::programs::utf8::model();
+    let spec = rupicola::programs::utf8::spec();
+    let cf = rupicola::programs::utf8::compiled().unwrap();
+    let load_check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
+    // The first side condition whose hypotheses the checker needs.
+    let forged = (0..)
+        .map_while(|n| WitnessEdit::DropHyps(n).apply(&cf))
+        .find(|edited| {
+            matches!(check_with(edited, &dbs, &load_check), Err(CheckError::SideCondition { .. }))
+        })
+        .expect("utf8 has a side condition that needs its hypotheses");
+    assert_ne!(forged.derivation, cf.derivation);
+
+    let root = scratch("cert-reuse");
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
+    let key = store.key_for(&model, &spec, &dbs, &limits);
+    let hit = |what: &str| match store.load_verified(&model, &spec, &dbs, &limits) {
+        LoadOutcome::Hit(loaded) => {
+            assert_eq!(loaded.cf.function, cf.function, "{what}");
+            assert_eq!(loaded.cf.derivation, cf.derivation, "{what}");
+        }
+        other => panic!("{what}: expected a hit, got {other:?}"),
+    };
+    let evicted = |what: &str| match store.load_verified(&model, &spec, &dbs, &limits) {
+        LoadOutcome::Evicted { reason } => reason,
+        other => panic!("{what}: expected an eviction, got {other:?}"),
+    };
+
+    // The first hit builds the key's entry; the second reuses it.
+    store.put(key, &cf).unwrap();
+    hit("first load");
+    hit("second load");
+    assert_eq!(store.stats().cert_reuses, 1);
+
+    // A different witness under the same key, digest and all.
+    store.put(key, &forged).unwrap();
+    let reason = evicted("forged witness");
+    assert!(reason.contains("re-check failed: side condition"), "{reason}");
+    assert_eq!(store.stats().cert_reuses, 1, "a different witness must not reuse the entry");
+
+    // The eviction dropped the entry: the next hit builds a fresh one.
+    store.put(key, &cf).unwrap();
+    hit("healed load");
+    assert_eq!(store.stats().cert_reuses, 1);
+    hit("healed reuse");
+    assert_eq!(store.stats().cert_reuses, 2);
+
+    // The cached witness with a miscomputing optimized body: the entry
+    // is reused, and the body fails re-validation against it.
+    let broken = CompiledFunction {
+        optimized: Some(PassMutant::DropLiveStore.apply(&cf.function).expect("applicable")),
+        ..cf.clone()
+    };
+    store.put(key, &broken).unwrap();
+    let reason = evicted("miscomputing optimized body");
+    assert!(reason.contains("optimized body failed re-validation"), "{reason}");
+    assert_eq!(store.stats().cert_reuses, 3);
+    assert_eq!(store.stats().to_json().get("cert_reuses").and_then(json::Json::as_u64), Some(3));
     let _ = std::fs::remove_dir_all(&root);
 }
 

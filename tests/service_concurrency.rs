@@ -17,14 +17,15 @@
 //!   and the lifetime accounting summed exactly;
 //! - quota exactness across seeds, and a two-tenant starvation test: a
 //!   greedy tenant's flood is rejected *at admission* with typed
-//!   backpressure, so the victim's work and answers are untouched.
+//!   backpressure, so the victim's work and answers are untouched;
+//! - concurrent loads of one key sharing its cached certificate.
 
 use rupicola::core::EngineLimits;
 use rupicola::ext::standard_dbs;
 use rupicola::programs::suite;
 use rupicola::service::{
-    ChaosBackend, CompileJob, FaultPlan, JobOutcome, Provenance, Server, ShardedStore,
-    TenantPolicy, TenantStats, TenantTable,
+    ChaosBackend, CompileJob, FaultPlan, JobOutcome, LoadOutcome, Provenance, Server,
+    ShardedStore, TenantPolicy, TenantStats, TenantTable,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -379,5 +380,46 @@ fn tenant_budgets_fork_keys_but_deadlines_do_not() {
     let responses = server.run_batch(std::slice::from_ref(&dead), &dbs);
     let JobOutcome::Done(result) = &responses[0].outcome else { panic!() };
     assert_eq!(result.provenance, Provenance::Cache, "deadlines do not fork the key");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Four workers loading one key on a 1-shard store share its cached
+/// certificate: every answer is the reference, every load is a hit, and
+/// every load but the ones that built the entry reused it — at most one
+/// build per worker, for the loads that raced the first settlement.
+#[test]
+fn concurrent_loads_of_one_key_share_its_certificate() {
+    const WORKERS: usize = 4;
+    const LOADS: usize = 12;
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let model = rupicola::programs::crc32::model();
+    let spec = rupicola::programs::crc32::spec();
+    let reference = rupicola::programs::crc32::compiled().unwrap();
+    let root = scratch("one-key");
+    let store = ShardedStore::open(&root, 1).unwrap();
+    store.put(store.key_for(&model, &spec, &dbs, &limits), &reference).unwrap();
+    let start = Barrier::new(WORKERS);
+    std::thread::scope(|s| {
+        for _ in 0..WORKERS {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..LOADS {
+                    match store.load_verified(&model, &spec, &dbs, &limits) {
+                        LoadOutcome::Hit(loaded) => {
+                            assert_eq!(loaded.cf.function, reference.function, "load {i}");
+                            assert_eq!(loaded.cf.derivation, reference.derivation, "load {i}");
+                        }
+                        other => panic!("load {i}: expected a hit, got {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    let stats = store.stats();
+    let hits = WORKERS * LOADS;
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (hits, 0, 0));
+    let built = hits - stats.cert_reuses;
+    assert!((1..=WORKERS).contains(&built), "{built} certificates built for one key");
     let _ = std::fs::remove_dir_all(&root);
 }
