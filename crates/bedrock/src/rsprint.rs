@@ -17,7 +17,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::ast::{AccessSize, BExpr, BFunction, BinOp, Cmd, Program};
+use crate::ast::{AccessSize, BExpr, BFunction, BinOp, Cmd};
 
 /// Why a function could not be transpiled.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,20 +40,6 @@ impl fmt::Display for TranspileError {
 }
 
 impl std::error::Error for TranspileError {}
-
-/// Transpiles a whole program; functions appear in name order.
-///
-/// # Errors
-///
-/// Fails if any function uses an interpreter-only construct.
-pub fn program_to_rust(p: &Program) -> Result<String, TranspileError> {
-    let mut out = String::new();
-    for f in p.iter() {
-        out.push_str(&function_to_rust(f)?);
-        out.push('\n');
-    }
-    Ok(out)
-}
 
 fn table_const(name: &str) -> String {
     let mut s: String = name

@@ -13,7 +13,7 @@
 //! as an `Err` (which the store treats as corruption).
 
 use crate::ast::{AccessSize, BExpr, BFunction, BTable, BinOp, Cmd};
-use rupicola_lang::codec::{hex_decode, hex_encode, DecodeResult};
+use rupicola_lang::codec::{arity, field, hex_decode, hex_encode, str_field, tagged, DecodeResult};
 use rupicola_lang::json::Json;
 
 // ---------------------------------------------------------------------------
@@ -72,42 +72,8 @@ pub fn bin_op_from_name(name: &str) -> Option<BinOp> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared decode helpers (mirrors of the source codec's, local to keep the
-// crates decoupled beyond the Json type itself)
+// Shared decode helpers (the tagged-array ones come from the source codec)
 // ---------------------------------------------------------------------------
-
-fn tagged<'a>(j: &'a Json, what: &str) -> DecodeResult<(String, &'a [Json])> {
-    let items = j
-        .as_arr()
-        .ok_or_else(|| format!("expected {what} (tagged array), got {}", j.render_compact()))?;
-    let (tag, rest) = items
-        .split_first()
-        .ok_or_else(|| format!("empty tagged array for {what}"))?;
-    let tag = tag
-        .as_str()
-        .ok_or_else(|| format!("{what} tag is not a string"))?;
-    Ok((tag.to_string(), rest))
-}
-
-fn field<'a>(rest: &'a [Json], i: usize, tag: &str) -> DecodeResult<&'a Json> {
-    rest.get(i)
-        .ok_or_else(|| format!("`{tag}` is missing field {i}"))
-}
-
-fn str_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<String> {
-    field(rest, i, tag)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{tag}` field {i} is not a string"))
-}
-
-fn arity(rest: &[Json], n: usize, tag: &str) -> DecodeResult<()> {
-    if rest.len() == n {
-        Ok(())
-    } else {
-        Err(format!("`{tag}` expects {n} fields, got {}", rest.len()))
-    }
-}
 
 fn str_list(j: &Json, what: &str) -> DecodeResult<Vec<String>> {
     j.as_arr()

@@ -15,9 +15,13 @@
 //! - the warm pass is 100% cache hits with no evictions;
 //! - cold and warm results are structurally identical (function,
 //!   derivation, stats);
-//! - warm wall-time ≤ 0.5× cold wall-time — only enforced when phase 1
-//!   actually compiled everything (with `CACHEBENCH_KEEP_STORE=1` both
-//!   phases may be warm and the ratio is reported but not gated).
+//! - the median warm wall-time ≤ 0.5× cold wall-time — only enforced
+//!   when phase 1 actually compiled everything (with
+//!   `CACHEBENCH_KEEP_STORE=1` both phases may be warm and the ratio is
+//!   reported but not gated).
+//!
+//! Both phases are timed through [`rupicola_bench::timing`]: the cold pass
+//! once, the warm pass in `WARM_PASSES` rounds.
 //!
 //! With `CACHEBENCH_EXPECT_WARM=1` the *first* pass must already be fully
 //! warm too — the CI mode for the second of two back-to-back runs.
@@ -26,25 +30,26 @@
 //! root. Run with `cargo run --release -p rupicola-bench --bin cachebench`.
 
 use rupicola_bench::json::{write_results, Json};
+use rupicola_bench::timing::{interleaved, time, Summary};
 use rupicola_ext::standard_dbs;
 use rupicola_programs::parallel::default_workers;
 use rupicola_service::{
     compile_suite_cached, env, store_root_from_env, CachedResult, Provenance, Server, ShardedStore,
     TenantTable,
 };
-use std::time::Instant;
 
-fn run_pass(server: &Server, dbs: &rupicola_core::HintDbs) -> (Vec<CachedResult>, f64) {
-    let t0 = Instant::now();
-    let results = compile_suite_cached(server, dbs);
-    let secs = t0.elapsed().as_secs_f64();
+/// Timed warm passes; every one must be 100% verified cache loads.
+const WARM_PASSES: usize = 3;
+
+/// Returns a suite pass; exits 1 if any program in it failed to compile.
+fn checked(results: Vec<CachedResult>) -> Vec<CachedResult> {
     for r in &results {
         if let Err(e) = &r.result {
             eprintln!("cachebench: {} failed to compile: {e}", r.name);
             std::process::exit(1);
         }
     }
-    (results, secs)
+    results
 }
 
 fn provenance_rows(results: &[CachedResult]) -> Vec<Json> {
@@ -82,7 +87,8 @@ fn main() {
     let store = server.store();
     let dbs = standard_dbs();
 
-    let (first, cold_secs) = run_pass(&server, &dbs);
+    let (first, cold_ms) = time(|| compile_suite_cached(&server, &dbs));
+    let first = checked(first);
     let first_hits = first.iter().filter(|r| r.provenance == Provenance::Cache).count();
     let fully_cold = first_hits == 0;
     if expect_warm && first_hits != first.len() {
@@ -94,16 +100,13 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Warm phase: every repetition must be 100% verified cache loads;
-    // the *best* of the repetitions is the gated number, so a scheduler
-    // hiccup in one rep doesn't fail an otherwise-healthy cache. Every
-    // rep still performs the full verified-load ladder.
-    let warm_reps: u32 = env::parsed_or_exit("CACHEBENCH_WARM_REPS", 3);
-    let mut warm_secs = f64::INFINITY;
-    let mut second = Vec::new();
-    for _ in 0..warm_reps.max(1) {
+    // Warm phase: every pass must be 100% verified cache loads; the
+    // median pass is the gated number, so a scheduler hiccup in one pass
+    // doesn't fail an otherwise-healthy cache. Every pass still performs
+    // the full verified-load ladder.
+    let warm = interleaved(1, 0, WARM_PASSES, |_, clock| {
         let stats_before = store.stats();
-        let (pass, secs) = run_pass(&server, &dbs);
+        let pass = checked(clock.time(|| compile_suite_cached(&server, &dbs)));
         let stats = store.stats();
         let warm_hits = stats.hits - stats_before.hits;
         let warm_evictions = stats.evictions - stats_before.evictions;
@@ -118,9 +121,11 @@ fn main() {
             );
             std::process::exit(1);
         }
-        warm_secs = warm_secs.min(secs);
-        second = pass;
-    }
+        pass
+    })
+    .remove(0);
+    let warm_ms = Summary::of(warm.iter().map(|t| t.ms));
+    let second = &warm[warm.len() - 1].out;
     let stats = store.stats();
     let warm_hits = second.len();
     // And must serve exactly what the first pass produced.
@@ -132,26 +137,26 @@ fn main() {
         }
     }
 
-    let ratio = warm_secs / cold_secs;
+    let ratio = warm_ms.median / cold_ms;
     println!("cachebench: store root {}", store.root().display());
+    println!("  first pass:  {cold_ms:>8.2} ms ({first_hits} hit(s), fully_cold={fully_cold})");
     println!(
-        "  first pass:  {:>8.2} ms ({} hit(s), fully_cold={fully_cold})",
-        cold_secs * 1e3,
-        first_hits
+        "  warm pass:   {:>8.2} ms median of {WARM_PASSES} ({warm_hits} verified hit(s) each)",
+        warm_ms.median
     );
-    println!("  warm pass:   {:>8.2} ms ({warm_hits} verified hit(s))", warm_secs * 1e3);
     println!(
         "  warm/cold:   {ratio:>8.3}  (verify time {:.2} ms total)",
         stats.verify_nanos as f64 / 1e6
     );
 
     let summary = Json::obj([
-        ("cold_secs", Json::F64(cold_secs)),
-        ("warm_secs", Json::F64(warm_secs)),
+        ("cores", Json::U64(default_workers() as u64)),
+        ("cold_ms", Summary::of([cold_ms]).to_json()),
+        ("warm_ms", warm_ms.to_json()),
         ("warm_over_cold", Json::F64(ratio)),
         ("fully_cold_first_pass", Json::Bool(fully_cold)),
         ("warm_hits", Json::U64(warm_hits as u64)),
-        ("programs", Json::Arr(provenance_rows(&second))),
+        ("programs", Json::Arr(provenance_rows(second))),
         ("cache", stats.to_json()),
     ]);
     // Only a genuinely cold first pass measures the advertised cold/warm

@@ -35,23 +35,19 @@
 //! `cargo run --release -p rupicola-bench --bin chaosbench`.
 
 use rupicola_bench::json::{write_results, Json};
+use rupicola_bench::timing::{time, Summary};
+use rupicola_bench::{mix, scratch_dir};
 use rupicola_core::check::{check_with, CheckConfig};
 use rupicola_core::{CompiledFunction, EngineLimits};
 use rupicola_ext::standard_dbs;
+use rupicola_programs::parallel::default_workers;
 use rupicola_programs::suite;
 use rupicola_service::store::LOAD_CHECK_VECTORS;
 use rupicola_service::{
     resolve_one, serve, Backend, CachedResult, ChaosBackend, FaultPlan, Provenance, RetryPolicy,
     Server, ShardedStore, Store, TenantTable, WitnessEdit,
 };
-use std::path::{Path, PathBuf};
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("rupicola-chaosbench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use std::path::Path;
 
 /// Opens a 1-shard store at `root` over `backend`, with `tune` applied;
 /// exits 2 if it cannot be opened.
@@ -69,14 +65,6 @@ fn open_store(
 fn fail(gate: &str, detail: String) -> ! {
     eprintln!("chaosbench: FAIL [{gate}]: {detail}");
     std::process::exit(1);
-}
-
-/// Splitmix-style stream for picking request programs — independent of
-/// the backend's fault stream so request mix and fault schedule can be
-/// varied separately.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *state >> 33
 }
 
 fn main() {
@@ -121,37 +109,39 @@ fn main() {
     // ---- Scenario 1: hostile trial ------------------------------------
     // Thousands of mixed requests against a store whose backend injects
     // every fault class from the seeded schedule.
-    let root = scratch("trial");
+    let root = scratch_dir("chaosbench-trial");
     std::fs::create_dir_all(&root).unwrap();
     let store =
         open_store(&root, || Box::new(ChaosBackend::new(FaultPlan::hostile(seed))), |s| s);
+    // The request picker's stream is independent of the backend's fault
+    // stream, so request mix and fault schedule can be varied separately.
     let mut picker = seed ^ 0x9e37_79b9_7f4a_7c15;
     let mut answered = 0usize;
-    let t0 = std::time::Instant::now();
-    for i in 0..requests {
-        let entry = &all[(mix(&mut picker) as usize) % all.len()];
-        // Deterministic churn: periodically expire the picked artifact so
-        // the trial keeps *writing* (and thus keeps exposing the
-        // torn-write / bit-flip / rename-failure / litter classes) instead
-        // of settling into an all-hits steady state after seven stores.
-        if i % 8 == 0 {
-            let key = store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &limits);
-            let _ = std::fs::remove_file(store.shard(0).path_for(entry.info.name, key));
+    let ((), trial_ms) = time(|| {
+        for i in 0..requests {
+            let entry = &all[(mix(&mut picker) as usize) % all.len()];
+            // Deterministic churn: periodically expire the picked artifact so
+            // the trial keeps *writing* (and thus keeps exposing the
+            // torn-write / bit-flip / rename-failure / litter classes) instead
+            // of settling into an all-hits steady state after seven stores.
+            if i % 8 == 0 {
+                let key = store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &limits);
+                let _ = std::fs::remove_file(store.shard(0).path_for(entry.info.name, key));
+            }
+            let result = resolve_one(&store, entry, &dbs, &limits);
+            check_answer(&result, "trial");
+            if result.result.is_ok() {
+                answered += 1;
+            }
         }
-        let result = resolve_one(&store, entry, &dbs, &limits);
-        check_answer(&result, "trial");
-        if result.result.is_ok() {
-            answered += 1;
-        }
-    }
-    let trial_secs = t0.elapsed().as_secs_f64();
+    });
     let stats = store.stats();
     let availability = answered as f64 / requests.max(1) as f64;
     // Every request performs at most a handful of backend operations
     // (read, write, evict-remove), each retried at most max_attempts-1
     // times; anything past that bound means a retry loop.
     let retry_bound = (requests as u64 + 16) * 4 * u64::from(policy.max_attempts - 1);
-    println!("chaosbench: trial: {requests} requests in {:.2}s (seed {seed:#x})", trial_secs);
+    println!("chaosbench: trial: {requests} requests in {trial_ms:.0} ms (seed {seed:#x})");
     println!(
         "  availability: {:.4}  hits {}  misses {}  evictions {}  stores {}  unavailable {}",
         availability, stats.hits, stats.misses, stats.evictions, stats.stores, stats.unavailable
@@ -205,7 +195,7 @@ fn main() {
     println!("chaosbench: protocol round ok (5 responses, in-band errors)");
 
     // ---- Scenario 3: total outage degrades, requests still answered ----
-    let outage_root = scratch("outage");
+    let outage_root = scratch_dir("chaosbench-outage");
     std::fs::create_dir_all(&outage_root).unwrap();
     let outage_store = open_store(
         &outage_root,
@@ -243,7 +233,7 @@ fn main() {
     // Warm a clean store, then fake a crash: orphaned temp files from a
     // writer that no longer exists (dead pid / torn tag). Reopen must
     // scavenge them all and still serve a verified hit.
-    let crash_root = scratch("crash");
+    let crash_root = scratch_dir("chaosbench-crash");
     let fs = || Box::new(rupicola_service::FsBackend) as Box<dyn Backend>;
     let crash_store = open_store(&crash_root, fs, |s| s);
     let entry = &all[0];
@@ -278,7 +268,7 @@ fn main() {
     // witness that a fresh check rejects. The cached certificate must
     // never vouch for it: each rewrite is evicted and recompiled, and the
     // healed key hits again.
-    let swap_root = scratch("swap");
+    let swap_root = scratch_dir("chaosbench-swap");
     let swap_store = open_store(&swap_root, fs, |s| s.with_quarantine_after(0));
     let load_check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
     for entry in &all {
@@ -339,7 +329,8 @@ fn main() {
     let summary = Json::obj([
         ("seed", Json::U64(seed)),
         ("requests", Json::U64(requests as u64)),
-        ("trial_secs", Json::F64(trial_secs)),
+        ("cores", Json::U64(default_workers() as u64)),
+        ("trial_ms", Summary::of([trial_ms]).to_json()),
         ("availability", Json::F64(availability)),
         ("availability_floor", Json::F64(0.99)),
         ("wrong_answers", Json::U64(0)),

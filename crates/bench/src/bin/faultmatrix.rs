@@ -34,6 +34,11 @@ struct ClassTally {
     analyzer_killed: usize,
 }
 
+/// `killed / applicable`, NaN when no mutant applied.
+fn kill_rate(killed: usize, applicable: usize) -> Json {
+    Json::F64(if applicable == 0 { f64::NAN } else { killed as f64 / applicable as f64 })
+}
+
 fn main() {
     let dbs = standard_dbs();
     // Fewer vectors than a certification run: each mutant only needs one
@@ -165,7 +170,7 @@ fn main() {
 
     let total_generated: usize = totals.iter().map(|t| t.generated).sum();
     let total_analyzer: usize = totals.iter().map(|t| t.analyzer_killed).sum();
-    let summary = Json::obj([
+    let mut summary = vec![
         ("programs", Json::Arr(program_rows)),
         ("classes", Json::Arr(class_rows)),
         (
@@ -184,15 +189,8 @@ fn main() {
             ),
         ),
         ("structural_escapes", Json::U64(structural_escapes as u64)),
-        (
-            "analyzer_kill_rate",
-            if total_generated == 0 {
-                Json::F64(f64::NAN)
-            } else {
-                Json::F64(total_analyzer as f64 / total_generated as f64)
-            },
-        ),
-    ]);
+        ("analyzer_kill_rate", kill_rate(total_analyzer, total_generated)),
+    ];
     // The pass-mutant matrix: seeded miscompiling optimization passes
     // (rupicola_opt::mutants). Where a mutant fires, the translation-
     // validation stack — checker against the original certificate, lint
@@ -231,21 +229,8 @@ fn main() {
             ("killed", Json::U64(killed as u64)),
         ]));
     }
-    let summary = match summary {
-        Json::Obj(mut fields) => {
-            fields.push(("pass_mutants".to_string(), Json::Arr(pass_rows)));
-            fields.push((
-                "pass_mutant_kill_rate".to_string(),
-                if pass_applicable == 0 {
-                    Json::F64(f64::NAN)
-                } else {
-                    Json::F64(pass_killed as f64 / pass_applicable as f64)
-                },
-            ));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
+    summary.push(("pass_mutants", Json::Arr(pass_rows)));
+    summary.push(("pass_mutant_kill_rate", kill_rate(pass_killed, pass_applicable)));
 
     // The constant-time mutant matrix: seeded secrecy leaks in the three
     // CT-labeled programs, with the CT analysis (and, for the pass-level
@@ -329,21 +314,8 @@ fn main() {
             ]));
         }
     }
-    let summary = match summary {
-        Json::Obj(mut fields) => {
-            fields.push(("ct_mutants".to_string(), Json::Arr(ct_rows)));
-            fields.push((
-                "ct_kill_rate".to_string(),
-                if ct_generated == 0 {
-                    Json::F64(f64::NAN)
-                } else {
-                    Json::F64(ct_killed as f64 / ct_generated as f64)
-                },
-            ));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
+    summary.push(("ct_mutants", Json::Arr(ct_rows)));
+    summary.push(("ct_kill_rate", kill_rate(ct_killed, ct_generated)));
 
     // The RISC-V lowering-mutant matrix: seeded machine-level miscompiles
     // (clobbered callee-saved register, off-by-one branch offset, dropped
@@ -362,46 +334,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    for cell in &rv_matrix.cells {
-        println!(
-            "  {:<10} {:<28} {}",
-            cell.program,
-            cell.mutant,
-            if cell.killed { "killed" } else { "SURVIVED" },
-        );
-    }
-    let summary = match summary {
-        Json::Obj(mut fields) => {
-            fields.push((
-                "rv_mutants".to_string(),
-                Json::Arr(
-                    rv_matrix
-                        .cells
-                        .iter()
-                        .map(|c| {
-                            Json::obj([
-                                ("program", Json::str(c.program.clone())),
-                                ("mutant", Json::str(c.mutant)),
-                                ("killed", Json::Bool(c.killed)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            fields.push((
-                "rv_kill_rate".to_string(),
-                if rv_matrix.applicable() == 0 {
-                    Json::F64(f64::NAN)
-                } else {
-                    Json::F64(rv_matrix.killed() as f64 / rv_matrix.applicable() as f64)
-                },
-            ));
-            Json::Obj(fields)
-        }
-        other => other,
-    };
+    summary.push(("rv_mutants", Json::Arr(rv_matrix.report())));
+    summary.push(("rv_kill_rate", kill_rate(rv_matrix.killed(), rv_matrix.applicable())));
 
-    match write_results("faultmatrix.json", &summary) {
+    match write_results("faultmatrix.json", &Json::obj(summary)) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => println!("\nfailed to write results: {e}"),
     }

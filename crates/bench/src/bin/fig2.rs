@@ -1,52 +1,52 @@
 //! Prints the Figure 2 table: ns/byte (and estimated cycles/byte) for the
-//! generated, handwritten and extraction series of every suite program.
+//! generated, optimized, handwritten and extraction series of every suite
+//! program.
+//!
+//! Each program's four series go through the one timing harness
+//! ([`rupicola_bench::timing`]): one untimed warm-up call each, then
+//! rounds that call every series once, in an order that alternates
+//! between rounds, so load drift hits every series alike. A sample is
+//! the ns/byte of `CALLS` consecutive rounds. The table and
+//! `results/fig2_opt.json` report medians; the JSON adds each series'
+//! quartiles. Exits nonzero if the optimized route computes anything but
+//! what the certified route computes, or if its median is more than 5%
+//! slower. The RISC-V routes are gated by `rvbench`.
 //!
 //! Run with `cargo run -p rupicola-bench --bin fig2 --release`.
 
 use rupicola_bench::json::{write_results, Json};
-use rupicola_bench::{fig2_rows, make_input, make_text_input, Driver};
-use rupicola_programs::parallel::{compile_entries, default_workers};
+use rupicola_bench::timing::{interleaved, time, Summary};
+use rupicola_bench::{fig2_rows, make_input, make_text_input};
+use rupicola_programs::parallel::default_workers;
 use std::hint::black_box;
-use std::time::Instant;
 
 const MAIN_LEN: usize = 1 << 20; // 1 MiB
 const EXTRACTION_LEN: usize = 1 << 16; // 64 KiB
-const RUNS: usize = 9;
-
-fn measure(driver: Driver, input: &[u8]) -> f64 {
-    // One warmup, then the median of RUNS timings, in ns/byte.
-    let mut buf = input.to_vec();
-    black_box(driver(black_box(&mut buf)));
-    let mut times: Vec<f64> = (0..RUNS)
-        .map(|_| {
-            buf.copy_from_slice(input);
-            let t0 = Instant::now();
-            black_box(driver(black_box(&mut buf)));
-            t0.elapsed().as_secs_f64() * 1e9 / input.len() as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[RUNS / 2]
-}
+/// Samples per series.
+const SAMPLES: usize = 61;
+/// Driver calls per sample, each on a freshly reset buffer.
+const CALLS: usize = 4;
 
 /// Estimates the CPU frequency (GHz) with a dependent-add spin loop
 /// (~1 add/cycle on any recent core), to convert ns/byte to cycles/byte.
 fn estimate_ghz() -> f64 {
-    let mut acc = 0u64;
     let iters = 400_000_000u64;
-    let t0 = Instant::now();
-    for i in 0..iters {
-        acc = acc.wrapping_add(i ^ acc);
-    }
+    let (acc, ms) = time(|| {
+        let mut acc = 0u64;
+        for i in 0..iters {
+            acc = acc.wrapping_add(i ^ acc);
+        }
+        acc
+    });
     black_box(acc);
-    let secs = t0.elapsed().as_secs_f64();
-    (iters as f64 / secs) / 1e9
+    iters as f64 / (ms * 1e6)
 }
 
 fn main() {
     let ghz = estimate_ghz();
     println!("# Figure 2 — cycles per byte (1 MiB input; extraction series on 64 KiB)");
     println!("# CPU frequency estimate: {ghz:.2} GHz (dependent-add calibration)");
+    println!("# medians of {SAMPLES} samples of {CALLS} interleaved calls");
     println!();
     println!(
         "{:<8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>12} {:>12}",
@@ -72,93 +72,69 @@ fn main() {
             divergences += 1;
             continue;
         }
-        let g = measure(row.generated, &input);
-        let o = measure(row.optimized, &input);
-        let h = measure(row.handwritten, &input);
-        let n = measure(row.extraction, &small);
-        if o < g {
-            improved += 1;
-        }
-        if o > g * 1.05 {
-            regressions.push(format!("{}: {o:.3} ns/B vs {g:.3} unoptimized", row.name));
+        let series = [
+            (row.generated, &input),
+            (row.optimized, &input),
+            (row.handwritten, &input),
+            (row.extraction, &small),
+        ];
+        // One buffer per input size, shared by the series that read it,
+        // so no series gets a luckier address.
+        let (mut main_buf, mut small_buf) = (input.clone(), small.clone());
+        let timed = interleaved(series.len(), 1, SAMPLES * CALLS, |i, clock| {
+            let (driver, input) = series[i];
+            let buf = if input.len() == MAIN_LEN { &mut main_buf } else { &mut small_buf };
+            buf.copy_from_slice(input);
+            clock.time(|| black_box(driver(black_box(buf))));
+        });
+        // A sample is CALLS consecutive rounds, so every series' sample
+        // spans the same stretch of wall time.
+        let [g, o, h, n]: [Summary; 4] = std::array::from_fn(|i| {
+            let bytes = (CALLS * series[i].1.len()) as f64;
+            Summary::of(
+                timed[i].chunks(CALLS).map(|c| c.iter().map(|t| t.ms).sum::<f64>() * 1e6 / bytes),
+            )
+        });
+        // Improved only outside the noise band: the optimized route's q3
+        // under the unoptimized route's q1.
+        let faster = o.q3 < g.q1;
+        improved += usize::from(faster);
+        if o.median > g.median * 1.05 {
+            regressions.push(format!(
+                "{}: {:.3} ns/B vs {:.3} unoptimized",
+                row.name, o.median, g.median
+            ));
         }
         println!(
             "{:<8} {:>12.3} {:>12.3} {:>12.3} {:>12.1} {:>9.2} {:>12.2} {:>12.2}",
             row.name,
-            g,
-            o,
-            h,
-            n,
-            g / h,
-            o * ghz,
-            h * ghz,
+            g.median,
+            o.median,
+            h.median,
+            n.median,
+            g.median / h.median,
+            o.median * ghz,
+            h.median * ghz,
         );
         opt_rows.push(Json::obj([
             ("program", Json::str(row.name)),
-            ("unopt_ns_per_byte", Json::F64(g)),
-            ("opt_ns_per_byte", Json::F64(o)),
-            ("hand_ns_per_byte", Json::F64(h)),
-            ("unopt_cycles_per_byte", Json::F64(g * ghz)),
-            ("opt_cycles_per_byte", Json::F64(o * ghz)),
-            ("improved", Json::Bool(o < g)),
-            ("speedup", Json::F64(g / o)),
+            ("unopt_ns_per_byte", g.to_json()),
+            ("opt_ns_per_byte", o.to_json()),
+            ("hand_ns_per_byte", h.to_json()),
+            ("extraction_ns_per_byte", n.to_json()),
+            ("unopt_cycles_per_byte", Json::F64(g.median * ghz)),
+            ("opt_cycles_per_byte", Json::F64(o.median * ghz)),
+            ("improved", Json::Bool(faster)),
+            ("speedup", Json::F64(g.median / o.median)),
         ]));
-    }
-    // The RISC-V rows: static instruction counts and retired-instruction
-    // (cycle-estimate, at 1 instruction/cycle) counts for the naive and
-    // fully-optimized machine routes, both freshly validated. These are
-    // simulator numbers on the checker's reference input, not wall-clock
-    // timings — the machine route has no native target to time.
-    println!();
-    println!("# RISC-V routes (simulator; est. cycles = instructions retired):");
-    println!(
-        "{:<8} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "program", "naive insl", "opt insl", "naive cyc", "opt cyc", "cyc ratio"
-    );
-    let rv_config =
-        rupicola_core::check::CheckConfig { vectors: 8, ..rupicola_core::check::CheckConfig::default() };
-    let mut rv_rows: Vec<Json> = Vec::new();
-    let mut rv_failures = 0usize;
-    for e in rupicola_programs::suite() {
-        let name = e.info.name;
-        let cf = match (e.compiled)() {
-            Ok(cf) => cf,
-            Err(err) => {
-                println!("{name:<8} COMPILATION FAILED: {err}");
-                rv_failures += 1;
-                continue;
-            }
-        };
-        match rupicola_bench::rvsupport::rv_route_stats(name, &cf, &rv_config) {
-            Ok(s) => {
-                println!(
-                    "{:<8} {:>12} {:>12} {:>12} {:>12} {:>9.2}",
-                    name,
-                    s.naive_instrs,
-                    s.full_instrs,
-                    s.naive_executed,
-                    s.full_executed,
-                    s.naive_executed as f64 / s.full_executed.max(1) as f64,
-                );
-                rv_rows.push(Json::obj([
-                    ("program", Json::str(name)),
-                    ("naive_instrs", Json::U64(s.naive_instrs as u64)),
-                    ("opt_instrs", Json::U64(s.full_instrs as u64)),
-                    ("naive_cycles_est", Json::U64(s.naive_executed)),
-                    ("opt_cycles_est", Json::U64(s.full_executed)),
-                ]));
-            }
-            Err(err) => {
-                println!("{name:<8} RISC-V ROUTE FAILED: {err}");
-                rv_failures += 1;
-            }
-        }
     }
 
     let summary = Json::obj([
+        ("cores", Json::U64(default_workers() as u64)),
+        ("samples", Json::U64(SAMPLES as u64)),
+        ("calls_per_sample", Json::U64(CALLS as u64)),
         ("ghz_estimate", Json::F64(ghz)),
         ("programs", Json::Arr(opt_rows)),
-        ("riscv", Json::Arr(rv_rows)),
         ("improved", Json::U64(improved as u64)),
         ("divergences", Json::U64(divergences as u64)),
     ]);
@@ -171,10 +147,6 @@ fn main() {
         println!("# FATAL: {divergences} program(s) with diverging optimized output");
         std::process::exit(1);
     }
-    if rv_failures > 0 {
-        println!("# FATAL: {rv_failures} program(s) failed the RISC-V routes");
-        std::process::exit(1);
-    }
     if !regressions.is_empty() {
         println!("# FATAL: optimized route >5% slower on:");
         for r in &regressions {
@@ -185,39 +157,6 @@ fn main() {
     println!();
     println!("# Shape check (paper §4.2): generated ≈ handwritten (ratio ≈ 1,");
     println!("# within compiler fluctuation), both orders of magnitude faster");
-    println!("# than the extraction baseline.");
-    println!();
-    println!("# Compiler throughput (paper §4.3: Coq runs at 2–15 statements/s):");
-    let dbs = rupicola_ext::standard_dbs();
-    // One cached (store-backed) pass first: on a warm store this
-    // serves and re-verifies the artifacts without a single derivation,
-    // and it is what populates the store for the other harness binaries.
-    let (cached, cache) = rupicola_service::suite_via_store(&dbs);
-    let suite_statements: usize = cached
-        .iter()
-        .map(|r| r.result.as_ref().expect("suite compiles").function.statement_count())
-        .sum();
-    println!(
-        "#   cached pass: {suite_statements} statements; cache {} hit(s), {} miss(es)",
-        cache.hits, cache.misses
-    );
-    // Then time the engine proper: suite-parallel compilation per
-    // repetition — the same driver the `speed` harness benchmarks in
-    // detail. Deliberately NOT store-backed: this number is proof-search
-    // throughput, and serving from the cache would measure the checker.
-    let t0 = Instant::now();
-    let reps = 20;
-    let mut statements = 0usize;
-    let (entries, limits) = (rupicola_programs::suite(), rupicola_core::EngineLimits::default());
-    for _ in 0..reps {
-        for r in compile_entries(&entries, &dbs, &limits, default_workers()) {
-            statements += r.result.expect("suite compiles").function.statement_count();
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    println!(
-        "#   this engine: {:.0} statements/second ({statements} statements in {secs:.2}s)",
-        statements as f64 / secs
-    );
-    println!("#   (see `--bin speed` for the linear/indexed/parallel breakdown)");
+    println!("# than the extraction baseline. Compiler throughput (§4.3) is");
+    println!("# `--bin speed`; the RISC-V routes are `--bin rvbench`.");
 }

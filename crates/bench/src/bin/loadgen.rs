@@ -1,11 +1,14 @@
 //! Load generator for the concurrent multi-tenant server (DESIGN.md §14).
 //!
 //! Replays a **seeded, deterministic** trace of mixed cold/warm compile
-//! requests across four tenants through `rupicola_service::Server` twice
-//! — once with one worker (the serial baseline, equivalent to the
-//! pre-concurrency `served` loop) and once with `LOADGEN_WORKERS`
-//! workers over a lock-striped sharded store — then gates the comparison
-//! into `results/service_load.json`.
+//! requests across four tenants through `rupicola_service::Server` in
+//! `PAIRS` alternating pairs of passes — one with one worker (the serial
+//! baseline, equivalent to the pre-concurrency `served` loop) and one with
+//! `WORKERS` workers over a lock-striped sharded store, their order
+//! alternating between pairs ([`rupicola_bench::timing`]) — then gates
+//! the comparison into `results/service_load.json`. Every pass reports
+//! its own latency percentiles; each gate compares the two arms' medians
+//! of them across pairs.
 //!
 //! The trace is built as drain cycles that reproduce the production
 //! pathology the scheduler exists for: each batch carries **one cold
@@ -48,44 +51,40 @@
 //! - **degraded availability** — the all-degraded pass answers 100%.
 //!
 //! Environment: `LOADGEN_SEED` (default `0x10AD`), `LOADGEN_REQUESTS`
-//! (default 1500 — trace length per pass), `LOADGEN_WORKERS` (default
-//! 4), `LOADGEN_SHARDS` (default 8), `LOADGEN_BATCH` (default 25
-//! requests per drain cycle), `LOADGEN_SKIP_RESULTS=1` to leave
-//! `results/service_load.json` untouched. Exit 2 on invalid
+//! (default 1500 — trace length per pass), `LOADGEN_SKIP_RESULTS=1` to
+//! leave `results/service_load.json` untouched. Exit 2 on invalid
 //! environment. Run with `cargo run --release -p rupicola-bench --bin
 //! loadgen`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use rupicola_bench::json::{write_results, Json};
+use rupicola_bench::timing::{interleaved, percentile, Clock, Summary, Timed};
+use rupicola_bench::{mix, scratch_dir};
 use rupicola_core::check::{check_with, CheckConfig};
 use rupicola_core::CompiledFunction;
 use rupicola_ext::standard_dbs;
+use rupicola_programs::parallel::default_workers;
 use rupicola_programs::suite;
 use rupicola_service::{
     CompileJob, JobOutcome, Server, ShardedStore, TenantPolicy, TenantStats, TenantTable,
 };
 
 const TENANTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("rupicola-loadgen-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+/// Workers of the concurrent arm (and of the degraded and storm passes).
+const WORKERS: usize = 4;
+/// Shards of every pass's store.
+const SHARDS: usize = 8;
+/// Requests per drain cycle.
+const BATCH: usize = 25;
+/// Alternating serial/concurrent pass pairs.
+const PAIRS: usize = 5;
+/// The compared arms: label and worker count.
+const ARMS: [(&str, usize); 2] = [("serial", 1), ("concurrent", WORKERS)];
 
 fn fail(gate: &str, detail: String) -> ! {
     eprintln!("loadgen: FAIL [{gate}]: {detail}");
     std::process::exit(1);
-}
-
-/// Splitmix-style stream: the one source of randomness, so the trace is
-/// a pure function of the seed (identical for both passes).
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-    *state >> 33
 }
 
 /// One drain cycle of the trace: the program whose artifact is expired
@@ -133,40 +132,35 @@ fn build_trace(seed: u64, requests: usize, batch: usize) -> Vec<Cycle> {
     cycles
 }
 
-/// Latencies (nanos) split by planned temperature, in trace order.
+/// Latencies (µs) split by planned temperature, in trace order.
 #[derive(Default)]
 struct PassLatencies {
-    warm: Vec<u128>,
-    cold: Vec<u128>,
-    secs: f64,
+    warm: Vec<f64>,
+    cold: Vec<f64>,
 }
 
-fn percentile(sorted: &[u128], p: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
+/// One pass: its latencies and the server's final tenant stats.
+type Pass = (PassLatencies, BTreeMap<String, TenantStats>);
 
-/// Runs the trace through a fresh server, checking every answer, and
-/// returns the latency profile plus the server's final tenant stats.
+/// Runs the trace through a fresh server, checking every answer, with
+/// `clock` timing the trace, and returns the latency profile plus the
+/// server's final tenant stats.
 fn run_pass(
     label: &str,
     workers: usize,
-    shards: usize,
     cycles: &[Cycle],
     reference: &BTreeMap<&'static str, CompiledFunction>,
-) -> (PassLatencies, BTreeMap<String, TenantStats>) {
+    clock: &mut Clock,
+) -> Pass {
     let dbs = standard_dbs();
-    let root = scratch(label);
+    let root = scratch_dir(&format!("loadgen-{label}"));
     // Full optimization pipeline: the production configuration, and the
     // source of the cold/warm cost asymmetry the scheduler is being
     // measured on (a cold request pays compile + optimize + translation
     // validation; a warm one pays the verified-load ladder only).
     let store = ShardedStore::open_with(
         &root,
-        shards,
+        SHARDS,
         |_| Box::new(rupicola_service::FsBackend),
         |s| s.with_pipeline(rupicola_opt::PipelineConfig::full()),
     )
@@ -187,62 +181,63 @@ fn run_pass(
 
     let mut out = PassLatencies::default();
     let mut checked = 0usize;
-    let t0 = std::time::Instant::now();
-    for cycle in cycles {
-        // Expire the cycle's churn program so its request derives from
-        // scratch — the artifact lives in exactly one shard.
-        {
-            let entry = suite().into_iter().find(|e| e.info.name == cycle.churn).unwrap();
-            let key = server.store().key_for(
-                &(entry.model)(),
-                &(entry.spec)(),
-                &dbs,
-                &Default::default(),
-            );
-            let path = server
-                .store()
-                .shard(server.store().shard_of(key))
-                .path_for(cycle.churn, key);
-            let _ = std::fs::remove_file(path);
-        }
-        let responses = server.run_batch(&cycle.jobs, &dbs);
-        if responses.len() != cycle.jobs.len() {
-            fail(
-                "lost-response",
-                format!("{label}: {} jobs, {} responses", cycle.jobs.len(), responses.len()),
-            );
-        }
-        for (i, r) in responses.iter().enumerate() {
-            let JobOutcome::Done(result) = &r.outcome else {
-                fail("lost-response", format!("{label}: {} not resolved: {r:?}", r.program));
-            };
-            let Ok(cf) = &result.result else {
-                fail("wrong-answer", format!("{label}: {} failed: {:?}", r.program, result));
-            };
-            let want = &reference[result.name];
-            if cf.function != want.function || cf.derivation != want.derivation {
+    clock.time(|| {
+        for cycle in cycles {
+            // Expire the cycle's churn program so its request derives from
+            // scratch — the artifact lives in exactly one shard.
+            {
+                let entry = suite().into_iter().find(|e| e.info.name == cycle.churn).unwrap();
+                let key = server.store().key_for(
+                    &(entry.model)(),
+                    &(entry.spec)(),
+                    &dbs,
+                    &Default::default(),
+                );
+                let path = server
+                    .store()
+                    .shard(server.store().shard_of(key))
+                    .path_for(cycle.churn, key);
+                let _ = std::fs::remove_file(path);
+            }
+            let responses = server.run_batch(&cycle.jobs, &dbs);
+            if responses.len() != cycle.jobs.len() {
                 fail(
-                    "wrong-answer",
-                    format!("{label}: {} differs from fault-free reference", r.program),
+                    "lost-response",
+                    format!("{label}: {} jobs, {} responses", cycle.jobs.len(), responses.len()),
                 );
             }
-            // Full independent re-certification: every cold answer, and a
-            // deterministic 1-in-16 sample of warm ones (warm loads were
-            // already checker-verified inside the store).
-            checked += 1;
-            if cycle.cold[i] || checked.is_multiple_of(16) {
-                if let Err(e) = check_with(cf, &dbs, &check) {
-                    fail("wrong-answer", format!("{label}: {} fails checker: {e}", r.program));
+            for (i, r) in responses.iter().enumerate() {
+                let JobOutcome::Done(result) = &r.outcome else {
+                    fail("lost-response", format!("{label}: {} not resolved: {r:?}", r.program));
+                };
+                let Ok(cf) = &result.result else {
+                    fail("wrong-answer", format!("{label}: {} failed: {:?}", r.program, result));
+                };
+                let want = &reference[result.name];
+                if cf.function != want.function || cf.derivation != want.derivation {
+                    fail(
+                        "wrong-answer",
+                        format!("{label}: {} differs from fault-free reference", r.program),
+                    );
+                }
+                // Full independent re-certification: every cold answer, and a
+                // deterministic 1-in-16 sample of warm ones (warm loads were
+                // already checker-verified inside the store).
+                checked += 1;
+                if cycle.cold[i] || checked.is_multiple_of(16) {
+                    if let Err(e) = check_with(cf, &dbs, &check) {
+                        fail("wrong-answer", format!("{label}: {} fails checker: {e}", r.program));
+                    }
+                }
+                let micros = r.latency_nanos as f64 / 1e3;
+                if cycle.cold[i] {
+                    out.cold.push(micros);
+                } else {
+                    out.warm.push(micros);
                 }
             }
-            if cycle.cold[i] {
-                out.cold.push(r.latency_nanos);
-            } else {
-                out.warm.push(r.latency_nanos);
-            }
         }
-    }
-    out.secs = t0.elapsed().as_secs_f64();
+    });
 
     let stats = server.tenant_stats();
     for (tenant, s) in &stats {
@@ -262,38 +257,43 @@ fn run_pass(
     (out, stats)
 }
 
-fn latency_json(l: &PassLatencies) -> (Json, Vec<u128>, Vec<u128>) {
-    let mut warm = l.warm.clone();
-    let mut cold = l.cold.clone();
-    warm.sort_unstable();
-    cold.sort_unstable();
-    let j = Json::obj([
-        ("warm_requests", Json::U64(warm.len() as u64)),
-        ("cold_requests", Json::U64(cold.len() as u64)),
-        ("warm_p50_us", Json::U64((percentile(&warm, 0.50) / 1_000) as u64)),
-        ("warm_p99_us", Json::U64((percentile(&warm, 0.99) / 1_000) as u64)),
-        ("cold_p50_us", Json::U64((percentile(&cold, 0.50) / 1_000) as u64)),
-        ("cold_p99_us", Json::U64((percentile(&cold, 0.99) / 1_000) as u64)),
-        ("trace_secs", Json::F64(l.secs)),
-        (
-            "throughput_rps",
-            Json::F64((warm.len() + cold.len()) as f64 / l.secs.max(1e-9)),
-        ),
-    ]);
-    (j, warm, cold)
+/// The statistics of one pass, in the order [`pass_stats`] returns them.
+/// Responsiveness is warm p99 in units of cold p50: how many full
+/// derivations a cache hit waits for.
+const STATS: [&str; 7] = [
+    "warm_p50_us", "warm_p99_us", "cold_p50_us", "cold_p99_us",
+    "trace_ms", "throughput_rps", "responsiveness",
+];
+const WARM_P50: usize = 0;
+const WARM_P99: usize = 1;
+const COLD_P50: usize = 2;
+const RPS: usize = 5;
+const RESPONSIVENESS: usize = 6;
+
+fn pass_stats(pass: &Timed<Pass>) -> [f64; 7] {
+    let (warm, cold) = (&pass.out.0.warm, &pass.out.0.cold);
+    let p = |v: &[f64], percent| percentile(v.iter().copied(), percent);
+    let rps = (warm.len() + cold.len()) as f64 / (pass.ms / 1e3).max(1e-9);
+    let responsiveness = p(warm, 99) / p(cold, 50).max(1e-3);
+    [p(warm, 50), p(warm, 99), p(cold, 50), p(cold, 99), pass.ms, rps, responsiveness]
+}
+
+/// Each statistic of one arm, summarised across its passes.
+fn arm_stats(passes: &[Timed<Pass>]) -> [Summary; 7] {
+    let stats: Vec<[f64; 7]> = passes.iter().map(pass_stats).collect();
+    std::array::from_fn(|i| Summary::of(stats.iter().map(|s| s[i])))
+}
+
+fn arm_json(arm: &[Summary; 7], warm_requests: usize, cold_requests: usize) -> Json {
+    let counts = [("warm_requests", warm_requests), ("cold_requests", cold_requests)];
+    let counts = counts.map(|(name, n)| (name, Json::U64(n as u64)));
+    Json::obj(counts.into_iter().chain(STATS.into_iter().zip(arm.iter().map(Summary::to_json))))
 }
 
 fn main() {
     let seed: u64 = rupicola_service::env::parsed_or_exit("LOADGEN_SEED", 0x10AD);
     let requests: usize = rupicola_service::env::parsed_or_exit("LOADGEN_REQUESTS", 1500);
-    let workers: usize = rupicola_service::env::parsed_or_exit("LOADGEN_WORKERS", 4);
-    let shards: usize = rupicola_service::env::parsed_or_exit("LOADGEN_SHARDS", 8);
-    let batch: usize = rupicola_service::env::parsed_or_exit("LOADGEN_BATCH", 25);
     let skip_results = rupicola_service::env::flag_or_exit("LOADGEN_SKIP_RESULTS");
-    if workers < 4 {
-        eprintln!("loadgen: LOADGEN_WORKERS must be >= 4 (the gate compares against serial)");
-        std::process::exit(2);
-    }
     let dbs = standard_dbs();
 
     // Fault-free reference answers: the ground truth every served result
@@ -311,57 +311,49 @@ fn main() {
         })
         .collect();
 
-    let cycles = build_trace(seed, requests, batch);
+    let cycles = build_trace(seed, requests, BATCH);
     let sent: usize = cycles.iter().map(|c| c.jobs.len()).sum();
     println!(
-        "loadgen: trace: {sent} requests in {} drain cycles (seed {seed:#x}, batch {batch}, \
-         {} tenants)",
+        "loadgen: trace: {sent} requests in {} drain cycles (seed {seed:#x}, batch {BATCH}, \
+         {} tenants), {PAIRS} serial/concurrent pairs",
         cycles.len(),
         TENANTS.len()
     );
 
-    // ---- Pass 1: serial baseline (1 worker — the pre-concurrency loop).
-    let (serial, _) = run_pass("serial", 1, shards, &cycles, &reference);
-    // ---- Pass 2: concurrent (the tentpole configuration).
-    let (concurrent, tenant_stats) =
-        run_pass("concurrent", workers, shards, &cycles, &reference);
-
-    let (serial_json, serial_warm, serial_cold) = latency_json(&serial);
-    let (concurrent_json, conc_warm, conc_cold) = latency_json(&concurrent);
-    let s_warm_p99 = percentile(&serial_warm, 0.99);
-    let c_warm_p99 = percentile(&conc_warm, 0.99);
-    let s_cold_p50 = percentile(&serial_cold, 0.50).max(1);
-    let c_cold_p50 = percentile(&conc_cold, 0.50).max(1);
-    // "Responsiveness": warm p99 in units of cold p50 — how many full
-    // derivations a cache hit waits for. The serial baseline's is >= 1 by
-    // construction (warm requests queue behind the batch's derivation);
-    // the scheduler's should be well below it.
-    let s_resp = s_warm_p99 as f64 / s_cold_p50 as f64;
-    let c_resp = c_warm_p99 as f64 / c_cold_p50 as f64;
+    // ---- Passes 1–2, in alternating pairs: the serial baseline (1
+    // worker — the pre-concurrency loop) and the concurrent server.
+    let mut passes = interleaved(ARMS.len(), 0, PAIRS, |arm, clock| {
+        let (label, workers) = ARMS[arm];
+        run_pass(label, workers, &cycles, &reference, clock)
+    });
+    for (pair, (s, c)) in passes[0].iter().zip(&passes[1]).enumerate() {
+        let (s, c) = (pass_stats(s), pass_stats(c));
+        println!(
+            "loadgen: pair {pair}: serial warm p99 {:>7.0}us cold p50 {:>7.0}us {:>7.1} rps | \
+             concurrent warm p99 {:>7.0}us cold p50 {:>7.0}us {:>7.1} rps",
+            s[WARM_P99], s[COLD_P50], s[RPS], c[WARM_P99], c[COLD_P50], c[RPS]
+        );
+    }
+    let [serial, concurrent] = [&passes[0], &passes[1]].map(|arm| arm_stats(arm));
+    let tenant_stats = passes.remove(1).pop().expect("PAIRS > 0").out.1;
+    for (label, arm) in [("serial:    ", &serial), ("concurrent:", &concurrent)] {
+        println!(
+            "loadgen: {label} median warm p50 {:>7.0}us p99 {:>7.0}us | cold p50 {:>7.0}us | \
+             {:.1} rps",
+            arm[WARM_P50].median, arm[WARM_P99].median, arm[COLD_P50].median, arm[RPS].median
+        );
+    }
+    let median = |arm: &[Summary; 7], stat: usize| arm[stat].median;
+    let (s_resp, c_resp) = (median(&serial, RESPONSIVENESS), median(&concurrent, RESPONSIVENESS));
     println!(
-        "loadgen: serial:     warm p50 {:>7}us p99 {:>7}us | cold p50 {:>7}us | {:.1} rps",
-        percentile(&serial_warm, 0.50) / 1_000,
-        s_warm_p99 / 1_000,
-        s_cold_p50 / 1_000,
-        (serial_warm.len() + serial_cold.len()) as f64 / serial.secs.max(1e-9),
-    );
-    println!(
-        "loadgen: concurrent: warm p50 {:>7}us p99 {:>7}us | cold p50 {:>7}us | {:.1} rps \
-         ({workers} workers, {shards} shards)",
-        percentile(&conc_warm, 0.50) / 1_000,
-        c_warm_p99 / 1_000,
-        c_cold_p50 / 1_000,
-        (conc_warm.len() + conc_cold.len()) as f64 / concurrent.secs.max(1e-9),
-    );
-    println!(
-        "loadgen: responsiveness (warm p99 / cold p50): serial {s_resp:.3} -> concurrent \
-         {c_resp:.3}"
+        "loadgen: median responsiveness (warm p99 / cold p50): serial {s_resp:.3} -> \
+         concurrent {c_resp:.3} ({WORKERS} workers, {SHARDS} shards)"
     );
 
     // ---- Pass 3: every shard degraded — 100% answers, flagged, unpersisted.
-    let degraded_root = scratch("degraded");
-    let degraded_store = ShardedStore::open_degraded(&degraded_root, shards);
-    let degraded_server = Server::new(degraded_store, TenantTable::default(), workers);
+    let degraded_root = scratch_dir("loadgen-degraded");
+    let degraded_store = ShardedStore::open_degraded(&degraded_root, SHARDS);
+    let degraded_server = Server::new(degraded_store, TenantTable::default(), WORKERS);
     let degraded_jobs: Vec<CompileJob> = cycles[0].jobs.clone();
     let degraded_responses = degraded_server.run_batch(&degraded_jobs, &dbs);
     let degraded_ok = degraded_responses.iter().filter(|r| r.is_ok()).count();
@@ -385,13 +377,13 @@ fn main() {
     println!("loadgen: degraded: {degraded_ok}/{} answered, nothing persisted", degraded_ok);
 
     // ---- Pass 4: quota storm — typed rejections, other tenant untouched.
-    let storm_root = scratch("storm");
+    let storm_root = scratch_dir("loadgen-storm");
     let storm_tenants = TenantTable::default()
         .with_tenant("greedy", TenantPolicy { max_queued: 4, ..TenantPolicy::default() });
     let storm_server = Server::new(
-        ShardedStore::open(&storm_root, shards).unwrap(),
+        ShardedStore::open(&storm_root, SHARDS).unwrap(),
         storm_tenants,
-        workers,
+        WORKERS,
     );
     let mut storm_jobs: Vec<CompileJob> =
         (0..12).map(|_| CompileJob::named("fnv1a").tenant("greedy")).collect();
@@ -416,61 +408,67 @@ fn main() {
     let _ = std::fs::remove_dir_all(&degraded_root);
     let _ = std::fs::remove_dir_all(&storm_root);
 
-    // ---- Gates ---------------------------------------------------------
+    // ---- Gates: each on the arms' medians across pairs ----------------
+    // Every latency gate is evaluated and reported; any failure exits 1.
+    let mut failures: Vec<(&str, String)> = Vec::new();
     if c_resp >= s_resp {
-        fail(
+        failures.push((
             "responsiveness",
             format!("warm p99 / cold p50 must improve: serial {s_resp:.3} vs {c_resp:.3}"),
-        );
+        ));
     }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let s_rps = (serial_warm.len() + serial_cold.len()) as f64 / serial.secs.max(1e-9);
-    let c_rps = (conc_warm.len() + conc_cold.len()) as f64 / concurrent.secs.max(1e-9);
+    let cores = default_workers();
+    let (s_warm_p99, c_warm_p99) = (median(&serial, WARM_P99), median(&concurrent, WARM_P99));
     let gate_mode = if cores >= 2 { "multicore" } else { "single-core-overhead" };
     if cores >= 2 {
         // Real parallelism: the scheduler must deliver absolute wins —
         // warm requests stop queueing behind derivations, derivations
         // stop queueing behind each other.
         if c_warm_p99 >= s_warm_p99 {
-            fail(
+            failures.push((
                 "warm-p99",
                 format!(
-                    "concurrent warm p99 {}us must beat serial {}us on {cores} cores",
-                    c_warm_p99 / 1_000,
-                    s_warm_p99 / 1_000
+                    "concurrent warm p99 {c_warm_p99:.0}us must beat serial {s_warm_p99:.0}us \
+                     on {cores} cores"
                 ),
-            );
+            ));
         }
+        let (s_cold_p50, c_cold_p50) = (median(&serial, COLD_P50), median(&concurrent, COLD_P50));
         if c_cold_p50 >= s_cold_p50 {
-            fail(
+            failures.push((
                 "cold-p50",
                 format!(
-                    "concurrent cold p50 {}us must beat serial {}us on {cores} cores",
-                    c_cold_p50 / 1_000,
-                    s_cold_p50 / 1_000
+                    "concurrent cold p50 {c_cold_p50:.0}us must beat serial {s_cold_p50:.0}us \
+                     on {cores} cores"
                 ),
-            );
+            ));
         }
     } else {
         // One core: time-sharing cannot reduce CPU-bound latency, so the
         // gate is that the scheduler costs almost nothing where it cannot
         // win (the absolute-improvement gates arm on multi-core runners).
+        let (s_rps, c_rps) = (median(&serial, RPS), median(&concurrent, RPS));
         if c_rps < 0.75 * s_rps {
-            fail(
+            failures.push((
                 "overhead",
                 format!("concurrent throughput {c_rps:.1} rps < 0.75x serial {s_rps:.1} rps"),
-            );
+            ));
         }
-        if c_warm_p99 as f64 > 1.5 * s_warm_p99 as f64 {
-            fail(
+        if c_warm_p99 > 1.5 * s_warm_p99 {
+            failures.push((
                 "overhead",
                 format!(
-                    "concurrent warm p99 {}us > 1.5x serial {}us on one core",
-                    c_warm_p99 / 1_000,
-                    s_warm_p99 / 1_000
+                    "concurrent warm p99 {c_warm_p99:.0}us > 1.5x serial {s_warm_p99:.0}us on \
+                     one core"
                 ),
-            );
+            ));
         }
+    }
+    if !failures.is_empty() {
+        for (gate, detail) in &failures {
+            eprintln!("loadgen: FAIL [{gate}]: {detail}");
+        }
+        std::process::exit(1);
     }
     println!("loadgen: gates ok ({gate_mode}, {cores} core(s))");
 
@@ -480,17 +478,16 @@ fn main() {
     let summary = Json::obj([
         ("seed", Json::U64(seed)),
         ("requests", Json::U64(sent as u64)),
-        ("batch", Json::U64(batch as u64)),
-        ("workers", Json::U64(workers as u64)),
-        ("shards", Json::U64(shards as u64)),
+        ("batch", Json::U64(BATCH as u64)),
+        ("workers", Json::U64(WORKERS as u64)),
+        ("shards", Json::U64(SHARDS as u64)),
+        ("pairs", Json::U64(PAIRS as u64)),
         ("wrong_answers", Json::U64(0)),
         ("lost_responses", Json::U64(0)),
         ("cores", Json::U64(cores as u64)),
         ("gate_mode", Json::str(gate_mode)),
-        ("serial", serial_json),
-        ("concurrent", concurrent_json),
-        ("responsiveness_serial", Json::F64(s_resp)),
-        ("responsiveness_concurrent", Json::F64(c_resp)),
+        ("serial", arm_json(&serial, sent - cycles.len(), cycles.len())),
+        ("concurrent", arm_json(&concurrent, sent - cycles.len(), cycles.len())),
         ("degraded_answered", Json::U64(degraded_ok as u64)),
         ("quota_rejections", Json::U64(rejected as u64)),
         ("tenants", Json::Obj(tenants)),
@@ -506,5 +503,5 @@ fn main() {
             }
         }
     }
-    println!("loadgen: ok (zero wrong answers over {} served results)", 2 * sent);
+    println!("loadgen: ok (zero wrong answers over {} served results)", 2 * PAIRS * sent);
 }

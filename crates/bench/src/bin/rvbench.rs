@@ -119,25 +119,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    for cell in &matrix.cells {
-        println!(
-            "  {:<10} {:<28} {}",
-            cell.program,
-            cell.mutant,
-            if cell.killed { "killed" } else { "SURVIVED" }
-        );
-    }
-    let mutant_rows: Vec<Json> = matrix
-        .cells
-        .iter()
-        .map(|c| {
-            Json::obj([
-                ("program", Json::str(c.program.clone())),
-                ("mutant", Json::str(c.mutant)),
-                ("killed", Json::Bool(c.killed)),
-            ])
-        })
-        .collect();
+    let mutant_rows = matrix.report();
 
     let summary = Json::obj([
         ("programs", Json::Arr(rows)),

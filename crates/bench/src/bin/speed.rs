@@ -1,51 +1,47 @@
 //! Compiler-throughput harness: statements/second of the proof-search
 //! engine on the enlarged perf suite (`perf_suite`: the seven Table 2
 //! programs plus the full ChaCha20 block, the poly1305-style accumulate,
-//! and the hex codecs — 2x+ the Table 2 statement count), on one worker
-//! and on all of them (§4.3 reports Coq-Rupicola at 2–15 statements/second;
-//! the paper names compiler speed as the practical bottleneck):
+//! and the hex codecs — 2x+ the Table 2 statement count), compiled inline
+//! on one worker (§4.3 reports Coq-Rupicola at 2–15 statements/second;
+//! the paper names compiler speed as the practical bottleneck). The row
+//! reports the median suite time and its interquartile range, the noise
+//! band a comparison must clear.
 //!
-//! - `serial` — the suite compiled inline on one worker;
-//! - `parallel` — the same engine on `available_parallelism`
-//!   work-stealing workers.
-//!
-//! Both rows are timed in one process, interleaved per repetition, so the
-//! comparison is not polluted by machine-load drift between runs. Each row
-//! reports its best suite time and the median and interquartile range of
-//! all repetitions, which is the noise band a comparison must clear.
-//!
-//! A third measurement is a scaling series: `chacha20_block` with 2, 4, 8
-//! and 16 double rounds (160 to 1,056 statements) compiled on one worker,
-//! the sizes interleaved per repetition. It reports each size's median
-//! compile time, IQR and median time per statement; §4.3's claim that
-//! compile time is linear in program size reads as a per-statement
+//! A second measurement is a scaling series: `chacha20_block` with 2, 4,
+//! 8 and 16 double rounds (160 to 1,056 statements) compiled on one
+//! worker, the sizes interleaved per repetition. It reports each size's
+//! median compile time, IQR and median time per statement; §4.3's claim
+//! that compile time is linear in program size reads as a per-statement
 //! column that levels off instead of growing with the size.
 //!
+//! Both go through the one timing harness ([`rupicola_bench::timing`]).
 //! Writes `results/compiler_speed.json` (with the core count it ran on)
-//! and exits nonzero if the `parallel` best-of throughput falls below the
-//! committed absolute floor, or if the per-statement median time of the
-//! largest series size exceeds the smallest's by more than the committed
-//! ratio (the CI speed gates).
+//! and exits nonzero if the median throughput falls below the committed
+//! absolute floor, or if the per-statement median time of the largest
+//! series size exceeds the smallest's by more than the committed ratio
+//! (the CI speed gates).
 //!
 //! Run with `cargo run --release -p rupicola-bench --bin speed`.
 //! `SPEED_REPS` overrides the repetition count (default 30).
 
 use rupicola_bench::json::{write_results, Json};
+use rupicola_bench::timing::{interleaved, Summary};
 use rupicola_core::{EngineLimits, HintDbs};
 use rupicola_ext::standard_dbs;
-use rupicola_programs::parallel::{compile_entries, default_workers, on_deep_stack, SuiteResult};
-use rupicola_programs::{chacha20_block, perf_suite, SuiteEntry};
-use std::hint::black_box;
-use std::time::Instant;
+use rupicola_programs::parallel::{compile_entries, default_workers, on_deep_stack};
+use rupicola_programs::{chacha20_block, perf_suite};
 
-/// Absolute throughput floor for the `parallel` row, in statements per
-/// second. The row measures ~17,000–28,000 statements/s (median to
-/// best-of, moving with host load) on a 2-core host (see
-/// `results/compiler_speed.json`, which records the core count); the
+/// Absolute floor on the suite's median throughput, in statements per
+/// second. The row measures ~18,000–34,000 statements/s median on a
+/// 2-core host, moving with host load (see `results/compiler_speed.json`,
+/// which records the core count); the
 /// floor sits far enough below that for the gate to trip on real
 /// regressions — an O(n²) goal-snapshot copy, a quadratic solver loop —
-/// rather than on scheduler jitter or a slower CI host.
-const MIN_STATEMENTS_PER_S_PARALLEL: f64 = 4_500.0;
+/// rather than on scheduler jitter or a slower CI host. It was 4,500 on
+/// the best-of of an all-cores row that only added scheduling cost (its
+/// median read 24,506 against this row's 27,374); moved here at the same
+/// margin: 4,500 × 27,374 / 24,506 ≈ 5,030.
+const MIN_STATEMENTS_PER_S: f64 = 5_030.0;
 
 /// Double-round counts of the scaling series, smallest first.
 const SCALING_ROUNDS: [usize; 4] = [2, 4, 8, 16];
@@ -58,138 +54,89 @@ const SCALING_ROUNDS: [usize; 4] = [2, 4, 8, 16];
 /// measured 3.0–3.2 with the same protocol, and grows without bound.
 const MAX_PER_STATEMENT_RATIO: f64 = 2.0;
 
-/// One full-suite run. On a deep-stack thread because one worker compiles
-/// inline, and `chacha20_block`'s derivation overflows a default stack.
-fn run(dbs: &HintDbs, entries: &[SuiteEntry], workers: usize) -> Vec<SuiteResult> {
-    on_deep_stack(|| compile_entries(entries, dbs, &EngineLimits::default(), workers))
+/// The suite row: one warm-up, then `reps` suite compiles on one worker,
+/// each on a deep-stack thread (one worker compiles inline, and
+/// `chacha20_block`'s derivation overflows a default stack). Each compile
+/// is dropped inside its timed call, so no sample runs beside the
+/// previous ones' results. Returns the suite's statement count and its
+/// times in milliseconds.
+fn suite_row(dbs: &HintDbs, reps: usize) -> (usize, Summary) {
+    let entries = perf_suite();
+    let row = interleaved(1, 1, reps, |_, clock| {
+        clock.time(|| {
+            on_deep_stack(|| compile_entries(&entries, dbs, &EngineLimits::default(), 1))
+                .iter()
+                .map(|r| r.result.as_ref().expect("suite compiles").function.statement_count())
+                .sum::<usize>()
+        })
+    });
+    (row[0][0].out, Summary::of(row[0].iter().map(|t| t.ms)))
 }
 
-/// The scaling series: warm-up (which also counts each size's emitted
-/// statements), then `reps` repetitions with the sizes interleaved, so
-/// load spikes hit every size alike. All on one deep-stack thread (the
-/// derivation recurses one frame per statement), spawned once so no
-/// per-compile thread setup inflates the small sizes. Returns each size's
-/// statement count and compile times in milliseconds.
-fn scaling_series(dbs: &HintDbs, reps: u32) -> Vec<(usize, Vec<f64>)> {
+/// The scaling series: one warm-up, then `reps` rounds with the sizes
+/// interleaved, so load spikes hit every size alike, each timed compile
+/// primed by an untimed one of the same size. All on one deep-stack
+/// thread (the derivation recurses one frame per statement), spawned once
+/// so no per-compile thread setup inflates the small sizes. Returns each
+/// size's statement count and its compile times in milliseconds.
+fn scaling_series(dbs: &HintDbs, reps: usize) -> Vec<(usize, Summary)> {
     let spec = chacha20_block::spec();
     let limits = chacha20_block::limits(EngineLimits::default());
     let models: Vec<_> =
         SCALING_ROUNDS.iter().map(|&k| chacha20_block::model_with_rounds(k)).collect();
-    let compile = |i: usize| {
-        rupicola_core::compile_with_limits(&models[i], &spec, dbs, limits)
-            .expect("chacha20_block compiles")
-    };
     on_deep_stack(|| {
-        let mut series: Vec<(usize, Vec<f64>)> = (0..models.len())
-            .map(|i| (compile(i).function.statement_count(), Vec::new()))
-            .collect();
-        for _ in 0..reps {
-            for (i, (_, samples)) in series.iter_mut().enumerate() {
-                // An untimed compile of the same size first: the timed one
-                // then starts from the allocator state its own size leaves
-                // behind, not from the previous size's.
-                black_box(compile(i));
-                let t0 = Instant::now();
-                black_box(compile(i));
-                samples.push(t0.elapsed().as_secs_f64() * 1e3);
-            }
-        }
-        series
+        interleaved(models.len(), 1, reps, |i, clock| {
+            clock.primed(|| {
+                rupicola_core::compile_with_limits(&models[i], &spec, dbs, limits)
+                    .expect("chacha20_block compiles")
+                    .function
+                    .statement_count()
+            })
+        })
+        .into_iter()
+        .map(|size| (size[0].out, Summary::of(size.iter().map(|t| t.ms))))
+        .collect()
     })
-}
-
-/// The `q`-quantile of ascending `sorted`, interpolating linearly between
-/// neighbouring samples.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let pos = q * (sorted.len() - 1) as f64;
-    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 fn main() {
     // Strict: a set-but-unparseable SPEED_REPS (e.g. `3O`) aborts with an
     // explanation instead of silently running the 30-rep default.
-    let reps: u32 = rupicola_service::env::parsed_or_exit("SPEED_REPS", 30);
+    let reps: usize = rupicola_service::env::parsed_or_exit("SPEED_REPS", 30);
     let reps = reps.max(1);
-
-    let entries = perf_suite();
     let cores = default_workers();
     let dbs = standard_dbs();
-    let rows = [("serial", 1), ("parallel", cores)];
 
-    // The statement count is a property of the emitted code and identical
-    // across worker counts (the determinism battery proves it); count it
-    // once.
-    let total_statements: usize = run(&dbs, &entries, 1)
-        .iter()
-        .map(|r| r.result.as_ref().expect("suite compiles").function.statement_count())
-        .sum();
-
-    // Warm-up, then interleave the rows per repetition, so load spikes hit
-    // both alike.
-    for &(_, workers) in &rows {
-        black_box(run(&dbs, &entries, workers));
-    }
-    let mut times: [Vec<f64>; 2] = Default::default();
-    for _ in 0..reps {
-        for (i, &(_, workers)) in rows.iter().enumerate() {
-            let t0 = Instant::now();
-            black_box(run(&dbs, &entries, workers));
-            times[i].push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-
-    let throughput = |ms: f64| total_statements as f64 / (ms / 1e3);
+    let (total_statements, suite) = suite_row(&dbs, reps);
+    let stmts_per_s = total_statements as f64 / (suite.median / 1e3);
     println!(
-        "{:<10} {:>10} {:>14} {:>12} {:>10} {:>14}",
-        "mode", "best ms", "statements/s", "median ms", "IQR ms", "median stmt/s"
+        "{:<10} {:>12} {:>10} {:>10} {:>14}",
+        "mode", "median ms", "q1 ms", "q3 ms", "median stmt/s"
     );
-    let mut json_rows = Vec::new();
-    for (&(name, _), samples) in rows.iter().zip(&mut times) {
-        samples.sort_by(f64::total_cmp);
-        let best = samples[0];
-        let median = quantile(samples, 0.5);
-        let iqr = quantile(samples, 0.75) - quantile(samples, 0.25);
-        println!(
-            "{name:<10} {best:>10.3} {:>14.0} {median:>12.3} {iqr:>10.3} {:>14.0}",
-            throughput(best),
-            throughput(median),
-        );
-        json_rows.push(Json::obj([
-            ("mode", Json::str(name)),
-            ("ms_per_suite", Json::F64(best)),
-            ("statements_per_s", Json::F64(throughput(best))),
-            ("median_ms_per_suite", Json::F64(median)),
-            ("iqr_ms_per_suite", Json::F64(iqr)),
-            ("median_statements_per_s", Json::F64(throughput(median))),
-        ]));
-    }
-    let parallel_stmts_per_s = throughput(times[1][0]);
+    println!(
+        "{:<10} {:>12.3} {:>10.3} {:>10.3} {stmts_per_s:>14.0}",
+        "serial", suite.median, suite.q1, suite.q3
+    );
     println!(
         "\n{total_statements} statements, {} programs, {cores} core(s), {reps} repetitions",
-        entries.len()
+        perf_suite().len()
     );
 
-    let mut series = scaling_series(&dbs, reps);
+    let series = scaling_series(&dbs, reps);
     println!(
         "\n{:>13} {:>10} {:>12} {:>10} {:>16}",
         "double rounds", "statements", "median ms", "IQR ms", "median µs/stmt"
     );
     let mut scaling_rows = Vec::new();
     let mut us_per_stmt = Vec::new();
-    for ((stmts, samples), &k) in series.iter_mut().zip(&SCALING_ROUNDS) {
-        let stmts = *stmts;
-        samples.sort_by(f64::total_cmp);
-        let median = quantile(samples, 0.5);
-        let iqr = quantile(samples, 0.75) - quantile(samples, 0.25);
-        let per_stmt = median * 1e3 / stmts as f64;
-        println!("{k:>13} {stmts:>10} {median:>12.3} {iqr:>10.3} {per_stmt:>16.2}");
+    for (&(stmts, ms), &k) in series.iter().zip(&SCALING_ROUNDS) {
+        let per_stmt = ms.median * 1e3 / stmts as f64;
+        println!("{k:>13} {stmts:>10} {:>12.3} {:>10.3} {per_stmt:>16.2}", ms.median, ms.q3 - ms.q1);
         us_per_stmt.push(per_stmt);
         scaling_rows.push(Json::obj([
             ("double_rounds", Json::U64(k as u64)),
             ("statements", Json::U64(stmts as u64)),
-            ("median_ms", Json::F64(median)),
-            ("iqr_ms", Json::F64(iqr)),
+            ("ms", ms.to_json()),
             ("median_us_per_statement", Json::F64(per_stmt)),
         ]));
     }
@@ -202,11 +149,12 @@ fn main() {
 
     let summary = Json::obj([
         ("statements", Json::U64(total_statements as u64)),
-        ("programs", Json::U64(entries.len() as u64)),
+        ("programs", Json::U64(perf_suite().len() as u64)),
         ("cores", Json::U64(cores as u64)),
-        ("repetitions", Json::U64(u64::from(reps))),
-        ("modes", Json::Arr(json_rows)),
-        ("min_statements_per_s_parallel", Json::F64(MIN_STATEMENTS_PER_S_PARALLEL)),
+        ("repetitions", Json::U64(reps as u64)),
+        ("ms_per_suite", suite.to_json()),
+        ("median_statements_per_s", Json::F64(stmts_per_s)),
+        ("min_statements_per_s", Json::F64(MIN_STATEMENTS_PER_S)),
         ("scaling", Json::Arr(scaling_rows)),
         ("per_statement_ratio", Json::F64(ratio)),
         ("max_per_statement_ratio", Json::F64(MAX_PER_STATEMENT_RATIO)),
@@ -219,10 +167,10 @@ fn main() {
     // The CI speed gates: committed constants above, so regenerating the
     // results file cannot move either bar by itself.
     let mut failed = false;
-    if parallel_stmts_per_s < MIN_STATEMENTS_PER_S_PARALLEL {
+    if stmts_per_s < MIN_STATEMENTS_PER_S {
         println!(
-            "FAIL: parallel throughput {parallel_stmts_per_s:.0} statements/s is below the \
-             committed {MIN_STATEMENTS_PER_S_PARALLEL:.0} floor"
+            "FAIL: median throughput {stmts_per_s:.0} statements/s is below the committed \
+             {MIN_STATEMENTS_PER_S:.0} floor"
         );
         failed = true;
     }

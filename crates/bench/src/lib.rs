@@ -8,6 +8,7 @@
 
 pub mod json;
 pub mod rvsupport;
+pub mod timing;
 
 /// The certified Bedrock2 functions, transpiled to Rust at build time (see
 /// `build.rs`). Addresses index into the `mem` slice; the drivers below
@@ -17,6 +18,21 @@ pub mod generated {
 }
 
 use rupicola_programs::{crc32, fasta, fnv1a, ip, m3s, upstr, utf8};
+
+/// An empty scratch directory `rupicola-<tag>-<pid>` under the system
+/// temp dir (whatever an earlier run left there is removed).
+pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rupicola-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// One step of the splitmix-style stream the seeded service drivers draw
+/// from, so their request sequences are pure functions of the seed.
+pub fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state >> 33
+}
 
 /// Deterministic pseudo-random workload bytes (the "1 MiB input" of
 /// Figure 2).
@@ -45,7 +61,8 @@ pub fn make_text_input(seed: u64, len: usize) -> Vec<u8> {
 /// cross-checked between series).
 pub type Driver = fn(&mut Vec<u8>) -> u64;
 
-/// One Figure 2 row: the three series for one program.
+/// One Figure 2 row: the four series for one program.
+#[derive(Debug)]
 pub struct Fig2Row {
     /// Program name.
     pub name: &'static str,
@@ -60,12 +77,6 @@ pub struct Fig2Row {
     pub handwritten: Driver,
     /// The linked-list extraction baseline.
     pub extraction: Driver,
-}
-
-impl std::fmt::Debug for Fig2Row {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fig2Row").field("name", &self.name).finish()
-    }
 }
 
 // --- fnv1a ---

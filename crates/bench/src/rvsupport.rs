@@ -5,8 +5,9 @@
 //!
 //! `rvbench` renders these into `results/rv.json` and enforces the
 //! allocator and mutant gates; `faultmatrix` reuses the matrix as its
-//! `rv` column; `fig2` prints the route statistics as its RISC-V rows.
+//! `rv` column.
 
+use crate::json::Json;
 use rupicola_core::check::{differential_inputs, Certificate, CheckConfig};
 use rupicola_core::{CompiledFunction, HintDbs};
 use rupicola_rv::mutants::LowerMutant;
@@ -122,6 +123,22 @@ impl RvMutantMatrix {
     /// Killed mutants.
     pub fn killed(&self) -> usize {
         self.cells.iter().filter(|c| c.killed).count()
+    }
+
+    /// Prints one line per cell and returns the cells as JSON rows.
+    pub fn report(&self) -> Vec<Json> {
+        self.cells
+            .iter()
+            .map(|c| {
+                let verdict = if c.killed { "killed" } else { "SURVIVED" };
+                println!("  {:<10} {:<28} {verdict}", c.program, c.mutant);
+                Json::obj([
+                    ("program", Json::str(c.program.clone())),
+                    ("mutant", Json::str(c.mutant)),
+                    ("killed", Json::Bool(c.killed)),
+                ])
+            })
+            .collect()
     }
 }
 

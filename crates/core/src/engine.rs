@@ -229,11 +229,6 @@ impl<'a> Compiler<'a> {
         s
     }
 
-    /// The current derivation path (lemma names, root first).
-    pub fn derivation_path(&self) -> &[&'static str] {
-        &self.path
-    }
-
     fn path_strings(&self) -> Vec<String> {
         self.path.iter().map(|s| (*s).to_string()).collect()
     }

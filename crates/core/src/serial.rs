@@ -28,49 +28,16 @@ use crate::goal::{Hyp, MonadCtx, SideCond};
 use crate::invariant::{LoopInvariant, LoopInvariantKind};
 use rupicola_bedrock::serial::{decode_bfunction, encode_bfunction};
 use rupicola_lang::codec::{
-    decode_elem_kind, decode_expr, decode_model, decode_monad_kind, encode_elem_kind,
-    encode_expr, encode_model, encode_monad_kind, DecodeResult,
+    arity, decode_elem_kind, decode_expr, decode_model, decode_monad_kind, encode_elem_kind,
+    encode_expr, encode_model, encode_monad_kind, field, str_field, tagged, DecodeResult,
 };
 use rupicola_lang::json::Json;
 use rupicola_lang::Ident;
 use rupicola_sep::ScalarKind;
 
 // ---------------------------------------------------------------------------
-// Local helpers (same shapes as the lower codec layers)
+// Local helpers (the tagged-array ones come from the source codec)
 // ---------------------------------------------------------------------------
-
-fn tagged<'a>(j: &'a Json, what: &str) -> DecodeResult<(String, &'a [Json])> {
-    let items = j
-        .as_arr()
-        .ok_or_else(|| format!("expected {what} (tagged array), got {}", j.render_compact()))?;
-    let (tag, rest) = items
-        .split_first()
-        .ok_or_else(|| format!("empty tagged array for {what}"))?;
-    let tag = tag
-        .as_str()
-        .ok_or_else(|| format!("{what} tag is not a string"))?;
-    Ok((tag.to_string(), rest))
-}
-
-fn field<'a>(rest: &'a [Json], i: usize, tag: &str) -> DecodeResult<&'a Json> {
-    rest.get(i)
-        .ok_or_else(|| format!("`{tag}` is missing field {i}"))
-}
-
-fn str_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<String> {
-    field(rest, i, tag)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{tag}` field {i} is not a string"))
-}
-
-fn arity(rest: &[Json], n: usize, tag: &str) -> DecodeResult<()> {
-    if rest.len() == n {
-        Ok(())
-    } else {
-        Err(format!("`{tag}` expects {n} fields, got {}", rest.len()))
-    }
-}
 
 fn obj_get<'a>(j: &'a Json, key: &str, what: &str) -> DecodeResult<&'a Json> {
     j.get(key)

@@ -175,7 +175,8 @@ pub fn encode_value(v: &Value) -> Json {
 }
 
 /// Splits a tagged array into its tag and payload slice.
-fn tagged<'a>(j: &'a Json, what: &str) -> DecodeResult<(String, &'a [Json])> {
+#[inline]
+pub fn tagged<'a>(j: &'a Json, what: &str) -> DecodeResult<(String, &'a [Json])> {
     let items = j
         .as_arr()
         .ok_or_else(|| format!("expected {what} (tagged array), got {}", j.render_compact()))?;
@@ -189,12 +190,15 @@ fn tagged<'a>(j: &'a Json, what: &str) -> DecodeResult<(String, &'a [Json])> {
 }
 
 /// Fixed-arity payload access with a uniform error message.
-fn field<'a>(rest: &'a [Json], i: usize, tag: &str) -> DecodeResult<&'a Json> {
+#[inline]
+pub fn field<'a>(rest: &'a [Json], i: usize, tag: &str) -> DecodeResult<&'a Json> {
     rest.get(i)
         .ok_or_else(|| format!("`{tag}` is missing field {i}"))
 }
 
-fn str_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<String> {
+/// Payload field `i` as an owned string.
+#[inline]
+pub fn str_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<String> {
     field(rest, i, tag)?
         .as_str()
         .map(str::to_string)
@@ -207,7 +211,9 @@ fn u64_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<u64> {
         .ok_or_else(|| format!("`{tag}` field {i} is not an integer"))
 }
 
-fn arity(rest: &[Json], n: usize, tag: &str) -> DecodeResult<()> {
+/// Checks that a tagged payload has exactly `n` fields.
+#[inline]
+pub fn arity(rest: &[Json], n: usize, tag: &str) -> DecodeResult<()> {
     if rest.len() == n {
         Ok(())
     } else {

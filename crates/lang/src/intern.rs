@@ -241,23 +241,6 @@ impl ExprRef {
     pub fn ptr_eq(a: &ExprRef, b: &ExprRef) -> bool {
         Arc::ptr_eq(&a.0, &b.0)
     }
-
-    /// Number of live interned nodes currently reachable through the
-    /// table (test/diagnostic aid; takes every shard lock in turn).
-    pub fn interned_live_count() -> usize {
-        let it = interner();
-        it.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .map
-                    .values()
-                    .map(|b| b.iter().filter(|w| w.strong_count() > 0).count())
-                    .sum::<usize>()
-            })
-            .sum()
-    }
 }
 
 impl Clone for ExprRef {

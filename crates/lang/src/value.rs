@@ -128,14 +128,6 @@ impl Value {
         }
     }
 
-    /// Returns `true` when the value is a scalar (fits in one Bedrock2 local).
-    pub fn is_scalar(&self) -> bool {
-        matches!(
-            self,
-            Value::Unit | Value::Bool(_) | Value::Byte(_) | Value::Word(_) | Value::Nat(_)
-        )
-    }
-
     /// The scalar's 64-bit representation in a Bedrock2 local, if scalar.
     ///
     /// Booleans map to 0/1, bytes zero-extend, naturals must fit (they do by

@@ -264,6 +264,60 @@ fn a_cached_certificate_never_vouches_for_another_witness() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Lint-on-load (`served`'s `SERVED_LINT=1`) re-runs the analysis lints
+/// on every load. A clean suite artifact still hits. A valid-digest
+/// envelope whose certified body reads an unassigned local on a branch
+/// no input takes passes the checker's differential body phase, so only
+/// the lints can see it: it evicts with lint-on-load on and is served
+/// with it off.
+#[test]
+fn lint_on_load_evicts_a_lint_error_the_body_phase_cannot_see() {
+    use rupicola::bedrock::{BExpr, BinOp, Cmd};
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let model = rupicola::programs::fnv1a::model();
+    let spec = rupicola::programs::fnv1a::spec();
+    let cf = rupicola::programs::fnv1a::compiled().unwrap();
+    let load_check = CheckConfig { vectors: LOAD_CHECK_VECTORS, ..CheckConfig::default() };
+    // `if (a ^ a) { a = never_assigned }` ahead of the certified body.
+    let arg = BExpr::var(cf.function.args[0].clone());
+    let dead = Cmd::if_(
+        BExpr::op(BinOp::Xor, arg.clone(), arg),
+        Cmd::set(cf.function.args[0].clone(), BExpr::var("never_assigned")),
+        Cmd::Skip,
+    );
+    let mut linted = cf.clone();
+    linted.function.body = Cmd::seq([dead, cf.function.body.clone()]);
+    check_with(&linted, &dbs, &load_check).expect("the checker cannot see a dead read");
+
+    for lint_on_load in [true, false] {
+        let root = scratch(&format!("lint-on-load-{lint_on_load}"));
+        let store = ShardedStore::open_with(
+            &root,
+            1,
+            |_| Box::new(FsBackend),
+            |s| s.with_lint_on_load(lint_on_load),
+        )
+        .unwrap();
+        let key = store.key_for(&model, &spec, &dbs, &limits);
+        store.put(key, &cf).unwrap();
+        match store.load_verified(&model, &spec, &dbs, &limits) {
+            LoadOutcome::Hit(loaded) => assert_eq!(loaded.cf.function, cf.function),
+            other => panic!("clean artifact, lint-on-load {lint_on_load}: {other:?}"),
+        }
+        store.put(key, &linted).unwrap();
+        match (lint_on_load, store.load_verified(&model, &spec, &dbs, &limits)) {
+            (true, LoadOutcome::Evicted { reason }) => {
+                assert!(reason.starts_with("lint-on-load failed: error:"), "{reason}");
+                assert!(reason.contains("`never_assigned`"), "{reason}");
+            }
+            (false, LoadOutcome::Hit(loaded)) => assert_eq!(loaded.cf.function, linted.function),
+            (_, other) => panic!("linted artifact, lint-on-load {lint_on_load}: {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// Same request in a *different process* produces the same key (the store
 /// is shareable across runs — the whole point of persistence). The child
 /// re-executes this test binary with `RUPICOLA_FP_CHILD=1`, which makes
