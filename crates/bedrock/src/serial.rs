@@ -198,7 +198,18 @@ pub fn encode_cmd(c: &Cmd) -> Json {
             encode_bexpr(addr),
             encode_bexpr(value),
         ]),
-        Cmd::Seq(a, b) => Json::Arr(vec![Json::str("seq"), encode_cmd(a), encode_cmd(b)]),
+        Cmd::Seq(..) => {
+            // A right-nested sequence is one array: every command of the
+            // chain in order, ending in the first non-`seq` command.
+            let mut items = vec![Json::str("seq")];
+            let mut c = c;
+            while let Cmd::Seq(a, b) = c {
+                items.push(encode_cmd(a));
+                c = b;
+            }
+            items.push(encode_cmd(c));
+            Json::Arr(items)
+        }
         Cmd::If { cond, then_, else_ } => Json::Arr(vec![
             Json::str("if"),
             encode_bexpr(cond),
@@ -260,11 +271,18 @@ pub fn decode_cmd(j: &Json) -> DecodeResult<Cmd> {
             ))
         }
         "seq" => {
-            arity(rest, 2, t)?;
-            Ok(Cmd::Seq(
-                Box::new(decode_cmd(field(rest, 0, t)?)?),
-                Box::new(decode_cmd(field(rest, 1, t)?)?),
-            ))
+            let Some((last, init)) = rest.split_last().filter(|(_, init)| !init.is_empty())
+            else {
+                return Err(format!("`seq` has {} commands, expected at least 2", rest.len()));
+            };
+            let mut c = decode_cmd(last)?;
+            if matches!(c, Cmd::Seq(..)) {
+                return Err("`seq` chain continues in a nested `seq`".to_string());
+            }
+            for j in init.iter().rev() {
+                c = Cmd::Seq(Box::new(decode_cmd(j)?), Box::new(c));
+            }
+            Ok(c)
         }
         "if" => {
             arity(rest, 3, t)?;
@@ -541,12 +559,27 @@ mod tests {
     }
 
     #[test]
+    fn a_long_sequence_encodes_as_one_array() {
+        // A left-nested pair, then 2,000 statements, right-nested.
+        let pair = Cmd::seq([Cmd::set("a", BExpr::lit(1)), Cmd::set("b", BExpr::lit(2))]);
+        let sets = (0..2000u64).map(|i| Cmd::set("x", BExpr::lit(i)));
+        let body = Cmd::seq(std::iter::once(pair).chain(sets));
+        let j = encode_cmd(&body);
+        assert_eq!(j.as_arr().map(<[Json]>::len), Some(2002), "tag, the pair, 2,000 sets");
+        let reparsed = rupicola_lang::json::parse(&j.render_compact()).unwrap();
+        assert_eq!(decode_cmd(&reparsed).unwrap(), body);
+    }
+
+    #[test]
     fn decode_rejects_malformed_commands() {
         for bad in [
             r#"["set","x"]"#,
             r#"["op","nosuchop",["lit",1],["lit",2]]"#,
             r#"["store",3,["var","p"],["lit",0]]"#,
             r#"["frobnicate"]"#,
+            r#"["seq",["skip"]]"#,
+            // The chain's last command belongs on the chain.
+            r#"["seq",["skip"],["seq",["skip"],["skip"]]]"#,
         ] {
             let j = rupicola_lang::json::parse(bad).unwrap();
             assert!(

@@ -209,8 +209,7 @@ impl HintDbs {
 
     /// A canonical textual identity of this database *as a compiler
     /// configuration*: statement-lemma names in try order, then
-    /// expression-lemma names, then solver names, then a constant engine
-    /// segment.
+    /// expression-lemma names, then solver names.
     ///
     /// Two databases with equal identity strings consult the same lemmas
     /// and solvers in the same order — exactly the property the persistent
@@ -237,10 +236,6 @@ impl HintDbs {
             s.push_str(sv.name());
             s.push(',');
         }
-        // The engine once had switchable lemma dispatch and solver memo
-        // modes; this literal keeps every existing key and stored artifact
-        // valid.
-        s.push_str(";mode=Indexed;memo=true");
         s
     }
 

@@ -9,10 +9,16 @@
 //! Encoding conventions, shared with the other `*_serial` modules up the
 //! crate stack:
 //!
-//! - enums with payloads encode as *tagged arrays*, `["let", name, value,
-//!   body]` — compact, order-stable (the content fingerprint hashes
-//!   rendered bytes), and self-describing enough to reject mismatched
-//!   shapes on decode;
+//! - enums with payloads encode as *tagged arrays*, `["var", name]` —
+//!   compact, order-stable (the content fingerprint hashes rendered
+//!   bytes), and self-describing enough to reject mismatched shapes on
+//!   decode;
+//! - a right-nested chain encodes as one array, so a long program nests
+//!   no deeper in JSON than its widest statement: a let-spine is
+//!   `["let", name₁, value₁, …, nameₖ, valueₖ, body]` (here) and a
+//!   sequence `["seq", cmd₁, …, cmdₙ]` (`rupicola_bedrock::serial`). The
+//!   chain's last element is never itself a chain, so every term has
+//!   exactly one encoding;
 //! - fieldless enums ([`ElemKind`], [`MonadKind`], [`PrimOp`]) encode as
 //!   their existing stable display names, so the wire format stays aligned
 //!   with focus strings and error messages;
@@ -308,12 +314,19 @@ pub fn encode_expr(e: &Expr) -> Json {
         Expr::FreeOp { tag, args } => {
             Json::Arr(vec![Json::str("freeop"), Json::str(tag.clone()), enc_args(args)])
         }
-        Expr::Let { name, value, body } => Json::Arr(vec![
-            Json::str("let"),
-            Json::str(name.clone()),
-            enc_ref(value),
-            enc_ref(body),
-        ]),
+        Expr::Let { .. } => {
+            // A let-spine is one array: every binding's name and value,
+            // then the body the spine ends in.
+            let mut items = vec![Json::str("let")];
+            let mut e = e;
+            while let Expr::Let { name, value, body } = e {
+                items.push(Json::str(name.clone()));
+                items.push(enc_ref(value));
+                e = body;
+            }
+            items.push(encode_expr(e));
+            Json::Arr(items)
+        }
         Expr::Copy(e) => Json::Arr(vec![Json::str("copy"), enc_ref(e)]),
         Expr::Stack(e) => Json::Arr(vec![Json::str("stack"), enc_ref(e)]),
         Expr::If { cond, then_, else_ } => Json::Arr(vec![
@@ -454,12 +467,24 @@ pub fn decode_expr(j: &Json) -> DecodeResult<Expr> {
             Ok(Expr::FreeOp { tag: str_field(rest, 0, t)?, args: dec_args(rest, 1, t)? })
         }
         "let" => {
-            arity(rest, 3, t)?;
-            Ok(Expr::Let {
-                name: str_field(rest, 0, t)?,
-                value: dec_ref(rest, 1, t)?,
-                body: dec_ref(rest, 2, t)?,
-            })
+            let Some((body, bindings)) = rest.split_last() else {
+                return Err("`let` has no body".to_string());
+            };
+            if bindings.is_empty() || bindings.len() % 2 != 0 {
+                return Err(format!("`let` has {} binding fields, expected name/value pairs", bindings.len()));
+            }
+            let mut body = decode_expr(body)?;
+            if matches!(body, Expr::Let { .. }) {
+                return Err("`let` spine continues in a nested `let`".to_string());
+            }
+            for pair in bindings.chunks(2).rev() {
+                body = Expr::Let {
+                    name: str_field(pair, 0, t)?,
+                    value: dec_ref(pair, 1, t)?,
+                    body: body.boxed(),
+                };
+            }
+            Ok(body)
         }
         "copy" => {
             arity(rest, 1, t)?;
@@ -774,6 +799,18 @@ mod tests {
     }
 
     #[test]
+    fn a_long_let_spine_encodes_as_one_array() {
+        let mut e = var("x");
+        for i in 0..2000 {
+            e = let_n("x", word_add(var("x"), word_lit(i)), e);
+        }
+        let j = encode_expr(&e);
+        assert_eq!(j.as_arr().map(<[Json]>::len), Some(4002), "tag, 2,000 pairs, the body");
+        let reparsed = crate::json::parse(&j.render_compact()).unwrap();
+        assert_eq!(decode_expr(&reparsed).unwrap(), e);
+    }
+
+    #[test]
     fn models_round_trip_with_tables() {
         let model = Model::new(
             "crc",
@@ -793,6 +830,9 @@ mod tests {
         for bad in [
             r#"["prim","word.nosuch",[]]"#,
             r#"["let","x"]"#,
+            r#"["let","x",["var","y"],["var","z"],["var","x"]]"#,
+            // The spine's body belongs on the spine.
+            r#"["let","x",["var","y"],["let","z",["var","x"],["var","z"]]]"#,
             r#"["byte",256]"#,
             r#"["frobnicate"]"#,
             r#""just a string""#,

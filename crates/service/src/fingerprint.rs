@@ -7,9 +7,9 @@
 //! 1. the functional **model** (its canonical JSON encoding),
 //! 2. the ABI **spec** (canonical JSON),
 //! 3. the **hint-database identity** (`HintDbs::identity_string`): lemma
-//!    names in registration order and solver names, then a constant engine
-//!    segment — registration *order* matters because the engine's
-//!    first-match lemma loop makes it semantically relevant,
+//!    names in registration order and solver names — registration
+//!    *order* matters because the engine's first-match lemma loop makes
+//!    it semantically relevant,
 //! 4. the **engine limits** (a run that fails under tight budgets is not
 //!    the same request as one under default budgets),
 //! 5. the **optimization pipeline identity** (ordered pass names) — an
@@ -59,7 +59,20 @@ use rupicola_lang::Model;
 /// longer decode. The fingerprint itself stays a pure function of the
 /// request's *structure*: interner ids and cached hashes are process-local
 /// ephemera and never reach the canonical bytes (see DESIGN.md §16).
-pub const FORMAT_VERSION: u64 = 5;
+///
+/// v6: the store writes each envelope as its canonical compact rendering
+/// instead of the indented one, and every right-nested chain encodes as
+/// one array: a derivation node's last-child chain, a model's let-spine
+/// and a body's `seq` chain. `chacha20_block`'s envelope now nests 24
+/// JSON levels (its v5 derivation alone nested 1,364, its model and body
+/// about 680 each), and every perf-suite program fits the parser's depth
+/// limit. The canonical model bytes changed with the
+/// model codec, so every key changed. The hint-database identity lost the
+/// constant `;mode=Indexed;memo=true` segment that kept v5 keys stable
+/// after the engine's dispatch and memo switches were retired. v5
+/// envelopes sit under keys no request makes any more, and one filed
+/// under a v6 key evicts on its format version.
+pub const FORMAT_VERSION: u64 = 6;
 
 /// A stable 64-bit structural fingerprint of a compilation request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -238,7 +251,7 @@ mod tests {
         let inputs = FingerprintInputs::new(&model, &spec, &dbs, &limits);
         let mut text = String::new();
         write_canonical(&inputs, &mut text);
-        assert!(text.starts_with("rupicola-artifact-v5\0"));
+        assert!(text.starts_with("rupicola-artifact-v6\0"));
         assert_eq!(fingerprint(&inputs).0, fnv1a(FNV_OFFSET, text.as_bytes()));
         let artifact = encode_fn_spec(&spec);
         assert_eq!(

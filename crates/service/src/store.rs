@@ -1,16 +1,17 @@
 //! The content-addressed, *verified*, crash-safe artifact store.
 //!
 //! Layout: one file per artifact under the store root,
-//! `"<program>-<fingerprint>.json"`, holding an envelope
+//! `"<program>-<fingerprint>.json"`, holding an envelope written as its
+//! canonical compact rendering ([`Json::render_compact`]: one line, no
+//! whitespace, no trailing newline)
 //!
 //! ```json
-//! { "format": 5, "key": "<16 hex>", "program": "...",
-//!   "digest": "<16 hex>", "artifact": { … } }
+//! {"format":6,"key":"<16 hex>","program":"...","digest":"<16 hex>","artifact":{…}}
 //! ```
 //!
 //! where `artifact` is `rupicola_core::serial::encode_compiled_function`
-//! and `digest` is an FNV-1a/64 content digest of the artifact's
-//! canonical compact rendering.
+//! (its derivation encoded spine-flat) and `digest` is an FNV-1a/64
+//! content digest of the artifact's canonical compact rendering.
 //!
 //! # The cache adds no trust
 //!
@@ -114,12 +115,17 @@ pub const STORE_ENV: &str = "SERVICE_STORE";
 /// Differential-test vectors per poison used by the *load-time* re-check.
 ///
 /// Certification runs use [`CheckConfig::default`]'s 16; loads default to
-/// fewer because the threat model differs: a load guards against
-/// corruption and staleness of an artifact that already passed full
-/// certification when it was stored, and every structural layer of the
-/// checker (witness integrity counters, side-condition re-solving,
-/// invariant replay) runs in full regardless of the vector count. Callers
-/// that want certification-strength loads say
+/// fewer. The structural layers of the checker (witness integrity
+/// counters, cited lemmas, side-condition re-solving) run in full at any
+/// vector count, but none of them looks at the certified body: the only
+/// thing that binds a stored body to its witness is the body phase's
+/// differential runs, and those run at this many vectors. Random
+/// corruption of the stored bytes is caught before the checker runs, by
+/// the content digest; the vectors matter for an envelope with a valid
+/// digest and a wrong body, and there four do not certify: a probe of
+/// the fault matrix's semantic body mutants found `check_with` accepting
+/// 162 of 327 at 4 vectors (15 at 16). Callers that want
+/// certification-strength loads say
 /// [`Store::with_check_config`]`(CheckConfig::default())` in the store's
 /// `tune` hook ([`ShardedStore::open_with`]).
 ///
@@ -655,7 +661,7 @@ impl Store {
         }
         let envelope = Json::obj(fields);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let bytes = envelope.render().into_bytes();
+        let bytes = envelope.render_compact().into_bytes();
         let write = with_retry(&self.retry, || self.backend.write_atomic(&tmp, &path, &bytes));
         self.stats.retries += u64::from(write.retries);
         match write.result {
@@ -1195,7 +1201,7 @@ mod tests {
         // a field the checker treats as descriptive, so semantic
         // re-validation alone would serve the corrupted witness.
         let text = fs::read_to_string(&path).unwrap();
-        let at = text.find("\"focus\": \"").expect("a focus field") + "\"focus\": \"".len();
+        let at = text.find("\"focus\":\"").expect("a focus field") + "\"focus\":\"".len();
         let mut bytes = text.into_bytes();
         bytes[at] ^= 0x01;
         fs::write(&path, &bytes).unwrap();

@@ -190,7 +190,7 @@ fn bit_flips_in_every_body_byte_evict_or_serve_the_stored_artifact() {
     let text = String::from_utf8(pristine.clone()).unwrap();
     // The body: the `artifact` field's value, up to the envelope's
     // closing brace.
-    let field = "\"artifact\": ";
+    let field = "\"artifact\":";
     let start = text.find(field).expect("envelope lost its artifact") + field.len();
     let end = text.trim_end().len() - 1;
     assert!(end - start > 512, "artifact body suspiciously small: {}", end - start);
