@@ -295,9 +295,10 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 /// Nesting ceiling for the parser. Deep enough for every artifact the
-/// store writes (derivation trees nest one object per premise), shallow
-/// enough that adversarial input errors out long before the stack guard
-/// page.
+/// store writes (the artifact codecs encode each right-nested chain as
+/// one array, so a long program costs no depth; the deepest perf-suite
+/// envelope nests 44 levels), shallow enough that adversarial input
+/// errors out long before the stack guard page.
 const MAX_DEPTH: usize = 512;
 
 struct Parser<'a> {

@@ -192,9 +192,9 @@ fn witness_text_hash(root: &DerivationNode) -> u64 {
 /// The goldens pin only the emitted C, Rust and RISC-V; this pins the
 /// witness bytes (focus renderings, side conditions, hypothesis snapshots)
 /// that the store files and the checker re-reads, so a printer, goal-copy
-/// or lemma-search change that alters them fails here. Hashed rather than
-/// serialized: the `chacha20_block` derivation is too deep for the JSON
-/// codec's nesting limit.
+/// or lemma-search change that alters them fails here. Hashed from the
+/// tree rather than from its JSON encoding, so a codec change leaves the
+/// pin alone.
 #[test]
 fn perf_suite_witness_text_is_pinned() {
     let dbs = standard_dbs();
