@@ -2,19 +2,20 @@
 //!
 //! The target-language half of the artifact codec (see
 //! `rupicola_lang::codec` for the conventions): [`BExpr`], [`Cmd`],
-//! [`BTable`], and [`BFunction`] to and from `rupicola_lang::json::Json`.
+//! [`BTable`], and [`BFunction`], encoded as a `rupicola_lang::json::Json`
+//! tree and read back from text with a [`Reader`].
 //! A compiled artifact stores the full Bedrock2 function (plus any linked
 //! callees), so a warm cache hit can skip the engine entirely and hand the
 //! deserialized function straight to the independent checker.
 //!
 //! Same rules as the source codec: tagged arrays for enums with payloads,
 //! stable lowercase names for fieldless enums, hex strings for table
-//! bytes, total never-panicking decoders that surface every shape mismatch
+//! bytes, total never-panicking readers that surface every shape mismatch
 //! as an `Err` (which the store treats as corruption).
 
 use crate::ast::{AccessSize, BExpr, BFunction, BTable, BinOp, Cmd};
-use rupicola_lang::codec::{arity, field, hex_decode, hex_encode, str_field, tagged, DecodeResult};
-use rupicola_lang::json::Json;
+use rupicola_lang::codec::{hex_decode, hex_encode, DecodeResult, Fields};
+use rupicola_lang::json::{Json, Reader};
 
 // ---------------------------------------------------------------------------
 // Fieldless enums
@@ -25,14 +26,14 @@ pub fn encode_access_size(s: AccessSize) -> Json {
     Json::U64(s.bytes())
 }
 
-/// Decodes an [`AccessSize`] from its byte width.
-pub fn decode_access_size(j: &Json) -> DecodeResult<AccessSize> {
-    match j.as_u64() {
-        Some(1) => Ok(AccessSize::One),
-        Some(2) => Ok(AccessSize::Two),
-        Some(4) => Ok(AccessSize::Four),
-        Some(8) => Ok(AccessSize::Eight),
-        _ => Err(format!("expected access size, got {}", j.render_compact())),
+/// Reads an [`AccessSize`] from its byte width.
+pub fn read_access_size(r: &mut Reader<'_>) -> DecodeResult<AccessSize> {
+    match r.u64()? {
+        1 => Ok(AccessSize::One),
+        2 => Ok(AccessSize::Two),
+        4 => Ok(AccessSize::Four),
+        8 => Ok(AccessSize::Eight),
+        n => Err(format!("expected access size, got {n}")),
     }
 }
 
@@ -71,22 +72,6 @@ pub fn bin_op_from_name(name: &str) -> Option<BinOp> {
         .map(|(o, _)| *o)
 }
 
-// ---------------------------------------------------------------------------
-// Shared decode helpers (the tagged-array ones come from the source codec)
-// ---------------------------------------------------------------------------
-
-fn str_list(j: &Json, what: &str) -> DecodeResult<Vec<String>> {
-    j.as_arr()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("non-string entry in {what}"))
-        })
-        .collect()
-}
-
 fn encode_str_list(items: &[String]) -> Json {
     Json::Arr(items.iter().map(|s| Json::str(s.clone())).collect())
 }
@@ -120,50 +105,43 @@ pub fn encode_bexpr(e: &BExpr) -> Json {
     }
 }
 
-/// Decodes a [`BExpr`] from its tagged-array form.
-pub fn decode_bexpr(j: &Json) -> DecodeResult<BExpr> {
-    let (tag, rest) = tagged(j, "bexpr")?;
-    let t = tag.as_str();
-    match t {
-        "lit" => {
-            arity(rest, 1, t)?;
-            field(rest, 0, t)?
-                .as_u64()
-                .map(BExpr::Lit)
-                .ok_or_else(|| "`lit` payload is not an integer".to_string())
-        }
-        "var" => {
-            arity(rest, 1, t)?;
-            Ok(BExpr::Var(str_field(rest, 0, t)?))
-        }
-        "load" => {
-            arity(rest, 2, t)?;
-            Ok(BExpr::Load(
-                decode_access_size(field(rest, 0, t)?)?,
-                Box::new(decode_bexpr(field(rest, 1, t)?)?),
-            ))
-        }
-        "table" => {
-            arity(rest, 3, t)?;
+/// Reads a [`BExpr`] from its tagged-array form.
+pub fn read_bexpr(r: &mut Reader<'_>) -> DecodeResult<BExpr> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let fields = bexpr_fields(&tag).ok_or_else(|| format!("unknown bexpr tag `{tag}`"))?;
+    let e = fields(r)?;
+    r.end_arr()?;
+    Ok(e)
+}
+
+/// The reader of a bexpr tag's fields: a table, so that each level of a
+/// deep term costs the stack only its own tag's frame (see
+/// `rupicola_lang::codec`).
+fn bexpr_fields(tag: &str) -> Option<Fields<BExpr>> {
+    Some(match tag {
+        "lit" => |r| Ok(BExpr::Lit(r.u64()?)),
+        "var" => |r| Ok(BExpr::Var(r.string()?)),
+        "load" => |r| {
+            let size = read_access_size(r)?;
+            Ok(BExpr::Load(size, Box::new(read_bexpr(r)?)))
+        },
+        "table" => |r| {
             Ok(BExpr::InlineTable {
-                size: decode_access_size(field(rest, 0, t)?)?,
-                table: str_field(rest, 1, t)?,
-                index: Box::new(decode_bexpr(field(rest, 2, t)?)?),
+                size: read_access_size(r)?,
+                table: r.string()?,
+                index: Box::new(read_bexpr(r)?),
             })
-        }
-        "op" => {
-            arity(rest, 3, t)?;
-            let name = str_field(rest, 0, t)?;
+        },
+        "op" => |r| {
+            let name = r.str()?;
             let op = bin_op_from_name(&name)
                 .ok_or_else(|| format!("unknown binary operator `{name}`"))?;
-            Ok(BExpr::Op(
-                op,
-                Box::new(decode_bexpr(field(rest, 1, t)?)?),
-                Box::new(decode_bexpr(field(rest, 2, t)?)?),
-            ))
-        }
-        other => Err(format!("unknown bexpr tag `{other}`")),
-    }
+            let a = read_bexpr(r)?;
+            Ok(BExpr::Op(op, Box::new(a), Box::new(read_bexpr(r)?)))
+        },
+        _ => return None,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -172,14 +150,6 @@ pub fn decode_bexpr(j: &Json) -> DecodeResult<BExpr> {
 
 fn encode_bexpr_list(args: &[BExpr]) -> Json {
     Json::Arr(args.iter().map(encode_bexpr).collect())
-}
-
-fn decode_bexpr_list(j: &Json, what: &str) -> DecodeResult<Vec<BExpr>> {
-    j.as_arr()
-        .ok_or_else(|| format!("{what} is not an array"))?
-        .iter()
-        .map(decode_bexpr)
-        .collect()
 }
 
 /// Encodes a [`Cmd`] as a tagged array.
@@ -242,91 +212,80 @@ pub fn encode_cmd(c: &Cmd) -> Json {
     }
 }
 
-/// Decodes a [`Cmd`] from its tagged-array form.
-pub fn decode_cmd(j: &Json) -> DecodeResult<Cmd> {
-    let (tag, rest) = tagged(j, "cmd")?;
-    let t = tag.as_str();
-    match t {
-        "skip" => {
-            arity(rest, 0, t)?;
-            Ok(Cmd::Skip)
-        }
-        "set" => {
-            arity(rest, 2, t)?;
-            Ok(Cmd::Set(
-                str_field(rest, 0, t)?,
-                decode_bexpr(field(rest, 1, t)?)?,
-            ))
-        }
-        "unset" => {
-            arity(rest, 1, t)?;
-            Ok(Cmd::Unset(str_field(rest, 0, t)?))
-        }
-        "store" => {
-            arity(rest, 3, t)?;
-            Ok(Cmd::Store(
-                decode_access_size(field(rest, 0, t)?)?,
-                decode_bexpr(field(rest, 1, t)?)?,
-                decode_bexpr(field(rest, 2, t)?)?,
-            ))
-        }
-        "seq" => {
-            let Some((last, init)) = rest.split_last().filter(|(_, init)| !init.is_empty())
-            else {
-                return Err(format!("`seq` has {} commands, expected at least 2", rest.len()));
-            };
-            let mut c = decode_cmd(last)?;
-            if matches!(c, Cmd::Seq(..)) {
-                return Err("`seq` chain continues in a nested `seq`".to_string());
-            }
-            for j in init.iter().rev() {
-                c = Cmd::Seq(Box::new(decode_cmd(j)?), Box::new(c));
-            }
-            Ok(c)
-        }
-        "if" => {
-            arity(rest, 3, t)?;
+/// Reads a [`Cmd`] from its tagged-array form.
+pub fn read_cmd(r: &mut Reader<'_>) -> DecodeResult<Cmd> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let fields = cmd_fields(&tag).ok_or_else(|| format!("unknown cmd tag `{tag}`"))?;
+    let c = fields(r)?;
+    r.end_arr()?;
+    Ok(c)
+}
+
+/// The reader of a cmd tag's fields (a table, like [`bexpr_fields`]).
+fn cmd_fields(tag: &str) -> Option<Fields<Cmd>> {
+    Some(match tag {
+        "skip" => |_| Ok(Cmd::Skip),
+        "set" => |r| {
+            let var = r.string()?;
+            Ok(Cmd::Set(var, read_bexpr(r)?))
+        },
+        "unset" => |r| Ok(Cmd::Unset(r.string()?)),
+        "store" => |r| {
+            let size = read_access_size(r)?;
+            let addr = read_bexpr(r)?;
+            Ok(Cmd::Store(size, addr, read_bexpr(r)?))
+        },
+        "seq" => read_seq,
+        "if" => |r| {
             Ok(Cmd::If {
-                cond: decode_bexpr(field(rest, 0, t)?)?,
-                then_: Box::new(decode_cmd(field(rest, 1, t)?)?),
-                else_: Box::new(decode_cmd(field(rest, 2, t)?)?),
+                cond: read_bexpr(r)?,
+                then_: Box::new(read_cmd(r)?),
+                else_: Box::new(read_cmd(r)?),
             })
-        }
-        "while" => {
-            arity(rest, 2, t)?;
-            Ok(Cmd::While {
-                cond: decode_bexpr(field(rest, 0, t)?)?,
-                body: Box::new(decode_cmd(field(rest, 1, t)?)?),
-            })
-        }
-        "call" => {
-            arity(rest, 3, t)?;
+        },
+        "while" => |r| Ok(Cmd::While { cond: read_bexpr(r)?, body: Box::new(read_cmd(r)?) }),
+        "call" => |r| {
             Ok(Cmd::Call {
-                rets: str_list(field(rest, 0, t)?, "call rets")?,
-                func: str_field(rest, 1, t)?,
-                args: decode_bexpr_list(field(rest, 2, t)?, "call args")?,
+                rets: r.list(Reader::string)?,
+                func: r.string()?,
+                args: r.list(read_bexpr)?,
             })
-        }
-        "interact" => {
-            arity(rest, 3, t)?;
+        },
+        "interact" => |r| {
             Ok(Cmd::Interact {
-                rets: str_list(field(rest, 0, t)?, "interact rets")?,
-                action: str_field(rest, 1, t)?,
-                args: decode_bexpr_list(field(rest, 2, t)?, "interact args")?,
+                rets: r.list(Reader::string)?,
+                action: r.string()?,
+                args: r.list(read_bexpr)?,
             })
-        }
-        "stackalloc" => {
-            arity(rest, 3, t)?;
+        },
+        "stackalloc" => |r| {
             Ok(Cmd::StackAlloc {
-                var: str_field(rest, 0, t)?,
-                nbytes: field(rest, 1, t)?
-                    .as_u64()
-                    .ok_or_else(|| "`stackalloc` nbytes is not an integer".to_string())?,
-                body: Box::new(decode_cmd(field(rest, 2, t)?)?),
+                var: r.string()?,
+                nbytes: r.u64()?,
+                body: Box::new(read_cmd(r)?),
             })
-        }
-        other => Err(format!("unknown cmd tag `{other}`")),
+        },
+        _ => return None,
+    })
+}
+
+/// The commands of a `seq` chain, read forward and assembled from the end.
+fn read_seq(r: &mut Reader<'_>) -> DecodeResult<Cmd> {
+    let mut cmds = Vec::new();
+    while r.more()? {
+        cmds.push(read_cmd(r)?);
     }
+    let Some(mut c) = cmds.pop().filter(|_| !cmds.is_empty()) else {
+        return Err(format!("`seq` has {} commands, expected at least 2", cmds.len()));
+    };
+    if matches!(c, Cmd::Seq(..)) {
+        return Err("`seq` chain continues in a nested `seq`".to_string());
+    }
+    while let Some(first) = cmds.pop() {
+        c = Cmd::Seq(Box::new(first), Box::new(c));
+    }
+    Ok(c)
 }
 
 // ---------------------------------------------------------------------------
@@ -341,20 +300,15 @@ pub fn encode_btable(t: &BTable) -> Json {
     ])
 }
 
-/// Decodes a [`BTable`].
-pub fn decode_btable(j: &Json) -> DecodeResult<BTable> {
-    let name = j
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "table `name` missing or not a string".to_string())?;
-    let data = j
-        .get("data")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "table `data` missing or not a string".to_string())?;
-    Ok(BTable {
-        name: name.to_string(),
-        data: hex_decode(data)?,
-    })
+/// Reads a [`BTable`].
+pub fn read_btable(r: &mut Reader<'_>) -> DecodeResult<BTable> {
+    r.begin_obj()?;
+    r.key("name")?;
+    let name = r.string()?;
+    r.key("data")?;
+    let data = hex_decode(&r.str()?)?;
+    r.end_obj()?;
+    Ok(BTable { name, data })
 }
 
 /// Encodes a [`BFunction`].
@@ -371,27 +325,21 @@ pub fn encode_bfunction(f: &BFunction) -> Json {
     ])
 }
 
-/// Decodes a [`BFunction`].
-pub fn decode_bfunction(j: &Json) -> DecodeResult<BFunction> {
-    let get = |k: &str| {
-        j.get(k)
-            .ok_or_else(|| format!("function is missing key `{k}`"))
-    };
-    Ok(BFunction {
-        name: get("name")?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "function `name` is not a string".to_string())?,
-        args: str_list(get("args")?, "function args")?,
-        rets: str_list(get("rets")?, "function rets")?,
-        body: decode_cmd(get("body")?)?,
-        tables: get("tables")?
-            .as_arr()
-            .ok_or_else(|| "function `tables` is not an array".to_string())?
-            .iter()
-            .map(decode_btable)
-            .collect::<DecodeResult<Vec<BTable>>>()?,
-    })
+/// Reads a [`BFunction`].
+pub fn read_bfunction(r: &mut Reader<'_>) -> DecodeResult<BFunction> {
+    r.begin_obj()?;
+    r.key("name")?;
+    let name = r.string()?;
+    r.key("args")?;
+    let args = r.list(Reader::string)?;
+    r.key("rets")?;
+    let rets = r.list(Reader::string)?;
+    r.key("body")?;
+    let body = read_cmd(r)?;
+    r.key("tables")?;
+    let tables = r.list(read_btable)?;
+    r.end_obj()?;
+    Ok(BFunction { name, args, rets, body, tables })
 }
 
 // ---------------------------------------------------------------------------
@@ -429,63 +377,43 @@ pub fn encode_rv_artifact(a: &crate::rv_compile::RvArtifact) -> Json {
     ])
 }
 
-/// Decodes an [`RvArtifact`]. Total: any malformed shape — including an
+/// Reads an [`RvArtifact`]. Total: any malformed shape — including an
 /// unparseable assembly listing or a slot index past the frame — is an
 /// `Err` the store treats as corruption.
 ///
 /// [`RvArtifact`]: crate::rv_compile::RvArtifact
-pub fn decode_rv_artifact(j: &Json) -> DecodeResult<crate::rv_compile::RvArtifact> {
-    let get = |k: &str| j.get(k).ok_or_else(|| format!("rv artifact is missing key `{k}`"));
-    let name = get("name")?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| "rv artifact `name` is not a string".to_string())?;
-    let asm_text = get("asm")?
-        .as_str()
-        .ok_or_else(|| "rv artifact `asm` is not a string".to_string())?;
-    let asm = crate::rv::parse_listing(asm_text)
+pub fn read_rv_artifact(r: &mut Reader<'_>) -> DecodeResult<crate::rv_compile::RvArtifact> {
+    r.begin_obj()?;
+    r.key("name")?;
+    let name = r.string()?;
+    r.key("asm")?;
+    let asm = crate::rv::parse_listing(&r.str()?)
         .map_err(|e| format!("rv artifact assembly does not parse: {e}"))?;
-    let locals = str_list(get("locals")?, "rv artifact locals")?;
-    let slots = |k: &str| -> DecodeResult<Vec<usize>> {
-        let out = get(k)?
-            .as_arr()
-            .ok_or_else(|| format!("rv artifact `{k}` is not an array"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .map(|i| i as usize)
-                    .ok_or_else(|| format!("non-integer entry in rv artifact `{k}`"))
-            })
-            .collect::<DecodeResult<Vec<usize>>>()?;
-        if let Some(&bad) = out.iter().find(|&&i| i >= locals.len()) {
-            return Err(format!("rv artifact `{k}` index {bad} is past the frame"));
+    r.key("locals")?;
+    let locals = r.list(Reader::string)?;
+    let mut slots = |k: &str| -> DecodeResult<Vec<usize>> {
+        r.key(k)?;
+        let out = r.list(Reader::u64)?;
+        match out.iter().find(|&&i| i >= locals.len() as u64) {
+            Some(bad) => Err(format!("rv artifact `{k}` index {bad} is past the frame")),
+            None => Ok(out.into_iter().map(|i| i as usize).collect()),
         }
-        Ok(out)
     };
     let arg_slots = slots("arg_slots")?;
     let ret_slots = slots("ret_slots")?;
-    let tables = get("tables")?
-        .as_arr()
-        .ok_or_else(|| "rv artifact `tables` is not an array".to_string())?
-        .iter()
-        .map(|t| {
-            let name = t
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "rv table `name` missing or not a string".to_string())?;
-            let data = t
-                .get("data")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "rv table `data` missing or not a string".to_string())?;
-            Ok((name.to_string(), hex_decode(data)?))
-        })
-        .collect::<DecodeResult<Vec<(String, Vec<u8>)>>>()?;
+    r.key("tables")?;
+    let tables = r.list(|r| {
+        let table = read_btable(r)?;
+        Ok::<_, String>((table.name, table.data))
+    })?;
+    r.end_obj()?;
     Ok(crate::rv_compile::RvArtifact { name, asm, locals, arg_slots, ret_slots, tables })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rupicola_lang::codec::read_text;
 
     fn sample_function() -> BFunction {
         let body = Cmd::seq([
@@ -545,17 +473,18 @@ mod tests {
     fn functions_round_trip_through_rendered_json() {
         let f = sample_function();
         let j = encode_bfunction(&f);
-        assert_eq!(decode_bfunction(&j).unwrap(), f);
-        let reparsed = rupicola_lang::json::parse(&j.render()).unwrap();
-        assert_eq!(decode_bfunction(&reparsed).unwrap(), f);
+        for text in [j.render(), j.render_compact()] {
+            assert_eq!(read_text(&text, read_bfunction).unwrap(), f);
+        }
     }
 
     #[test]
     fn access_sizes_round_trip() {
         for s in [AccessSize::One, AccessSize::Two, AccessSize::Four, AccessSize::Eight] {
-            assert_eq!(decode_access_size(&encode_access_size(s)).unwrap(), s);
+            let text = encode_access_size(s).render_compact();
+            assert_eq!(read_text(&text, read_access_size).unwrap(), s);
         }
-        assert!(decode_access_size(&Json::U64(3)).is_err());
+        assert!(read_text("3", read_access_size).is_err());
     }
 
     #[test]
@@ -566,8 +495,7 @@ mod tests {
         let body = Cmd::seq(std::iter::once(pair).chain(sets));
         let j = encode_cmd(&body);
         assert_eq!(j.as_arr().map(<[Json]>::len), Some(2002), "tag, the pair, 2,000 sets");
-        let reparsed = rupicola_lang::json::parse(&j.render_compact()).unwrap();
-        assert_eq!(decode_cmd(&reparsed).unwrap(), body);
+        assert_eq!(read_text(&j.render_compact(), read_cmd).unwrap(), body);
     }
 
     #[test]
@@ -581,9 +509,8 @@ mod tests {
             // The chain's last command belongs on the chain.
             r#"["seq",["skip"],["seq",["skip"],["skip"]]]"#,
         ] {
-            let j = rupicola_lang::json::parse(bad).unwrap();
             assert!(
-                decode_cmd(&j).is_err() && decode_bexpr(&j).is_err(),
+                read_text(bad, read_cmd).is_err() && read_text(bad, read_bexpr).is_err(),
                 "accepted {bad}"
             );
         }
@@ -620,9 +547,9 @@ mod tests {
         let f = rv_sample_function();
         let art = crate::rv_compile::compile_function(&f).unwrap();
         let j = encode_rv_artifact(&art);
-        assert_eq!(decode_rv_artifact(&j).unwrap(), art);
-        let reparsed = rupicola_lang::json::parse(&j.render()).unwrap();
-        assert_eq!(decode_rv_artifact(&reparsed).unwrap(), art);
+        for text in [j.render(), j.render_compact()] {
+            assert_eq!(read_text(&text, read_rv_artifact).unwrap(), art);
+        }
     }
 
     #[test]
@@ -646,7 +573,8 @@ mod tests {
             ("ret_slots", Json::str("nope")),
             ("tables", Json::Arr(vec![Json::obj([("name", Json::str("t"))])])),
         ] {
-            assert!(decode_rv_artifact(&corrupt(k, v)).is_err(), "accepted corrupted `{k}`");
+            let text = corrupt(k, v).render_compact();
+            assert!(read_text(&text, read_rv_artifact).is_err(), "accepted corrupted `{k}`");
         }
     }
 }

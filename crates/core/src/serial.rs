@@ -19,6 +19,11 @@
 //! - the [`CompileStats`] of the original run (so cached suite passes
 //!   still cross-check against build-time stats).
 //!
+//! Every type is encoded as a [`Json`] tree and read back from text by
+//! one `read_*` function over a [`Reader`]; [`decode_compiled_function`]
+//! is the tree-taking entry point, a thin adapter that renders the tree
+//! and reads it.
+//!
 //! Symbolic goals are deliberately *not* serialized: `StmtGoal` is
 //! reconstructible via `FnSpec::initial_goal`, and keeping it out of the
 //! format keeps heaplet identifiers an engine-internal notion.
@@ -28,52 +33,30 @@ use crate::engine::{CompileStats, CompiledFunction};
 use crate::fnspec::{ArgSpec, FnSpec, RetSpec, TraceSpec};
 use crate::goal::{Hyp, MonadCtx, SideCond};
 use crate::invariant::{LoopInvariant, LoopInvariantKind};
-use rupicola_bedrock::serial::{decode_bfunction, encode_bfunction};
+use rupicola_bedrock::serial::{encode_bfunction, read_bfunction};
 use rupicola_lang::codec::{
-    arity, decode_elem_kind, decode_expr, decode_model, decode_monad_kind, encode_elem_kind,
-    encode_expr, encode_model, encode_monad_kind, field, str_field, tagged, DecodeResult,
+    encode_elem_kind, encode_expr, encode_model, encode_monad_kind, monad_kind_from_name,
+    read_elem_kind, read_expr, read_model, read_text, DecodeResult,
 };
-use rupicola_lang::json::Json;
-use rupicola_lang::Ident;
+use rupicola_lang::json::{Json, Reader};
 use rupicola_sep::ScalarKind;
 
 // ---------------------------------------------------------------------------
-// Local helpers (the tagged-array ones come from the source codec)
+// Local helpers
 // ---------------------------------------------------------------------------
 
-fn obj_get<'a>(j: &'a Json, key: &str, what: &str) -> DecodeResult<&'a Json> {
-    j.get(key)
-        .ok_or_else(|| format!("{what} is missing key `{key}`"))
-}
-
-fn obj_str(j: &Json, key: &str, what: &str) -> DecodeResult<String> {
-    obj_get(j, key, what)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} key `{key}` is not a string"))
-}
-
-fn obj_usize(j: &Json, key: &str, what: &str) -> DecodeResult<usize> {
-    let n = obj_get(j, key, what)?
-        .as_u64()
-        .ok_or_else(|| format!("{what} key `{key}` is not an integer"))?;
-    usize::try_from(n).map_err(|_| format!("{what} key `{key}` out of range"))
-}
-
-fn obj_arr<'a>(j: &'a Json, key: &str, what: &str) -> DecodeResult<&'a [Json]> {
-    obj_get(j, key, what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what} key `{key}` is not an array"))
+fn read_usize(r: &mut Reader<'_>) -> DecodeResult<usize> {
+    let n = r.u64()?;
+    usize::try_from(n).map_err(|_| format!("count {n} out of range"))
 }
 
 fn encode_scalar_kind(k: ScalarKind) -> Json {
     Json::str(k.as_str())
 }
 
-fn decode_scalar_kind(j: &Json) -> DecodeResult<ScalarKind> {
-    j.as_str()
-        .and_then(ScalarKind::from_str_tag)
-        .ok_or_else(|| format!("expected scalar kind, got {}", j.render_compact()))
+fn read_scalar_kind(r: &mut Reader<'_>) -> DecodeResult<ScalarKind> {
+    let tag = r.str()?;
+    ScalarKind::from_str_tag(&tag).ok_or_else(|| format!("expected scalar kind, got `{tag}`"))
 }
 
 // ---------------------------------------------------------------------------
@@ -89,19 +72,20 @@ pub fn encode_hyp(h: &Hyp) -> Json {
     }
 }
 
-/// Decodes a [`Hyp`].
-pub fn decode_hyp(j: &Json) -> DecodeResult<Hyp> {
-    let (tag, rest) = tagged(j, "hyp")?;
-    let t = tag.as_str();
-    arity(rest, 2, t)?;
-    let a = decode_expr(field(rest, 0, t)?)?;
-    let b = decode_expr(field(rest, 1, t)?)?;
-    match t {
-        "eq" => Ok(Hyp::EqWord(a, b)),
-        "ltu" => Ok(Hyp::LtU(a, b)),
-        "leu" => Ok(Hyp::LeU(a, b)),
-        other => Err(format!("unknown hyp tag `{other}`")),
-    }
+/// Reads a [`Hyp`].
+pub fn read_hyp(r: &mut Reader<'_>) -> DecodeResult<Hyp> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let make = match &*tag {
+        "eq" => Hyp::EqWord,
+        "ltu" => Hyp::LtU,
+        "leu" => Hyp::LeU,
+        other => return Err(format!("unknown hyp tag `{other}`")),
+    };
+    let a = read_expr(r)?;
+    let b = read_expr(r)?;
+    r.end_arr()?;
+    Ok(make(a, b))
 }
 
 /// Encodes a [`SideCond`].
@@ -113,23 +97,21 @@ pub fn encode_side_cond(c: &SideCond) -> Json {
     }
 }
 
-/// Decodes a [`SideCond`].
-pub fn decode_side_cond(j: &Json) -> DecodeResult<SideCond> {
-    let (tag, rest) = tagged(j, "side condition")?;
-    let t = tag.as_str();
-    match t {
+/// Reads a [`SideCond`].
+pub fn read_side_cond(r: &mut Reader<'_>) -> DecodeResult<SideCond> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let c = match &*tag {
         "lt" | "le" => {
-            arity(rest, 2, t)?;
-            let a = decode_expr(field(rest, 0, t)?)?;
-            let b = decode_expr(field(rest, 1, t)?)?;
-            Ok(if t == "lt" { SideCond::Lt(a, b) } else { SideCond::Le(a, b) })
+            let a = read_expr(r)?;
+            let b = read_expr(r)?;
+            if tag == "lt" { SideCond::Lt(a, b) } else { SideCond::Le(a, b) }
         }
-        "nonzero" => {
-            arity(rest, 1, t)?;
-            Ok(SideCond::NonZero(decode_expr(field(rest, 0, t)?)?))
-        }
-        other => Err(format!("unknown side-condition tag `{other}`")),
-    }
+        "nonzero" => SideCond::NonZero(read_expr(r)?),
+        other => return Err(format!("unknown side-condition tag `{other}`")),
+    };
+    r.end_arr()?;
+    Ok(c)
 }
 
 // ---------------------------------------------------------------------------
@@ -144,12 +126,13 @@ pub fn encode_monad_ctx(m: MonadCtx) -> Json {
     }
 }
 
-/// Decodes a [`MonadCtx`].
-pub fn decode_monad_ctx(j: &Json) -> DecodeResult<MonadCtx> {
-    if j.as_str() == Some("pure") {
-        Ok(MonadCtx::Pure)
-    } else {
-        decode_monad_kind(j).map(MonadCtx::Monadic)
+/// Reads a [`MonadCtx`].
+pub fn read_monad_ctx(r: &mut Reader<'_>) -> DecodeResult<MonadCtx> {
+    match &*r.str()? {
+        "pure" => Ok(MonadCtx::Pure),
+        other => monad_kind_from_name(other)
+            .map(MonadCtx::Monadic)
+            .ok_or_else(|| format!("expected monad context, got `{other}`")),
     }
 }
 
@@ -161,12 +144,12 @@ pub fn encode_trace_spec(t: TraceSpec) -> Json {
     })
 }
 
-/// Decodes a [`TraceSpec`].
-pub fn decode_trace_spec(j: &Json) -> DecodeResult<TraceSpec> {
-    match j.as_str() {
-        Some("unchanged") => Ok(TraceSpec::Unchanged),
-        Some("mirrors-source") => Ok(TraceSpec::MirrorsSource),
-        _ => Err(format!("expected trace spec, got {}", j.render_compact())),
+/// Reads a [`TraceSpec`].
+pub fn read_trace_spec(r: &mut Reader<'_>) -> DecodeResult<TraceSpec> {
+    match &*r.str()? {
+        "unchanged" => Ok(TraceSpec::Unchanged),
+        "mirrors-source" => Ok(TraceSpec::MirrorsSource),
+        other => Err(format!("expected trace spec, got `{other}`")),
     }
 }
 
@@ -199,39 +182,31 @@ pub fn encode_arg_spec(a: &ArgSpec) -> Json {
     }
 }
 
-/// Decodes an [`ArgSpec`].
-pub fn decode_arg_spec(j: &Json) -> DecodeResult<ArgSpec> {
-    let (tag, rest) = tagged(j, "arg spec")?;
-    let t = tag.as_str();
-    match t {
-        "scalar" => {
-            arity(rest, 3, t)?;
-            Ok(ArgSpec::Scalar {
-                name: str_field(rest, 0, t)?,
-                param: str_field(rest, 1, t)?,
-                kind: decode_scalar_kind(field(rest, 2, t)?)?,
-            })
-        }
-        "arrayptr" | "lenof" => {
-            arity(rest, 3, t)?;
-            let name = str_field(rest, 0, t)?;
-            let param = str_field(rest, 1, t)?;
-            let elem = decode_elem_kind(field(rest, 2, t)?)?;
-            Ok(if t == "arrayptr" {
-                ArgSpec::ArrayPtr { name, param, elem }
-            } else {
-                ArgSpec::LenOf { name, param, elem }
-            })
-        }
-        "cellptr" => {
-            arity(rest, 2, t)?;
-            Ok(ArgSpec::CellPtr {
-                name: str_field(rest, 0, t)?,
-                param: str_field(rest, 1, t)?,
-            })
-        }
-        other => Err(format!("unknown arg-spec tag `{other}`")),
-    }
+/// Reads an [`ArgSpec`].
+pub fn read_arg_spec(r: &mut Reader<'_>) -> DecodeResult<ArgSpec> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let a = match &*tag {
+        "scalar" => ArgSpec::Scalar {
+            name: r.string()?,
+            param: r.string()?,
+            kind: read_scalar_kind(r)?,
+        },
+        "arrayptr" => ArgSpec::ArrayPtr {
+            name: r.string()?,
+            param: r.string()?,
+            elem: read_elem_kind(r)?,
+        },
+        "lenof" => ArgSpec::LenOf {
+            name: r.string()?,
+            param: r.string()?,
+            elem: read_elem_kind(r)?,
+        },
+        "cellptr" => ArgSpec::CellPtr { name: r.string()?, param: r.string()? },
+        other => return Err(format!("unknown arg-spec tag `{other}`")),
+    };
+    r.end_arr()?;
+    Ok(a)
 }
 
 /// Encodes a [`RetSpec`].
@@ -248,24 +223,17 @@ pub fn encode_ret_spec(r: &RetSpec) -> Json {
     }
 }
 
-/// Decodes a [`RetSpec`].
-pub fn decode_ret_spec(j: &Json) -> DecodeResult<RetSpec> {
-    let (tag, rest) = tagged(j, "ret spec")?;
-    let t = tag.as_str();
-    match t {
-        "scalar" => {
-            arity(rest, 2, t)?;
-            Ok(RetSpec::Scalar {
-                name: str_field(rest, 0, t)?,
-                kind: decode_scalar_kind(field(rest, 1, t)?)?,
-            })
-        }
-        "inplace" => {
-            arity(rest, 1, t)?;
-            Ok(RetSpec::InPlace { param: str_field(rest, 0, t)? })
-        }
-        other => Err(format!("unknown ret-spec tag `{other}`")),
-    }
+/// Reads a [`RetSpec`].
+pub fn read_ret_spec(r: &mut Reader<'_>) -> DecodeResult<RetSpec> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let ret = match &*tag {
+        "scalar" => RetSpec::Scalar { name: r.string()?, kind: read_scalar_kind(r)? },
+        "inplace" => RetSpec::InPlace { param: r.string()? },
+        other => return Err(format!("unknown ret-spec tag `{other}`")),
+    };
+    r.end_arr()?;
+    Ok(ret)
 }
 
 /// Encodes a [`FnSpec`].
@@ -280,25 +248,23 @@ pub fn encode_fn_spec(s: &FnSpec) -> Json {
     ])
 }
 
-/// Decodes a [`FnSpec`].
-pub fn decode_fn_spec(j: &Json) -> DecodeResult<FnSpec> {
-    Ok(FnSpec {
-        name: obj_str(j, "name", "fn spec")?,
-        args: obj_arr(j, "args", "fn spec")?
-            .iter()
-            .map(decode_arg_spec)
-            .collect::<DecodeResult<Vec<ArgSpec>>>()?,
-        rets: obj_arr(j, "rets", "fn spec")?
-            .iter()
-            .map(decode_ret_spec)
-            .collect::<DecodeResult<Vec<RetSpec>>>()?,
-        monad: decode_monad_ctx(obj_get(j, "monad", "fn spec")?)?,
-        trace: decode_trace_spec(obj_get(j, "trace", "fn spec")?)?,
-        hints: obj_arr(j, "hints", "fn spec")?
-            .iter()
-            .map(decode_hyp)
-            .collect::<DecodeResult<Vec<Hyp>>>()?,
-    })
+/// Reads a [`FnSpec`].
+pub fn read_fn_spec(r: &mut Reader<'_>) -> DecodeResult<FnSpec> {
+    r.begin_obj()?;
+    r.key("name")?;
+    let name = r.string()?;
+    r.key("args")?;
+    let args = r.list(read_arg_spec)?;
+    r.key("rets")?;
+    let rets = r.list(read_ret_spec)?;
+    r.key("monad")?;
+    let monad = read_monad_ctx(r)?;
+    r.key("trace")?;
+    let trace = read_trace_spec(r)?;
+    r.key("hints")?;
+    let hints = r.list(read_hyp)?;
+    r.end_obj()?;
+    Ok(FnSpec { name, args, rets, monad, trace, hints })
 }
 
 // ---------------------------------------------------------------------------
@@ -353,57 +319,47 @@ fn encode_invariant_kind(k: &LoopInvariantKind) -> Json {
     }
 }
 
-fn decode_invariant_kind(j: &Json) -> DecodeResult<LoopInvariantKind> {
-    let (tag, rest) = tagged(j, "loop-invariant kind")?;
-    let t = tag.as_str();
-    match t {
-        "mapinplace" => {
-            arity(rest, 5, t)?;
-            Ok(LoopInvariantKind::ArrayMapInPlace {
-                ptr_local: str_field(rest, 0, t)?,
-                elem: decode_elem_kind(field(rest, 1, t)?)?,
-                x: str_field(rest, 2, t)?,
-                f: decode_expr(field(rest, 3, t)?)?,
-                arr: decode_expr(field(rest, 4, t)?)?,
-            })
-        }
-        "foldscalar" => {
-            arity(rest, 7, t)?;
-            Ok(LoopInvariantKind::ArrayFoldScalar {
-                acc_local: str_field(rest, 0, t)?,
-                elem: decode_elem_kind(field(rest, 1, t)?)?,
-                acc: str_field(rest, 2, t)?,
-                x: str_field(rest, 3, t)?,
-                f: decode_expr(field(rest, 4, t)?)?,
-                init: decode_expr(field(rest, 5, t)?)?,
-                arr: decode_expr(field(rest, 6, t)?)?,
-            })
-        }
-        "rangefoldscalar" => {
-            arity(rest, 6, t)?;
-            Ok(LoopInvariantKind::RangeFoldScalar {
-                acc_local: str_field(rest, 0, t)?,
-                i: str_field(rest, 1, t)?,
-                acc: str_field(rest, 2, t)?,
-                f: decode_expr(field(rest, 3, t)?)?,
-                init: decode_expr(field(rest, 4, t)?)?,
-                from: decode_expr(field(rest, 5, t)?)?,
-            })
-        }
-        "rangefoldarrayput" => {
-            arity(rest, 7, t)?;
-            Ok(LoopInvariantKind::RangeFoldArrayPut {
-                ptr_local: str_field(rest, 0, t)?,
-                elem: decode_elem_kind(field(rest, 1, t)?)?,
-                i: str_field(rest, 2, t)?,
-                acc: str_field(rest, 3, t)?,
-                f: decode_expr(field(rest, 4, t)?)?,
-                init: decode_expr(field(rest, 5, t)?)?,
-                from: decode_expr(field(rest, 6, t)?)?,
-            })
-        }
-        other => Err(format!("unknown loop-invariant tag `{other}`")),
-    }
+fn read_invariant_kind(r: &mut Reader<'_>) -> DecodeResult<LoopInvariantKind> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let k = match &*tag {
+        "mapinplace" => LoopInvariantKind::ArrayMapInPlace {
+            ptr_local: r.string()?,
+            elem: read_elem_kind(r)?,
+            x: r.string()?,
+            f: read_expr(r)?,
+            arr: read_expr(r)?,
+        },
+        "foldscalar" => LoopInvariantKind::ArrayFoldScalar {
+            acc_local: r.string()?,
+            elem: read_elem_kind(r)?,
+            acc: r.string()?,
+            x: r.string()?,
+            f: read_expr(r)?,
+            init: read_expr(r)?,
+            arr: read_expr(r)?,
+        },
+        "rangefoldscalar" => LoopInvariantKind::RangeFoldScalar {
+            acc_local: r.string()?,
+            i: r.string()?,
+            acc: r.string()?,
+            f: read_expr(r)?,
+            init: read_expr(r)?,
+            from: read_expr(r)?,
+        },
+        "rangefoldarrayput" => LoopInvariantKind::RangeFoldArrayPut {
+            ptr_local: r.string()?,
+            elem: read_elem_kind(r)?,
+            i: r.string()?,
+            acc: r.string()?,
+            f: read_expr(r)?,
+            init: read_expr(r)?,
+            from: read_expr(r)?,
+        },
+        other => return Err(format!("unknown loop-invariant tag `{other}`")),
+    };
+    r.end_arr()?;
+    Ok(k)
 }
 
 /// Encodes a [`LoopInvariant`].
@@ -423,30 +379,23 @@ pub fn encode_loop_invariant(inv: &LoopInvariant) -> Json {
     ])
 }
 
-/// Decodes a [`LoopInvariant`].
-pub fn decode_loop_invariant(j: &Json) -> DecodeResult<LoopInvariant> {
-    let bindings = obj_arr(j, "bindings", "loop invariant")?
-        .iter()
-        .map(|pair| {
-            let items = pair
-                .as_arr()
-                .ok_or_else(|| "invariant binding is not a pair".to_string())?;
-            match items {
-                [name, expr] => {
-                    let name = name
-                        .as_str()
-                        .ok_or_else(|| "binding name is not a string".to_string())?;
-                    Ok((name.to_string(), decode_expr(expr)?))
-                }
-                _ => Err("invariant binding is not a pair".to_string()),
-            }
-        })
-        .collect::<DecodeResult<Vec<(Ident, rupicola_lang::Expr)>>>()?;
-    Ok(LoopInvariant {
-        index_local: obj_str(j, "index_local", "loop invariant")?,
-        bindings,
-        kind: decode_invariant_kind(obj_get(j, "kind", "loop invariant")?)?,
-    })
+/// Reads a [`LoopInvariant`].
+pub fn read_loop_invariant(r: &mut Reader<'_>) -> DecodeResult<LoopInvariant> {
+    r.begin_obj()?;
+    r.key("index_local")?;
+    let index_local = r.string()?;
+    r.key("bindings")?;
+    let bindings = r.list(|r| {
+        r.begin_arr()?;
+        let name = r.string()?;
+        let expr = read_expr(r)?;
+        r.end_arr()?;
+        Ok::<_, String>((name, expr))
+    })?;
+    r.key("kind")?;
+    let kind = read_invariant_kind(r)?;
+    r.end_obj()?;
+    Ok(LoopInvariant { index_local, bindings, kind })
 }
 
 // ---------------------------------------------------------------------------
@@ -462,18 +411,18 @@ pub fn encode_side_cond_record(r: &SideCondRecord) -> Json {
     ])
 }
 
-/// Decodes a [`SideCondRecord`]. Names come back owned (`Cow::Owned`);
+/// Reads a [`SideCondRecord`]. Names come back owned (`Cow::Owned`);
 /// equality with the original records is still by content.
-pub fn decode_side_cond_record(j: &Json) -> DecodeResult<SideCondRecord> {
-    let hyps = obj_arr(j, "hyps", "side-condition record")?
-        .iter()
-        .map(decode_hyp)
-        .collect::<DecodeResult<Vec<Hyp>>>()?;
-    Ok(SideCondRecord {
-        cond: decode_side_cond(obj_get(j, "cond", "side-condition record")?)?,
-        solver: obj_str(j, "solver", "side-condition record")?.into(),
-        hyps: hyps.into_iter().map(crate::goal::HypEntry::shared).collect(),
-    })
+pub fn read_side_cond_record(r: &mut Reader<'_>) -> DecodeResult<SideCondRecord> {
+    r.begin_obj()?;
+    r.key("cond")?;
+    let cond = read_side_cond(r)?;
+    r.key("solver")?;
+    let solver = r.string()?.into();
+    r.key("hyps")?;
+    let hyps = r.list(|r| read_hyp(r).map(crate::goal::HypEntry::shared))?;
+    r.end_obj()?;
+    Ok(SideCondRecord { cond, solver, hyps: hyps.into() })
 }
 
 /// Encodes a [`DerivationNode`] spine-flat: the node, its last child,
@@ -512,42 +461,64 @@ pub fn encode_derivation_node(n: &DerivationNode) -> Json {
     }
 }
 
-/// Decodes a [`DerivationNode`] from its spine-flat encoding
+/// Reads a [`DerivationNode`] from its spine-flat encoding
 /// ([`encode_derivation_node`]). The spine must be non-empty and its
 /// final record must carry no leading children, so every tree has
 /// exactly one encoding.
-pub fn decode_derivation_node(j: &Json) -> DecodeResult<DerivationNode> {
-    let what = "derivation node";
-    let records = j.as_arr().ok_or_else(|| format!("{what} is not a spine array"))?;
-    // Built from the end of the spine, so each node is finished before
-    // it becomes its parent's last child.
-    let mut node = None;
-    for r in records.iter().rev() {
-        let leading = obj_arr(r, "leading", what)?;
-        if node.is_none() && !leading.is_empty() {
-            return Err(format!("{what} spine ends in a record with leading children"));
+pub fn read_derivation_node(r: &mut Reader<'_>) -> DecodeResult<DerivationNode> {
+    // Each record's leading children recurse through this function, so
+    // it holds nothing node-sized itself: `push_record_head` reads a
+    // record's other fields and `assemble_spine` builds the nodes, and
+    // neither is on the stack while a child is read.
+    let mut spine = Vec::new();
+    r.begin_arr()?;
+    while r.more()? {
+        r.begin_obj()?;
+        push_record_head(r, &mut spine)?;
+        r.key("leading")?;
+        let leading = r.list(read_derivation_node)?;
+        if let Some(node) = spine.last_mut() {
+            node.children = leading;
         }
-        let mut children = Vec::with_capacity(leading.len() + usize::from(node.is_some()));
-        for child in leading {
-            children.push(decode_derivation_node(child)?);
-        }
-        children.extend(node.take());
-        let invariant = match obj_get(r, "invariant", what)? {
-            Json::Null => None,
-            other => Some(decode_loop_invariant(other)?),
-        };
-        node = Some(DerivationNode {
-            lemma: obj_str(r, "lemma", what)?.into(),
-            focus: obj_str(r, "focus", what)?,
-            side_conds: obj_arr(r, "side_conds", what)?
-                .iter()
-                .map(decode_side_cond_record)
-                .collect::<DecodeResult<Vec<SideCondRecord>>>()?,
-            invariant,
-            children,
-        });
+        r.end_obj()?;
     }
-    node.ok_or_else(|| format!("{what} has an empty spine"))
+    r.end_arr()?;
+    assemble_spine(spine)
+}
+
+/// Reads a spine record's fields before `leading` onto `spine`, as a
+/// node with no children yet.
+#[inline(never)]
+fn push_record_head(r: &mut Reader<'_>, spine: &mut Vec<DerivationNode>) -> DecodeResult<()> {
+    r.key("lemma")?;
+    let lemma = r.string()?;
+    r.key("focus")?;
+    let mut node = DerivationNode::leaf(lemma, r.string()?);
+    r.key("side_conds")?;
+    node.side_conds = r.list(read_side_cond_record)?;
+    r.key("invariant")?;
+    if !r.null()? {
+        node.invariant = Some(read_loop_invariant(r)?);
+    }
+    spine.push(node);
+    Ok(())
+}
+
+/// Assembles a spine's records from its end, so each node is finished
+/// before it becomes its parent's last child.
+#[inline(never)]
+fn assemble_spine(mut spine: Vec<DerivationNode>) -> DecodeResult<DerivationNode> {
+    let what = "derivation node";
+    let mut node = spine.pop().ok_or_else(|| format!("{what} has an empty spine"))?;
+    if !node.children.is_empty() {
+        return Err(format!("{what} spine ends in a record with leading children"));
+    }
+    while let Some(mut parent) = spine.pop() {
+        parent.children.reserve_exact(1);
+        parent.children.push(node);
+        node = parent;
+    }
+    Ok(node)
 }
 
 /// Encodes a [`Derivation`], *including* its stored integrity counters.
@@ -559,15 +530,19 @@ pub fn encode_derivation(d: &Derivation) -> Json {
     ])
 }
 
-/// Decodes a [`Derivation`]. The integrity counters are taken from the
+/// Reads a [`Derivation`]. The integrity counters are taken from the
 /// artifact verbatim — NOT recomputed — so that the checker's recount
 /// still guards against witness corruption after a round-trip.
-pub fn decode_derivation(j: &Json) -> DecodeResult<Derivation> {
-    Ok(Derivation {
-        root: decode_derivation_node(obj_get(j, "root", "derivation")?)?,
-        side_cond_count: obj_usize(j, "side_cond_count", "derivation")?,
-        node_count: obj_usize(j, "node_count", "derivation")?,
-    })
+pub fn read_derivation(r: &mut Reader<'_>) -> DecodeResult<Derivation> {
+    r.begin_obj()?;
+    r.key("root")?;
+    let root = read_derivation_node(r)?;
+    r.key("side_cond_count")?;
+    let side_cond_count = read_usize(r)?;
+    r.key("node_count")?;
+    let node_count = read_usize(r)?;
+    r.end_obj()?;
+    Ok(Derivation { root, side_cond_count, node_count })
 }
 
 // ---------------------------------------------------------------------------
@@ -591,18 +566,25 @@ pub fn encode_compile_stats(s: &CompileStats) -> Json {
     ])
 }
 
-/// Decodes [`CompileStats`].
-pub fn decode_compile_stats(j: &Json) -> DecodeResult<CompileStats> {
-    Ok(CompileStats {
-        lemma_applications: obj_usize(j, "lemma_applications", "compile stats")?,
-        side_conditions: obj_usize(j, "side_conditions", "compile stats")?,
-        solver_cache_hits: obj_usize(j, "solver_cache_hits", "compile stats")?,
-        solver_cache_misses: obj_usize(j, "solver_cache_misses", "compile stats")?,
-        solver_confirm_compares: obj_usize(j, "solver_confirm_compares", "compile stats")?,
-        opt_passes_applied: obj_usize(j, "opt_passes_applied", "compile stats")?,
-        opt_passes_rolled_back: obj_usize(j, "opt_passes_rolled_back", "compile stats")?,
-        opt_sites_rewritten: obj_usize(j, "opt_sites_rewritten", "compile stats")?,
-    })
+/// Reads [`CompileStats`].
+pub fn read_compile_stats(r: &mut Reader<'_>) -> DecodeResult<CompileStats> {
+    r.begin_obj()?;
+    let mut field = |key: &str| {
+        r.key(key)?;
+        read_usize(r)
+    };
+    let stats = CompileStats {
+        lemma_applications: field("lemma_applications")?,
+        side_conditions: field("side_conditions")?,
+        solver_cache_hits: field("solver_cache_hits")?,
+        solver_cache_misses: field("solver_cache_misses")?,
+        solver_confirm_compares: field("solver_confirm_compares")?,
+        opt_passes_applied: field("opt_passes_applied")?,
+        opt_passes_rolled_back: field("opt_passes_rolled_back")?,
+        opt_sites_rewritten: field("opt_sites_rewritten")?,
+    };
+    r.end_obj()?;
+    Ok(stats)
 }
 
 /// Encodes a full [`CompiledFunction`] artifact.
@@ -627,26 +609,35 @@ pub fn encode_compiled_function(cf: &CompiledFunction) -> Json {
     ])
 }
 
-/// Decodes a full [`CompiledFunction`] artifact.
+/// Reads a full [`CompiledFunction`] artifact, its fields in the order
+/// [`encode_compiled_function`] writes them.
 ///
 /// Decoding alone confers no trust: the store's verified-load path hands
 /// the result to the independent checker before serving it.
+pub fn read_compiled_function(r: &mut Reader<'_>) -> DecodeResult<CompiledFunction> {
+    r.begin_obj()?;
+    r.key("function")?;
+    let function = read_bfunction(r)?;
+    r.key("linked")?;
+    let linked = r.list(read_bfunction)?;
+    r.key("derivation")?;
+    let derivation = read_derivation(r)?;
+    r.key("model")?;
+    let model = read_model(r)?;
+    r.key("spec")?;
+    let spec = read_fn_spec(r)?;
+    r.key("optimized")?;
+    let optimized = if r.null()? { None } else { Some(read_bfunction(r)?) };
+    r.key("stats")?;
+    let stats = read_compile_stats(r)?;
+    r.end_obj()?;
+    Ok(CompiledFunction { function, linked, derivation, model, spec, optimized, stats })
+}
+
+/// Decodes a [`CompiledFunction`] from an encoded tree: its compact
+/// rendering, read by [`read_compiled_function`].
 pub fn decode_compiled_function(j: &Json) -> DecodeResult<CompiledFunction> {
-    Ok(CompiledFunction {
-        function: decode_bfunction(obj_get(j, "function", "compiled function")?)?,
-        derivation: decode_derivation(obj_get(j, "derivation", "compiled function")?)?,
-        model: decode_model(obj_get(j, "model", "compiled function")?)?,
-        spec: decode_fn_spec(obj_get(j, "spec", "compiled function")?)?,
-        linked: obj_arr(j, "linked", "compiled function")?
-            .iter()
-            .map(decode_bfunction)
-            .collect::<DecodeResult<Vec<_>>>()?,
-        optimized: match obj_get(j, "optimized", "compiled function")? {
-            Json::Null => None,
-            j => Some(decode_bfunction(j)?),
-        },
-        stats: decode_compile_stats(obj_get(j, "stats", "compiled function")?)?,
-    })
+    read_text(&j.render_compact(), read_compiled_function)
 }
 
 #[cfg(test)]
@@ -678,9 +669,9 @@ mod tests {
     fn fn_specs_round_trip() {
         let spec = sample_spec();
         let j = encode_fn_spec(&spec);
-        assert_eq!(decode_fn_spec(&j).unwrap(), spec);
-        let reparsed = rupicola_lang::json::parse(&j.render()).unwrap();
-        assert_eq!(decode_fn_spec(&reparsed).unwrap(), spec);
+        for text in [j.render(), j.render_compact()] {
+            assert_eq!(read_text(&text, read_fn_spec).unwrap(), spec);
+        }
     }
 
     #[test]
@@ -708,9 +699,9 @@ mod tests {
                 .with_child(DerivationNode::leaf("done", "s")),
         );
         let j = encode_derivation(&d);
-        assert_eq!(decode_derivation(&j).unwrap(), d);
-        let reparsed = rupicola_lang::json::parse(&j.render()).unwrap();
-        assert_eq!(decode_derivation(&reparsed).unwrap(), d);
+        for text in [j.render(), j.render_compact()] {
+            assert_eq!(read_text(&text, read_derivation).unwrap(), d);
+        }
     }
 
     /// JSON nesting depth of `j` (a scalar is 0).
@@ -735,8 +726,7 @@ mod tests {
         let d = Derivation::new(node);
         let j = encode_derivation(&d);
         assert!(depth(&j) < 10, "spine nests {} deep", depth(&j));
-        let reparsed = rupicola_lang::json::parse(&j.render_compact()).unwrap();
-        assert_eq!(decode_derivation(&reparsed).unwrap(), d);
+        assert_eq!(read_text(&j.render_compact(), read_derivation).unwrap(), d);
     }
 
     #[test]
@@ -747,15 +737,14 @@ mod tests {
             )
         };
         let done = format!("[{}]", leaf("done", "[]"));
-        assert!(decode_derivation_node(&rupicola_lang::json::parse(&done).unwrap()).is_ok());
+        assert!(read_text(&done, read_derivation_node).is_ok());
         for bad in [
             "[]".to_string(),
             leaf("done", "[]"),
             // The final record's children belong on the spine.
             format!("[{}]", leaf("compile_let", &format!("[{done}]"))),
         ] {
-            let j = rupicola_lang::json::parse(&bad).unwrap();
-            assert!(decode_derivation_node(&j).is_err(), "accepted {bad}");
+            assert!(read_text(&bad, read_derivation_node).is_err(), "accepted {bad}");
         }
     }
 
@@ -765,7 +754,7 @@ mod tests {
         // checker can catch it: the codec must not silently repair witnesses.
         let mut d = Derivation::new(DerivationNode::leaf("done", "x"));
         d.node_count = 99;
-        let back = decode_derivation(&encode_derivation(&d)).unwrap();
+        let back = read_text(&encode_derivation(&d).render_compact(), read_derivation).unwrap();
         assert_eq!(back.node_count, 99);
     }
 
@@ -792,8 +781,8 @@ mod tests {
         ];
         for kind in kinds {
             let inv = LoopInvariant { index_local: "i".into(), bindings: vec![], kind };
-            let j = encode_loop_invariant(&inv);
-            assert_eq!(decode_loop_invariant(&j).unwrap(), inv);
+            let text = encode_loop_invariant(&inv).render_compact();
+            assert_eq!(read_text(&text, read_loop_invariant).unwrap(), inv);
         }
     }
 
@@ -804,9 +793,8 @@ mod tests {
             r#"["inplace"]"#,
             r#"{"name":"f"}"#,
         ] {
-            let j = rupicola_lang::json::parse(bad).unwrap();
             assert!(
-                decode_arg_spec(&j).is_err() && decode_fn_spec(&j).is_err(),
+                read_text(bad, read_arg_spec).is_err() && read_text(bad, read_fn_spec).is_err(),
                 "accepted {bad}"
             );
         }

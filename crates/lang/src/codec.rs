@@ -4,7 +4,8 @@
 //! `CompiledFunction` — including its source [`Model`] and derivation
 //! witness — to disk and reads it back on a cache hit. This module is the
 //! source-language half of that codec: [`Value`], [`Expr`], [`TableDef`],
-//! and [`Model`] to and from the [`Json`] tree.
+//! and [`Model`], encoded as a [`Json`] tree and read back from the
+//! stored text with a [`Reader`] (`read_*`), without building a tree.
 //!
 //! Encoding conventions, shared with the other `*_serial` modules up the
 //! crate stack:
@@ -25,14 +26,17 @@
 //! - byte payloads encode as lowercase hex strings ([`hex_encode`]).
 //!
 //! Decoding is total and never panics: every shape mismatch is a
-//! `Result::Err` with a path-free but self-locating message (the offending
-//! tag is quoted). The store treats any decode error as artifact
-//! corruption and falls back to recompilation, so errors here only cost
-//! time, never soundness.
+//! `Result::Err` with a self-locating message (a byte offset, or the
+//! offending tag quoted). Each type has one accepted structure: object
+//! fields in the order the encoder writes them, tagged arrays with
+//! exactly their fields, chains in their one canonical form; whitespace
+//! between tokens is the only freedom. The store treats any decode error
+//! as artifact corruption and falls back to recompilation, so errors here
+//! only cost time, never soundness.
 
 use crate::ast::{Expr, ExprRef, Ident, MonadKind, PrimOp, TableDef};
 use crate::value::{ElemKind, Value};
-use crate::json::Json;
+use crate::json::{Json, Reader};
 use crate::Model;
 
 /// Decode failures are plain messages; the store maps any of them to
@@ -81,12 +85,12 @@ pub fn encode_elem_kind(e: ElemKind) -> Json {
     Json::str(e.to_string())
 }
 
-/// Decodes an [`ElemKind`] from its display name.
-pub fn decode_elem_kind(j: &Json) -> DecodeResult<ElemKind> {
-    match j.as_str() {
-        Some("byte") => Ok(ElemKind::Byte),
-        Some("word") => Ok(ElemKind::Word),
-        _ => Err(format!("expected elem kind, got {}", j.render_compact())),
+/// Reads an [`ElemKind`] from its display name.
+pub fn read_elem_kind(r: &mut Reader<'_>) -> DecodeResult<ElemKind> {
+    match &*r.str()? {
+        "byte" => Ok(ElemKind::Byte),
+        "word" => Ok(ElemKind::Word),
+        other => Err(format!("expected elem kind, got `{other}`")),
     }
 }
 
@@ -95,15 +99,20 @@ pub fn encode_monad_kind(m: MonadKind) -> Json {
     Json::str(m.to_string())
 }
 
-/// Decodes a [`MonadKind`] from its display name.
-pub fn decode_monad_kind(j: &Json) -> DecodeResult<MonadKind> {
-    match j.as_str() {
-        Some("nondet") => Ok(MonadKind::Nondet),
-        Some("writer") => Ok(MonadKind::Writer),
-        Some("io") => Ok(MonadKind::Io),
-        Some("free") => Ok(MonadKind::Free),
-        _ => Err(format!("expected monad kind, got {}", j.render_compact())),
+/// Looks a [`MonadKind`] up by its display name.
+pub fn monad_kind_from_name(name: &str) -> Option<MonadKind> {
+    match name {
+        "nondet" => Some(MonadKind::Nondet),
+        "writer" => Some(MonadKind::Writer),
+        "io" => Some(MonadKind::Io),
+        "free" => Some(MonadKind::Free),
+        _ => None,
     }
+}
+
+fn read_monad_kind(r: &mut Reader<'_>) -> DecodeResult<MonadKind> {
+    let name = r.str()?;
+    monad_kind_from_name(&name).ok_or_else(|| format!("expected monad kind, got `{name}`"))
 }
 
 /// Every [`PrimOp`], in declaration order. The codec keys primitives by
@@ -180,111 +189,55 @@ pub fn encode_value(v: &Value) -> Json {
     }
 }
 
-/// Splits a tagged array into its tag and payload slice.
-#[inline]
-pub fn tagged<'a>(j: &'a Json, what: &str) -> DecodeResult<(String, &'a [Json])> {
-    let items = j
-        .as_arr()
-        .ok_or_else(|| format!("expected {what} (tagged array), got {}", j.render_compact()))?;
-    let (tag, rest) = items
-        .split_first()
-        .ok_or_else(|| format!("empty tagged array for {what}"))?;
-    let tag = tag
-        .as_str()
-        .ok_or_else(|| format!("{what} tag is not a string"))?;
-    Ok((tag.to_string(), rest))
+/// Reads one whole JSON text with `read`: nothing but whitespace may
+/// follow the value.
+///
+/// # Errors
+///
+/// Whatever `read` returns, and trailing characters.
+pub fn read_text<T>(
+    text: &str,
+    read: impl FnOnce(&mut Reader<'_>) -> DecodeResult<T>,
+) -> DecodeResult<T> {
+    let mut r = Reader::new(text);
+    let value = read(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
-/// Fixed-arity payload access with a uniform error message.
-#[inline]
-pub fn field<'a>(rest: &'a [Json], i: usize, tag: &str) -> DecodeResult<&'a Json> {
-    rest.get(i)
-        .ok_or_else(|| format!("`{tag}` is missing field {i}"))
+/// Reads a [`Value`] from its tagged-array form.
+pub fn read_value(r: &mut Reader<'_>) -> DecodeResult<Value> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let fields = value_fields(&tag).ok_or_else(|| format!("unknown value tag `{tag}`"))?;
+    let v = fields(r)?;
+    r.end_arr()?;
+    Ok(v)
 }
 
-/// Payload field `i` as an owned string.
-#[inline]
-pub fn str_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<String> {
-    field(rest, i, tag)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{tag}` field {i} is not a string"))
-}
+/// A reader of one tag's fields.
+pub type Fields<T> = fn(&mut Reader<'_>) -> DecodeResult<T>;
 
-fn u64_field(rest: &[Json], i: usize, tag: &str) -> DecodeResult<u64> {
-    field(rest, i, tag)?
-        .as_u64()
-        .ok_or_else(|| format!("`{tag}` field {i} is not an integer"))
-}
-
-/// Checks that a tagged payload has exactly `n` fields.
-#[inline]
-pub fn arity(rest: &[Json], n: usize, tag: &str) -> DecodeResult<()> {
-    if rest.len() == n {
-        Ok(())
-    } else {
-        Err(format!("`{tag}` expects {n} fields, got {}", rest.len()))
-    }
-}
-
-/// Decodes a [`Value`] from its tagged-array form.
-pub fn decode_value(j: &Json) -> DecodeResult<Value> {
-    let (tag, rest) = tagged(j, "value")?;
-    match tag.as_str() {
-        "unit" => {
-            arity(rest, 0, &tag)?;
-            Ok(Value::Unit)
-        }
-        "bool" => {
-            arity(rest, 1, &tag)?;
-            field(rest, 0, &tag)?
-                .as_bool()
-                .map(Value::Bool)
-                .ok_or_else(|| "`bool` payload is not a boolean".to_string())
-        }
-        "byte" => {
-            arity(rest, 1, &tag)?;
-            let n = u64_field(rest, 0, &tag)?;
-            u8::try_from(n)
-                .map(Value::Byte)
-                .map_err(|_| format!("byte value {n} out of range"))
-        }
-        "word" => {
-            arity(rest, 1, &tag)?;
-            Ok(Value::Word(u64_field(rest, 0, &tag)?))
-        }
-        "nat" => {
-            arity(rest, 1, &tag)?;
-            Ok(Value::Nat(u64_field(rest, 0, &tag)?))
-        }
-        "bytes" => {
-            arity(rest, 1, &tag)?;
-            Ok(Value::ByteList(hex_decode(&str_field(rest, 0, &tag)?)?))
-        }
-        "words" => {
-            arity(rest, 1, &tag)?;
-            let items = field(rest, 0, &tag)?
-                .as_arr()
-                .ok_or_else(|| "`words` payload is not an array".to_string())?;
-            let words = items
-                .iter()
-                .map(|w| w.as_u64().ok_or_else(|| "non-integer word".to_string()))
-                .collect::<DecodeResult<Vec<u64>>>()?;
-            Ok(Value::WordList(words))
-        }
-        "pair" => {
-            arity(rest, 2, &tag)?;
-            Ok(Value::pair(
-                decode_value(field(rest, 0, &tag)?)?,
-                decode_value(field(rest, 1, &tag)?)?,
-            ))
-        }
-        "cell" => {
-            arity(rest, 1, &tag)?;
-            Ok(Value::Cell(u64_field(rest, 0, &tag)?))
-        }
-        other => Err(format!("unknown value tag `{other}`")),
-    }
+/// The reader of a value tag's fields (a table, like [`expr_fields`]).
+fn value_fields(tag: &str) -> Option<Fields<Value>> {
+    Some(match tag {
+        "unit" => |_| Ok(Value::Unit),
+        "bool" => |r| Ok(Value::Bool(r.bool()?)),
+        "byte" => |r| {
+            let n = r.u64()?;
+            Ok(Value::Byte(u8::try_from(n).map_err(|_| format!("byte value {n} out of range"))?))
+        },
+        "word" => |r| Ok(Value::Word(r.u64()?)),
+        "nat" => |r| Ok(Value::Nat(r.u64()?)),
+        "bytes" => |r| Ok(Value::ByteList(hex_decode(&r.str()?)?)),
+        "words" => |r| Ok(Value::WordList(r.list(Reader::u64)?)),
+        "pair" => |r| {
+            let a = read_value(r)?;
+            Ok(Value::pair(a, read_value(r)?))
+        },
+        "cell" => |r| Ok(Value::Cell(r.u64()?)),
+        _ => return None,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -425,215 +378,157 @@ pub fn encode_expr(e: &Expr) -> Json {
     }
 }
 
-fn dec_ref(rest: &[Json], i: usize, tag: &str) -> DecodeResult<ExprRef> {
-    Ok(decode_expr(field(rest, i, tag)?)?.boxed())
+fn read_ref(r: &mut Reader<'_>) -> DecodeResult<ExprRef> {
+    Ok(read_expr(r)?.boxed())
 }
 
-fn dec_args(rest: &[Json], i: usize, tag: &str) -> DecodeResult<Vec<Expr>> {
-    field(rest, i, tag)?
-        .as_arr()
-        .ok_or_else(|| format!("`{tag}` argument list is not an array"))?
-        .iter()
-        .map(decode_expr)
-        .collect()
+fn read_args(r: &mut Reader<'_>) -> DecodeResult<Vec<Expr>> {
+    r.list(read_expr)
 }
 
-/// Decodes an [`Expr`] from its tagged-array form.
-pub fn decode_expr(j: &Json) -> DecodeResult<Expr> {
-    let (tag, rest) = tagged(j, "expr")?;
-    let t = tag.as_str();
-    match t {
-        "var" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::Var(str_field(rest, 0, t)?))
-        }
-        "lit" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::Lit(decode_value(field(rest, 0, t)?)?))
-        }
-        "prim" => {
-            arity(rest, 2, t)?;
-            let name = str_field(rest, 0, t)?;
+/// Reads an [`Expr`] from its tagged-array form.
+pub fn read_expr(r: &mut Reader<'_>) -> DecodeResult<Expr> {
+    r.begin_arr()?;
+    let tag = r.str()?;
+    let fields = expr_fields(&tag).ok_or_else(|| format!("unknown expr tag `{tag}`"))?;
+    let e = fields(r)?;
+    r.end_arr()?;
+    Ok(e)
+}
+
+/// The reader of an expr tag's fields. One function per tag, looked up
+/// before it runs instead of one `match` that runs them all: a level of a
+/// deep term then costs the stack only the small frame of the tag it
+/// reads, so a term nested to the reader's depth limit fits a default
+/// thread stack even in a debug build.
+fn expr_fields(tag: &str) -> Option<Fields<Expr>> {
+    Some(match tag {
+        "var" => |r| Ok(Expr::Var(r.string()?)),
+        "lit" => |r| Ok(Expr::Lit(read_value(r)?)),
+        "prim" => |r| {
+            let name = r.str()?;
             let op = prim_op_from_name(&name)
                 .ok_or_else(|| format!("unknown primitive `{name}`"))?;
-            Ok(Expr::Prim { op, args: dec_args(rest, 1, t)? })
-        }
-        "extern" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::Extern { tag: str_field(rest, 0, t)?, args: dec_args(rest, 1, t)? })
-        }
-        "freeop" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::FreeOp { tag: str_field(rest, 0, t)?, args: dec_args(rest, 1, t)? })
-        }
-        "let" => {
-            let Some((body, bindings)) = rest.split_last() else {
-                return Err("`let` has no body".to_string());
-            };
-            if bindings.is_empty() || bindings.len() % 2 != 0 {
-                return Err(format!("`let` has {} binding fields, expected name/value pairs", bindings.len()));
-            }
-            let mut body = decode_expr(body)?;
-            if matches!(body, Expr::Let { .. }) {
-                return Err("`let` spine continues in a nested `let`".to_string());
-            }
-            for pair in bindings.chunks(2).rev() {
-                body = Expr::Let {
-                    name: str_field(pair, 0, t)?,
-                    value: dec_ref(pair, 1, t)?,
-                    body: body.boxed(),
-                };
-            }
-            Ok(body)
-        }
-        "copy" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::Copy(dec_ref(rest, 0, t)?))
-        }
-        "stack" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::Stack(dec_ref(rest, 0, t)?))
-        }
-        "if" => {
-            arity(rest, 3, t)?;
-            Ok(Expr::If {
-                cond: dec_ref(rest, 0, t)?,
-                then_: dec_ref(rest, 1, t)?,
-                else_: dec_ref(rest, 2, t)?,
-            })
-        }
-        "mkpair" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::Pair(dec_ref(rest, 0, t)?, dec_ref(rest, 1, t)?))
-        }
-        "fst" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::Fst(dec_ref(rest, 0, t)?))
-        }
-        "snd" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::Snd(dec_ref(rest, 0, t)?))
-        }
-        "cellget" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::CellGet(dec_ref(rest, 0, t)?))
-        }
-        "cellput" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::CellPut { cell: dec_ref(rest, 0, t)?, val: dec_ref(rest, 1, t)? })
-        }
-        "arraylen" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::ArrayLen {
-                elem: decode_elem_kind(field(rest, 0, t)?)?,
-                arr: dec_ref(rest, 1, t)?,
-            })
-        }
-        "arrayget" => {
-            arity(rest, 3, t)?;
-            Ok(Expr::ArrayGet {
-                elem: decode_elem_kind(field(rest, 0, t)?)?,
-                arr: dec_ref(rest, 1, t)?,
-                idx: dec_ref(rest, 2, t)?,
-            })
-        }
-        "arrayput" => {
-            arity(rest, 4, t)?;
+            Ok(Expr::Prim { op, args: read_args(r)? })
+        },
+        "extern" => |r| Ok(Expr::Extern { tag: r.string()?, args: read_args(r)? }),
+        "freeop" => |r| Ok(Expr::FreeOp { tag: r.string()?, args: read_args(r)? }),
+        "let" => read_let_spine,
+        "copy" => |r| Ok(Expr::Copy(read_ref(r)?)),
+        "stack" => |r| Ok(Expr::Stack(read_ref(r)?)),
+        "if" => |r| Ok(Expr::If { cond: read_ref(r)?, then_: read_ref(r)?, else_: read_ref(r)? }),
+        "mkpair" => |r| {
+            let a = read_ref(r)?;
+            Ok(Expr::Pair(a, read_ref(r)?))
+        },
+        "fst" => |r| Ok(Expr::Fst(read_ref(r)?)),
+        "snd" => |r| Ok(Expr::Snd(read_ref(r)?)),
+        "cellget" => |r| Ok(Expr::CellGet(read_ref(r)?)),
+        "cellput" => |r| Ok(Expr::CellPut { cell: read_ref(r)?, val: read_ref(r)? }),
+        "arraylen" => |r| Ok(Expr::ArrayLen { elem: read_elem_kind(r)?, arr: read_ref(r)? }),
+        "arrayget" => |r| {
+            Ok(Expr::ArrayGet { elem: read_elem_kind(r)?, arr: read_ref(r)?, idx: read_ref(r)? })
+        },
+        "arrayput" => |r| {
             Ok(Expr::ArrayPut {
-                elem: decode_elem_kind(field(rest, 0, t)?)?,
-                arr: dec_ref(rest, 1, t)?,
-                idx: dec_ref(rest, 2, t)?,
-                val: dec_ref(rest, 3, t)?,
+                elem: read_elem_kind(r)?,
+                arr: read_ref(r)?,
+                idx: read_ref(r)?,
+                val: read_ref(r)?,
             })
-        }
-        "tableget" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::TableGet { table: str_field(rest, 0, t)?, idx: dec_ref(rest, 1, t)? })
-        }
-        "arraymap" => {
-            arity(rest, 4, t)?;
+        },
+        "tableget" => |r| Ok(Expr::TableGet { table: r.string()?, idx: read_ref(r)? }),
+        "arraymap" => |r| {
             Ok(Expr::ArrayMap {
-                elem: decode_elem_kind(field(rest, 0, t)?)?,
-                x: str_field(rest, 1, t)?,
-                f: dec_ref(rest, 2, t)?,
-                arr: dec_ref(rest, 3, t)?,
+                elem: read_elem_kind(r)?,
+                x: r.string()?,
+                f: read_ref(r)?,
+                arr: read_ref(r)?,
             })
-        }
-        "arrayfold" => {
-            arity(rest, 6, t)?;
+        },
+        "arrayfold" => |r| {
             Ok(Expr::ArrayFold {
-                elem: decode_elem_kind(field(rest, 0, t)?)?,
-                acc: str_field(rest, 1, t)?,
-                x: str_field(rest, 2, t)?,
-                f: dec_ref(rest, 3, t)?,
-                init: dec_ref(rest, 4, t)?,
-                arr: dec_ref(rest, 5, t)?,
+                elem: read_elem_kind(r)?,
+                acc: r.string()?,
+                x: r.string()?,
+                f: read_ref(r)?,
+                init: read_ref(r)?,
+                arr: read_ref(r)?,
             })
-        }
-        "rangefold" | "rangefoldbreak" => {
-            arity(rest, 6, t)?;
-            let i = str_field(rest, 0, t)?;
-            let acc = str_field(rest, 1, t)?;
-            let f = dec_ref(rest, 2, t)?;
-            let init = dec_ref(rest, 3, t)?;
-            let from = dec_ref(rest, 4, t)?;
-            let to = dec_ref(rest, 5, t)?;
-            Ok(if t == "rangefold" {
-                Expr::RangeFold { i, acc, f, init, from, to }
-            } else {
-                Expr::RangeFoldBreak { i, acc, f, init, from, to }
+        },
+        "rangefold" => |r| {
+            Ok(Expr::RangeFold {
+                i: r.string()?,
+                acc: r.string()?,
+                f: read_ref(r)?,
+                init: read_ref(r)?,
+                from: read_ref(r)?,
+                to: read_ref(r)?,
             })
-        }
-        "rangefoldm" => {
-            arity(rest, 7, t)?;
+        },
+        "rangefoldbreak" => |r| {
+            Ok(Expr::RangeFoldBreak {
+                i: r.string()?,
+                acc: r.string()?,
+                f: read_ref(r)?,
+                init: read_ref(r)?,
+                from: read_ref(r)?,
+                to: read_ref(r)?,
+            })
+        },
+        "rangefoldm" => |r| {
             Ok(Expr::RangeFoldM {
-                monad: decode_monad_kind(field(rest, 0, t)?)?,
-                i: str_field(rest, 1, t)?,
-                acc: str_field(rest, 2, t)?,
-                f: dec_ref(rest, 3, t)?,
-                init: dec_ref(rest, 4, t)?,
-                from: dec_ref(rest, 5, t)?,
-                to: dec_ref(rest, 6, t)?,
+                monad: read_monad_kind(r)?,
+                i: r.string()?,
+                acc: r.string()?,
+                f: read_ref(r)?,
+                init: read_ref(r)?,
+                from: read_ref(r)?,
+                to: read_ref(r)?,
             })
-        }
-        "ret" => {
-            arity(rest, 2, t)?;
-            Ok(Expr::Ret {
-                monad: decode_monad_kind(field(rest, 0, t)?)?,
-                value: dec_ref(rest, 1, t)?,
-            })
-        }
-        "bind" => {
-            arity(rest, 4, t)?;
+        },
+        "ret" => |r| Ok(Expr::Ret { monad: read_monad_kind(r)?, value: read_ref(r)? }),
+        "bind" => |r| {
             Ok(Expr::Bind {
-                monad: decode_monad_kind(field(rest, 0, t)?)?,
-                name: str_field(rest, 1, t)?,
-                ma: dec_ref(rest, 2, t)?,
-                body: dec_ref(rest, 3, t)?,
+                monad: read_monad_kind(r)?,
+                name: r.string()?,
+                ma: read_ref(r)?,
+                body: read_ref(r)?,
             })
-        }
-        "nondetbytes" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::NondetBytes { len: dec_ref(rest, 0, t)? })
-        }
-        "nondetword" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::NondetWord { bound: dec_ref(rest, 0, t)? })
-        }
-        "ioread" => {
-            arity(rest, 0, t)?;
-            Ok(Expr::IoRead)
-        }
-        "iowrite" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::IoWrite(dec_ref(rest, 0, t)?))
-        }
-        "writertell" => {
-            arity(rest, 1, t)?;
-            Ok(Expr::WriterTell(dec_ref(rest, 0, t)?))
-        }
-        other => Err(format!("unknown expr tag `{other}`")),
+        },
+        "nondetbytes" => |r| Ok(Expr::NondetBytes { len: read_ref(r)? }),
+        "nondetword" => |r| Ok(Expr::NondetWord { bound: read_ref(r)? }),
+        "ioread" => |_| Ok(Expr::IoRead),
+        "iowrite" => |r| Ok(Expr::IoWrite(read_ref(r)?)),
+        "writertell" => |r| Ok(Expr::WriterTell(read_ref(r)?)),
+        _ => return None,
+    })
+}
+
+/// The fields of a `let` spine, read forward and assembled from the end:
+/// name/value pairs, then the body, the first array after them.
+fn read_let_spine(r: &mut Reader<'_>) -> DecodeResult<Expr> {
+    let mut bindings = Vec::new();
+    while r.peek()? == b'"' {
+        let name = r.string()?;
+        bindings.push((name, read_ref(r)?));
     }
+    assemble_let(bindings, read_expr(r)?)
+}
+
+/// Nests a spine's bindings around its body, from the last binding out.
+#[inline(never)]
+fn assemble_let(bindings: Vec<(Ident, ExprRef)>, body: Expr) -> DecodeResult<Expr> {
+    if bindings.is_empty() {
+        return Err("`let` has no bindings".to_string());
+    }
+    if matches!(body, Expr::Let { .. }) {
+        return Err("`let` spine continues in a nested `let`".to_string());
+    }
+    Ok(bindings
+        .into_iter()
+        .rev()
+        .fold(body, |body, (name, value)| Expr::Let { name, value, body: body.boxed() }))
 }
 
 // ---------------------------------------------------------------------------
@@ -649,20 +544,17 @@ pub fn encode_table_def(table: &TableDef) -> Json {
     ])
 }
 
-/// Decodes a [`TableDef`].
-pub fn decode_table_def(j: &Json) -> DecodeResult<TableDef> {
-    let get = |k: &str| {
-        j.get(k)
-            .ok_or_else(|| format!("table is missing key `{k}`"))
-    };
-    Ok(TableDef {
-        name: get("name")?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "table `name` is not a string".to_string())?,
-        elem: decode_elem_kind(get("elem")?)?,
-        data: decode_value(get("data")?)?,
-    })
+/// Reads a [`TableDef`].
+pub fn read_table_def(r: &mut Reader<'_>) -> DecodeResult<TableDef> {
+    r.begin_obj()?;
+    r.key("name")?;
+    let name = r.string()?;
+    r.key("elem")?;
+    let elem = read_elem_kind(r)?;
+    r.key("data")?;
+    let data = read_value(r)?;
+    r.end_obj()?;
+    Ok(TableDef { name, elem, data })
 }
 
 /// Encodes a [`Model`].
@@ -681,37 +573,19 @@ pub fn encode_model(m: &Model) -> Json {
     ])
 }
 
-/// Decodes a [`Model`].
-pub fn decode_model(j: &Json) -> DecodeResult<Model> {
-    let get = |k: &str| {
-        j.get(k)
-            .ok_or_else(|| format!("model is missing key `{k}`"))
-    };
-    let params = get("params")?
-        .as_arr()
-        .ok_or_else(|| "model `params` is not an array".to_string())?
-        .iter()
-        .map(|p| {
-            p.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "non-string param".to_string())
-        })
-        .collect::<DecodeResult<Vec<Ident>>>()?;
-    let tables = get("tables")?
-        .as_arr()
-        .ok_or_else(|| "model `tables` is not an array".to_string())?
-        .iter()
-        .map(decode_table_def)
-        .collect::<DecodeResult<Vec<TableDef>>>()?;
-    Ok(Model {
-        name: get("name")?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "model `name` is not a string".to_string())?,
-        params,
-        tables,
-        body: decode_expr(get("body")?)?,
-    })
+/// Reads a [`Model`].
+pub fn read_model(r: &mut Reader<'_>) -> DecodeResult<Model> {
+    r.begin_obj()?;
+    r.key("name")?;
+    let name = r.string()?;
+    r.key("params")?;
+    let params: Vec<Ident> = r.list(Reader::string)?;
+    r.key("tables")?;
+    let tables = r.list(read_table_def)?;
+    r.key("body")?;
+    let body = read_expr(r)?;
+    r.end_obj()?;
+    Ok(Model { name, params, tables, body })
 }
 
 #[cfg(test)]
@@ -753,10 +627,9 @@ mod tests {
         ];
         for v in samples {
             let j = encode_value(&v);
-            assert_eq!(decode_value(&j).unwrap(), v, "{v}");
-            // Through the actual wire: rendered text, reparsed.
-            let reparsed = crate::json::parse(&j.render()).unwrap();
-            assert_eq!(decode_value(&reparsed).unwrap(), v, "{v}");
+            for text in [j.render(), j.render_compact()] {
+                assert_eq!(read_text(&text, read_value).unwrap(), v, "{v}");
+            }
         }
     }
 
@@ -792,9 +665,9 @@ mod tests {
         ];
         for e in samples {
             let j = encode_expr(&e);
-            assert_eq!(decode_expr(&j).unwrap(), e, "{e}");
-            let reparsed = crate::json::parse(&j.render_compact()).unwrap();
-            assert_eq!(decode_expr(&reparsed).unwrap(), e, "{e}");
+            for text in [j.render(), j.render_compact()] {
+                assert_eq!(read_text(&text, read_expr).unwrap(), e, "{e}");
+            }
         }
     }
 
@@ -806,8 +679,7 @@ mod tests {
         }
         let j = encode_expr(&e);
         assert_eq!(j.as_arr().map(<[Json]>::len), Some(4002), "tag, 2,000 pairs, the body");
-        let reparsed = crate::json::parse(&j.render_compact()).unwrap();
-        assert_eq!(decode_expr(&reparsed).unwrap(), e);
+        assert_eq!(read_text(&j.render_compact(), read_expr).unwrap(), e);
     }
 
     #[test]
@@ -820,9 +692,9 @@ mod tests {
         .with_table(TableDef::bytes("tbl", [1, 2, 3]))
         .with_table(TableDef::words("wtbl", [10, 20]));
         let j = encode_model(&model);
-        assert_eq!(decode_model(&j).unwrap(), model);
-        let reparsed = crate::json::parse(&j.render()).unwrap();
-        assert_eq!(decode_model(&reparsed).unwrap(), model);
+        for text in [j.render(), j.render_compact()] {
+            assert_eq!(read_text(&text, read_model).unwrap(), model);
+        }
     }
 
     #[test]
@@ -834,19 +706,28 @@ mod tests {
             // The spine's body belongs on the spine.
             r#"["let","x",["var","y"],["let","z",["var","x"],["var","z"]]]"#,
             r#"["byte",256]"#,
+            r#"["byte",07]"#,
             r#"["frobnicate"]"#,
             r#""just a string""#,
             r#"["arraylen","float",["var","a"]]"#,
+            r#"["var","x",]"#,
+            r#"["var" "x"]"#,
+            r#"["var","x"] ["var","y"]"#,
         ] {
-            let j = crate::json::parse(bad).unwrap();
             assert!(
-                decode_value(&j).is_err() || decode_expr(&j).is_err(),
+                read_text(bad, read_value).is_err() && read_text(bad, read_expr).is_err(),
                 "accepted {bad}"
             );
         }
-        // Shape mismatches must error on both decoders.
-        let j = crate::json::parse(r#"["frobnicate"]"#).unwrap();
-        assert!(decode_expr(&j).is_err());
-        assert!(decode_value(&j).is_err());
+    }
+
+    #[test]
+    fn model_fields_are_read_in_the_written_order() {
+        let model = Model::new("m", ["x"], var("x"));
+        let text = encode_model(&model).render_compact();
+        assert!(read_text(&text, read_model).is_ok());
+        let swapped = text.replacen(r#""name":"m","params":["x"]"#, r#""params":["x"],"name":"m""#, 1);
+        assert_ne!(swapped, text);
+        assert!(read_text(&swapped, read_model).is_err(), "{swapped}");
     }
 }

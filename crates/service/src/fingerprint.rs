@@ -115,9 +115,9 @@ impl Sink for Fnv {
 }
 
 /// Content digest of an encoded artifact subtree, as 16 lowercase hex
-/// digits. Computed over the *canonical compact rendering* on both the
-/// write and the load side, so it is insensitive to whitespace but
-/// catches any corruption that survives JSON parsing — the checker
+/// digits: FNV-1a/64 over its *canonical compact rendering*, which is
+/// what the store writes. A load compares it with [`text_digest`] of the
+/// stored bytes, so it catches any corruption of them — the checker
 /// re-validates semantics, but free-text witness fields (a derivation
 /// node's `focus` rendering, a solver name) are semantically inert, and
 /// a bit flip there must still read as corruption, not be served.
@@ -125,6 +125,15 @@ pub fn content_digest(artifact: &Json) -> String {
     let mut digest = Fnv(FNV_OFFSET);
     artifact.write_compact(&mut digest);
     format!("{:016x}", digest.0)
+}
+
+/// The digest a verified load compares: FNV-1a/64 over an artifact's
+/// stored text, as 16 lowercase hex digits. On the compact rendering the
+/// store writes it equals [`content_digest`] of the encoded artifact; any
+/// other text of the artifact (re-indented, fields reordered) hashes
+/// differently.
+pub fn text_digest(text: &str) -> String {
+    format!("{:016x}", fnv1a(FNV_OFFSET, text.as_bytes()))
 }
 
 /// Writes the canonical text a request hashes to into `sink`: the format
@@ -254,10 +263,8 @@ mod tests {
         assert!(text.starts_with("rupicola-artifact-v6\0"));
         assert_eq!(fingerprint(&inputs).0, fnv1a(FNV_OFFSET, text.as_bytes()));
         let artifact = encode_fn_spec(&spec);
-        assert_eq!(
-            content_digest(&artifact),
-            format!("{:016x}", fnv1a(FNV_OFFSET, artifact.render_compact().as_bytes()))
-        );
+        assert_eq!(content_digest(&artifact), text_digest(&artifact.render_compact()));
+        assert_ne!(content_digest(&artifact), text_digest(&artifact.render()));
     }
 
     #[test]

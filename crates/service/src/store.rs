@@ -11,18 +11,26 @@
 //!
 //! where `artifact` is `rupicola_core::serial::encode_compiled_function`
 //! (its derivation encoded spine-flat) and `digest` is an FNV-1a/64
-//! content digest of the artifact's canonical compact rendering.
+//! content digest of the artifact's canonical compact rendering — the
+//! bytes the file stores.
 //!
 //! # The cache adds no trust
 //!
-//! A warm load is CompCert-style *verified*: after decoding, the store
+//! A warm load is CompCert-style *verified*. It reads the file's text
+//! once, front to back, with the pull reader ([`Reader`]); no `Json`
+//! tree is built. The envelope's fields are read in the order they were
+//! written, and the store
 //!
 //! 1. cross-checks the envelope (format version, key, program name),
-//! 2. recomputes the content digest over the stored artifact subtree —
+//! 2. decodes the artifact and hashes the exact bytes it was decoded
+//!    from ([`text_digest`]), which must equal the stored digest —
 //!    semantic re-validation (step 4) cannot see corruption in the
 //!    witness's *descriptive* fields (a derivation node's focus
 //!    rendering, a solver name), and a flipped bit there must read as
-//!    corruption, never be served as an answer,
+//!    corruption, never be served as an answer. Each artifact has one
+//!    accepted structure: its fields in the writer's order and every
+//!    chain in its one canonical form. Whitespace between tokens reads,
+//!    but it changes the bytes, so a re-indented artifact evicts here,
 //! 3. cross-checks that the decoded model and spec are structurally equal
 //!    to the *requested* ones (a fingerprint collision or a hand-edited
 //!    file thus turns into an eviction, never a wrong answer),
@@ -81,6 +89,7 @@
 //! wrong answer.
 //!
 //! [`lint_on_load`]: Store::with_lint_on_load
+//! [`text_digest`]: crate::fingerprint::text_digest
 //! [`Backend`]: crate::backend::Backend
 //! [`RetryPolicy`]: crate::retry::RetryPolicy
 //! [`ShardedStore::open`]: crate::shard::ShardedStore::open
@@ -95,16 +104,19 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::backend::{Backend, FsBackend};
-use crate::fingerprint::{fingerprint, Fingerprint, FingerprintInputs, FORMAT_VERSION};
+use crate::fingerprint::{
+    fingerprint, text_digest, Fingerprint, FingerprintInputs, FORMAT_VERSION,
+};
 use crate::retry::{with_retry, RetryPolicy};
 use rupicola_analysis::LintCertificate;
 use rupicola_bedrock::rv_compile::RvArtifact;
-use rupicola_bedrock::serial::{decode_rv_artifact, encode_rv_artifact};
+use rupicola_bedrock::serial::{encode_rv_artifact, read_rv_artifact};
 use rupicola_core::check::{Certificate, CertificateParts, CheckConfig};
 use rupicola_core::fnspec::FnSpec;
-use rupicola_core::serial::{decode_compiled_function, encode_compiled_function};
+use rupicola_core::serial::{encode_compiled_function, read_compiled_function};
 use rupicola_core::{CompiledFunction, EngineLimits, HintDbs};
-use rupicola_lang::json::Json;
+use rupicola_lang::codec::DecodeResult;
+use rupicola_lang::json::{Json, ParseError, Reader};
 use rupicola_lang::Model;
 use rupicola_opt::{CtBaseline, PipelineConfig};
 use rupicola_rv::{validate_artifact, RvPipelineConfig};
@@ -210,8 +222,11 @@ pub struct CacheStats {
     pub scavenged: usize,
     /// Keys quarantined after repeated evictions.
     pub quarantined: usize,
-    /// Total nanoseconds spent re-verifying loaded artifacts (decode +
-    /// cross-check + checker + lints), over hits *and* evictions.
+    /// Total nanoseconds spent verifying read artifacts, over hits *and*
+    /// evictions: everything after the read — the envelope's header
+    /// cross-checks, decode, digest, model and spec cross-check, the
+    /// certificate lookup or build, the body phase, optimized-body
+    /// validation, lints and the rv differential.
     pub verify_nanos: u128,
     /// Verified loads (hits and evictions) that validated against their
     /// key's cached certificate instead of building one.
@@ -693,16 +708,19 @@ impl Store {
         if self.degraded {
             return raw(
                 0,
-                RawKind::Unavailable("store degraded (compile-without-cache)".to_string()),
+                RawKind::Unavailable(
+                    Unavailability::Degraded,
+                    "store degraded (compile-without-cache)".to_string(),
+                ),
             );
         }
         if self.quarantine.contains(path) {
             return raw(
                 0,
-                RawKind::Unavailable(format!(
-                    "{} quarantined after repeated evictions",
-                    path.display()
-                )),
+                RawKind::Unavailable(
+                    Unavailability::Quarantined,
+                    format!("{} quarantined after repeated evictions", path.display()),
+                ),
             );
         }
         let read = with_retry(&self.retry, || self.backend.read_to_string(path));
@@ -721,13 +739,16 @@ impl Store {
             Err(e) => {
                 return raw(
                     retries,
-                    RawKind::Unavailable(format!("read failed after {retries} retries: {e}")),
+                    RawKind::Unavailable(
+                        Unavailability::Io,
+                        format!("read failed after {retries} retries: {e}"),
+                    ),
                 );
             }
         };
         let started = Instant::now();
         let mut cert = None;
-        let outcome = unseal(&text, key, model, spec).and_then(|(envelope, cf)| {
+        let outcome = unseal(&text, key, model, spec).and_then(|(cf, rv)| {
             let dbs_identity = dbs.identity_string();
             let (entry, used) = match self.certs.get(&key) {
                 Some(entry) if entry.covers(&cf, &dbs_identity) => {
@@ -739,7 +760,7 @@ impl Store {
                 }
             };
             cert = Some(used);
-            let rv = self.validate(&envelope, &cf, &entry, dbs)?;
+            let rv = self.validate(&cf, rv, &entry, dbs)?;
             Ok(Box::new(Verified { cf, rv }))
         });
         let nanos = started.elapsed().as_nanos();
@@ -781,11 +802,11 @@ impl Store {
                 self.certs.remove(&raw.key);
                 self.evict(&path, reason)
             }
-            RawKind::Unavailable(reason) => {
-                // A degraded/quarantined skip is not a fresh backend
+            RawKind::Unavailable(cause, reason) => {
+                // A degraded or quarantined skip is not a fresh backend
                 // failure; only real post-retry I/O errors count toward
                 // the degrade threshold.
-                if !self.degraded && !reason.contains("quarantined") {
+                if cause == Unavailability::Io {
                     self.note_backend_failure();
                 }
                 self.stats.unavailable += 1;
@@ -802,8 +823,8 @@ impl Store {
     /// store is rv-keyed.
     fn validate(
         &self,
-        envelope: &Json,
         cf: &CompiledFunction,
+        rv: Option<RvBlock>,
         entry: &CertEntry,
         dbs: &HintDbs,
     ) -> Result<Option<RvArtifact>, String> {
@@ -847,21 +868,14 @@ impl Store {
         // Bedrock2 body before being served. Absence, identity mismatch,
         // or divergence evicts — never a wrong answer.
         let Some(rv_pipeline) = &self.rv_pipeline else { return Ok(None) };
-        let block = envelope
-            .get("rv")
-            .ok_or("rv pipeline configured but envelope carries no machine artifact")?;
-        match block.get("pipeline").and_then(Json::as_str) {
-            Some(id) if id == rv_pipeline.identity_string() => {}
-            Some(id) => {
-                return Err(format!(
-                    "machine artifact lowered under `{id}`, requested `{}`",
-                    rv_pipeline.identity_string()
-                ));
-            }
-            None => return Err("rv block missing pipeline identity".to_string()),
+        let RvBlock { pipeline, artifact: art } =
+            rv.ok_or("rv pipeline configured but envelope carries no machine artifact")?;
+        if pipeline != rv_pipeline.identity_string() {
+            return Err(format!(
+                "machine artifact lowered under `{pipeline}`, requested `{}`",
+                rv_pipeline.identity_string()
+            ));
         }
-        let encoded = block.get("artifact").ok_or("rv block missing artifact")?;
-        let art = decode_rv_artifact(encoded).map_err(|e| format!("rv decode: {e}"))?;
         if art.name != cf.function.name {
             return Err(format!(
                 "machine artifact is for `{}`, certificate is `{}`",
@@ -891,45 +905,70 @@ impl Store {
     }
 }
 
-/// The first half of the verification ladder: envelope → digest →
-/// decode → input cross-check. Returns the parsed envelope and the
-/// decoded artifact, which is for this request.
+/// An envelope's `rv` block: a machine artifact and the identity of the
+/// lowering pipeline it was filed under.
+struct RvBlock {
+    pipeline: String,
+    artifact: RvArtifact,
+}
+
+fn read_rv_block(r: &mut Reader<'_>) -> DecodeResult<RvBlock> {
+    r.key("rv")?;
+    r.begin_obj()?;
+    r.key("pipeline")?;
+    let pipeline = r.string()?;
+    r.key("artifact")?;
+    let artifact = read_rv_artifact(r)?;
+    r.end_obj()?;
+    Ok(RvBlock { pipeline, artifact })
+}
+
+/// The first half of the verification ladder, in one forward read of the
+/// envelope text that builds no `Json` tree: header cross-checks, decode,
+/// digest, input cross-check. Returns the decoded artifact, which is for
+/// this request, and the envelope's `rv` block if it carries one.
 fn unseal(
     text: &str,
     key: Fingerprint,
     model: &Model,
     spec: &FnSpec,
-) -> Result<(Json, CompiledFunction), String> {
-    let envelope =
-        rupicola_lang::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    match envelope.get("format").and_then(Json::as_u64) {
-        Some(FORMAT_VERSION) => {}
-        Some(v) => return Err(format!("format version {v}, expected {FORMAT_VERSION}")),
-        None => return Err("missing format version".to_string()),
+) -> Result<(CompiledFunction, Option<RvBlock>), String> {
+    let invalid = |e: ParseError| format!("invalid JSON: {e}");
+    let mut r = Reader::new(text);
+    r.begin_obj().map_err(invalid)?;
+    r.key("format").map_err(invalid)?;
+    match r.u64().map_err(invalid)? {
+        FORMAT_VERSION => {}
+        v => return Err(format!("format version {v}, expected {FORMAT_VERSION}")),
     }
-    if envelope.get("key").and_then(Json::as_str) != Some(key.as_hex().as_str()) {
+    r.key("key").map_err(invalid)?;
+    if r.str().map_err(invalid)? != key.as_hex() {
         return Err("stored key does not match filename key".to_string());
     }
-    match envelope.get("program").and_then(Json::as_str) {
-        Some(p) if p == spec.name => {}
-        Some(p) => {
-            return Err(format!("envelope program `{p}`, requested `{}`", spec.name));
-        }
-        None => return Err("missing program field".to_string()),
+    r.key("program").map_err(invalid)?;
+    let program = r.str().map_err(invalid)?;
+    if program != spec.name {
+        return Err(format!("envelope program `{program}`, requested `{}`", spec.name));
     }
-    let artifact = envelope.get("artifact").ok_or("missing artifact")?;
-    // Byte-level integrity: recompute the content digest over the
-    // canonical rendering of the stored artifact. The checker below
-    // re-proves the *semantics*; this step catches corruption in the
-    // semantically inert parts of the witness (focus renderings,
-    // solver names) that a flipped backend read could otherwise smuggle
-    // into a served answer.
-    match envelope.get("digest").and_then(Json::as_str) {
-        Some(d) if d == crate::fingerprint::content_digest(artifact) => {}
-        Some(_) => return Err("artifact content digest mismatch".to_string()),
-        None => return Err("missing content digest".to_string()),
+    r.key("digest").map_err(invalid)?;
+    let digest = r.str().map_err(invalid)?;
+    r.key("artifact").map_err(invalid)?;
+    let (cf, stored) = r.span(read_compiled_function).map_err(|e| format!("decode: {e}"))?;
+    // Byte-level integrity: the digest of the artifact's stored bytes.
+    // The checker below re-proves the *semantics*; this step catches
+    // corruption in the semantically inert parts of the witness (focus
+    // renderings, solver names) that a flipped backend read could
+    // otherwise smuggle into a served answer. The store writes the
+    // compact rendering, so any other text of the artifact evicts here.
+    if digest != text_digest(stored) {
+        return Err("artifact content digest mismatch".to_string());
     }
-    let cf = decode_compiled_function(artifact).map_err(|e| format!("decode: {e}"))?;
+    let rv = match r.peek().map_err(invalid)? {
+        b'}' => None,
+        _ => Some(read_rv_block(&mut r).map_err(|e| format!("rv decode: {e}"))?),
+    };
+    r.end_obj().map_err(invalid)?;
+    r.finish().map_err(invalid)?;
     // Stale-input cross-check: the artifact must be *for this request*,
     // not merely a well-formed artifact filed under a colliding key.
     if cf.function.name != spec.name {
@@ -944,7 +983,7 @@ fn unseal(
     if cf.spec != *spec {
         return Err("stored spec differs from requested spec".to_string());
     }
-    Ok((envelope, cf))
+    Ok((cf, rv))
 }
 
 /// One key's checked certificate: everything a verified load validates
@@ -1028,7 +1067,19 @@ enum RawKind {
     Miss,
     Hit(Box<Verified>),
     Evict(PathBuf, String),
-    Unavailable(String),
+    Unavailable(Unavailability, String),
+}
+
+/// Why an attempt could not answer. Only [`Unavailability::Io`] counts
+/// toward degraded mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unavailability {
+    /// The stripe is degraded and did not touch the disk.
+    Degraded,
+    /// The key is quarantined and was not read.
+    Quarantined,
+    /// The read failed after its retries.
+    Io,
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! exactly where a `Vec<HypRef>` reference model says.
 
 use rupicola::core::{Hyp, HypContext, HypEntry, HypRef};
-use rupicola::lang::codec::{decode_expr, encode_expr};
+use rupicola::lang::codec::{encode_expr, read_expr, read_text};
 use rupicola::lang::dsl::*;
 use rupicola::lang::{Expr, ExprRef};
 use rupicola::sep::subst;
@@ -112,7 +112,8 @@ fn codec_round_trip_reinterns_to_same_id() {
     check("intern_codec_round_trip", 200, |rng| {
         let e = arb_expr(rng, 4);
         let interned = ExprRef::new(e.clone());
-        let decoded = decode_expr(&encode_expr(&e)).expect("codec round-trip");
+        let decoded =
+            read_text(&encode_expr(&e).render_compact(), read_expr).expect("codec round-trip");
         assert_eq!(decoded, e, "decode must invert encode");
         let reinterned = ExprRef::new(decoded);
         assert_eq!(

@@ -5,18 +5,21 @@
 use rupicola::core::check::{check_with, CheckConfig};
 use rupicola::core::derive::DerivationNode;
 use rupicola::core::serial::{
-    decode_compiled_function, encode_compiled_function, encode_loop_invariant,
-    encode_side_cond_record,
+    encode_compiled_function, encode_loop_invariant, encode_side_cond_record,
+    read_compiled_function,
 };
 use rupicola::core::{CompiledFunction, EngineLimits};
 use rupicola::ext::standard_dbs;
+use rupicola::lang::codec::read_text;
 use rupicola::lang::json;
 use rupicola::programs::parallel::on_deep_stack;
 use rupicola::programs::{perf_suite, suite};
 use rupicola::core::fnspec::FnSpec;
 use rupicola::core::HintDbs;
 use rupicola::lang::Model;
-use rupicola::service::fingerprint::{content_digest, fingerprint, Fingerprint, FingerprintInputs};
+use rupicola::service::fingerprint::{
+    content_digest, fingerprint, text_digest, Fingerprint, FingerprintInputs,
+};
 use rupicola::service::store::{LoadOutcome, LOAD_CHECK_VECTORS};
 use rupicola::service::{
     compile_suite_cached, CompileJob, FsBackend, JobOutcome, Provenance, Server, ShardedStore,
@@ -51,9 +54,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn assert_round_trips(name: &str, cf: &CompiledFunction) {
     let encoded = encode_compiled_function(cf);
     for (leg, text) in [("indented", encoded.render()), ("compact", encoded.render_compact())] {
-        let parsed = json::parse(&text)
-            .unwrap_or_else(|e| panic!("{name}: {leg} JSON unparseable: {e}"));
-        let back = decode_compiled_function(&parsed)
+        let back = read_text(&text, read_compiled_function)
             .unwrap_or_else(|e| panic!("{name}: {leg} decode failed: {e}"));
         assert_eq!(back.function, cf.function, "{name} ({leg})");
         assert_eq!(back.linked, cf.linked, "{name} ({leg})");
@@ -639,4 +640,133 @@ fn batch_protocol_end_to_end() {
     assert!(cache.get("hits").and_then(json::Json::as_u64).unwrap() >= 7);
     assert_eq!(cache.get("evictions").and_then(json::Json::as_u64), Some(0));
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The digest a load compares — FNV-1a over the artifact's stored bytes —
+/// equals the content digest the store files, for every perf-suite
+/// artifact, and the stored envelope carries exactly those bytes.
+#[test]
+fn the_stored_bytes_digest_equals_the_content_digest_for_the_perf_suite() {
+    let root = scratch("text-digest");
+    let store = ShardedStore::open(&root, 1).unwrap();
+    let dbs = standard_dbs();
+    let entries = perf_suite();
+    assert_eq!(entries.len(), 11);
+    for entry in entries {
+        on_deep_stack(|| {
+            let cf = (entry.compiled)()
+                .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.info.name));
+            let encoded = encode_compiled_function(&cf);
+            let compact = encoded.render_compact();
+            assert_eq!(text_digest(&compact), content_digest(&encoded), "{}", entry.info.name);
+            let limits = (entry.limits)(EngineLimits::default());
+            let key = store.key_for(&(entry.model)(), &(entry.spec)(), &dbs, &limits);
+            let text = std::fs::read_to_string(store.put(key, &cf).unwrap()).unwrap();
+            let filed = format!("\"digest\":\"{}\",\"artifact\":{compact}}}", text_digest(&compact));
+            assert!(text.ends_with(&filed), "{}: the envelope files other bytes", entry.info.name);
+        });
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A v6 envelope re-indented by hand decodes as well as the compact one,
+/// but its artifact's bytes are no longer the ones the digest covers: it
+/// evicts naming the digest, and the next request files the compact
+/// envelope again, which the request after that hits.
+#[test]
+fn a_reindented_envelope_evicts_and_the_next_request_files_a_compact_one() {
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let model = rupicola::programs::upstr::model();
+    let spec = rupicola::programs::upstr::spec();
+    let root = scratch("reindented");
+    let server = serial_server(&root);
+    let store = server.store();
+    let key = store.key_for(&model, &spec, &dbs, &limits);
+    let path = store.shard(0).path_for("upstr", key);
+    let request = |want: Provenance| {
+        let response = server.run_batch(&[CompileJob::named("upstr")], &dbs).remove(0);
+        match response.outcome {
+            JobOutcome::Done(done) => assert_eq!(done.provenance, want),
+            other => panic!("upstr not resolved: {other:?}"),
+        }
+    };
+    request(Provenance::Compiled);
+    let compact = std::fs::read_to_string(&path).unwrap();
+    let indented = json::parse(&compact).unwrap().render();
+    assert_ne!(indented, compact);
+    std::fs::write(&path, &indented).unwrap();
+    match store.load_verified(&model, &spec, &dbs, &limits) {
+        LoadOutcome::Evicted { reason } => assert!(reason.contains("digest"), "{reason}"),
+        other => panic!("a re-indented envelope must evict, got {other:?}"),
+    }
+    assert!(!path.exists());
+    request(Provenance::Compiled);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), compact);
+    request(Provenance::Cache);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Files `artifact` — arbitrary text — for `upstr` in a 1-shard store,
+/// in a v6 envelope whose digest covers exactly that text, and returns
+/// the eviction reason of the next load.
+fn evict_text_artifact(tag: &str, artifact: &str) -> String {
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let model = rupicola::programs::upstr::model();
+    let spec = rupicola::programs::upstr::spec();
+    let root = scratch(tag);
+    let store = ShardedStore::open(&root, 1).unwrap();
+    let key = store.key_for(&model, &spec, &dbs, &limits);
+    let path = store.shard(0).path_for("upstr", key);
+    let envelope = format!(
+        "{{\"format\":{},\"key\":\"{}\",\"program\":\"upstr\",\"digest\":\"{}\",\"artifact\":{artifact}}}",
+        rupicola::service::FORMAT_VERSION,
+        key.as_hex(),
+        text_digest(artifact),
+    );
+    std::fs::write(&path, envelope).unwrap();
+    let reason = match store.load_verified(&model, &spec, &dbs, &limits) {
+        LoadOutcome::Evicted { reason } => reason,
+        other => panic!("{tag}: expected an eviction, got {other:?}"),
+    };
+    assert!(!path.exists(), "{tag}: eviction must delete the artifact");
+    let _ = std::fs::remove_dir_all(&root);
+    reason
+}
+
+/// Each artifact has one accepted structure: the same fields in another
+/// order evict, even under a digest computed over their own bytes.
+#[test]
+fn an_artifact_with_reordered_fields_evicts_under_its_own_digest() {
+    use json::Json;
+    let cf = rupicola::programs::upstr::compiled().unwrap();
+    let Json::Obj(mut fields) = encode_compiled_function(&cf) else {
+        panic!("artifact is an object")
+    };
+    let model = fields.iter().position(|(k, _)| k == "model").unwrap();
+    let spec = fields.iter().position(|(k, _)| k == "spec").unwrap();
+    fields.swap(model, spec);
+    let reason = evict_text_artifact("reordered", &Json::Obj(fields).render_compact());
+    assert!(reason.starts_with("decode:") && reason.contains("expected key `model`"), "{reason}");
+}
+
+/// A 100,000-deep expression under a valid digest evicts at the reader's
+/// nesting limit instead of overflowing the decoder's stack.
+#[test]
+fn a_depth_bomb_under_a_valid_digest_evicts() {
+    use json::Json;
+    let cf = rupicola::programs::upstr::compiled().unwrap();
+    let Json::Obj(mut fields) = encode_compiled_function(&cf) else {
+        panic!("artifact is an object")
+    };
+    let (_, model) = fields.iter_mut().find(|(k, _)| k == "model").unwrap();
+    let Json::Obj(model) = model else { panic!("model is an object") };
+    let (_, body) = model.iter_mut().find(|(k, _)| k == "body").unwrap();
+    *body = Json::str("BOMB");
+    let depth = 100_000;
+    let bomb = "[\"copy\",".repeat(depth) + "[\"var\",\"s\"]" + &"]".repeat(depth);
+    let artifact = Json::Obj(fields).render_compact().replacen("\"BOMB\"", &bomb, 1);
+    let reason = evict_text_artifact("depth-bomb", &artifact);
+    assert!(reason.contains("nesting too deep"), "{reason}");
 }
