@@ -12,7 +12,7 @@
 //! # The stripe lock split
 //!
 //! Within one stripe, a verified load is two steps. The *attempt* (read,
-//! digest, decode, checker, re-validation — nearly all of a hit's cost)
+//! decode, digest, checker, re-validation — nearly all of a hit's cost)
 //! needs only a shared borrow of the stripe and runs under its **read**
 //! guard, so concurrent loads on one shard verify in parallel; a 1-shard
 //! store loses no verification parallelism to its single stripe. The
