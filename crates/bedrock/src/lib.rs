@@ -18,8 +18,10 @@
 //! - a big-step interpreter ([`interp`]) with pluggable external handlers;
 //! - a C pretty-printer ([`cprint`]) in the spirit of Bedrock2's ~200-line
 //!   `ToCString`;
-//! - a compiler to an RV64 subset plus an ISA simulator ([`rv_compile`],
-//!   [`rv`]) — the Bedrock2-to-RISC-V leg of the end-to-end story;
+//! - an RV64 subset with an assembler, an ISA simulator ([`rv`]) and the
+//!   artifact format with its frame ABI ([`rv_compile`]) — the machine
+//!   side of the Bedrock2-to-RISC-V leg, whose lowering lives in
+//!   `rupicola-rv`;
 //! - a Rust transpiler ([`rsprint`]) used by the benchmark harness to run
 //!   generated programs at native speed (our stand-in for the paper's
 //!   GCC/Clang route).

@@ -1,28 +1,14 @@
-//! A compiler from Bedrock2 to the RV64 subset of [`crate::rv`].
+//! The RV64 artifact format and its frame ABI.
 //!
-//! This is the (testing-validated) analog of Bedrock2's verified RISC-V
-//! backend: locals live in a stack frame addressed off `x2`, expressions
-//! evaluate on a register stack (`x5`–`x30`), inline tables are materialized
-//! into memory regions by the loader and addressed through patched
-//! load-immediate symbols, and structured control flow lowers to labels and
-//! conditional branches.
-//!
-//! Scope: straight-line code, conditionals and loops — the whole fragment
-//! Rupicola generates for the benchmark suite. `call`, `interact` and
-//! `stackalloc` report [`RvCompileError::Unsupported`].
+//! An [`RvArtifact`] is what the RISC-V lowering in `rupicola-rv` emits
+//! and what the artifact store keeps: symbolic assembly over the subset
+//! in [`crate::rv`], the frame layout the loader sets up, and the inline
+//! tables it materializes. The lowering itself lives in `rupicola-rv`;
+//! this module holds only the types the codec in [`crate::serial`] also
+//! needs.
 
-use crate::ast::{AccessSize, BExpr, BFunction, BinOp, Cmd};
-use crate::mem::Memory;
-use crate::rv::{assemble, Asm, Imm, Machine, Reg, RvError, ZERO};
-use std::collections::HashMap;
+use crate::rv::{Asm, Reg};
 use std::fmt;
-
-/// The frame-pointer register.
-const FP: Reg = 2;
-/// First expression-stack register.
-const RBASE: Reg = 5;
-/// Last usable expression-stack register.
-const RMAX: Reg = 30;
 
 /// Compilation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +33,10 @@ impl fmt::Display for RvCompileError {
 
 impl std::error::Error for RvCompileError {}
 
+/// The frame-pointer register: the loader points `x2` at the locals
+/// frame, and every frame slot is addressed off it.
+pub const FP: Reg = 2;
+
 /// A compiled function: symbolic assembly plus its loading metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RvArtifact {
@@ -62,368 +52,4 @@ pub struct RvArtifact {
     pub ret_slots: Vec<usize>,
     /// Inline tables to materialize (name, bytes).
     pub tables: Vec<(String, Vec<u8>)>,
-}
-
-struct Ctx<'f> {
-    f: &'f BFunction,
-    slots: HashMap<String, usize>,
-    asm: Vec<Asm>,
-    labels: usize,
-}
-
-impl Ctx<'_> {
-    fn fresh_label(&mut self, stem: &str) -> String {
-        let n = self.labels;
-        self.labels += 1;
-        format!(".L{stem}{n}")
-    }
-
-    fn slot_off(&self, v: &str) -> Result<i64, RvCompileError> {
-        self.slots
-            .get(v)
-            .map(|i| (*i as i64) * 8)
-            .ok_or_else(|| RvCompileError::UnknownLocal(v.to_string()))
-    }
-
-    fn expr(&mut self, e: &BExpr, dst: Reg) -> Result<(), RvCompileError> {
-        if dst > RMAX {
-            return Err(RvCompileError::ExpressionTooDeep);
-        }
-        match e {
-            BExpr::Lit(w) => self.asm.push(Asm::Li(dst, Imm::Lit(*w as i64))),
-            BExpr::Var(v) => {
-                let off = self.slot_off(v)?;
-                self.asm.push(Asm::Ld(dst, FP, off));
-            }
-            BExpr::Load(sz, addr) => {
-                self.expr(addr, dst)?;
-                self.asm.push(match sz {
-                    AccessSize::One => Asm::Lbu(dst, dst, 0),
-                    AccessSize::Two => Asm::Lhu(dst, dst, 0),
-                    AccessSize::Four => Asm::Lwu(dst, dst, 0),
-                    AccessSize::Eight => Asm::Ld(dst, dst, 0),
-                });
-            }
-            BExpr::InlineTable { size, table, index } => {
-                self.expr(index, dst)?;
-                if dst + 1 > RMAX {
-                    return Err(RvCompileError::ExpressionTooDeep);
-                }
-                self.asm.push(Asm::Li(dst + 1, Imm::TableBase(table.clone())));
-                self.asm.push(Asm::Add(dst, dst, dst + 1));
-                self.asm.push(match size {
-                    AccessSize::One => Asm::Lbu(dst, dst, 0),
-                    AccessSize::Two => Asm::Lhu(dst, dst, 0),
-                    AccessSize::Four => Asm::Lwu(dst, dst, 0),
-                    AccessSize::Eight => Asm::Ld(dst, dst, 0),
-                });
-            }
-            BExpr::Op(op, a, b) => {
-                self.expr(a, dst)?;
-                self.expr(b, dst + 1)?;
-                let (d, s1, s2) = (dst, dst, dst + 1);
-                match op {
-                    BinOp::Add => self.asm.push(Asm::Add(d, s1, s2)),
-                    BinOp::Sub => self.asm.push(Asm::Sub(d, s1, s2)),
-                    BinOp::Mul => self.asm.push(Asm::Mul(d, s1, s2)),
-                    BinOp::MulHuu => self.asm.push(Asm::Mulhu(d, s1, s2)),
-                    BinOp::DivU => self.asm.push(Asm::Divu(d, s1, s2)),
-                    BinOp::RemU => self.asm.push(Asm::Remu(d, s1, s2)),
-                    BinOp::And => self.asm.push(Asm::And(d, s1, s2)),
-                    BinOp::Or => self.asm.push(Asm::Or(d, s1, s2)),
-                    BinOp::Xor => self.asm.push(Asm::Xor(d, s1, s2)),
-                    BinOp::Sru => self.asm.push(Asm::Srl(d, s1, s2)),
-                    BinOp::Slu => self.asm.push(Asm::Sll(d, s1, s2)),
-                    BinOp::Srs => self.asm.push(Asm::Sra(d, s1, s2)),
-                    BinOp::LtS => self.asm.push(Asm::Slt(d, s1, s2)),
-                    BinOp::LtU => self.asm.push(Asm::Sltu(d, s1, s2)),
-                    BinOp::Eq => {
-                        // d = (a − b == 0): sltu against zero, then flip.
-                        self.asm.push(Asm::Sub(d, s1, s2));
-                        self.asm.push(Asm::Sltu(d, ZERO, d)); // d = (diff ≠ 0)
-                        self.asm.push(Asm::Li(s2, Imm::Lit(1)));
-                        self.asm.push(Asm::Xor(d, d, s2));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn cmd(&mut self, c: &Cmd) -> Result<(), RvCompileError> {
-        match c {
-            Cmd::Skip | Cmd::Unset(_) => {}
-            Cmd::Set(v, e) => {
-                self.expr(e, RBASE)?;
-                let off = self.slot_off(v)?;
-                self.asm.push(Asm::Sd(RBASE, FP, off));
-            }
-            Cmd::Store(sz, addr, val) => {
-                self.expr(addr, RBASE)?;
-                self.expr(val, RBASE + 1)?;
-                self.asm.push(match sz {
-                    AccessSize::One => Asm::Sb(RBASE + 1, RBASE, 0),
-                    AccessSize::Two => Asm::Sh(RBASE + 1, RBASE, 0),
-                    AccessSize::Four => Asm::Sw(RBASE + 1, RBASE, 0),
-                    AccessSize::Eight => Asm::Sd(RBASE + 1, RBASE, 0),
-                });
-            }
-            Cmd::Seq(a, b) => {
-                self.cmd(a)?;
-                self.cmd(b)?;
-            }
-            Cmd::If { cond, then_, else_ } => {
-                let l_else = self.fresh_label("else");
-                let l_end = self.fresh_label("endif");
-                self.expr(cond, RBASE)?;
-                self.asm.push(Asm::Beq(RBASE, ZERO, l_else.clone()));
-                self.cmd(then_)?;
-                self.asm.push(Asm::J(l_end.clone()));
-                self.asm.push(Asm::Label(l_else));
-                self.cmd(else_)?;
-                self.asm.push(Asm::Label(l_end));
-            }
-            Cmd::While { cond, body } => {
-                let l_head = self.fresh_label("head");
-                let l_end = self.fresh_label("endw");
-                self.asm.push(Asm::Label(l_head.clone()));
-                self.expr(cond, RBASE)?;
-                self.asm.push(Asm::Beq(RBASE, ZERO, l_end.clone()));
-                self.cmd(body)?;
-                self.asm.push(Asm::J(l_head));
-                self.asm.push(Asm::Label(l_end));
-            }
-            Cmd::Call { .. } => return Err(RvCompileError::Unsupported("call")),
-            Cmd::Interact { .. } => return Err(RvCompileError::Unsupported("interact")),
-            Cmd::StackAlloc { .. } => return Err(RvCompileError::Unsupported("stackalloc")),
-        }
-        let _ = &self.f;
-        Ok(())
-    }
-}
-
-/// Compiles one Bedrock2 function to RV64 assembly.
-///
-/// # Errors
-///
-/// See [`RvCompileError`].
-pub fn compile_function(f: &BFunction) -> Result<RvArtifact, RvCompileError> {
-    let mut locals: Vec<String> = f.args.clone();
-    for v in f.body.assigned_vars() {
-        if !locals.contains(&v) {
-            locals.push(v);
-        }
-    }
-    for r in &f.rets {
-        if !locals.contains(r) {
-            locals.push(r.clone());
-        }
-    }
-    let slots: HashMap<String, usize> =
-        locals.iter().enumerate().map(|(i, v)| (v.clone(), i)).collect();
-    let mut cx = Ctx { f, slots, asm: Vec::new(), labels: 0 };
-    cx.cmd(&f.body)?;
-    cx.asm.push(Asm::Halt);
-    let arg_slots = f.args.iter().map(|a| cx.slots[a]).collect();
-    let ret_slots = f.rets.iter().map(|r| cx.slots[r]).collect();
-    Ok(RvArtifact {
-        name: f.name.clone(),
-        asm: cx.asm,
-        locals,
-        arg_slots,
-        ret_slots,
-        tables: f.tables.iter().map(|t| (t.name.clone(), t.data.clone())).collect(),
-    })
-}
-
-/// Loads and runs a compiled function: materializes the inline tables,
-/// allocates the frame, writes the arguments, simulates, and reads the
-/// returns. Table and frame regions are freed afterwards, so `mem` ends
-/// with only the program's own effects.
-///
-/// # Errors
-///
-/// Propagates assembly and simulation errors; argument-count mismatches
-/// are reported as an unresolved-symbol-style error.
-pub fn run_function(
-    artifact: &RvArtifact,
-    mem: &mut Memory,
-    args: &[u64],
-    fuel: u64,
-) -> Result<Vec<u64>, RvError> {
-    assert_eq!(args.len(), artifact.arg_slots.len(), "argument count mismatch");
-    let mut symbols = HashMap::new();
-    let mut table_bases = Vec::new();
-    for (name, data) in &artifact.tables {
-        let base = mem.alloc(data.clone());
-        table_bases.push(base);
-        symbols.insert(name.clone(), base);
-    }
-    let code = assemble(&artifact.asm, &symbols)?;
-    let frame = mem.alloc(vec![0; artifact.locals.len() * 8]);
-    for (slot, value) in artifact.arg_slots.iter().zip(args) {
-        mem.store(frame + (*slot as u64) * 8, AccessSize::Eight, *value)
-            .map_err(|e| RvError::Memory(e.to_string()))?;
-    }
-    let mut machine = Machine::new();
-    machine.regs[FP as usize] = frame;
-    let result = machine.run(&code, mem, fuel);
-    let mut rets = Vec::with_capacity(artifact.ret_slots.len());
-    if result.is_ok() {
-        for slot in &artifact.ret_slots {
-            rets.push(
-                mem.load(frame + (*slot as u64) * 8, AccessSize::Eight)
-                    .map_err(|e| RvError::Memory(e.to_string()))?,
-            );
-        }
-    }
-    mem.dealloc(frame);
-    for base in table_bases {
-        mem.dealloc(base);
-    }
-    result.map(|()| rets)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ast::{AccessSize as Sz, BTable};
-
-    #[test]
-    fn straightline_function() {
-        let f = BFunction::new(
-            "f",
-            ["x"],
-            ["y"],
-            Cmd::set("y", BExpr::op(BinOp::Mul, BExpr::var("x"), BExpr::lit(6))),
-        );
-        let art = compile_function(&f).unwrap();
-        let mut mem = Memory::new();
-        let rets = run_function(&art, &mut mem, &[7], 1000).unwrap();
-        assert_eq!(rets, vec![42]);
-        assert_eq!(mem.region_count(), 0, "frame freed");
-    }
-
-    #[test]
-    fn loop_sums_range() {
-        let body = Cmd::seq([
-            Cmd::set("acc", BExpr::lit(0)),
-            Cmd::set("i", BExpr::lit(0)),
-            Cmd::while_(
-                BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::var("n")),
-                Cmd::seq([
-                    Cmd::set("acc", BExpr::op(BinOp::Add, BExpr::var("acc"), BExpr::var("i"))),
-                    Cmd::set("i", BExpr::op(BinOp::Add, BExpr::var("i"), BExpr::lit(1))),
-                ]),
-            ),
-        ]);
-        let f = BFunction::new("sum", ["n"], ["acc"], body);
-        let art = compile_function(&f).unwrap();
-        let mut mem = Memory::new();
-        assert_eq!(run_function(&art, &mut mem, &[100], 100_000).unwrap(), vec![4950]);
-    }
-
-    #[test]
-    fn conditional_eq_flip() {
-        let f = BFunction::new(
-            "iszero",
-            ["x"],
-            ["r"],
-            Cmd::if_(
-                BExpr::op(BinOp::Eq, BExpr::var("x"), BExpr::lit(0)),
-                Cmd::set("r", BExpr::lit(1)),
-                Cmd::set("r", BExpr::lit(2)),
-            ),
-        );
-        let art = compile_function(&f).unwrap();
-        let mut mem = Memory::new();
-        assert_eq!(run_function(&art, &mut mem, &[0], 1000).unwrap(), vec![1]);
-        assert_eq!(run_function(&art, &mut mem, &[9], 1000).unwrap(), vec![2]);
-    }
-
-    #[test]
-    fn memory_and_tables() {
-        // r = tbl[mem1[p]] — a load feeding a table lookup.
-        let f = BFunction::new(
-            "xlat",
-            ["p"],
-            ["r"],
-            Cmd::set(
-                "r",
-                BExpr::table(Sz::One, "tbl", BExpr::load(Sz::One, BExpr::var("p"))),
-            ),
-        )
-        .with_table(BTable { name: "tbl".into(), data: (0..=255).map(|b: u8| b ^ 0x5a).collect() });
-        let art = compile_function(&f).unwrap();
-        let mut mem = Memory::new();
-        let p = mem.alloc(vec![0x33]);
-        let rets = run_function(&art, &mut mem, &[p], 1000).unwrap();
-        assert_eq!(rets, vec![0x33 ^ 0x5a]);
-        assert_eq!(mem.region_count(), 1, "only the caller's buffer remains");
-    }
-
-    #[test]
-    fn register_stack_overflow_is_reported() {
-        // A right-leaning expression deeper than the register stack.
-        let mut e = BExpr::lit(1);
-        for _ in 0..30 {
-            e = BExpr::op(BinOp::Add, BExpr::lit(1), e);
-        }
-        let f = BFunction::new("deep", Vec::<String>::new(), ["r"], Cmd::set("r", e));
-        assert_eq!(compile_function(&f), Err(RvCompileError::ExpressionTooDeep));
-    }
-
-    #[test]
-    fn unsupported_constructs_report() {
-        let f = BFunction::new(
-            "c",
-            Vec::<String>::new(),
-            Vec::<String>::new(),
-            Cmd::Call { rets: vec![], func: "g".into(), args: vec![] },
-        );
-        assert_eq!(compile_function(&f), Err(RvCompileError::Unsupported("call")));
-    }
-
-    #[test]
-    fn agreement_with_the_bedrock_interpreter_on_a_mutating_loop() {
-        use crate::ast::Program;
-        use crate::interp::{ExecState, Interpreter, NoExternals};
-        // In-place increment of every byte.
-        let body = Cmd::seq([
-            Cmd::set("i", BExpr::lit(0)),
-            Cmd::while_(
-                BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::var("len")),
-                Cmd::seq([
-                    Cmd::store(
-                        Sz::One,
-                        BExpr::op(BinOp::Add, BExpr::var("s"), BExpr::var("i")),
-                        BExpr::op(
-                            BinOp::Add,
-                            BExpr::load(Sz::One, BExpr::op(BinOp::Add, BExpr::var("s"), BExpr::var("i"))),
-                            BExpr::lit(1),
-                        ),
-                    ),
-                    Cmd::set("i", BExpr::op(BinOp::Add, BExpr::var("i"), BExpr::lit(1))),
-                ]),
-            ),
-        ]);
-        let f = BFunction::new("incall", ["s", "len"], Vec::<String>::new(), body);
-        let data = vec![1u8, 2, 250, 255];
-        // Bedrock2 interpreter run.
-        let mut mem1 = Memory::new();
-        let p1 = mem1.alloc(data.clone());
-        let mut program = Program::new();
-        program.insert(f.clone());
-        let interp = Interpreter::new(&program);
-        let mut state = ExecState::new(mem1);
-        interp
-            .call("incall", &[p1, data.len() as u64], &mut state, &mut NoExternals, 10_000)
-            .unwrap();
-        // RV64 run.
-        let art = compile_function(&f).unwrap();
-        let mut mem2 = Memory::new();
-        let p2 = mem2.alloc(data);
-        run_function(&art, &mut mem2, &[p2, 4], 10_000).unwrap();
-        assert_eq!(state.mem.region(p1), mem2.region(p2));
-    }
 }

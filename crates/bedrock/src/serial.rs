@@ -516,36 +516,37 @@ mod tests {
         }
     }
 
-    // `sample_function` uses call/interact/stackalloc, which the RV
-    // backend rejects; the machine-code codec tests use a loop with a
-    // table so every artifact field is populated.
-    fn rv_sample_function() -> BFunction {
-        let body = Cmd::seq([
-            Cmd::set("acc", BExpr::lit(0)),
-            Cmd::set("i", BExpr::lit(0)),
-            Cmd::while_(
-                BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::var("n")),
-                Cmd::seq([
-                    Cmd::set(
-                        "acc",
-                        BExpr::op(
-                            BinOp::Add,
-                            BExpr::var("acc"),
-                            BExpr::table(AccessSize::One, "tbl", BExpr::var("i")),
-                        ),
-                    ),
-                    Cmd::set("i", BExpr::op(BinOp::Add, BExpr::var("i"), BExpr::lit(1))),
-                ]),
-            ),
-        ]);
-        BFunction::new("tblsum", ["n"], ["acc"], body)
-            .with_table(BTable { name: "tbl".into(), data: (0..16u8).collect() })
+    // A hand-built artifact with every field populated: labels, branches,
+    // a table symbol, frame loads and stores, two tables.
+    fn rv_sample_artifact() -> crate::rv_compile::RvArtifact {
+        use crate::rv::{Asm, Imm};
+        crate::rv_compile::RvArtifact {
+            name: "tblsum".into(),
+            asm: vec![
+                Asm::Label(".Lhead0".into()),
+                Asm::Ld(5, 2, 8),
+                Asm::Ld(6, 2, 0),
+                Asm::Sltu(5, 5, 6),
+                Asm::Beq(5, 0, ".Lendw1".into()),
+                Asm::Li(6, Imm::TableBase("tbl".into())),
+                Asm::Lbu(5, 6, 0),
+                Asm::Sd(5, 2, 16),
+                Asm::Addi(5, 5, -1),
+                Asm::J(".Lhead0".into()),
+                Asm::Label(".Lendw1".into()),
+                Asm::Li(7, Imm::Lit(42)),
+                Asm::Halt,
+            ],
+            locals: vec!["n".into(), "i".into(), "acc".into()],
+            arg_slots: vec![0],
+            ret_slots: vec![2],
+            tables: vec![("tbl".into(), (0..16u8).collect()), ("empty".into(), vec![])],
+        }
     }
 
     #[test]
     fn rv_artifacts_round_trip_through_rendered_json() {
-        let f = rv_sample_function();
-        let art = crate::rv_compile::compile_function(&f).unwrap();
+        let art = rv_sample_artifact();
         let j = encode_rv_artifact(&art);
         for text in [j.render(), j.render_compact()] {
             assert_eq!(read_text(&text, read_rv_artifact).unwrap(), art);
@@ -554,8 +555,7 @@ mod tests {
 
     #[test]
     fn rv_artifact_decode_is_total_on_corruption() {
-        let art = crate::rv_compile::compile_function(&rv_sample_function()).unwrap();
-        let good = encode_rv_artifact(&art);
+        let good = encode_rv_artifact(&rv_sample_artifact());
         let corrupt = |k: &str, v: Json| {
             let Json::Obj(fields) = good.clone() else { unreachable!() };
             Json::Obj(

@@ -1,12 +1,13 @@
 //! Cold-vs-warm benchmark of the persistent artifact store.
 //!
 //! Runs the cached suite pass ([`compile_suite_cached`] over a 1-shard
-//! store under a `default_workers()`-wide server) twice against the same
-//! store:
+//! store under a `default_workers()`-wide server) in two phases:
 //!
-//! 1. **cold** — the store is wiped first (unless `CACHEBENCH_KEEP_STORE=1`),
-//!    so every program is compiled by the engine and filed;
-//! 2. **warm** — every program must come back as a verified cache load:
+//! 1. **cold** — `COLD_PASSES` passes, each on a freshly wiped store under
+//!    a new server, so every program is compiled by the engine and filed
+//!    (with `CACHEBENCH_KEEP_STORE=1`: one pass on the kept store, unwiped);
+//! 2. **warm** — on the last cold pass's store, every program must come
+//!    back as a verified cache load:
 //!    zero engine derivations, every certificate re-checked by the
 //!    independent checker on the way out of the store.
 //!
@@ -15,13 +16,14 @@
 //! - the warm pass is 100% cache hits with no evictions;
 //! - cold and warm results are structurally identical (function,
 //!   derivation, stats);
-//! - the median warm wall-time ≤ 0.5× cold wall-time — only enforced
-//!   when phase 1 actually compiled everything (with
+//! - the median warm wall-time ≤ 0.5× the median cold wall-time — only
+//!   enforced when phase 1 actually compiled everything (with
 //!   `CACHEBENCH_KEEP_STORE=1` both phases may be warm and the ratio is
 //!   reported but not gated).
 //!
-//! Both phases are timed through [`rupicola_bench::timing`]: the cold pass
-//! once, the warm pass in `WARM_PASSES` rounds.
+//! Both phases are timed through [`rupicola_bench::timing`], each as the
+//! median of its passes; only the suite pass itself is timed, not the
+//! wipe or the server start.
 //!
 //! With `CACHEBENCH_EXPECT_WARM=1` the *first* pass must already be fully
 //! warm too — the CI mode for the second of two back-to-back runs.
@@ -42,7 +44,10 @@ use rupicola_service::{
     compile_suite_cached, env, store_root_from_env, CachedResult, Provenance, Server, ShardedStore,
     TenantTable,
 };
+use std::path::Path;
 
+/// Timed cold passes, each on a freshly wiped store under a new server.
+const COLD_PASSES: usize = 3;
 /// Timed warm passes; every one must be 100% verified cache loads.
 const WARM_PASSES: usize = 3;
 
@@ -87,6 +92,25 @@ fn program_rows(store: &ShardedStore, results: &[CachedResult], dbs: &HintDbs) -
         .collect()
 }
 
+/// Wipes the store at `root`; exits 2 if it exists and cannot be removed.
+fn wipe(root: &Path) {
+    if let Err(e) = std::fs::remove_dir_all(root) {
+        if e.kind() != std::io::ErrorKind::NotFound {
+            eprintln!("cachebench: cannot wipe store {}: {e}", root.display());
+            std::process::exit(2);
+        }
+    }
+}
+
+/// A new server over a 1-shard store at `root`; exits 2 if it cannot open.
+fn open_server(root: &Path) -> Server {
+    let store = ShardedStore::open(root, 1).unwrap_or_else(|e| {
+        eprintln!("cachebench: {e}");
+        std::process::exit(2);
+    });
+    Server::new(store, TenantTable::default(), default_workers())
+}
+
 fn main() {
     let keep_store = env::flag_or_exit("CACHEBENCH_KEEP_STORE");
     let expect_warm = env::flag_or_exit("CACHEBENCH_EXPECT_WARM");
@@ -94,30 +118,36 @@ fn main() {
         eprintln!("cachebench: {e}");
         std::process::exit(2);
     });
-    if !keep_store {
-        if let Err(e) = std::fs::remove_dir_all(&root) {
-            if e.kind() != std::io::ErrorKind::NotFound {
-                eprintln!("cachebench: cannot wipe store {}: {e}", root.display());
-                std::process::exit(2);
-            }
-        }
-    }
-    let store = ShardedStore::open(root, 1).unwrap_or_else(|e| {
-        eprintln!("cachebench: {e}");
-        std::process::exit(2);
-    });
-    let server = Server::new(store, TenantTable::default(), default_workers());
-    let store = server.store();
     let dbs = standard_dbs();
 
-    let (first, cold_ms) = time(|| compile_suite_cached(&server, &dbs));
-    let first = checked(first);
-    let first_hits = first.iter().filter(|r| r.provenance == Provenance::Cache).count();
-    let fully_cold = first_hits == 0;
-    if expect_warm && first_hits != first.len() {
+    // Cold phase: a single pass varies more than 2x between runs, so the
+    // gate compares against the median of several, each from an empty
+    // store and a fresh server.
+    let cold_passes = if keep_store { 1 } else { COLD_PASSES };
+    let mut cold_samples = Vec::with_capacity(cold_passes);
+    let mut cold_hits = 0;
+    let mut last = None;
+    for _ in 0..cold_passes {
+        // The previous pass's server goes before its store is wiped.
+        drop(last.take());
+        if !keep_store {
+            wipe(&root);
+        }
+        let server = open_server(&root);
+        let (pass, ms) = time(|| compile_suite_cached(&server, &dbs));
+        let pass = checked(pass);
+        cold_hits += pass.iter().filter(|r| r.provenance == Provenance::Cache).count();
+        cold_samples.push(ms);
+        last = Some((server, pass));
+    }
+    let (server, first) = last.expect("at least one cold pass");
+    let store = server.store();
+    let cold_ms = Summary::of(cold_samples);
+    let fully_cold = cold_hits == 0;
+    if expect_warm && cold_hits != first.len() {
         eprintln!(
-            "cachebench: CACHEBENCH_EXPECT_WARM=1 but first pass had {}/{} cache hits",
-            first_hits,
+            "cachebench: CACHEBENCH_EXPECT_WARM=1 but the first pass had {}/{} cache hits",
+            cold_hits,
             first.len()
         );
         std::process::exit(1);
@@ -162,9 +192,13 @@ fn main() {
 
     let rows = program_rows(store, second, &dbs);
 
-    let ratio = warm_ms.median / cold_ms;
+    let ratio = warm_ms.median / cold_ms.median;
     println!("cachebench: store root {}", store.root().display());
-    println!("  first pass:  {cold_ms:>8.2} ms ({first_hits} hit(s), fully_cold={fully_cold})");
+    println!(
+        "  cold pass:   {:>8.2} ms median of {cold_passes} ({cold_hits} hit(s), \
+         fully_cold={fully_cold})",
+        cold_ms.median
+    );
     println!(
         "  warm pass:   {:>8.2} ms median of {WARM_PASSES} ({warm_hits} verified hit(s) each)",
         warm_ms.median
@@ -176,7 +210,7 @@ fn main() {
 
     let summary = Json::obj([
         ("cores", Json::U64(default_workers() as u64)),
-        ("cold_ms", Summary::of([cold_ms]).to_json()),
+        ("cold_ms", cold_ms.to_json()),
         ("warm_ms", warm_ms.to_json()),
         ("warm_over_cold", Json::F64(ratio)),
         ("fully_cold_first_pass", Json::Bool(fully_cold)),

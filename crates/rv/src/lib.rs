@@ -1,21 +1,22 @@
 //! Translation-validated RISC-V backend for certified Bedrock2 code.
 //!
-//! The seed's RV64 leg (`rupicola_bedrock::rv_compile`) is a spill-all
-//! compiler: every local lives in the frame, every read is a load, every
-//! write a store. This crate turns that leg into a *staged backend* under
-//! the same untrusted-pass / trusted-revalidation discipline as the
-//! Bedrock2→Bedrock2 pipeline in `rupicola-opt` (CompCert-style
-//! translation validation, earned per pass rather than per compiler):
+//! One lowering, [`lower::lower_allocated`], turns a certified Bedrock2
+//! body into RV64 assembly under a register assignment; this crate runs
+//! it as a *staged backend* under the same untrusted-pass /
+//! trusted-revalidation discipline as the Bedrock2→Bedrock2 pipeline in
+//! `rupicola-opt` (CompCert-style translation validation, earned per pass
+//! rather than per compiler):
 //!
-//! 1. **`lower`** — the seed's naive spill-all lowering. Its output is
-//!    validated before anything else runs; a divergence *here* is fatal
-//!    ([`RvBackendError::BaselineDiverged`]) because there is no earlier
-//!    validated artifact to roll back to.
+//! 1. **`lower`** — the lowering under the empty assignment: spill-all
+//!    code, every local in the frame, every read a load, every write a
+//!    store. Its output is validated before anything else runs; a
+//!    divergence *here* is fatal ([`RvBackendError::BaselineDiverged`])
+//!    because there is no earlier validated artifact to roll back to.
 //! 2. **`regalloc`** — an untrusted linear-scan register allocator
-//!    ([`lower::linear_scan`]) feeding a register-aware re-lowering
-//!    ([`lower::lower_allocated`]): hot locals live in the callee-saved
-//!    pool `x18`–`x27`, reads cost zero instructions, and an epilogue
-//!    flush reconstructs the full locals frame at exit.
+//!    ([`lower::linear_scan`]) feeding the same lowering again: hot
+//!    locals live in the callee-saved pool `x18`–`x27`, reads cost zero
+//!    instructions, and an epilogue flush reconstructs the full locals
+//!    frame at exit.
 //! 3. **Peepholes** — `redundant-mem` (store→load and load→load
 //!    forwarding within branch-free windows), `branch-simplify`
 //!    (jump-to-next elimination, branch-over-jump inversion), and
@@ -45,7 +46,7 @@ pub mod peephole;
 pub mod validate;
 
 use rupicola_bedrock::rv::Asm;
-use rupicola_bedrock::rv_compile::{compile_function, RvArtifact};
+use rupicola_bedrock::rv_compile::RvArtifact;
 use rupicola_core::check::{Certificate, CheckConfig};
 use rupicola_core::{CompiledFunction, HintDbs};
 use std::fmt;
@@ -287,8 +288,8 @@ pub fn lower_validated(
         });
     }
 
-    let naive =
-        compile_function(&cf.function).map_err(|e| RvBackendError::Compile { detail: e.to_string() })?;
+    let naive = lower_allocated(&cf.function, &Assignment::default())
+        .map_err(|e| RvBackendError::Compile { detail: e.to_string() })?;
     validate_artifact(&cert, &naive).map_err(|e| match e {
         RvBackendError::Diverged { detail } => RvBackendError::BaselineDiverged { detail },
         other => other,

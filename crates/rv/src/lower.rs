@@ -1,12 +1,14 @@
-//! Register-aware lowering: linear-scan allocation over the callee-saved
-//! pool, replacing the seed's spill-everything strategy.
+//! The RISC-V lowering: one register-aware code generator plus the
+//! linear-scan allocator that feeds it.
 //!
-//! The seed compiler keeps every local in the frame: a `Var` read is a
-//! load, a `Set` ends in a store. Here an untrusted [`linear_scan`] pass
-//! picks which locals live in the callee-saved pool `x18`–`x27` instead,
-//! and [`lower_allocated`] re-lowers the *certified Bedrock2 body* (never
-//! the naive assembly) with that assignment: reads of a pooled local cost
-//! zero instructions, writes cost at most a register move.
+//! [`lower_allocated`] lowers the *certified Bedrock2 body* (never an
+//! earlier artifact) under an [`Assignment`] of locals to the callee-saved
+//! pool `x18`–`x27`. Under the empty assignment every local stays in the
+//! frame — a `Var` read is a load, a `Set` ends in a store — and that
+//! spill-all code is the pipeline's validated baseline, the `lower` stage.
+//! The untrusted [`linear_scan`] pass picks which locals live in the pool
+//! instead, the `regalloc` stage: reads of a pooled local cost zero
+//! instructions, writes cost at most a register move.
 //!
 //! **The live-out constraint.** The machine differential reads the final
 //! locals back from the frame, so the frame must be a complete snapshot of
@@ -20,18 +22,16 @@
 //! (correctly) reject the lowering. None of this is trusted — a bug here
 //! is a rolled-back stage, not a miscompile.
 //!
-//! The frame ABI is unchanged from the seed (`run_function` works on both
-//! kinds of artifact): arguments arrive in frame slots (the prologue loads
-//! pooled arguments), returns are read from frame slots (the epilogue
-//! flush puts them there).
+//! Every artifact shares one frame ABI ([`FP`], [`RvArtifact`]), so
+//! [`run_artifact`](crate::run_artifact) runs them all alike: arguments
+//! arrive in frame slots (the prologue loads pooled arguments), returns
+//! are read from frame slots (the epilogue flush puts them there).
 
 use rupicola_bedrock::ast::{AccessSize, BExpr, BFunction, BinOp, Cmd};
 use rupicola_bedrock::rv::{Asm, Imm, Reg, ZERO};
-use rupicola_bedrock::rv_compile::{RvArtifact, RvCompileError};
+use rupicola_bedrock::rv_compile::{RvArtifact, RvCompileError, FP};
 use std::collections::{BTreeMap, HashMap};
 
-/// The frame-pointer register (same as the seed compiler).
-const FP: Reg = 2;
 /// First expression-scratch register.
 const RBASE: Reg = 5;
 /// Last expression-scratch register. One register above it (`x16`) is
@@ -46,7 +46,8 @@ pub const POOL_BASE: Reg = 18;
 pub const POOL_LAST: Reg = 27;
 
 /// A register assignment for a function's locals. Locals absent from the
-/// map stay frame-resident exactly as in the seed compiler.
+/// map stay frame-resident; the empty assignment is the spill-all
+/// baseline.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Assignment {
     /// Local name → pool register (each in `POOL_BASE..=POOL_LAST`,
@@ -154,7 +155,6 @@ pub fn linear_scan(f: &BFunction) -> Assignment {
 }
 
 struct Ctx<'f> {
-    f: &'f BFunction,
     slots: HashMap<String, usize>,
     assign: &'f Assignment,
     asm: Vec<Asm>,
@@ -319,13 +319,12 @@ impl Ctx<'_> {
             Cmd::Interact { .. } => return Err(RvCompileError::Unsupported("interact")),
             Cmd::StackAlloc { .. } => return Err(RvCompileError::Unsupported("stackalloc")),
         }
-        let _ = &self.f;
         Ok(())
     }
 }
 
-/// Compiles one Bedrock2 function with the given register assignment,
-/// preserving the seed's frame ABI: the prologue loads pooled arguments
+/// Compiles one Bedrock2 function with the given register assignment
+/// under the frame ABI: the prologue loads pooled arguments
 /// from their frame slots, the epilogue flushes every pooled local back
 /// before `halt` so the frame is a complete final-locals snapshot.
 ///
@@ -357,7 +356,7 @@ pub fn lower_allocated(f: &BFunction, assign: &Assignment) -> Result<RvArtifact,
     }
     let slots: HashMap<String, usize> =
         locals.iter().enumerate().map(|(i, v)| (v.clone(), i)).collect();
-    let mut cx = Ctx { f, slots, assign, asm: Vec::new(), labels: 0 };
+    let mut cx = Ctx { slots, assign, asm: Vec::new(), labels: 0 };
     // Prologue: pooled arguments move from their ABI frame slots into
     // their registers.
     for a in &f.args {
@@ -391,8 +390,17 @@ pub fn lower_allocated(f: &BFunction, assign: &Assignment) -> Result<RvArtifact,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rupicola_bedrock::rv_compile::{compile_function, run_function};
+    use crate::run_artifact;
+    use rupicola_bedrock::ast::BTable;
     use rupicola_bedrock::Memory;
+
+    fn spill_all(f: &BFunction) -> Result<RvArtifact, RvCompileError> {
+        lower_allocated(f, &Assignment::default())
+    }
+
+    fn run(art: &RvArtifact, mem: &mut Memory, args: &[u64]) -> Vec<u64> {
+        run_artifact(art, mem, args, 100_000).unwrap().rets
+    }
 
     fn sum_to_n() -> BFunction {
         let body = Cmd::seq([
@@ -410,19 +418,16 @@ mod tests {
     }
 
     #[test]
-    fn allocated_lowering_agrees_with_the_seed_compiler() {
+    fn allocated_lowering_agrees_with_the_spill_all_baseline() {
         let f = sum_to_n();
         let assign = linear_scan(&f);
         assert!(!assign.regs.is_empty());
         let fast = lower_allocated(&f, &assign).unwrap();
-        let slow = compile_function(&f).unwrap();
+        let slow = spill_all(&f).unwrap();
         for n in [0u64, 1, 7, 100] {
-            let mut m1 = Memory::new();
-            let mut m2 = Memory::new();
-            assert_eq!(
-                run_function(&fast, &mut m1, &[n], 100_000).unwrap(),
-                run_function(&slow, &mut m2, &[n], 100_000).unwrap(),
-            );
+            let expected = vec![n * n.saturating_sub(1) / 2];
+            assert_eq!(run(&fast, &mut Memory::new(), &[n]), expected);
+            assert_eq!(run(&slow, &mut Memory::new(), &[n]), expected);
         }
     }
 
@@ -430,7 +435,7 @@ mod tests {
     fn allocation_strictly_shrinks_the_loop() {
         let f = sum_to_n();
         let fast = lower_allocated(&f, &linear_scan(&f)).unwrap();
-        let slow = compile_function(&f).unwrap();
+        let slow = spill_all(&f).unwrap();
         assert!(
             crate::instr_count(&fast.asm) < crate::instr_count(&slow.asm),
             "expected fewer instructions: {} vs {}",
@@ -466,9 +471,8 @@ mod tests {
         assert!(assign.regs.contains_key("i"), "loop counter must be pooled");
         assert!(assign.regs.contains_key("v0"), "loop accumulator must be pooled");
         let art = lower_allocated(&f, &assign).unwrap();
-        let mut mem = Memory::new();
         // 0+1+…+11 = 66, plus 5 increments of v0.
-        assert_eq!(run_function(&art, &mut mem, &[5], 100_000).unwrap(), vec![66 + 5]);
+        assert_eq!(run(&art, &mut Memory::new(), &[5]), vec![66 + 5]);
     }
 
     #[test]
@@ -482,5 +486,77 @@ mod tests {
         assert!(lower_allocated(&f, &outside).is_err(), "scratch-window assignment rejected");
         let unknown = Assignment { regs: [("ghost".to_string(), POOL_BASE)].into() };
         assert!(lower_allocated(&f, &unknown).is_err(), "unknown local rejected");
+    }
+
+    #[test]
+    fn constructs_outside_the_fragment_are_unsupported() {
+        let none = Vec::<String>::new;
+        for (cmd, what) in [
+            (Cmd::Call { rets: vec![], func: "g".into(), args: vec![] }, "call"),
+            (Cmd::Interact { rets: vec![], action: "io".into(), args: vec![] }, "interact"),
+            (
+                Cmd::StackAlloc { var: "p".into(), nbytes: 8, body: Box::new(Cmd::Skip) },
+                "stackalloc",
+            ),
+        ] {
+            let f = BFunction::new("c", none(), none(), cmd);
+            assert_eq!(spill_all(&f), Err(RvCompileError::Unsupported(what)));
+        }
+    }
+
+    #[test]
+    fn eq_lowers_to_a_flipped_sltu() {
+        let f = BFunction::new(
+            "iszero",
+            ["x"],
+            ["r"],
+            Cmd::if_(
+                BExpr::op(BinOp::Eq, BExpr::var("x"), BExpr::lit(0)),
+                Cmd::set("r", BExpr::lit(1)),
+                Cmd::set("r", BExpr::lit(2)),
+            ),
+        );
+        for art in [spill_all(&f).unwrap(), lower_allocated(&f, &linear_scan(&f)).unwrap()] {
+            let mut mem = Memory::new();
+            assert_eq!(run(&art, &mut mem, &[0]), vec![1]);
+            assert_eq!(run(&art, &mut mem, &[9]), vec![2]);
+        }
+    }
+
+    #[test]
+    fn table_lookup_over_a_load_frees_the_table() {
+        // r = tbl[mem1[p]] — a load feeding a table lookup.
+        let f = BFunction::new(
+            "xlat",
+            ["p"],
+            ["r"],
+            Cmd::set(
+                "r",
+                BExpr::table(AccessSize::One, "tbl", BExpr::load(AccessSize::One, BExpr::var("p"))),
+            ),
+        )
+        .with_table(BTable { name: "tbl".into(), data: (0..=255).map(|b: u8| b ^ 0x5a).collect() });
+        let art = spill_all(&f).unwrap();
+        let mut mem = Memory::new();
+        let p = mem.alloc(vec![0x33]);
+        assert_eq!(run(&art, &mut mem, &[p]), vec![0x33 ^ 0x5a]);
+        assert_eq!(mem.region_count(), 1, "only the caller's buffer remains");
+    }
+
+    #[test]
+    fn expression_depth_is_bounded_by_the_scratch_window() {
+        // `1 + (1 + (… + 1))` with `ops` additions keeps one operand live
+        // per level: its innermost leaf lands in x(5 + ops).
+        let chain = |ops: u64| {
+            let mut e = BExpr::lit(1);
+            for _ in 0..ops {
+                e = BExpr::op(BinOp::Add, BExpr::lit(1), e);
+            }
+            BFunction::new("deep", Vec::<String>::new(), ["r"], Cmd::set("r", e))
+        };
+        let deepest = u64::from(RMAX - RBASE);
+        let art = spill_all(&chain(deepest)).unwrap();
+        assert_eq!(run(&art, &mut Memory::new(), &[]), vec![deepest + 1]);
+        assert_eq!(spill_all(&chain(deepest + 1)), Err(RvCompileError::ExpressionTooDeep));
     }
 }

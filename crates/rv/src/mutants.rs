@@ -9,12 +9,9 @@
 //! validator catches exactly this class of bug.
 
 use rupicola_bedrock::rv::{Asm, Reg};
-use rupicola_bedrock::rv_compile::RvArtifact;
+use rupicola_bedrock::rv_compile::{RvArtifact, FP};
 
 use crate::{POOL_BASE, POOL_LAST};
-
-/// The frame pointer of the lowering ABI.
-const FP: Reg = 2;
 
 /// One seeded lowering bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,8 +233,7 @@ fn wrong_width_load(asm: &[Asm]) -> Option<Vec<Asm>> {
 mod tests {
     use super::*;
     use rupicola_bedrock::ast::{BExpr, BFunction, BinOp, Cmd};
-    use rupicola_bedrock::rv_compile::compile_function;
-    use crate::lower::{linear_scan, lower_allocated};
+    use crate::lower::{linear_scan, lower_allocated, Assignment};
 
     fn looped() -> BFunction {
         use rupicola_bedrock::ast::AccessSize;
@@ -275,10 +271,10 @@ mod tests {
 
     #[test]
     fn pool_mutants_skip_naive_artifacts() {
-        // The seed lowering never touches the pool, so the clobber mutant
-        // must report inapplicability rather than emit an equivalent
-        // (surviving!) mutant.
-        let art = compile_function(&looped()).unwrap();
+        // The spill-all lowering never touches the pool, so the clobber
+        // mutant must report inapplicability rather than emit an
+        // equivalent (surviving!) mutant.
+        let art = lower_allocated(&looped(), &Assignment::default()).unwrap();
         assert!(LowerMutant::ClobberCalleeSaved.apply(&art).is_none());
     }
 

@@ -11,6 +11,7 @@
 //! them dead.
 
 use rupicola_bedrock::rv::{Asm, Reg, ZERO};
+use rupicola_bedrock::rv_compile::FP;
 use std::collections::HashMap;
 
 /// The register an instruction writes, if any.
@@ -124,8 +125,6 @@ fn dead_after(asm: &[Asm], i: usize, r: Reg) -> bool {
     }
     true
 }
-
-const FP: Reg = 2;
 
 /// Forwards frame loads through known frame stores within a basic block:
 /// after `sd r, off(x2)`, a later `ld d, off(x2)` becomes a move (or

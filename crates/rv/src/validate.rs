@@ -2,7 +2,7 @@
 //! artifact against the Bedrock2 interpreter on the certificate's own
 //! concretized inputs.
 //!
-//! Everything upstream (allocation, peepholes, even the naive lowering)
+//! Everything upstream (allocation, peepholes, even the spill-all lowering)
 //! is untrusted; this module plus the two interpreters are the entire
 //! trusted base of the RISC-V route. The observation set is deliberately
 //! wide — return words, the whole final heap region-by-region, and every
@@ -10,14 +10,11 @@
 //! the answer right but clobbers a neighbour has nowhere to hide.
 
 use crate::RvBackendError;
-use rupicola_bedrock::rv::{assemble, Machine, Reg, RvError};
-use rupicola_bedrock::rv_compile::RvArtifact;
+use rupicola_bedrock::rv::{assemble, Machine, RvError};
+use rupicola_bedrock::rv_compile::{RvArtifact, FP};
 use rupicola_bedrock::Memory;
 use rupicola_core::check::Certificate;
 use std::collections::HashMap;
-
-/// The frame-pointer register of the lowering ABI.
-const FP: Reg = 2;
 
 /// Machine-side fuel per differential run. Independent of the Bedrock2
 /// budget: a miscompiled branch can spin forever on inputs where the
@@ -37,10 +34,10 @@ pub struct RvRunOutcome {
     pub executed: u64,
 }
 
-/// Assembles and runs an artifact like
-/// [`run_function`](rupicola_bedrock::rv_compile::run_function), but
-/// additionally reads the whole locals frame back before freeing it, and
-/// never panics on malformed artifacts (arity mismatches are errors).
+/// Loads and runs an artifact: materializes the inline tables, allocates
+/// the frame, writes the arguments, simulates, and reads the returns and
+/// the whole locals frame back. Never panics on malformed artifacts
+/// (arity mismatches are errors).
 ///
 /// Tables and the frame are deallocated on every path, so `mem` ends as
 /// the function's visible heap effect alone.
@@ -111,7 +108,7 @@ pub fn run_artifact(
                 .enumerate()
                 .map(|(i, v)| (v.clone(), word(i)))
                 .collect(),
-        executed: machine.executed,
+            executed: machine.executed,
         }
     });
     mem.dealloc(frame);
@@ -242,7 +239,7 @@ mod tests {
     use super::*;
     use rupicola_bedrock::ast::{BExpr, BFunction, BinOp, Cmd};
     use rupicola_bedrock::rv::Asm;
-    use rupicola_bedrock::rv_compile::compile_function;
+    use crate::{lower_allocated, Assignment};
 
     fn double(n: u64) -> BFunction {
         let _ = n;
@@ -256,7 +253,7 @@ mod tests {
 
     #[test]
     fn run_artifact_reports_all_locals_and_frees_memory() {
-        let art = compile_function(&double(0)).unwrap();
+        let art = lower_allocated(&double(0), &Assignment::default()).unwrap();
         let mut mem = Memory::new();
         let out = run_artifact(&art, &mut mem, &[21], 10_000).unwrap();
         assert_eq!(out.rets, vec![42]);
@@ -268,7 +265,7 @@ mod tests {
 
     #[test]
     fn run_artifact_rejects_arity_mismatch_without_panicking() {
-        let art = compile_function(&double(0)).unwrap();
+        let art = lower_allocated(&double(0), &Assignment::default()).unwrap();
         let mut mem = Memory::new();
         assert!(run_artifact(&art, &mut mem, &[1, 2], 10_000).is_err());
         assert_eq!(mem.region_count(), 0);
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn run_artifact_frees_tables_when_assembly_fails() {
-        let mut art = compile_function(&double(0)).unwrap();
+        let mut art = lower_allocated(&double(0), &Assignment::default()).unwrap();
         art.tables.push(("t".into(), vec![1, 2, 3]));
         art.asm.insert(0, Asm::J("nowhere".into()));
         let mut mem = Memory::new();

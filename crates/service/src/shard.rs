@@ -19,8 +19,10 @@
 //! *settlement* (counters, degraded tracking, quarantine, eviction, and
 //! inserting or dropping the key's cached certificate) runs under the
 //! **write** guard, as does every put's write. Concurrent attempts on one
-//! key share its cached certificate and fill its parts once. Key computation
-//! and the pipeline accessors take read guards; an rv-keyed put lowers
+//! key share its cached certificate and fill its parts once. Key
+//! computation, the pipeline accessors and [`ShardedStore::shard`] take
+//! read guards, so a caller holding a stripe's guard may still compute a
+//! key; an rv-keyed put lowers
 //! its machine artifact before it takes any guard, as a compile does. A
 //! racing put may land between an attempt and its settlement; the worst
 //! it can cost is that a settlement evicting a corrupt read deletes the
@@ -173,17 +175,18 @@ impl ShardedStore {
         shard_of_key(key, self.shards.len())
     }
 
-    /// Write-locks shard `index`'s stripe, for reading its configuration
+    /// Read-locks shard `index`'s stripe, for reading its configuration
     /// and state (`key_for`, `path_for`, `stats`, `degraded`); loads and
     /// puts go through [`ShardedStore::load_verified`] and
     /// [`ShardedStore::put`], which lock internally.
-    pub fn shard(&self, index: usize) -> RwLockWriteGuard<'_, Store> {
-        self.shards[index].write().unwrap_or_else(PoisonError::into_inner)
+    pub fn shard(&self, index: usize) -> RwLockReadGuard<'_, Store> {
+        self.shards[index].read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Read-locks shard `index`'s stripe.
-    fn read(&self, index: usize) -> RwLockReadGuard<'_, Store> {
-        self.shards[index].read().unwrap_or_else(PoisonError::into_inner)
+    /// Write-locks shard `index`'s stripe, for settling a load or filing
+    /// an artifact.
+    fn shard_mut(&self, index: usize) -> RwLockWriteGuard<'_, Store> {
+        self.shards[index].write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fingerprints a request with shard 0's conventions (every shard is
@@ -195,13 +198,13 @@ impl ShardedStore {
         dbs: &HintDbs,
         limits: &EngineLimits,
     ) -> Fingerprint {
-        self.read(0).key_for(model, spec, dbs, limits)
+        self.shard(0).key_for(model, spec, dbs, limits)
     }
 
     /// The optimization pipeline the shards key under (shard 0's —
     /// identical across shards by construction).
     pub fn pipeline(&self) -> rupicola_opt::PipelineConfig {
-        self.read(0).pipeline().clone()
+        self.shard(0).pipeline().clone()
     }
 
     /// Verified load, routed by fingerprint: verifies under one stripe's
@@ -219,10 +222,10 @@ impl ShardedStore {
         let key = self.key_for(model, spec, dbs, limits);
         let index = self.shard_of(key);
         let raw = {
-            let shard = self.read(index);
+            let shard = self.shard(index);
             shard.attempt(&shard.path_for(&spec.name, key), key, model, spec, dbs)
         };
-        self.shard(index).settle(raw)
+        self.shard_mut(index).settle(raw)
     }
 
     /// Files `cf` under `key` in the stripe the key routes to. On an
@@ -239,7 +242,7 @@ impl ShardedStore {
     /// keys.
     pub fn put(&self, key: Fingerprint, cf: &CompiledFunction) -> Result<PathBuf, String> {
         let index = self.shard_of(key);
-        let mut shard = self.shard(index);
+        let mut shard = self.shard_mut(index);
         let Some(pipeline) = shard.rv_pipeline.clone() else {
             return shard.write(key, cf, None);
         };
@@ -248,12 +251,12 @@ impl ShardedStore {
         drop(shard);
         let (art, _) = rupicola_rv::lower_validated(cf, &pipeline, &CheckConfig::default())
             .map_err(|e| format!("cannot lower `{}` for the store: {e}", cf.function.name))?;
-        self.shard(index).write(key, cf, Some(&art))
+        self.shard_mut(index).write(key, cf, Some(&art))
     }
 
     /// Aggregated lifetime counters across every shard.
     pub fn stats(&self) -> CacheStats {
-        let shards = (0..self.shards.len()).map(|i| self.read(i).stats());
+        let shards = (0..self.shards.len()).map(|i| self.shard(i).stats());
         shards.fold(CacheStats::default(), |mut acc, s| {
             acc.hits += s.hits;
             acc.misses += s.misses;
@@ -273,18 +276,18 @@ impl ShardedStore {
     /// Whether *any* shard has flipped into degraded mode (the in-band
     /// `"degraded"` flag: a response may have skipped caching).
     pub fn any_degraded(&self) -> bool {
-        (0..self.shards.len()).any(|i| self.read(i).degraded())
+        (0..self.shards.len()).any(|i| self.shard(i).degraded())
     }
 
     /// Whether *every* shard is degraded (the store as a whole is
     /// effectively compile-without-cache).
     pub fn all_degraded(&self) -> bool {
-        (0..self.shards.len()).all(|i| self.read(i).degraded())
+        (0..self.shards.len()).all(|i| self.shard(i).degraded())
     }
 
     /// The backend name of shard 0 (`"fs"`, `"chaos"`), for reports.
     pub fn backend_name(&self) -> &'static str {
-        self.read(0).backend_name()
+        self.shard(0).backend_name()
     }
 
     /// Acquires the advisory cross-process locks of the shards in
@@ -428,6 +431,38 @@ mod tests {
         let key = sharded.key_for(&(healthy.model)(), &(healthy.spec)(), &dbs, &limits);
         sharded.put(key, &(healthy.compiled)().unwrap()).unwrap();
         assert_eq!(sharded.stats().stores, 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Reading a stripe's path while computing the key for it takes the
+    /// stripe's lock twice on one thread; both must be read locks. The
+    /// expression runs on a watchdog thread so a deadlock fails the test
+    /// instead of hanging it.
+    #[test]
+    fn path_for_under_a_shard_guard_never_deadlocks() {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        let root = scratch("reentrant");
+        let store = ShardedStore::open(&root, 1).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let probe = std::thread::spawn(move || {
+            let dbs = standard_dbs();
+            let limits = EngineLimits::default();
+            let model = rupicola_programs::fnv1a::model();
+            let spec = rupicola_programs::fnv1a::spec();
+            let path =
+                store.shard(0).path_for(&spec.name, store.key_for(&model, &spec, &dbs, &limits));
+            let _ = tx.send(path);
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            // The hung probe is left behind: it can never be joined.
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("`shard(0).path_for(.., key_for(..))` deadlocked on the stripe lock")
+            }
+            answer => {
+                probe.join().expect("the probe panicked");
+                assert!(answer.expect("the probe sent its path").starts_with(&root));
+            }
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

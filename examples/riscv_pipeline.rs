@@ -9,11 +9,11 @@
 //! Run with `cargo run --example riscv_pipeline`.
 
 use rupicola::bedrock::rv::listing;
-use rupicola::bedrock::rv_compile::{compile_function, run_function};
 use rupicola::bedrock::Memory;
 use rupicola::core::check::check;
 use rupicola::ext::standard_dbs;
 use rupicola::programs::ip;
+use rupicola::rv::{lower_allocated, run_artifact, Assignment};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Compile the model and certify the Bedrock2 level.
@@ -25,8 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.derivation.side_cond_count
     );
 
-    // 2. Lower to RV64.
-    let artifact = compile_function(&compiled.function).map_err(std::io::Error::other)?;
+    // 2. Lower to RV64, every local in the frame (the empty register
+    //    assignment).
+    let artifact = lower_allocated(&compiled.function, &Assignment::default())
+        .map_err(std::io::Error::other)?;
     println!(
         "== RV64 assembly ({} instructions; locals frame: {:?}) ==",
         artifact.asm.iter().filter(|a| !matches!(a, rupicola::bedrock::rv::Asm::Label(_))).count(),
@@ -39,8 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                   0x00, 0x00, 0xc0, 0xa8, 0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7];
     let mut mem = Memory::new();
     let p = mem.alloc(packet.to_vec());
-    let rets = run_function(&artifact, &mut mem, &[p, packet.len() as u64], 1_000_000)
-        .map_err(std::io::Error::other)?;
+    let rets = run_artifact(&artifact, &mut mem, &[p, packet.len() as u64], 1_000_000)
+        .map_err(std::io::Error::other)?
+        .rets;
     println!("checksum(IPv4 header) = {:#06x}", rets[0]);
     assert_eq!(rets[0], u64::from(ip::reference(&packet)));
     // The classic worked example: this header checksums to 0xb861.

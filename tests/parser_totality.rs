@@ -256,7 +256,7 @@ fn every_truncation_of_every_suite_envelope_evicts() {
 #[test]
 fn every_truncation_of_a_listing_parses_or_errors() {
     let cf = rupicola::programs::crc32::compiled().unwrap();
-    let art = rupicola::bedrock::rv_compile::compile_function(&cf.function).unwrap();
+    let art = rupicola::rv::lower_allocated(&cf.function, &Default::default()).unwrap();
     let text = listing(&art.asm);
     assert_eq!(parse_listing(&text).unwrap(), art.asm);
     for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {

@@ -97,9 +97,10 @@ fn straightline_models_certify() {
         let interp = Interpreter::new(&program);
         let mut state = ExecState::new(Memory::new());
         let r1 = interp.call("straight", &[x], &mut state, &mut NoExternals, 100_000).unwrap();
-        let art = rupicola::bedrock::rv_compile::compile_function(&compiled.function).unwrap();
+        let art =
+            rupicola::rv::lower_allocated(&compiled.function, &Default::default()).unwrap();
         let mut mem = Memory::new();
-        let r2 = rupicola::bedrock::rv_compile::run_function(&art, &mut mem, &[x], 100_000).unwrap();
+        let r2 = rupicola::rv::run_artifact(&art, &mut mem, &[x], 100_000).unwrap().rets;
         assert_eq!(r1, r2);
     });
 }

@@ -7,8 +7,9 @@
 //! proof replaced by differential validation at every level (see
 //! DESIGN.md).
 
-use rupicola::bedrock::rv_compile::{compile_function, run_function};
-use rupicola::bedrock::Memory;
+use rupicola::bedrock::rv_compile::RvArtifact;
+use rupicola::bedrock::{BFunction, Memory};
+use rupicola::rv::{lower_allocated, run_artifact, Assignment};
 use rupicola::programs::{crc32, fasta, fnv1a, ip, m3s, upstr, utf8};
 
 fn workload(n: usize, text: bool) -> Vec<u8> {
@@ -27,16 +28,20 @@ fn workload(n: usize, text: bool) -> Vec<u8> {
         .collect()
 }
 
+/// Lowers a compiled suite program with every local in the frame.
+fn spill_all(function: &BFunction) -> RvArtifact {
+    lower_allocated(function, &Assignment::default())
+        .unwrap_or_else(|e| panic!("{}: {e}", function.name))
+}
+
 /// Runs a compiled suite program on a buffer through the RV64 simulator.
-fn rv_run_on_buffer(
-    function: &rupicola::bedrock::BFunction,
-    data: &[u8],
-) -> (Vec<u64>, Vec<u8>) {
-    let art = compile_function(function).unwrap_or_else(|e| panic!("{}: {e}", function.name));
+fn rv_run_on_buffer(function: &BFunction, data: &[u8]) -> (Vec<u64>, Vec<u8>) {
+    let art = spill_all(function);
     let mut mem = Memory::new();
     let p = mem.alloc(data.to_vec());
-    let rets = run_function(&art, &mut mem, &[p, data.len() as u64], 50_000_000)
-        .unwrap_or_else(|e| panic!("{}: {e}", function.name));
+    let rets = run_artifact(&art, &mut mem, &[p, data.len() as u64], 50_000_000)
+        .unwrap_or_else(|e| panic!("{}: {e}", function.name))
+        .rets;
     let out = mem.region(p).expect("buffer survives").to_vec();
     (rets, out)
 }
@@ -68,10 +73,10 @@ fn utf8_to_assembly() {
 #[test]
 fn m3s_to_assembly() {
     let compiled = m3s::compiled().unwrap();
-    let art = compile_function(&compiled.function).unwrap();
+    let art = spill_all(&compiled.function);
     for k in [0u32, 1, 0xdead_beef, u32::MAX] {
         let mut mem = Memory::new();
-        let rets = run_function(&art, &mut mem, &[u64::from(k)], 10_000).unwrap();
+        let rets = run_artifact(&art, &mut mem, &[u64::from(k)], 10_000).unwrap().rets;
         assert_eq!(rets, vec![u64::from(m3s::reference(k))]);
     }
 }
