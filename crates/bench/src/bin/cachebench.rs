@@ -14,6 +14,10 @@
 //! Asserts (exit nonzero on violation):
 //!
 //! - the warm pass is 100% cache hits with no evictions;
+//! - every warm pass after the first reuses its key's cached certificate
+//!   on every load (`cert_reuses` rises by the pass's hit count): the
+//!   first warm pass builds the entries, and a later one that decodes
+//!   and re-checks a certificate has lost the reuse path;
 //! - cold and warm results are structurally identical (function,
 //!   derivation, stats);
 //! - the median warm wall-time ≤ 0.5× the median cold wall-time — only
@@ -163,6 +167,7 @@ fn main() {
         let stats = store.stats();
         let warm_hits = stats.hits - stats_before.hits;
         let warm_evictions = stats.evictions - stats_before.evictions;
+        let warm_reuses = stats.cert_reuses - stats_before.cert_reuses;
         if warm_hits != pass.len()
             || warm_evictions != 0
             || pass.iter().any(|r| r.provenance != Provenance::Cache)
@@ -174,13 +179,21 @@ fn main() {
             );
             std::process::exit(1);
         }
-        pass
+        (pass, warm_reuses)
     })
     .remove(0);
     let warm_ms = Summary::of(warm.iter().map(|t| t.ms));
-    let second = &warm[warm.len() - 1].out;
+    let warm_reuses: Vec<usize> = warm.iter().map(|t| t.out.1).collect();
+    let second = &warm[warm.len() - 1].out.0;
     let stats = store.stats();
     let warm_hits = second.len();
+    if warm_reuses[1..].iter().any(|&n| n != warm_hits) {
+        eprintln!(
+            "cachebench: FAIL: warm passes after the first reused {warm_reuses:?} cached \
+             certificate(s) of {warm_hits} hits each"
+        );
+        std::process::exit(1);
+    }
     // And must serve exactly what the first pass produced.
     for (c, w) in first.iter().zip(second.iter()) {
         let (c, w) = (c.result.as_ref().expect("checked"), w.result.as_ref().expect("checked"));
@@ -200,7 +213,8 @@ fn main() {
         cold_ms.median
     );
     println!(
-        "  warm pass:   {:>8.2} ms median of {WARM_PASSES} ({warm_hits} verified hit(s) each)",
+        "  warm pass:   {:>8.2} ms median of {WARM_PASSES} ({warm_hits} verified hit(s) each, \
+         {warm_reuses:?} cached certificate(s) reused)",
         warm_ms.median
     );
     println!(
@@ -215,6 +229,10 @@ fn main() {
         ("warm_over_cold", Json::F64(ratio)),
         ("fully_cold_first_pass", Json::Bool(fully_cold)),
         ("warm_hits", Json::U64(warm_hits as u64)),
+        (
+            "warm_cert_reuses",
+            Json::Arr(warm_reuses.iter().map(|&n| Json::U64(n as u64)).collect()),
+        ),
         ("programs", Json::Arr(rows)),
         ("cache", stats.to_json()),
     ]);

@@ -14,7 +14,7 @@
 //!   fixing the counters is rejected structurally), encoded spine-flat
 //!   ([`encode_derivation_node`]) so that a long let-spine is one array
 //!   instead of one JSON nesting level per statement,
-//! - the source [`Model`](rupicola_lang::Model) and the [`FnSpec`] ABI (from which the checker
+//! - the source [`Model`] and the [`FnSpec`] ABI (from which the checker
 //!   rebuilds the initial goal and concretizes test vectors),
 //! - the [`CompileStats`] of the original run (so cached suite passes
 //!   still cross-check against build-time stats).
@@ -34,11 +34,13 @@ use crate::fnspec::{ArgSpec, FnSpec, RetSpec, TraceSpec};
 use crate::goal::{Hyp, MonadCtx, SideCond};
 use crate::invariant::{LoopInvariant, LoopInvariantKind};
 use rupicola_bedrock::serial::{encode_bfunction, read_bfunction};
+use rupicola_bedrock::BFunction;
 use rupicola_lang::codec::{
     encode_elem_kind, encode_expr, encode_model, encode_monad_kind, monad_kind_from_name,
     read_elem_kind, read_expr, read_model, read_text, DecodeResult,
 };
 use rupicola_lang::json::{Json, Reader};
+use rupicola_lang::Model;
 use rupicola_sep::ScalarKind;
 
 // ---------------------------------------------------------------------------
@@ -610,12 +612,48 @@ pub fn encode_compiled_function(cf: &CompiledFunction) -> Json {
 }
 
 /// Reads a full [`CompiledFunction`] artifact, its fields in the order
-/// [`encode_compiled_function`] writes them.
+/// [`encode_compiled_function`] writes them, and returns it with the
+/// exact text of its certified fields: `function`, `linked`,
+/// `derivation`, `model` and `spec`, which the writer emits first.
+///
+/// `known` is a certified text this decoder returned before, with the
+/// function it decoded from that text. When the artifact continues with
+/// exactly that text ([`Reader::verbatim`]), those five fields are cloned
+/// from the known function instead of decoded; decoding is a function of
+/// the bytes, so the result is the one a full decode gives. Otherwise
+/// every field is decoded.
 ///
 /// Decoding alone confers no trust: the store's verified-load path hands
 /// the result to the independent checker before serving it.
-pub fn read_compiled_function(r: &mut Reader<'_>) -> DecodeResult<CompiledFunction> {
+pub fn read_compiled_function<'a>(
+    r: &mut Reader<'a>,
+    known: Option<(&str, &CompiledFunction)>,
+) -> DecodeResult<(CompiledFunction, &'a str)> {
     r.begin_obj()?;
+    let ((function, linked, derivation, model, spec), certified) = r.span(|r| match known {
+        Some((text, cf)) if r.verbatim(text) => Ok((
+            cf.function.clone(),
+            cf.linked.clone(),
+            cf.derivation.clone(),
+            cf.model.clone(),
+            cf.spec.clone(),
+        )),
+        _ => read_certified_fields(r),
+    })?;
+    r.key("optimized")?;
+    let optimized = if r.null()? { None } else { Some(read_bfunction(r)?) };
+    r.key("stats")?;
+    let stats = read_compile_stats(r)?;
+    r.end_obj()?;
+    let cf = CompiledFunction { function, linked, derivation, model, spec, optimized, stats };
+    Ok((cf, certified))
+}
+
+/// The certified fields of a [`CompiledFunction`], in the writer's order.
+type CertifiedFields = (BFunction, Vec<BFunction>, Derivation, Model, FnSpec);
+
+/// Decodes the certified fields, `function` through `spec`.
+fn read_certified_fields(r: &mut Reader<'_>) -> DecodeResult<CertifiedFields> {
     r.key("function")?;
     let function = read_bfunction(r)?;
     r.key("linked")?;
@@ -626,18 +664,13 @@ pub fn read_compiled_function(r: &mut Reader<'_>) -> DecodeResult<CompiledFuncti
     let model = read_model(r)?;
     r.key("spec")?;
     let spec = read_fn_spec(r)?;
-    r.key("optimized")?;
-    let optimized = if r.null()? { None } else { Some(read_bfunction(r)?) };
-    r.key("stats")?;
-    let stats = read_compile_stats(r)?;
-    r.end_obj()?;
-    Ok(CompiledFunction { function, linked, derivation, model, spec, optimized, stats })
+    Ok((function, linked, derivation, model, spec))
 }
 
 /// Decodes a [`CompiledFunction`] from an encoded tree: its compact
 /// rendering, read by [`read_compiled_function`].
 pub fn decode_compiled_function(j: &Json) -> DecodeResult<CompiledFunction> {
-    read_text(&j.render_compact(), read_compiled_function)
+    read_text(&j.render_compact(), |r| read_compiled_function(r, None).map(|(cf, _)| cf))
 }
 
 #[cfg(test)]

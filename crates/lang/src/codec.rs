@@ -195,9 +195,9 @@ pub fn encode_value(v: &Value) -> Json {
 /// # Errors
 ///
 /// Whatever `read` returns, and trailing characters.
-pub fn read_text<T>(
-    text: &str,
-    read: impl FnOnce(&mut Reader<'_>) -> DecodeResult<T>,
+pub fn read_text<'a, T>(
+    text: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> DecodeResult<T>,
 ) -> DecodeResult<T> {
     let mut r = Reader::new(text);
     let value = read(&mut r)?;

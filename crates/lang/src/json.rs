@@ -801,6 +801,35 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
+    /// Consumes `text` if the input continues with exactly that text
+    /// (after whitespace, and after the `,` a value here needs), and
+    /// returns whether it did; on `false` nothing is consumed. `text` is
+    /// one or more complete values or object members, as [`span`] reports
+    /// them, so the reader stands after a complete value when it matches;
+    /// an empty `text` never matches.
+    ///
+    /// [`span`]: Reader::span
+    pub fn verbatim(&mut self, text: &str) -> bool {
+        let (pos, sep) = (self.pos, self.sep);
+        self.skip_ws();
+        if self.sep {
+            if self.byte() != Some(b',') {
+                self.pos = pos;
+                return false;
+            }
+            self.pos += 1;
+            self.skip_ws();
+        }
+        if !text.is_empty() && self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            self.sep = true;
+            true
+        } else {
+            (self.pos, self.sep) = (pos, sep);
+            false
+        }
+    }
+
     /// Reads the next value with `read`, and returns what it read together
     /// with the value's exact text.
     pub fn span<T, E: From<ParseError>>(
@@ -1068,6 +1097,46 @@ mod tests {
         let mut r = Reader::new(text);
         r.begin_obj().unwrap();
         assert!(r.key("b").is_err(), "fields are read in the written order");
+    }
+
+    #[test]
+    fn verbatim_consumes_the_exact_text_or_nothing() {
+        let text = r#"{"a":[1,2],"b":null}"#;
+        // A match consumes the text, members and all.
+        let mut r = Reader::new(text);
+        r.begin_obj().unwrap();
+        assert!(r.verbatim(r#""a":[1,2]"#));
+        r.key("b").unwrap();
+        assert!(r.null().unwrap());
+        r.end_obj().unwrap();
+        r.finish().unwrap();
+        // A mismatch consumes nothing, not even the `,` or whitespace.
+        let mut r = Reader::new(text);
+        r.begin_obj().unwrap();
+        for other in [r#""a":[1,3]"#, r#""a":[1,2],"c":null"#, r#""b""#, ""] {
+            assert!(!r.verbatim(other), "matched {other:?}");
+            assert_eq!((r.pos, r.sep), (1, false), "{other:?}");
+        }
+        r.key("a").unwrap();
+        assert_eq!(r.list(Reader::u64).unwrap(), vec![1, 2]);
+        let at = r.pos;
+        assert!(!r.verbatim(r#""b":true"#));
+        assert_eq!((r.pos, r.sep), (at, true));
+        assert!(r.verbatim(r#""b":null"#), "the `,` is consumed with a match");
+        r.end_obj().unwrap();
+        r.finish().unwrap();
+        // After a match the reader stands after a value: a key needs its `,`.
+        let mut r = Reader::new(r#"{"a":1"b":2}"#);
+        r.begin_obj().unwrap();
+        assert!(r.verbatim(r#""a":1"#));
+        assert!(r.key("b").is_err());
+        // Whitespace before the text (and around the `,`) is skipped.
+        let mut r = Reader::new(" [ 1 ,\n 2 ] ");
+        r.begin_arr().unwrap();
+        assert!(r.verbatim("1"));
+        assert!(r.verbatim("2"));
+        r.end_arr().unwrap();
+        r.finish().unwrap();
     }
 
     #[test]

@@ -30,7 +30,11 @@
 //!    corruption, never be served as an answer. Each artifact has one
 //!    accepted structure: its fields in the writer's order and every
 //!    chain in its one canonical form. Whitespace between tokens reads,
-//!    but it changes the bytes, so a re-indented artifact evicts here,
+//!    but it changes the bytes, so a re-indented artifact evicts here.
+//!    When the artifact's certified fields (`function` through `spec`)
+//!    are byte for byte the text the key's cached certificate was
+//!    decoded from, they are cloned from it instead of decoded again;
+//!    the digest still covers every stored byte,
 //! 3. cross-checks that the decoded model and spec are structurally equal
 //!    to the *requested* ones (a fingerprint collision or a hand-edited
 //!    file thus turns into an eviction, never a wrong answer),
@@ -45,11 +49,13 @@
 //!    store is rv-keyed ([`Store::with_rv_pipeline`]).
 //!
 //! Steps 4–7 validate their bodies against one [`Certificate`]. Its parts
-//! depend only on the decoded model, spec, witness, linked functions and
-//! certified body, so each stripe keeps them per key and a load whose
-//! decoded artifact is equal in all five (under the same hint-database
-//! identity) reuses them instead of rebuilding them; the bodies are still
-//! validated on every load (DESIGN.md §10).
+//! depend only on the certified fields — model, spec, witness, linked
+//! functions and certified body — so each stripe keeps them per key with
+//! those fields' stored text, and a load whose certified text is that
+//! text (under the same hint-database identity) reuses them instead of
+//! rebuilding them. Decoding is a function of the bytes, so equal text
+//! decodes to equal fields; the bodies are still validated on every load
+//! (DESIGN.md §10).
 //!
 //! Any failure at any step *evicts* the artifact (the file is deleted)
 //! and reports [`LoadOutcome::Evicted`]; the caller recompiles. A decode
@@ -748,14 +754,16 @@ impl Store {
         };
         let started = Instant::now();
         let mut cert = None;
-        let outcome = unseal(&text, key, model, spec).and_then(|(cf, rv)| {
-            let dbs_identity = dbs.identity_string();
-            let (entry, used) = match self.certs.get(&key) {
-                Some(entry) if entry.covers(&cf, &dbs_identity) => {
-                    (Arc::clone(entry), CertUse::Reused)
-                }
+        let dbs_identity = dbs.identity_string();
+        let cached = self.certs.get(&key).filter(|entry| entry.dbs_identity == dbs_identity);
+        let known = cached.map(|entry| (&*entry.text, &entry.cf));
+        let outcome = unseal(&text, key, model, spec, known).and_then(|(cf, certified, rv)| {
+            // The reuse rule: the certified fields' stored bytes are the
+            // ones the entry was decoded from.
+            let (entry, used) = match cached {
+                Some(entry) if *entry.text == *certified => (Arc::clone(entry), CertUse::Reused),
                 _ => {
-                    let entry = Arc::new(CertEntry::new(&cf, dbs_identity, &self.check));
+                    let entry = Arc::new(CertEntry::new(&cf, certified, dbs_identity, &self.check));
                     (Arc::clone(&entry), CertUse::Built(entry))
                 }
             };
@@ -926,13 +934,18 @@ fn read_rv_block(r: &mut Reader<'_>) -> DecodeResult<RvBlock> {
 /// The first half of the verification ladder, in one forward read of the
 /// envelope text that builds no `Json` tree: header cross-checks, decode,
 /// digest, input cross-check. Returns the decoded artifact, which is for
-/// this request, and the envelope's `rv` block if it carries one.
-fn unseal(
-    text: &str,
+/// this request, the stored text of its certified fields, and the
+/// envelope's `rv` block if it carries one. `known` is the key's cached
+/// certified text and the function decoded from it: when the artifact
+/// continues with that text, its certified fields are cloned from that
+/// function instead of decoded ([`read_compiled_function`]).
+fn unseal<'t>(
+    text: &'t str,
     key: Fingerprint,
     model: &Model,
     spec: &FnSpec,
-) -> Result<(CompiledFunction, Option<RvBlock>), String> {
+    known: Option<(&str, &CompiledFunction)>,
+) -> Result<(CompiledFunction, &'t str, Option<RvBlock>), String> {
     let invalid = |e: ParseError| format!("invalid JSON: {e}");
     let mut r = Reader::new(text);
     r.begin_obj().map_err(invalid)?;
@@ -953,7 +966,9 @@ fn unseal(
     r.key("digest").map_err(invalid)?;
     let digest = r.str().map_err(invalid)?;
     r.key("artifact").map_err(invalid)?;
-    let (cf, stored) = r.span(read_compiled_function).map_err(|e| format!("decode: {e}"))?;
+    let ((cf, certified), stored) = r
+        .span(|r| read_compiled_function(r, known))
+        .map_err(|e| format!("decode: {e}"))?;
     // Byte-level integrity: the digest of the artifact's stored bytes.
     // The checker below re-proves the *semantics*; this step catches
     // corruption in the semantically inert parts of the witness (focus
@@ -983,16 +998,20 @@ fn unseal(
     if cf.spec != *spec {
         return Err("stored spec differs from requested spec".to_string());
     }
-    Ok((cf, rv))
+    Ok((cf, certified, rv))
 }
 
 /// One key's checked certificate: everything a verified load validates
 /// bodies against that depends only on the certified function — the
 /// checker's certificate parts (structural result, vectors, source runs,
 /// invariants, reference runs), the lint certificate and the CT baseline
-/// decision — with the inputs they were built from. Each part is
-/// computed on first use and kept, so every later load of the key that
-/// [`covers`](CertEntry::covers) reuses it (DESIGN.md §10).
+/// decision — with the inputs they were built from: the certified fields
+/// (`function`, `linked`, `derivation`, `model`, `spec`), both decoded
+/// and as the stored text they were decoded from. Each part is computed
+/// on first use and kept, so every later load of the key whose certified
+/// text is the entry's, under the same hint-database identity, reuses it
+/// and clones the decoded fields instead of decoding them again
+/// (DESIGN.md §10).
 ///
 /// The stripe's [`CheckConfig`] and CT policy are fixed when it is
 /// opened, so an entry in a stripe always matches the stripe's
@@ -1001,6 +1020,8 @@ pub(crate) struct CertEntry {
     /// The certified function the parts were computed from (no optimized
     /// body: an entry certifies, it does not serve).
     cf: CompiledFunction,
+    /// The stored text `cf`'s certified fields were decoded from.
+    text: Box<str>,
     /// `HintDbs::identity_string` of the databases the side conditions
     /// were re-solved under.
     dbs_identity: String,
@@ -1010,28 +1031,20 @@ pub(crate) struct CertEntry {
 }
 
 impl CertEntry {
-    fn new(cf: &CompiledFunction, dbs_identity: String, check: &CheckConfig) -> CertEntry {
+    fn new(
+        cf: &CompiledFunction,
+        text: &str,
+        dbs_identity: String,
+        check: &CheckConfig,
+    ) -> CertEntry {
         CertEntry {
             cf: CompiledFunction { optimized: None, ..cf.clone() },
+            text: text.into(),
             dbs_identity,
             cert: CertificateParts::new(check),
             lint: OnceLock::new(),
             ct: OnceLock::new(),
         }
-    }
-
-    /// The reuse rule: this entry certifies `cf` under databases of
-    /// identity `dbs_identity` exactly when everything the certificate
-    /// reads — model, spec, witness, linked functions and certified body
-    /// — is equal, and the databases' identity is the one the entry was
-    /// built under.
-    fn covers(&self, cf: &CompiledFunction, dbs_identity: &str) -> bool {
-        self.dbs_identity == dbs_identity
-            && self.cf.model == cf.model
-            && self.cf.spec == cf.spec
-            && self.cf.function == cf.function
-            && self.cf.linked == cf.linked
-            && self.cf.derivation == cf.derivation
     }
 }
 
@@ -1057,7 +1070,7 @@ pub(crate) struct Raw {
 
 /// How an attempt came by its certificate entry.
 enum CertUse {
-    /// The key's cached entry covered the artifact.
+    /// The artifact's certified text was the key's cached entry's.
     Reused,
     /// A fresh entry, inserted if the attempt is a hit.
     Built(Arc<CertEntry>),

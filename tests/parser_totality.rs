@@ -125,7 +125,7 @@ fn parse_everywhere(text: &str) -> (bool, bool) {
     let _ = parse_listing(text);
     (
         json::parse(text).is_ok(),
-        read_text(text, read_compiled_function).is_ok(),
+        read_text(text, |r| read_compiled_function(r, None)).is_ok(),
     )
 }
 
@@ -183,7 +183,7 @@ fn integer_literals_of_21_digits_and_more_are_errors() {
             ));
         }
         let artifact = artifact.replacen("\"node_count\":", &format!("\"node_count\":{huge}"), 1);
-        assert!(read_text(&artifact, read_compiled_function).is_err());
+        assert!(read_text(&artifact, |r| read_compiled_function(r, None)).is_err());
     }
 }
 
@@ -245,9 +245,9 @@ fn every_truncation_of_every_suite_envelope_evicts() {
         ));
         let artifact = artifact_text(text).unwrap();
         for cut in (0..artifact.len()).filter(|&cut| artifact.is_char_boundary(cut)) {
-            assert!(read_text(&artifact[..cut], read_compiled_function).is_err());
+            assert!(read_text(&artifact[..cut], |r| read_compiled_function(r, None)).is_err());
         }
-        assert!(read_text(artifact, read_compiled_function).is_ok());
+        assert!(read_text(artifact, |r| read_compiled_function(r, None)).is_ok());
     }
 }
 
@@ -289,7 +289,7 @@ fn random_single_byte_edits_of_a_suite_envelope_evict_or_serve_certified() {
         if let Ok(text) = std::str::from_utf8(&bytes) {
             parse_everywhere(text);
             if let Some(artifact) = artifact_text(text) {
-                let _ = read_text(artifact, read_compiled_function);
+                let _ = read_text(artifact, |r| read_compiled_function(r, None));
             }
         }
         filed.load(p, &bytes);

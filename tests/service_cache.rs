@@ -54,7 +54,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn assert_round_trips(name: &str, cf: &CompiledFunction) {
     let encoded = encode_compiled_function(cf);
     for (leg, text) in [("indented", encoded.render()), ("compact", encoded.render_compact())] {
-        let back = read_text(&text, read_compiled_function)
+        let (back, _) = read_text(&text, |r| read_compiled_function(r, None))
             .unwrap_or_else(|e| panic!("{name}: {leg} decode failed: {e}"));
         assert_eq!(back.function, cf.function, "{name} ({leg})");
         assert_eq!(back.linked, cf.linked, "{name} ({leg})");
@@ -96,6 +96,49 @@ fn serialization_round_trips_the_rest_of_the_perf_suite() {
             let cf = (entry.compiled)()
                 .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.info.name));
             assert_round_trips(entry.info.name, &cf);
+        });
+    }
+}
+
+/// Reading an artifact with known certified fields gives what a plain
+/// read gives, for every perf-suite artifact, whether the known text is
+/// the artifact's own (the fields are cloned) or another program's (they
+/// are decoded); either way the certified text it returns is the
+/// artifact's own, `function` through `spec`. Deep stack: comparing
+/// `chacha20_block`'s witness recurses once per statement.
+#[test]
+fn known_certified_fields_read_like_a_plain_decode_for_the_perf_suite() {
+    let artifacts: Vec<(&str, String)> = perf_suite()
+        .into_iter()
+        .map(|entry| {
+            on_deep_stack(|| {
+                let cf = (entry.compiled)()
+                    .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.info.name));
+                (entry.info.name, encode_compiled_function(&cf).render_compact())
+            })
+        })
+        .collect();
+    assert_eq!(artifacts.len(), 11);
+    let plain = |text: &str| {
+        read_text(text, |r| {
+            read_compiled_function(r, None).map(|(cf, certified)| (cf, certified.to_string()))
+        })
+        .unwrap()
+    };
+    for (i, (name, text)) in artifacts.iter().enumerate() {
+        let (other, other_text) = &artifacts[(i + 1) % artifacts.len()];
+        on_deep_stack(|| {
+            let (cf, certified) = plain(text);
+            assert!(text.starts_with(&format!("{{{certified},\"optimized\":")), "{name}");
+            let (other_cf, other_certified) = plain(other_text);
+            let knowns = [(name, (&*certified, &cf)), (other, (&*other_certified, &other_cf))];
+            for (whose, known) in knowns {
+                let (back, back_certified) =
+                    read_text(text, |r| read_compiled_function(r, Some(known)))
+                        .unwrap_or_else(|e| panic!("{name} knowing {whose}'s fields: {e}"));
+                assert!(back == cf, "{name} knowing {whose}'s fields: another function");
+                assert_eq!(back_certified, certified, "{name} knowing {whose}'s fields");
+            }
         });
     }
 }
@@ -424,6 +467,85 @@ fn a_cached_certificate_never_vouches_for_another_witness() {
     assert!(reason.contains("optimized body failed re-validation"), "{reason}");
     assert_eq!(store.stats().cert_reuses, 3);
     assert_eq!(store.stats().to_json().get("cert_reuses").and_then(json::Json::as_u64), Some(3));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An envelope's artifact text and the offset it starts at (a plain
+/// store's envelope ends with its artifact).
+fn artifact_of(envelope: &str) -> (usize, &str) {
+    let at = envelope.find("\"artifact\":").expect("an artifact") + "\"artifact\":".len();
+    (at, &envelope[at..envelope.len() - 1])
+}
+
+/// A fresh decode of the artifact filed at `path`, if it decodes.
+fn decode_file(path: &std::path::Path) -> Option<CompiledFunction> {
+    let envelope = std::fs::read_to_string(path).unwrap();
+    read_text(artifact_of(&envelope).1, |r| read_compiled_function(r, None)).ok().map(|(cf, _)| cf)
+}
+
+/// For every suite program, a hit that reuses its key's certificate
+/// serves exactly what a fresh decode of the file reads, and
+/// `cert_reuses` rises on exactly the loads whose certified text
+/// (`function` through `spec`) is the text the key's entry was built
+/// from. A one-byte flip inside that text, filed under a digest of its
+/// own bytes, never reuses the entry, whether the load then hits or
+/// evicts.
+#[test]
+fn a_reusing_hit_serves_a_fresh_decode_and_a_flipped_certified_byte_never_reuses() {
+    const FLIPS: usize = 5;
+    let dbs = standard_dbs();
+    let limits = EngineLimits::default();
+    let root = scratch("byte-reuse");
+    let store =
+        ShardedStore::open_with(&root, 1, |_| Box::new(FsBackend), |s| s.with_quarantine_after(0))
+            .unwrap();
+    for entry in suite() {
+        let name = entry.info.name;
+        let (model, spec) = ((entry.model)(), (entry.spec)());
+        let cf = (entry.compiled)().unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
+        let key = store.key_for(&model, &spec, &dbs, &(entry.limits)(limits));
+        // Loads the file at `path`: checks that it reused the key's entry
+        // exactly when `reuse`, and that a hit serves the file's fresh
+        // decode. Returns whether it hit.
+        let load = |what: &str, reuse: bool, path: &std::path::Path| {
+            let fresh = decode_file(path);
+            let before = store.stats().cert_reuses;
+            let outcome = store.load_verified(&model, &spec, &dbs, &(entry.limits)(limits));
+            assert_eq!(store.stats().cert_reuses - before, usize::from(reuse), "{name}: {what}");
+            match outcome {
+                LoadOutcome::Hit(loaded) => {
+                    assert!(Some(loaded.cf) == fresh, "{name}: {what} serves another function");
+                    true
+                }
+                LoadOutcome::Evicted { .. } => false,
+                other => panic!("{name}: {what}: {other:?}"),
+            }
+        };
+        let path = store.put(key, &cf).unwrap();
+        assert!(load("first load", false, &path));
+        assert!(load("second load", true, &path));
+        assert!(load("third load", true, &path));
+        let pristine = std::fs::read_to_string(&path).unwrap();
+        let (at, artifact) = artifact_of(&pristine);
+        let certified = 1..artifact.find(",\"optimized\":").expect("an optimized field");
+        let digest = format!("\"digest\":\"{}\"", text_digest(artifact));
+        for k in 0..FLIPS {
+            let mut pos = at + certified.start + k * certified.len() / FLIPS;
+            while !pristine.as_bytes()[pos].is_ascii() {
+                pos += 1;
+            }
+            assert!(pos < at + certified.end, "{name}: flip {k} left the certified text");
+            let mut bytes = pristine.clone().into_bytes();
+            bytes[pos] ^= 0x01;
+            let flipped = String::from_utf8(bytes).unwrap();
+            let redigested = format!("\"digest\":\"{}\"", text_digest(artifact_of(&flipped).1));
+            std::fs::write(&path, flipped.replacen(&digest, &redigested, 1)).unwrap();
+            load(&format!("byte {pos} flipped"), false, &path);
+            std::fs::write(&path, &pristine).unwrap();
+            assert!(load(&format!("restored after byte {pos}"), false, &path));
+            assert!(load(&format!("reused after byte {pos}"), true, &path));
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
