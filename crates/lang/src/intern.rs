@@ -5,7 +5,7 @@
 //! being `ExprRef`s themselves, are already interned) share one allocation,
 //! carry one precomputed structural hash, and one process-unique id. The
 //! engine's innermost loops — equational-hypothesis chases, `find_scalar`,
-//! heaplet-content lookups, solver memo-cache keys and confirms — all
+//! heaplet-content lookups, the hypothesis index's side keys — all
 //! reduce to id compares and cached-hash reads instead of whole-tree walks.
 //!
 //! # Invariants

@@ -1,5 +1,4 @@
-//! Minimal JSON: a value tree, a renderer, a recursive-descent parser and
-//! a pull reader.
+//! Minimal JSON: a value tree, one renderer and one reader.
 //!
 //! The workspace is hermetic (no external crates), so this is a tiny
 //! hand-rolled substitute for serde. It started life as the emit-only
@@ -12,7 +11,9 @@
 //! Artifacts are written as a [`Json`] tree and read back with the
 //! [`Reader`]: the decoders pull the text token by token, in the writer's
 //! order, and build no tree. [`parse`] serves everything else (the
-//! JSON-lines protocol, summaries, tools).
+//! JSON-lines protocol, summaries, tools) and builds its tree through the
+//! same [`Reader`], so every input shares one tokenizer: one string reader,
+//! one number reader, one whitespace rule and one nesting limit.
 //!
 //! Rendering guarantees used by the artifact store:
 //!
@@ -96,55 +97,10 @@ impl Json {
         }
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(k, out);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-            // Scalars render the same either way.
-            scalar => scalar.write_compact(out),
-        }
-    }
-
     /// Renders pretty-printed JSON with a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -163,6 +119,14 @@ impl Json {
     /// the rendering (the artifact store's content digest and request
     /// keys) allocates nothing for it.
     pub fn write_compact(&self, sink: &mut impl Sink) {
+        self.write(sink, None);
+    }
+
+    /// The one renderer: compact when `indent` is `None`; otherwise
+    /// pretty, with each element or member of a non-empty container on
+    /// its own line, indented one level (two spaces) deeper than the
+    /// container, which sits `indent` levels deep.
+    fn write(&self, sink: &mut impl Sink, indent: Option<usize>) {
         match self {
             Json::Null => sink.put("null"),
             Json::Bool(b) => sink.put(if *b { "true" } else { "false" }),
@@ -176,27 +140,51 @@ impl Json {
             }
             Json::Str(s) => write_escaped(s, sink),
             Json::Arr(items) => {
-                sink.put("[");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        sink.put(",");
-                    }
-                    item.write_compact(sink);
-                }
-                sink.put("]");
+                write_items(sink, indent, ["[", "]"], items.iter().map(|v| (None, v)));
             }
             Json::Obj(pairs) => {
-                sink.put("{");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        sink.put(",");
-                    }
-                    write_escaped(k, sink);
-                    sink.put(":");
-                    v.write_compact(sink);
-                }
-                sink.put("}");
+                let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_items(sink, indent, ["{", "}"], members);
             }
+        }
+    }
+}
+
+/// Writes a container: `open`, its items separated by `,` (a member's key
+/// comes with its value), `close`.
+fn write_items<'v>(
+    sink: &mut impl Sink,
+    indent: Option<usize>,
+    [open, close]: [&str; 2],
+    items: impl Iterator<Item = (Option<&'v str>, &'v Json)>,
+) {
+    let inner = indent.map(|depth| depth + 1);
+    sink.put(open);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            sink.put(",");
+        }
+        empty = false;
+        newline(sink, inner);
+        if let Some(key) = key {
+            write_escaped(key, sink);
+            sink.put(if indent.is_some() { ": " } else { ":" });
+        }
+        value.write(sink, inner);
+    }
+    if !empty {
+        newline(sink, indent);
+    }
+    sink.put(close);
+}
+
+/// In a pretty rendering, a line break and `depth` levels of indentation.
+fn newline(sink: &mut impl Sink, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        sink.put("\n");
+        for _ in 0..depth {
+            sink.put("  ");
         }
     }
 }
@@ -279,228 +267,27 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON value from `input`, requiring that nothing but
-/// whitespace follows it.
+/// Parses one JSON value (RFC 8259) from `input`, requiring that nothing
+/// but whitespace follows it: [`Reader::value`], then [`Reader::finish`].
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input, trailing garbage, numbers
-/// that do not fit the value model (negative or fractional values parse as
-/// `F64`; integers beyond `u64::MAX` are rejected), or nesting deeper than
-/// an internal recursion guard (artifact trees are deep but bounded; the
-/// guard turns a malicious input into an error instead of a stack
-/// overflow).
+/// Returns a [`ParseError`] on malformed input, trailing garbage, integers
+/// beyond `u64::MAX` (negative and fractional numbers parse as `F64`), or
+/// containers nested deeper than the reader's limit.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(p.err("trailing characters after the value"));
-    }
-    Ok(v)
+    let mut r = Reader::new(input);
+    let value = r.value()?;
+    r.finish()?;
+    Ok(value)
 }
 
-/// Nesting ceiling for the parser. Deep enough for every artifact the
+/// Nesting ceiling for containers. Deep enough for every artifact the
 /// store writes (the artifact codecs encode each right-nested chain as
 /// one array, so a long program costs no depth; the deepest perf-suite
 /// envelope nests 44 levels), shallow enough that adversarial input
 /// errors out long before the stack guard page.
 const MAX_DEPTH: usize = 512;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError { message: message.into(), offset: self.pos }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected `{word}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.depth += 1;
-        let v = self.value_inner();
-        self.depth -= 1;
-        v
-    }
-
-    fn value_inner(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos = unescape(self.bytes, self.pos, &mut out)
-                        .map_err(|(offset, message)| ParseError { message: message.into(), offset })?;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Multi-byte UTF-8 sequence. The input arrived as a
-                    // &str, so it is valid UTF-8; read the sequence length
-                    // off the lead byte and re-validate only those bytes
-                    // (validating the whole tail here would make string
-                    // parsing quadratic).
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid UTF-8")),
-                    };
-                    let end = (self.pos + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[self.pos..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut float = false;
-        if self.peek() == Some(b'.') {
-            float = true;
-            self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !float && !text.starts_with('-') {
-            return text
-                .parse::<u64>()
-                .map(Json::U64)
-                .map_err(|_| self.err("integer out of range"));
-        }
-        text.parse::<f64>().map(Json::F64).map_err(|_| self.err("invalid number"))
-    }
-}
 
 /// Decodes the escape sequence at `bytes[at]` (a `\`) into `out` and
 /// returns the offset just past it; a `\uXXXX` high surrogate must be
@@ -546,9 +333,10 @@ fn unescape(bytes: &[u8], at: usize, out: &mut String) -> Result<usize, (usize, 
     Ok(at + 2)
 }
 
-/// A pull reader over JSON text: the artifact decoders read a value
-/// token by token, in the order its writer wrote it, without building a
-/// [`Json`] tree.
+/// A pull reader over JSON text (RFC 8259): the artifact decoders read a
+/// value token by token, in the order its writer wrote it, without
+/// building a [`Json`] tree; [`value`](Reader::value) reads a whole value
+/// as one, which is all [`parse`] does.
 ///
 /// - Separators are implicit. A value or key read right after a complete
 ///   value first consumes the `,` between them, so a tagged array reads
@@ -557,11 +345,11 @@ fn unescape(bytes: &[u8], at: usize, out: &mut String) -> Result<usize, (usize, 
 /// - Whitespace between tokens is skipped.
 /// - Strings come back borrowed from the input unless they contain
 ///   escapes; raw control characters in a string are an error.
-/// - Integers are unsigned decimals that fit a `u64`, without leading
-///   zeros. The artifacts carry no other numbers.
-/// - Containers nest at most 512 levels deep (the limit [`parse`]
-///   enforces), so a decoder that recurses once per container is
-///   bounded too.
+/// - Numbers are RFC 8259 numbers. [`u64`](Reader::u64) reads the only
+///   ones artifacts carry, unsigned decimals that fit a `u64`, without
+///   leading zeros; [`value`](Reader::value) reads any other as `F64`.
+/// - Containers nest at most 512 levels deep, so a decoder that recurses
+///   once per container is bounded too.
 ///
 /// Every method fails on a token other than the one it reads, with a
 /// [`ParseError`] at the offset it was noticed at.
@@ -669,17 +457,23 @@ impl<'a> Reader<'a> {
     /// error: fields are read in the order they were written.
     pub fn key(&mut self, name: &str) -> Result<(), ParseError> {
         let at = self.pos;
-        let key = self.str()?;
+        let key = self.any_key()?;
         if key != name {
             return Err(ParseError { message: format!("expected key `{name}`, found `{key}`"), offset: at });
         }
+        Ok(())
+    }
+
+    /// Reads an object key, whatever its name, and its `:`.
+    fn any_key(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let key = self.str()?;
         self.skip_ws();
         if self.byte() != Some(b':') {
             return Err(self.err("expected `:`"));
         }
         self.pos += 1;
         self.sep = false;
-        Ok(())
+        Ok(key)
     }
 
     /// Reads a string, borrowed from the input when it has no escapes.
@@ -734,30 +528,82 @@ impl<'a> Reader<'a> {
         self.str().map(Cow::into_owned)
     }
 
-    /// Reads an unsigned decimal integer: no leading zero, fraction or
-    /// exponent, and at most `u64::MAX`.
+    /// Reads an unsigned decimal integer: no sign, leading zero, fraction
+    /// or exponent, and at most `u64::MAX`.
     pub fn u64(&mut self) -> Result<u64, ParseError> {
-        let first = self.peek()?;
-        if !first.is_ascii_digit() {
+        if !self.peek()?.is_ascii_digit() {
             return Err(self.err("expected an unsigned integer"));
         }
         let start = self.pos;
-        let mut n: u64 = 0;
-        while let Some(d) = self.byte().filter(u8::is_ascii_digit) {
-            n = n
-                .checked_mul(10)
-                .and_then(|n| n.checked_add(u64::from(d - b'0')))
-                .ok_or_else(|| self.err("integer out of range"))?;
-            self.pos += 1;
-        }
-        if first == b'0' && self.pos - start > 1 {
-            return Err(ParseError { message: "leading zero".into(), offset: start });
-        }
+        let n = self.integer()?;
         if matches!(self.byte(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("expected an unsigned integer"));
         }
         self.sep = true;
+        n.ok_or_else(|| ParseError { message: "integer out of range".into(), offset: start })
+    }
+
+    /// Reads a number: an unsigned integer as `U64` (at most `u64::MAX`),
+    /// and one with a `-`, a fraction or an exponent as `F64`.
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        let negative = self.byte() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let n = self.integer()?;
+        let fail = |message: &str| ParseError { message: message.into(), offset: start };
+        if !negative && !matches!(self.byte(), Some(b'.' | b'e' | b'E')) {
+            self.sep = true;
+            return n.map(Json::U64).ok_or_else(|| fail("integer out of range"));
+        }
+        if self.byte() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.byte(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.byte(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        self.sep = true;
+        // RFC 8259 number grammar is a subset of what `f64` parses.
+        self.text[start..self.pos].parse().map(Json::F64).map_err(|_| fail("invalid number"))
+    }
+
+    /// Reads the integer part of a number, without a leading zero, and
+    /// returns its value, or `None` past `u64::MAX`. Always inlined: as a
+    /// call it slowed [`u64`](Reader::u64) by about a quarter (reading a
+    /// 2,000-integer array on a 2-core x86-64 VM).
+    #[inline(always)]
+    fn integer(&mut self) -> Result<Option<u64>, ParseError> {
+        let start = self.pos;
+        let mut n = Some(0u64);
+        while let Some(d) = self.byte().filter(u8::is_ascii_digit) {
+            n = n.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        if self.pos - start > 1 && self.text.as_bytes()[start] == b'0' {
+            return Err(ParseError { message: "leading zero".into(), offset: start });
+        }
         Ok(n)
+    }
+
+    /// Reads one or more decimal digits.
+    fn digits(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
+        while self.byte().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
     }
 
     fn word(&mut self, word: &str) -> Result<(), ParseError> {
@@ -785,6 +631,28 @@ impl<'a> Reader<'a> {
             return Ok(false);
         }
         self.word("null").map(|()| true)
+    }
+
+    /// Reads the next value, whatever it is, as a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        match self.peek()? {
+            b'[' => self.list(Reader::value).map(Json::Arr),
+            b'{' => {
+                self.begin_obj()?;
+                let mut pairs = Vec::new();
+                while self.peek()? != b'}' {
+                    let key = self.any_key()?.into_owned();
+                    pairs.push((key, self.value()?));
+                }
+                self.end_obj()?;
+                Ok(Json::Obj(pairs))
+            }
+            b'"' => self.string().map(Json::Str),
+            b't' | b'f' => self.bool().map(Json::Bool),
+            b'n' => self.word("null").map(|()| Json::Null),
+            b'-' | b'0'..=b'9' => self.number(),
+            c => Err(self.err(format!("unexpected character `{}`", c as char))),
+        }
     }
 
     /// Reads an array whose elements `item` reads, one at a time.
@@ -965,7 +833,9 @@ mod tests {
         (0..rng.range(0, 8)).map(|_| *rng.pick(CHARS)).collect()
     }
 
-    fn random_tree(rng: &mut rupicola_minicheck::Rng, depth: usize) -> Json {
+    /// A random tree `depth` levels deep at most, whose floats are
+    /// multiples of `1 / steps`.
+    fn random_tree(rng: &mut rupicola_minicheck::Rng, depth: usize, steps: f64) -> Json {
         let leaf = depth == 0 || rng.below(3) == 0;
         match rng.below(if leaf { 5 } else { 7 }) {
             0 => Json::Null,
@@ -975,12 +845,14 @@ mod tests {
                 1 => u64::MAX - rng.below(3),
                 _ => rng.next_u64(),
             }),
-            3 => Json::F64(rng.below(1_000_000) as f64 / 64.0),
+            3 => Json::F64(rng.below(1_000_000) as f64 / steps),
             4 => Json::Str(random_string(rng)),
-            5 => Json::Arr((0..rng.range(0, 4)).map(|_| random_tree(rng, depth - 1)).collect()),
+            5 => Json::Arr(
+                (0..rng.range(0, 4)).map(|_| random_tree(rng, depth - 1, steps)).collect(),
+            ),
             _ => Json::Obj(
                 (0..rng.range(0, 4))
-                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1, steps)))
                     .collect(),
             ),
         }
@@ -998,7 +870,7 @@ mod tests {
     #[test]
     fn write_compact_matches_the_reference_rendering() {
         rupicola_minicheck::check("write_compact_matches_the_reference_rendering", 500, |rng| {
-            let tree = random_tree(rng, 4);
+            let tree = random_tree(rng, 4, 64.0);
             let mut sink = Bytes(Vec::new());
             tree.write_compact(&mut sink);
             let mut reference = String::new();
@@ -1006,6 +878,69 @@ mod tests {
             assert_eq!(sink.0, reference.as_bytes(), "{tree:?}");
             assert_eq!(tree.render_compact(), reference, "{tree:?}");
         });
+    }
+
+    #[test]
+    fn render_is_pinned() {
+        let tree = Json::obj([
+            ("text", Json::str("tab\t \"q\" \\ \u{1} é\n")),
+            ("rate", Json::F64(2.5)),
+            ("empty", Json::Arr(vec![Json::Arr(vec![]), Json::Obj(vec![])])),
+            (
+                "nested",
+                Json::obj([
+                    ("a", Json::Arr(vec![Json::U64(1), Json::Null, Json::Bool(true)])),
+                    ("b", Json::Obj(vec![])),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            tree.render(),
+            "{\n  \"text\": \"tab\\t \\\"q\\\" \\\\ \\u0001 é\\n\",\n  \"rate\": 2.5000,\n  \
+             \"empty\": [\n    [],\n    {}\n  ],\n  \"nested\": {\n    \"a\": [\n      1,\n      \
+             null,\n      true\n    ],\n    \"b\": {}\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn parse_inverts_both_renderings() {
+        // Multiples of 1/16 render exactly at four digits.
+        rupicola_minicheck::check("parse_inverts_both_renderings", 500, |rng| {
+            let tree = random_tree(rng, 4, 16.0);
+            assert_eq!(parse(&tree.render()).as_ref(), Ok(&tree));
+            assert_eq!(parse(&tree.render_compact()).as_ref(), Ok(&tree));
+        });
+    }
+
+    #[test]
+    fn parse_reads_rfc_8259_only() {
+        for bad in [
+            "\"a\tb\"", "\"a\nb\"", "01", "-01", "1.", "-.5", ".5", "-", "1e", "1e+", "+1",
+            "{\"a\":1,}", "{\"a\" 1}", "{1:2}",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        for (good, value) in [
+            ("0", Json::U64(0)),
+            ("-0", Json::F64(-0.0)),
+            ("0.5", Json::F64(0.5)),
+            ("-1.25e-1", Json::F64(-0.125)),
+            ("2E+2", Json::F64(200.0)),
+            ("123456789012345678901.5", Json::F64(123_456_789_012_345_678_901.5)),
+        ] {
+            assert_eq!(parse(good), Ok(value), "{good:?}");
+        }
+    }
+
+    #[test]
+    fn a_scalar_at_the_nesting_limit_parses() {
+        let nested = |n: usize| "[".repeat(n) + "0" + &"]".repeat(n);
+        let mut tree = Json::U64(0);
+        for _ in 0..MAX_DEPTH {
+            tree = Json::Arr(vec![tree]);
+        }
+        assert_eq!(parse(&nested(MAX_DEPTH)), Ok(tree));
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

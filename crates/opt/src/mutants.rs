@@ -8,6 +8,7 @@
 //! a mutant changes is genuinely miscompiled, and the translation-
 //! validation stack must reject 100% of them.
 
+use crate::passes::copyprop::count_var_in;
 use rupicola_bedrock::ast::{AccessSize, BExpr, BFunction, BinOp, Cmd};
 use rupicola_bedrock::rewrite::{
     for_each_subexpr, map_cmd_exprs, map_expr_bottom_up, seq_of, spine_of,
@@ -195,30 +196,20 @@ fn wrong_shift(f: &BFunction) -> Option<BFunction> {
     changed.then(|| BFunction { body, ..f.clone() })
 }
 
-fn count_var_in_expr(e: &BExpr, var: &str) -> usize {
-    let mut n = 0;
-    for_each_subexpr(e, &mut |sub| {
-        if matches!(sub, BExpr::Var(v) if v == var) {
-            n += 1;
-        }
-    });
-    n
-}
-
 fn count_var_uses(cmd: &Cmd, var: &str) -> usize {
     match cmd {
         Cmd::Skip | Cmd::Unset(_) => 0,
-        Cmd::Set(_, e) => count_var_in_expr(e, var),
-        Cmd::Store(_, a, v) => count_var_in_expr(a, var) + count_var_in_expr(v, var),
+        Cmd::Set(_, e) => count_var_in(e, var),
+        Cmd::Store(_, a, v) => count_var_in(a, var) + count_var_in(v, var),
         Cmd::Seq(a, b) => count_var_uses(a, var) + count_var_uses(b, var),
         Cmd::If { cond, then_, else_ } => {
-            count_var_in_expr(cond, var)
+            count_var_in(cond, var)
                 + count_var_uses(then_, var)
                 + count_var_uses(else_, var)
         }
-        Cmd::While { cond, body } => count_var_in_expr(cond, var) + count_var_uses(body, var),
+        Cmd::While { cond, body } => count_var_in(cond, var) + count_var_uses(body, var),
         Cmd::Call { args, .. } | Cmd::Interact { args, .. } => {
-            args.iter().map(|a| count_var_in_expr(a, var)).sum()
+            args.iter().map(|a| count_var_in(a, var)).sum()
         }
         Cmd::StackAlloc { body, .. } => count_var_uses(body, var),
     }

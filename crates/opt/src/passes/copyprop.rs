@@ -225,7 +225,8 @@ fn use_counts(cmd: &Cmd, counts: &mut HashMap<String, usize>) {
     }
 }
 
-fn count_var_in(e: &BExpr, var: &str) -> usize {
+/// How many times `var` occurs in `e`.
+pub(crate) fn count_var_in(e: &BExpr, var: &str) -> usize {
     let mut n = 0;
     rupicola_bedrock::rewrite::for_each_subexpr(e, &mut |sub| {
         if matches!(sub, BExpr::Var(v) if v == var) {

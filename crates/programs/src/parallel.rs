@@ -4,11 +4,11 @@
 //!
 //! Workers share the hint databases by reference (`HintDbs` is `Sync`:
 //! lemmas and solvers are stateless `Send + Sync` trait objects) but each
-//! owns its private `Compiler` state — including the side-condition memo
-//! cache — so runs are isolated exactly as on one worker. Results are keyed
-//! by job index regardless of OS scheduling, so the output order is input
-//! order and a harness comparing one-worker vs many-worker output can
-//! `assert_eq!` the two vectors directly.
+//! owns its private `Compiler` state, so runs are isolated exactly as on
+//! one worker. Results are keyed by job index regardless of OS
+//! scheduling, so the output order is input order and a harness comparing
+//! one-worker vs many-worker output can `assert_eq!` the two vectors
+//! directly.
 //!
 //! [`run_work_stealing`] is the scheduling primitive everything here (and
 //! the service layer's concurrent multi-tenant server) is built on: a

@@ -1,6 +1,9 @@
 //! The JSON-lines front-end: the wire protocol of the `served` binary.
 //!
-//! Protocol (one JSON object per line, responses in request order):
+//! Protocol (one JSON object per line, responses in request order). A
+//! request line is RFC 8259 JSON, read by [`rupicola_lang::json::parse`]:
+//! a raw control character inside a string, a leading zero or a number
+//! like `1.` makes the line malformed.
 //!
 //! ```text
 //! request  := {"op":"ping"}                         health check
@@ -338,6 +341,12 @@ mod tests {
         assert!(parse_request(r#"{"op":"reboot"}"#).is_err());
         assert!(parse_request(r#"{"program":"fnv1a"}"#).is_err());
         assert!(parse_request("not json").is_err());
+    }
+
+    #[test]
+    fn parse_request_rejects_a_raw_tab_as_invalid_json() {
+        let err = parse_request("{\"op\":\"compile\",\"program\":\"fnv\t1a\"}").unwrap_err();
+        assert!(err.starts_with("invalid JSON: "), "{err}");
     }
 
     #[test]
