@@ -9,8 +9,10 @@
 //! the ns/byte of `CALLS` consecutive rounds. The table and
 //! `results/fig2_opt.json` report medians; the JSON adds each series'
 //! quartiles. Exits nonzero if the optimized route computes anything but
-//! what the certified route computes, or if its median is more than 5%
-//! slower. The RISC-V routes are gated by `rvbench`.
+//! what the certified route computes, if its median is more than 5%
+//! slower, or if its median is more than 1.10× the handwritten median
+//! (the paper's "as fast as handwritten" claim, §4.2). The RISC-V routes
+//! are gated by `rvbench`.
 //!
 //! Run with `cargo run -p rupicola-bench --bin fig2 --release`.
 
@@ -26,6 +28,9 @@ const EXTRACTION_LEN: usize = 1 << 16; // 64 KiB
 const SAMPLES: usize = 61;
 /// Driver calls per sample, each on a freshly reset buffer.
 const CALLS: usize = 4;
+/// The largest optimized-route median allowed, as a multiple of the
+/// handwritten median.
+const MAX_OPT_OVER_HAND: f64 = 1.10;
 
 /// Estimates the CPU frequency (GHz) with a dependent-add spin loop
 /// (~1 add/cycle on any recent core), to convert ns/byte to cycles/byte.
@@ -49,13 +54,14 @@ fn main() {
     println!("# medians of {SAMPLES} samples of {CALLS} interleaved calls");
     println!();
     println!(
-        "{:<8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>12} {:>12}",
-        "program", "gen ns/B", "opt ns/B", "hand ns/B", "extr ns/B", "gen/hand", "opt cyc/B", "hand cyc/B"
+        "{:<8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9} {:>12} {:>12}",
+        "program", "gen ns/B", "opt ns/B", "hand ns/B", "extr ns/B", "gen/hand", "opt/hand", "opt cyc/B", "hand cyc/B"
     );
     let mut opt_rows: Vec<Json> = Vec::new();
     let mut improved = 0usize;
     let mut divergences = 0usize;
     let mut regressions: Vec<String> = Vec::new();
+    let mut slower_than_hand: Vec<String> = Vec::new();
     for row in fig2_rows() {
         let make = if row.text_input { make_text_input } else { make_input };
         let input = make(0xF162, MAIN_LEN);
@@ -105,14 +111,22 @@ fn main() {
                 row.name, o.median, g.median
             ));
         }
+        let opt_over_hand = o.median / h.median;
+        if opt_over_hand > MAX_OPT_OVER_HAND {
+            slower_than_hand.push(format!(
+                "{}: {:.3} ns/B vs {:.3} handwritten ({opt_over_hand:.2}×)",
+                row.name, o.median, h.median
+            ));
+        }
         println!(
-            "{:<8} {:>12.3} {:>12.3} {:>12.3} {:>12.1} {:>9.2} {:>12.2} {:>12.2}",
+            "{:<8} {:>12.3} {:>12.3} {:>12.3} {:>12.1} {:>9.2} {:>9.2} {:>12.2} {:>12.2}",
             row.name,
             g.median,
             o.median,
             h.median,
             n.median,
             g.median / h.median,
+            opt_over_hand,
             o.median * ghz,
             h.median * ghz,
         );
@@ -126,6 +140,7 @@ fn main() {
             ("opt_cycles_per_byte", Json::F64(o.median * ghz)),
             ("improved", Json::Bool(faster)),
             ("speedup", Json::F64(g.median / o.median)),
+            ("opt_over_hand", Json::F64(opt_over_hand)),
         ]));
     }
 
@@ -152,6 +167,14 @@ fn main() {
         for r in &regressions {
             println!("#   {r}");
         }
+    }
+    if !slower_than_hand.is_empty() {
+        println!("# FATAL: optimized route >{MAX_OPT_OVER_HAND:.2}× handwritten on:");
+        for r in &slower_than_hand {
+            println!("#   {r}");
+        }
+    }
+    if !regressions.is_empty() || !slower_than_hand.is_empty() {
         std::process::exit(1);
     }
     println!();

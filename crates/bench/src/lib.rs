@@ -11,8 +11,11 @@ pub mod rvsupport;
 pub mod timing;
 
 /// The certified Bedrock2 functions, transpiled to Rust at build time (see
-/// `build.rs`). Addresses index into the `mem` slice; the drivers below
-/// place each buffer at offset 0.
+/// `build.rs`). A function whose every access goes through its spec's one
+/// region borrows `mem[s..][..extent]` once at entry, so a call whose
+/// region does not fit in `mem` panics there, and indexes that slice by
+/// offset; `m3s` touches no memory. The drivers below place each buffer at
+/// offset 0; the tests also place it at a non-zero base.
 pub mod generated {
     include!(concat!(env!("OUT_DIR"), "/generated.rs"));
 }
@@ -268,6 +271,127 @@ mod tests {
             // In-place programs must also leave identical buffers.
             assert_eq!(b1, b2, "{}: buffers diverged", row.name);
             assert_eq!(b1, b4, "{}: optimized buffer diverged", row.name);
+        }
+    }
+
+    /// A generated function in the region ABI `(mem, s, len)`, returning
+    /// its result word (0 for the in-place programs).
+    type RegionFn = fn(&mut Vec<u8>, u64, u64) -> u64;
+
+    /// One Figure 2 program that works on a region: both generated
+    /// routes, the handwritten reference on the region's bytes, and the
+    /// precondition's shortest region.
+    struct RegionCase {
+        name: &'static str,
+        text_input: bool,
+        routes: [RegionFn; 2],
+        hand: fn(&mut [u8]) -> u64,
+        min_len: usize,
+    }
+
+    fn region_cases() -> Vec<RegionCase> {
+        fn fasta_hand(b: &mut [u8]) -> u64 {
+            let table: [u8; 256] = fasta::complement_table().try_into().expect("256");
+            fasta::baseline(b, &table);
+            0
+        }
+        fn crc32_hand(b: &mut [u8]) -> u64 {
+            let table: [u64; 256] = crc32::crc_table().try_into().expect("256");
+            crc32::baseline(b, &table)
+        }
+        vec![
+            RegionCase { name: "fnv1a", text_input: false, routes: [generated::fnv1a, generated::fnv1a_opt], hand: |b| fnv1a::baseline(b), min_len: 0 },
+            RegionCase { name: "utf8", text_input: true, routes: [generated::utf8, generated::utf8_opt], hand: |b| utf8::baseline(b), min_len: 4 },
+            RegionCase {
+                name: "upstr",
+                text_input: true,
+                routes: [|m, s, l| { generated::upstr(m, s, l); 0 }, |m, s, l| { generated::upstr_opt(m, s, l); 0 }],
+                hand: |b| { upstr::baseline(b); 0 },
+                min_len: 0,
+            },
+            RegionCase { name: "ip", text_input: false, routes: [generated::ip, generated::ip_opt], hand: |b| ip::baseline(b), min_len: 0 },
+            RegionCase {
+                name: "fasta",
+                text_input: true,
+                routes: [|m, s, l| { generated::fasta(m, s, l); 0 }, |m, s, l| { generated::fasta_opt(m, s, l); 0 }],
+                hand: fasta_hand,
+                min_len: 0,
+            },
+            RegionCase { name: "crc32", text_input: false, routes: [generated::crc32, generated::crc32_opt], hand: crc32_hand, min_len: 0 },
+        ]
+    }
+
+    /// Bytes of memory on each side of the region.
+    const GUARD: usize = 13;
+
+    /// Every region program on both routes, with its region at the
+    /// unaligned base `GUARD` inside a larger memory, at every buffer
+    /// length up to 64 the precondition allows: the result and the
+    /// region's final bytes equal the handwritten code's, and no byte on
+    /// either side of the region changes. `ip` requires an even length,
+    /// so at an odd buffer length it gets the even prefix (as its driver
+    /// does) and the odd byte lies outside the region.
+    #[test]
+    fn region_form_matches_handwritten_at_every_length() {
+        for case in region_cases() {
+            for n in case.min_len..=64 {
+                let len = if case.name == "ip" { n & !1 } else { n };
+                let input = if case.text_input { make_text_input(n as u64, n) } else { make_input(n as u64, n) };
+                let mut before = make_input(0xD00D, GUARD);
+                before.extend_from_slice(&input);
+                before.extend(make_input(0xFEED, GUARD));
+                let mut region = input[..len].to_vec();
+                let want = (case.hand)(&mut region);
+                for (route, f) in ["generated", "optimized"].iter().zip(case.routes) {
+                    let mut mem = before.clone();
+                    let got = f(&mut mem, GUARD as u64, len as u64);
+                    let at = format!("{} {route}, {n}-byte buffer", case.name);
+                    assert_eq!(got, want, "{at}: result");
+                    assert_eq!(&mem[GUARD..GUARD + len], &region[..], "{at}: region");
+                    assert_eq!(mem[..GUARD], before[..GUARD], "{at}: bytes before the region");
+                    assert_eq!(mem[GUARD + len..], before[GUARD + len..], "{at}: bytes after the region");
+                }
+            }
+        }
+    }
+
+    /// `m3s` has no region: both routes agree with the handwritten
+    /// scramble and leave memory alone.
+    #[test]
+    fn m3s_routes_match_handwritten() {
+        let before = make_input(3, 32);
+        for k in make_input(9, 512).chunks_exact(4).map(|w| u64::from(u32::from_le_bytes(w.try_into().unwrap()))) {
+            for f in [generated::m3s, generated::m3s_opt] {
+                let mut mem = before.clone();
+                assert_eq!(f(&mut mem, k), m3s::baseline(k), "k = {k}");
+                assert_eq!(mem, before);
+            }
+        }
+    }
+
+    /// A call whose region runs past the end of memory breaks the
+    /// precondition: it panics at the entry borrow (a range error, not an
+    /// index error inside the loop) instead of reading what lies past the
+    /// region.
+    #[test]
+    #[should_panic(expected = "range end index 16 out of range for slice of length 8")]
+    fn a_region_past_the_end_of_memory_panics() {
+        let mut mem = make_input(7, 48);
+        generated::ip_opt(&mut mem, 40, 16);
+    }
+
+    /// An in-place program given a region past the end of memory panics
+    /// before its first store.
+    #[test]
+    fn a_broken_precondition_panics_before_writing() {
+        let before = make_text_input(7, 48);
+        let routes: [fn(&mut Vec<u8>, u64, u64); 4] =
+            [generated::upstr, generated::upstr_opt, generated::fasta, generated::fasta_opt];
+        for f in routes {
+            let mut mem = before.clone();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut mem, 40, 16)));
+            assert!(r.is_err(), "a region past the end of memory must panic");
+            assert_eq!(mem, before, "no byte may change before the panic");
         }
     }
 

@@ -413,6 +413,11 @@ impl<'a> Reader<'a> {
         if self.peek()? != bracket {
             return Err(self.err(format!("expected `{}`", bracket as char)));
         }
+        self.enter()
+    }
+
+    /// Steps into the container whose opening bracket is the next byte.
+    fn enter(&mut self) -> Result<(), ParseError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -427,10 +432,15 @@ impl<'a> Reader<'a> {
         if self.byte() != Some(bracket) {
             return Err(self.err(format!("expected `{}`", bracket as char)));
         }
+        self.leave();
+        Ok(())
+    }
+
+    /// Steps out of the container whose closing bracket is the next byte.
+    fn leave(&mut self) {
         self.depth = self.depth.saturating_sub(1);
         self.pos += 1;
         self.sep = true;
-        Ok(())
     }
 
     /// Reads the `[` that opens an array (not past the nesting limit).
@@ -467,13 +477,19 @@ impl<'a> Reader<'a> {
     /// Reads an object key, whatever its name, and its `:`.
     fn any_key(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let key = self.str()?;
+        self.colon()?;
+        Ok(key)
+    }
+
+    /// Reads the `:` after an object key.
+    fn colon(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
         if self.byte() != Some(b':') {
             return Err(self.err("expected `:`"));
         }
         self.pos += 1;
         self.sep = false;
-        Ok(key)
+        Ok(())
     }
 
     /// Reads a string, borrowed from the input when it has no escapes.
@@ -481,6 +497,11 @@ impl<'a> Reader<'a> {
         if self.peek()? != b'"' {
             return Err(self.err("expected a string"));
         }
+        self.str_here()
+    }
+
+    /// Reads the string whose opening quote is the next byte.
+    fn str_here(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let bytes = self.text.as_bytes();
         let start = self.pos + 1;
         // Every stop below is at an ASCII byte or the end of the input,
@@ -635,20 +656,46 @@ impl<'a> Reader<'a> {
 
     /// Reads the next value, whatever it is, as a [`Json`] tree.
     pub fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek()? {
-            b'[' => self.list(Reader::value).map(Json::Arr),
-            b'{' => {
-                self.begin_obj()?;
-                let mut pairs = Vec::new();
-                while self.peek()? != b'}' {
-                    let key = self.any_key()?.into_owned();
-                    pairs.push((key, self.value()?));
+        let first = self.peek()?;
+        self.value_here(first)
+    }
+
+    /// Reads the value whose first byte, `first`, is the next byte (as
+    /// [`peek`](Reader::peek) returned it, so nothing is peeked twice).
+    fn value_here(&mut self, first: u8) -> Result<Json, ParseError> {
+        match first {
+            b'[' => {
+                self.enter()?;
+                let mut items = Vec::new();
+                loop {
+                    match self.peek()? {
+                        b']' => break,
+                        b => items.push(self.value_here(b)?),
+                    }
                 }
-                self.end_obj()?;
+                self.leave();
+                Ok(Json::Arr(items))
+            }
+            b'{' => {
+                self.enter()?;
+                let mut pairs = Vec::new();
+                loop {
+                    match self.peek()? {
+                        b'}' => break,
+                        b'"' => {
+                            let key = self.str_here()?.into_owned();
+                            self.colon()?;
+                            pairs.push((key, self.value()?));
+                        }
+                        _ => return Err(self.err("expected a string")),
+                    }
+                }
+                self.leave();
                 Ok(Json::Obj(pairs))
             }
-            b'"' => self.string().map(Json::Str),
-            b't' | b'f' => self.bool().map(Json::Bool),
+            b'"' => self.str_here().map(|s| Json::Str(s.into_owned())),
+            b't' => self.word("true").map(|()| Json::Bool(true)),
+            b'f' => self.word("false").map(|()| Json::Bool(false)),
             b'n' => self.word("null").map(|()| Json::Null),
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(self.err(format!("unexpected character `{}`", c as char))),

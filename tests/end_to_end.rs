@@ -94,7 +94,8 @@ fn suite_renders_to_c_and_rust() {
         let compiled = (entry.compiled)().unwrap();
         let c = cprint::function_to_c(&compiled.function);
         assert!(c.contains(&format!("{}(", entry.info.name)), "{c}");
-        let rs = rsprint::function_to_rust(&compiled.function).unwrap();
+        let rs = rsprint::function_to_rust(&compiled.function, &rupicola::analysis::rust_regions(&compiled))
+            .unwrap();
         assert!(rs.contains(&format!("pub fn {}(", entry.info.name)), "{rs}");
         if entry.info.features.loops {
             assert!(c.contains("while"), "{}: expected a loop\n{c}", entry.info.name);

@@ -17,6 +17,7 @@
 //!
 //! and commit the diff under `tests/golden_rs/`.
 
+use rupicola::analysis::rust_regions;
 use rupicola::bedrock::rsprint::function_to_rust;
 use rupicola::core::EngineLimits;
 use rupicola::core::check::CheckConfig;
@@ -62,7 +63,10 @@ fn rust_output_matches_checked_in_goldens() {
     let results = compile_entries(&suite(), &dbs, &EngineLimits::default(), default_workers());
     for r in results {
         let mut compiled = r.result.expect("suite compiles");
-        let rendered = function_to_rust(&compiled.function).expect("transpiles");
+        // The regions the bench build script prints with, so the goldens
+        // pin exactly the benchmarked code.
+        let regions = rust_regions(&compiled);
+        let rendered = function_to_rust(&compiled.function, &regions).expect("transpiles");
         compare(r.name, format!("{}.rs", r.name), &rendered);
         // The optimized leg: run the full translation-validated pipeline
         // and pin its output too. A program the pipeline leaves untouched
@@ -76,7 +80,7 @@ fn rust_output_matches_checked_in_goldens() {
             r.name
         );
         let opt_fn = compiled.optimized.as_ref().unwrap_or(&compiled.function);
-        let rendered_opt = function_to_rust(opt_fn).expect("opt transpiles");
+        let rendered_opt = function_to_rust(opt_fn, &regions).expect("opt transpiles");
         compare(r.name, format!("{}.opt.rs", r.name), &rendered_opt);
     }
     assert!(
