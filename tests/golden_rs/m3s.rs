@@ -1,3 +1,4 @@
+#[inline]
 #[allow(unused_mut, unused_variables, unused_parens, unused_assignments, clippy::all)]
 pub fn m3s(mem: &mut Vec<u8>, mut k: u64) -> u64 {
     let mut out: u64 = 0;
