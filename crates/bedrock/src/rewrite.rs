@@ -163,49 +163,69 @@ pub fn seq_of(stmts: Vec<Cmd>) -> Cmd {
 /// assignment targets, and expression reads. Fresh-name generators consult
 /// this to avoid capture.
 pub fn all_names(f: &crate::ast::BFunction) -> std::collections::BTreeSet<String> {
-    let mut names: std::collections::BTreeSet<String> =
-        f.args.iter().chain(f.rets.iter()).cloned().collect();
-    names.extend(f.body.assigned_vars());
-    collect_names(&f.body, &mut names);
+    let mut names = std::collections::BTreeSet::new();
+    for_each_name(f, &mut |n| {
+        if !names.contains(n) {
+            names.insert(n.to_owned());
+        }
+    });
     names
 }
 
-fn collect_names(cmd: &Cmd, names: &mut std::collections::BTreeSet<String>) {
+/// Calls `visit` on every occurrence of a variable name in `f` (the names
+/// [`all_names`] collects, each as often as it occurs), without building
+/// a set.
+pub fn for_each_name(f: &crate::ast::BFunction, visit: &mut impl FnMut(&str)) {
+    for n in f.args.iter().chain(&f.rets) {
+        visit(n);
+    }
+    cmd_names(&f.body, visit);
+}
+
+fn expr_names(e: &BExpr, visit: &mut impl FnMut(&str)) {
+    for_each_subexpr(e, &mut |sub| {
+        if let BExpr::Var(v) = sub {
+            visit(v);
+        }
+    });
+}
+
+fn cmd_names(cmd: &Cmd, visit: &mut impl FnMut(&str)) {
     match cmd {
         Cmd::Skip => {}
         Cmd::Set(v, e) => {
-            names.insert(v.clone());
-            names.extend(e.vars());
+            visit(v);
+            expr_names(e, visit);
         }
-        Cmd::Unset(v) => {
-            names.insert(v.clone());
-        }
+        Cmd::Unset(v) => visit(v),
         Cmd::Store(_, addr, val) => {
-            names.extend(addr.vars());
-            names.extend(val.vars());
+            expr_names(addr, visit);
+            expr_names(val, visit);
         }
         Cmd::Seq(a, b) => {
-            collect_names(a, names);
-            collect_names(b, names);
+            cmd_names(a, visit);
+            cmd_names(b, visit);
         }
         Cmd::If { cond, then_, else_ } => {
-            names.extend(cond.vars());
-            collect_names(then_, names);
-            collect_names(else_, names);
+            expr_names(cond, visit);
+            cmd_names(then_, visit);
+            cmd_names(else_, visit);
         }
         Cmd::While { cond, body } => {
-            names.extend(cond.vars());
-            collect_names(body, names);
+            expr_names(cond, visit);
+            cmd_names(body, visit);
         }
         Cmd::Call { rets, args, .. } | Cmd::Interact { rets, args, .. } => {
-            names.extend(rets.iter().cloned());
+            for r in rets {
+                visit(r);
+            }
             for a in args {
-                names.extend(a.vars());
+                expr_names(a, visit);
             }
         }
         Cmd::StackAlloc { var, body, .. } => {
-            names.insert(var.clone());
-            collect_names(body, names);
+            visit(var);
+            cmd_names(body, visit);
         }
     }
 }

@@ -14,12 +14,20 @@
 //! that compile time is linear in program size reads as a per-statement
 //! column that levels off instead of growing with the size.
 //!
-//! Both go through the one timing harness ([`rupicola_bench::timing`]).
-//! Writes `results/compiler_speed.json` (with the core count it ran on)
-//! and exits nonzero if the median throughput falls below the committed
-//! absolute floor, or if the per-statement median time of the largest
-//! series size exceeds the smallest's by more than the committed ratio
-//! (the CI speed gates).
+//! A third measurement times each of the five optimizer passes on every
+//! scaling-series size, each on the body it sees in the full pipeline
+//! (`PipelineConfig::full()` order: a pass's input is the previous pass's
+//! output), and reports each pass's median time per statement of the
+//! certified body, the engine column's unit.
+//!
+//! All three go through the one timing harness
+//! ([`rupicola_bench::timing`]). Writes `results/compiler_speed.json`
+//! (with the core count it ran on) and exits nonzero if the median
+//! throughput falls below the committed absolute floor, if the
+//! per-statement median time of the largest series size exceeds the
+//! smallest's by more than the committed ratio, or if load-CSE's
+//! per-statement median at the largest size exceeds const-fold's by more
+//! than the committed ratio (the CI speed gates).
 //!
 //! Run with `cargo run --release -p rupicola-bench --bin speed`.
 //! `SPEED_REPS` overrides the repetition count (default 30).
@@ -28,6 +36,7 @@ use rupicola_bench::json::{write_results, Json};
 use rupicola_bench::timing::{interleaved, Summary};
 use rupicola_core::{EngineLimits, HintDbs};
 use rupicola_ext::standard_dbs;
+use rupicola_opt::{run_pass, PassId, PipelineConfig};
 use rupicola_programs::parallel::{compile_entries, default_workers, on_deep_stack};
 use rupicola_programs::{chacha20_block, perf_suite};
 
@@ -53,6 +62,15 @@ const SCALING_ROUNDS: [usize; 4] = [2, 4, 8, 16];
 /// 1,056 do). An engine that rescans every hypothesis per statement
 /// measured 3.0–3.2 with the same protocol, and grows without bound.
 const MAX_PER_STATEMENT_RATIO: f64 = 2.0;
+
+/// Ceiling on load-CSE's per-statement median time over const-fold's, at
+/// the largest scaling size. Load-CSE summarizes each statement once and
+/// rewrites only the statements that hold the repeated expression; it
+/// measures 0.54–0.60× const-fold at 1,056 statements (1.1–1.2× at the
+/// smaller sizes) on a 2-core host. A search that rebuilds every
+/// candidate's facts and every window statement measured 4.8–4.9× with
+/// this protocol (17 against 3.5 µs per statement).
+const MAX_LOADCSE_OVER_CONSTFOLD: f64 = 3.0;
 
 /// The suite row: one warm-up, then `reps` suite compiles on one worker,
 /// each on a deep-stack thread (one worker compiles inline, and
@@ -99,6 +117,44 @@ fn scaling_series(dbs: &HintDbs, reps: usize) -> Vec<(usize, Summary)> {
     })
 }
 
+/// The per-pass rows: one warm-up, then `reps` rounds in which every pass
+/// runs once on every scaling size, each timed run primed by an untimed
+/// one of the same pass and size. A pass's input is the full pipeline's
+/// body at its position (the previous pass's output, from the certified
+/// body on). Returns, per size, each pass's times in milliseconds in
+/// pipeline order.
+fn pass_series(dbs: &HintDbs, reps: usize) -> Vec<Vec<Summary>> {
+    let spec = chacha20_block::spec();
+    let limits = chacha20_block::limits(EngineLimits::default());
+    let passes = PipelineConfig::full().passes;
+    on_deep_stack(|| {
+        let inputs: Vec<Vec<_>> = SCALING_ROUNDS
+            .iter()
+            .map(|&k| {
+                let model = chacha20_block::model_with_rounds(k);
+                let mut body = rupicola_core::compile_with_limits(&model, &spec, dbs, limits)
+                    .expect("chacha20_block compiles")
+                    .function;
+                passes
+                    .iter()
+                    .map(|&pass| {
+                        let next = run_pass(pass, &body).function;
+                        std::mem::replace(&mut body, next)
+                    })
+                    .collect()
+            })
+            .collect();
+        let timed = interleaved(inputs.len() * passes.len(), 1, reps, |arm, clock| {
+            let (size, pass) = (arm / passes.len(), arm % passes.len());
+            clock.primed(|| run_pass(passes[pass], &inputs[size][pass]).sites_rewritten)
+        });
+        timed
+            .chunks(passes.len())
+            .map(|size| size.iter().map(|pass| Summary::of(pass.iter().map(|t| t.ms))).collect())
+            .collect()
+    })
+}
+
 fn main() {
     // Strict: a set-but-unparseable SPEED_REPS (e.g. `3O`) aborts with an
     // explanation instead of silently running the 30-rep default.
@@ -123,21 +179,35 @@ fn main() {
     );
 
     let series = scaling_series(&dbs, reps);
+    let passes = PipelineConfig::full().passes;
+    let pass_times = pass_series(&dbs, reps);
     println!(
         "\n{:>13} {:>10} {:>12} {:>10} {:>16}",
         "double rounds", "statements", "median ms", "IQR ms", "median µs/stmt"
     );
-    let mut scaling_rows = Vec::new();
     let mut us_per_stmt = Vec::new();
-    for (&(stmts, ms), &k) in series.iter().zip(&SCALING_ROUNDS) {
-        let per_stmt = ms.median * 1e3 / stmts as f64;
+    let mut pass_us = Vec::new();
+    for (&(stmts, ms), times) in series.iter().zip(&pass_times) {
+        us_per_stmt.push(ms.median * 1e3 / stmts as f64);
+        pass_us.push(times.iter().map(|ms| ms.median * 1e3 / stmts as f64).collect::<Vec<_>>());
+    }
+    let mut scaling_rows = Vec::new();
+    for (i, (&(stmts, ms), &k)) in series.iter().zip(&SCALING_ROUNDS).enumerate() {
+        let per_stmt = us_per_stmt[i];
         println!("{k:>13} {stmts:>10} {:>12.3} {:>10.3} {per_stmt:>16.2}", ms.median, ms.q3 - ms.q1);
-        us_per_stmt.push(per_stmt);
+        let pass_cells = passes.iter().zip(&pass_times[i]).zip(&pass_us[i]).map(|((pass, ms), &us)| {
+            Json::obj([
+                ("pass", Json::str(pass.name())),
+                ("ms", ms.to_json()),
+                ("median_us_per_statement", Json::F64(us)),
+            ])
+        });
         scaling_rows.push(Json::obj([
             ("double_rounds", Json::U64(k as u64)),
             ("statements", Json::U64(stmts as u64)),
             ("ms", ms.to_json()),
             ("median_us_per_statement", Json::F64(per_stmt)),
+            ("passes", Json::Arr(pass_cells.collect())),
         ]));
     }
     let ratio = us_per_stmt[us_per_stmt.len() - 1] / us_per_stmt[0];
@@ -145,6 +215,26 @@ fn main() {
     println!(
         "per-statement ratio, {largest} over {smallest} statements: {ratio:.2} \
          (ceiling {MAX_PER_STATEMENT_RATIO})"
+    );
+
+    print!("\n{:>10}", "statements");
+    for pass in &passes {
+        print!(" {:>16}", pass.name());
+    }
+    println!("   (median µs/stmt)");
+    for (&(stmts, _), row) in series.iter().zip(&pass_us) {
+        print!("{stmts:>10}");
+        for us in row {
+            print!(" {us:>16.2}");
+        }
+        println!();
+    }
+    let at_largest = &pass_us[pass_us.len() - 1];
+    let us_of = |id| at_largest[passes.iter().position(|&p| p == id).expect("full() runs every pass")];
+    let cse_ratio = us_of(PassId::LoadCse) / us_of(PassId::ConstFold);
+    println!(
+        "load-cse over const-fold per statement, {largest} statements: {cse_ratio:.2} \
+         (ceiling {MAX_LOADCSE_OVER_CONSTFOLD})"
     );
 
     let summary = Json::obj([
@@ -158,6 +248,8 @@ fn main() {
         ("scaling", Json::Arr(scaling_rows)),
         ("per_statement_ratio", Json::F64(ratio)),
         ("max_per_statement_ratio", Json::F64(MAX_PER_STATEMENT_RATIO)),
+        ("loadcse_over_constfold", Json::F64(cse_ratio)),
+        ("max_loadcse_over_constfold", Json::F64(MAX_LOADCSE_OVER_CONSTFOLD)),
     ]);
     match write_results("compiler_speed.json", &summary) {
         Ok(path) => println!("wrote {}", path.display()),
@@ -165,7 +257,7 @@ fn main() {
     }
 
     // The CI speed gates: committed constants above, so regenerating the
-    // results file cannot move either bar by itself.
+    // results file cannot move any bar by itself.
     let mut failed = false;
     if stmts_per_s < MIN_STATEMENTS_PER_S {
         println!(
@@ -178,6 +270,13 @@ fn main() {
         println!(
             "FAIL: per-statement compile time grows {ratio:.2}x from {smallest} to {largest} \
              statements, above the committed {MAX_PER_STATEMENT_RATIO} ceiling"
+        );
+        failed = true;
+    }
+    if cse_ratio > MAX_LOADCSE_OVER_CONSTFOLD {
+        println!(
+            "FAIL: load-cse costs {cse_ratio:.2}x const-fold per statement at {largest} \
+             statements, above the committed {MAX_LOADCSE_OVER_CONSTFOLD} ceiling"
         );
         failed = true;
     }

@@ -5,8 +5,9 @@
 //! the functional model. This crate adds a *staged pass manager* that
 //! rewrites that certified output for speed without ever joining the
 //! trusted base: every pass is untrusted, and after each one the candidate
-//! body is re-validated against the **original** certificate by three
-//! independent layers (CompCert-style translation validation):
+//! body is re-validated against the **original** certificate by up to
+//! four independent layers (CompCert-style translation validation; the
+//! fourth only under a CT policy):
 //!
 //! 1. the trusted checker's body phase
 //!    ([`rupicola_core::check::Certificate::check_body`]) — the witness's
@@ -23,8 +24,9 @@
 //!    secret-dependent branch, address, or variable-latency operand is
 //!    rolled back even though it is functionally correct.
 //!
-//! The layers read one checker certificate and one lint certificate,
-//! built once per function on its first candidate ([`validate`]).
+//! The layers read one checker certificate, one lint certificate and one
+//! [`CtBaseline`], built once per function on its first candidate
+//! ([`validate`]).
 //!
 //! A pass whose output fails any layer is **rolled back** — its
 //! [`PassReport`] records a typed [`OptError`], the pipeline continues

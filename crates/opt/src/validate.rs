@@ -1,5 +1,6 @@
-//! Translation validation: the three layers every pass output must clear
-//! before it replaces the working body.
+//! Translation validation: the layers every pass output must clear before
+//! it replaces the working body — three always, and a fourth
+//! (secret-independence) when the pipeline carries a CT policy.
 //!
 //! The candidate is validated against the **original** certificate and
 //! specification, never against intermediate states, so pass bugs cannot
