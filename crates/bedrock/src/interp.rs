@@ -5,11 +5,22 @@
 //! successful run within finite fuel therefore witnesses termination, which
 //! is how this crate mirrors Bedrock2's total-correctness semantics ("the
 //! semantics only give meaning to terminating loops", Box 2).
+//!
+//! [`Interpreter::of`] resolves each function once before anything runs:
+//! every local becomes a slot of a per-call frame, every `Seq` chain one
+//! flat block (with `Skip` dropped), every inline table and callee its
+//! definition. Resolution is a pure renaming. It checks nothing: an
+//! unknown table or callee and an unbound local fail only when executed,
+//! with the error the tree walker gave, and evaluation order, fuel, the
+//! [`CtLog`] and the loop hook are the tree walker's. That tree walker is
+//! kept as a test-only reference, and a property test compares every
+//! observable of the two on random bodies.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ast::{BExpr, BFunction, Cmd, Program};
+use crate::ast::{AccessSize, BExpr, BFunction, BTable, BinOp, Cmd, Program};
 use crate::mem::{MemAccessError, Memory};
 
 /// An entry of the event trace: one external interaction.
@@ -73,7 +84,7 @@ pub trait LoopHook {
         &mut self,
         function: &str,
         cond: &BExpr,
-        locals: &Locals,
+        locals: &dyn LocalsView,
         mem: &Memory,
     ) -> Result<(), String>;
 }
@@ -87,7 +98,7 @@ impl LoopHook for NoHook {
         &mut self,
         _function: &str,
         _cond: &BExpr,
-        _locals: &Locals,
+        _locals: &dyn LocalsView,
         _mem: &Memory,
     ) -> Result<(), String> {
         Ok(())
@@ -287,16 +298,233 @@ impl ExecState {
 /// Per-call locals map.
 pub type Locals = HashMap<String, u64>;
 
-/// The Bedrock2 interpreter, borrowing the program it executes.
-#[derive(Debug, Clone, Copy)]
+/// Read access to one frame's locals by name: what a [`LoopHook`] sees.
+pub trait LocalsView {
+    /// The value of local `name`, or `None` when it is unbound.
+    fn local(&self, name: &str) -> Option<u64>;
+}
+
+impl LocalsView for Locals {
+    fn local(&self, name: &str) -> Option<u64> {
+        self.get(name).copied()
+    }
+}
+
+/// A local's index into its function's frame.
+type Slot = u32;
+
+/// One call's locals, by slot; `None` is unbound.
+type Frame = Vec<Option<u64>>;
+
+/// An expression's index into its function's expression arena.
+type ExprId = u32;
+
+/// A [`BExpr`] node with its locals resolved to slots, its inline table to
+/// its definition and its operands to arena indices.
+#[derive(Debug, Clone)]
+enum Expr<'p> {
+    Lit(u64),
+    Var(Slot),
+    Load(AccessSize, ExprId),
+    Table {
+        size: AccessSize,
+        /// The referenced name, for the error when `table` is `None`.
+        name: &'p str,
+        table: Option<&'p BTable>,
+        index: ExprId,
+    },
+    Op(BinOp, ExprId, ExprId),
+}
+
+/// A [`Cmd`] other than `Skip` and `Seq`, resolved: a body is a block of
+/// these.
+#[derive(Debug, Clone)]
+enum Stmt<'p> {
+    Set(Slot, ExprId),
+    Unset(Slot),
+    Store(AccessSize, ExprId, ExprId),
+    If { cond: ExprId, then_: Vec<Stmt<'p>>, else_: Vec<Stmt<'p>> },
+    While {
+        cond: ExprId,
+        /// The condition as written, for the loop hook.
+        source: &'p BExpr,
+        body: Vec<Stmt<'p>>,
+    },
+    Call {
+        rets: Vec<Slot>,
+        /// The callee's index in the interpreter, `None` when unknown.
+        callee: Option<usize>,
+        name: &'p str,
+        args: Vec<ExprId>,
+    },
+    Interact { rets: Vec<Slot>, action: &'p str, args: Vec<ExprId> },
+    StackAlloc { var: Slot, nbytes: u64, body: Vec<Stmt<'p>> },
+}
+
+/// A function resolved for execution.
+#[derive(Debug, Clone)]
+struct Resolved<'p> {
+    name: &'p str,
+    /// Every local the function names, by slot.
+    names: Vec<&'p str>,
+    /// The inverse of `names`.
+    slots: HashMap<&'p str, Slot>,
+    params: Vec<Slot>,
+    rets: Vec<Slot>,
+    /// Every expression node of the body.
+    exprs: Vec<Expr<'p>>,
+    body: Vec<Stmt<'p>>,
+}
+
+impl<'p> Resolved<'p> {
+    fn new(f: &'p BFunction, callees: &HashMap<&'p str, usize>) -> Self {
+        let mut r =
+            Resolver { f, callees, names: Vec::new(), slots: HashMap::new(), exprs: Vec::new() };
+        let params = r.slots(&f.args);
+        let rets = r.slots(&f.rets);
+        let body = r.block(&f.body);
+        Resolved { name: &f.name, names: r.names, slots: r.slots, params, rets, exprs: r.exprs, body }
+    }
+
+    fn undefined(&self, slot: Slot) -> ExecError {
+        ExecError::UndefinedVariable(self.names[slot as usize].to_string())
+    }
+
+    /// The return words of a finished `frame`.
+    fn rets_of(&self, frame: &[Option<u64>]) -> Result<Vec<u64>, ExecError> {
+        self.rets.iter().map(|&r| frame[r as usize].ok_or_else(|| self.undefined(r))).collect()
+    }
+
+    /// A finished `frame` as a name-keyed map of its bound locals.
+    fn locals_of(&self, frame: &[Option<u64>]) -> Locals {
+        self.names
+            .iter()
+            .zip(frame)
+            .filter_map(|(name, w)| w.map(|w| ((*name).to_string(), w)))
+            .collect()
+    }
+}
+
+/// Resolution of one function's body.
+struct Resolver<'a, 'p> {
+    f: &'p BFunction,
+    callees: &'a HashMap<&'p str, usize>,
+    names: Vec<&'p str>,
+    slots: HashMap<&'p str, Slot>,
+    exprs: Vec<Expr<'p>>,
+}
+
+impl<'p> Resolver<'_, 'p> {
+    fn slot(&mut self, name: &'p str) -> Slot {
+        let names = &mut self.names;
+        *self.slots.entry(name).or_insert_with(|| {
+            names.push(name);
+            Slot::try_from(names.len() - 1).expect("fewer than 2^32 locals")
+        })
+    }
+
+    fn slots(&mut self, names: &'p [String]) -> Vec<Slot> {
+        names.iter().map(|v| self.slot(v)).collect()
+    }
+
+    fn expr(&mut self, e: &'p BExpr) -> ExprId {
+        let node = match e {
+            BExpr::Lit(w) => Expr::Lit(*w),
+            BExpr::Var(v) => Expr::Var(self.slot(v)),
+            BExpr::Load(size, addr) => Expr::Load(*size, self.expr(addr)),
+            BExpr::InlineTable { size, table, index } => Expr::Table {
+                size: *size,
+                name: table,
+                table: self.f.table(table),
+                index: self.expr(index),
+            },
+            BExpr::Op(op, a, b) => Expr::Op(*op, self.expr(a), self.expr(b)),
+        };
+        self.exprs.push(node);
+        ExprId::try_from(self.exprs.len() - 1).expect("fewer than 2^32 expression nodes")
+    }
+
+    fn exprs(&mut self, es: &'p [BExpr]) -> Vec<ExprId> {
+        es.iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn block(&mut self, cmd: &'p Cmd) -> Vec<Stmt<'p>> {
+        let mut out = Vec::new();
+        self.block_into(cmd, &mut out);
+        out
+    }
+
+    /// Appends `cmd`'s statements to `out`. A `Seq` chain's right spine is
+    /// walked in a loop, so a long body does not recurse per statement.
+    fn block_into(&mut self, mut cmd: &'p Cmd, out: &mut Vec<Stmt<'p>>) {
+        loop {
+            let stmt = match cmd {
+                Cmd::Skip => return,
+                Cmd::Seq(a, b) => {
+                    self.block_into(a, out);
+                    cmd = b;
+                    continue;
+                }
+                Cmd::Set(v, e) => Stmt::Set(self.slot(v), self.expr(e)),
+                Cmd::Unset(v) => Stmt::Unset(self.slot(v)),
+                Cmd::Store(size, addr, val) => Stmt::Store(*size, self.expr(addr), self.expr(val)),
+                Cmd::If { cond, then_, else_ } => Stmt::If {
+                    cond: self.expr(cond),
+                    then_: self.block(then_),
+                    else_: self.block(else_),
+                },
+                Cmd::While { cond, body } => {
+                    Stmt::While { cond: self.expr(cond), source: cond, body: self.block(body) }
+                }
+                Cmd::Call { rets, func, args } => Stmt::Call {
+                    rets: self.slots(rets),
+                    callee: self.callees.get(func.as_str()).copied(),
+                    name: func,
+                    args: self.exprs(args),
+                },
+                Cmd::Interact { rets, action, args } => {
+                    Stmt::Interact { rets: self.slots(rets), action, args: self.exprs(args) }
+                }
+                Cmd::StackAlloc { var, nbytes, body } => {
+                    Stmt::StackAlloc { var: self.slot(var), nbytes: *nbytes, body: self.block(body) }
+                }
+            };
+            out.push(stmt);
+            return;
+        }
+    }
+}
+
+/// The Bedrock2 interpreter, over functions it borrows and resolves once
+/// (see the module documentation).
+#[derive(Debug, Clone)]
 pub struct Interpreter<'p> {
-    program: &'p Program,
+    functions: Vec<Resolved<'p>>,
+    by_name: HashMap<&'p str, usize>,
 }
 
 impl<'p> Interpreter<'p> {
-    /// Creates an interpreter over `program`.
+    /// Creates an interpreter over `program`'s functions.
     pub fn new(program: &'p Program) -> Self {
-        Interpreter { program }
+        Self::of(program.iter())
+    }
+
+    /// Creates an interpreter over `functions`. Of two functions with one
+    /// name the later wins, as with [`Program::insert`].
+    pub fn of<I: IntoIterator<Item = &'p BFunction>>(functions: I) -> Self {
+        let mut by_name = HashMap::new();
+        let mut sources: Vec<&'p BFunction> = Vec::new();
+        for f in functions {
+            match by_name.entry(f.name.as_str()) {
+                Entry::Occupied(e) => sources[*e.get()] = f,
+                Entry::Vacant(e) => {
+                    e.insert(sources.len());
+                    sources.push(f);
+                }
+            }
+        }
+        let functions = sources.into_iter().map(|f| Resolved::new(f, &by_name)).collect();
+        Interpreter { functions, by_name }
     }
 
     /// Calls a function by name with argument words, returning its result
@@ -332,8 +560,8 @@ impl<'p> Interpreter<'p> {
         fuel: u64,
         hook: &mut dyn LoopHook,
     ) -> Result<Vec<u64>, ExecError> {
-        let mut fuel = fuel;
-        self.call_internal(name, args, state, externals, &mut fuel, hook)
+        let (f, frame) = self.run(name, args, state, externals, fuel, hook)?;
+        f.rets_of(&frame)
     }
 
     /// Like [`Interpreter::call`], but also returns the top frame's final
@@ -352,480 +580,211 @@ impl<'p> Interpreter<'p> {
         externals: &mut dyn ExternalHandler,
         fuel: u64,
     ) -> Result<(Vec<u64>, Locals), ExecError> {
-        let f = self
-            .program
-            .function(name)
-            .ok_or_else(|| ExecError::UnknownFunction(name.to_string()))?;
-        if args.len() != f.args.len() {
-            return Err(ExecError::ArityMismatch {
-                name: name.to_string(),
-                expected: f.args.len(),
-                found: args.len(),
-            });
-        }
-        let mut fuel = fuel;
-        if fuel == 0 {
-            return Err(ExecError::OutOfFuel);
-        }
-        fuel -= 1;
-        state.fuel_used += 1;
-        let mut locals = Locals::new();
-        for (p, a) in f.args.iter().zip(args) {
-            locals.insert(p.clone(), *a);
-        }
-        self.exec(f, &f.body, &mut locals, state, externals, &mut fuel, &mut NoHook)?;
-        let mut rets = Vec::with_capacity(f.rets.len());
-        for r in &f.rets {
-            rets.push(
-                *locals
-                    .get(r)
-                    .ok_or_else(|| ExecError::UndefinedVariable(r.clone()))?,
-            );
-        }
-        Ok((rets, locals))
+        let (f, frame) = self.run(name, args, state, externals, fuel, &mut NoHook)?;
+        Ok((f.rets_of(&frame)?, f.locals_of(&frame)))
     }
 
-    fn call_internal(
+    /// Runs `name` on `args`, returning the function and its final frame.
+    fn run(
         &self,
         name: &str,
         args: &[u64],
         state: &mut ExecState,
         externals: &mut dyn ExternalHandler,
-        fuel: &mut u64,
+        fuel: u64,
         hook: &mut dyn LoopHook,
-    ) -> Result<Vec<u64>, ExecError> {
+    ) -> Result<(&Resolved<'p>, Frame), ExecError> {
         let f = self
-            .program
-            .function(name)
+            .by_name
+            .get(name)
+            .map(|&i| &self.functions[i])
             .ok_or_else(|| ExecError::UnknownFunction(name.to_string()))?;
-        if args.len() != f.args.len() {
-            return Err(ExecError::ArityMismatch {
-                name: name.to_string(),
-                expected: f.args.len(),
-                found: args.len(),
-            });
-        }
-        if *fuel == 0 {
+        let frame = Machine { interp: self, state, externals, hook, fuel }.invoke(f, args)?;
+        Ok((f, frame))
+    }
+}
+
+/// One run's mutable context: the machine state, the environment, the
+/// hook and the fuel left.
+struct Machine<'r, 'p> {
+    interp: &'r Interpreter<'p>,
+    state: &'r mut ExecState,
+    externals: &'r mut dyn ExternalHandler,
+    hook: &'r mut dyn LoopHook,
+    fuel: u64,
+}
+
+impl<'r, 'p> Machine<'r, 'p> {
+    /// Spends one unit of fuel.
+    fn tick(&mut self) -> Result<(), ExecError> {
+        if self.fuel == 0 {
             return Err(ExecError::OutOfFuel);
         }
-        *fuel -= 1;
-        state.fuel_used += 1;
-        let mut locals = Locals::new();
-        for (p, a) in f.args.iter().zip(args) {
-            locals.insert(p.clone(), *a);
-        }
-        self.exec(f, &f.body, &mut locals, state, externals, fuel, hook)?;
-        let mut rets = Vec::with_capacity(f.rets.len());
-        for r in &f.rets {
-            rets.push(
-                *locals
-                    .get(r)
-                    .ok_or_else(|| ExecError::UndefinedVariable(r.clone()))?,
-            );
-        }
-        Ok(rets)
+        self.fuel -= 1;
+        self.state.fuel_used += 1;
+        Ok(())
     }
 
-    /// Evaluates an expression in the context of function `f` (for inline
-    /// tables) and the given locals.
-    pub fn eval_expr(
-        &self,
-        f: &BFunction,
-        e: &BExpr,
-        locals: &Locals,
-        mem: &Memory,
-    ) -> Result<u64, ExecError> {
-        self.eval_expr_log(f, e, locals, mem, &mut None)
-    }
-
-    /// [`Interpreter::eval_expr`], recording load addresses and table
-    /// offsets into `log` when enabled.
-    fn eval_expr_log(
-        &self,
-        f: &BFunction,
-        e: &BExpr,
-        locals: &Locals,
-        mem: &Memory,
-        log: &mut Option<CtLog>,
-    ) -> Result<u64, ExecError> {
-        match e {
-            BExpr::Lit(w) => Ok(*w),
-            BExpr::Var(v) => locals
-                .get(v)
-                .copied()
-                .ok_or_else(|| ExecError::UndefinedVariable(v.clone())),
-            BExpr::Load(size, addr) => {
-                let a = self.eval_expr_log(f, addr, locals, mem, log)?;
-                CtLog::addr(log, a);
-                Ok(mem.load(a, *size)?)
-            }
-            BExpr::InlineTable { size, table, index } => {
-                let t = f
-                    .table(table)
-                    .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-                let off = self.eval_expr_log(f, index, locals, mem, log)?;
-                CtLog::addr(log, off);
-                let n = size.bytes();
-                if off.checked_add(n).is_none_or(|end| end > t.data.len() as u64) {
-                    return Err(ExecError::TableOutOfBounds {
-                        table: table.clone(),
-                        offset: off,
-                        len: t.data.len() as u64,
-                    });
-                }
-                let mut out = [0u8; 8];
-                out[..n as usize]
-                    .copy_from_slice(&t.data[off as usize..(off + n) as usize]);
-                Ok(u64::from_le_bytes(out))
-            }
-            BExpr::Op(op, a, b) => {
-                let va = self.eval_expr_log(f, a, locals, mem, log)?;
-                let vb = self.eval_expr_log(f, b, locals, mem, log)?;
-                Ok(op.eval(va, vb))
-            }
+    /// Calls `f` on `args`, returning its final frame.
+    fn invoke(&mut self, f: &Resolved<'p>, args: &[u64]) -> Result<Frame, ExecError> {
+        same_arity(f.name, f.params.len(), args.len())?;
+        self.tick()?;
+        let mut frame = vec![None; f.names.len()];
+        for (&p, &a) in f.params.iter().zip(args) {
+            frame[p as usize] = Some(a);
         }
+        self.block(f, &f.body, &mut frame)?;
+        Ok(frame)
     }
 
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn exec(
-        &self,
-        f: &BFunction,
-        cmd: &Cmd,
-        locals: &mut Locals,
-        state: &mut ExecState,
-        externals: &mut dyn ExternalHandler,
-        fuel: &mut u64,
-        hook: &mut dyn LoopHook,
-    ) -> Result<(), ExecError> {
-        match cmd {
-            Cmd::Skip => Ok(()),
-            Cmd::Set(v, e) => {
-                let w = self.eval_expr_log(f, e, locals, &state.mem, &mut state.ct_log)?;
-                locals.insert(v.clone(), w);
-                Ok(())
+    fn eval(&mut self, f: &Resolved<'p>, e: ExprId, frame: &[Option<u64>]) -> Result<u64, ExecError> {
+        eval(f, e, frame, &self.state.mem, &mut self.state.ct_log)
+    }
+
+    fn eval_all(
+        &mut self,
+        f: &Resolved<'p>,
+        es: &[ExprId],
+        frame: &[Option<u64>],
+    ) -> Result<Vec<u64>, ExecError> {
+        es.iter().map(|&e| self.eval(f, e, frame)).collect()
+    }
+
+    fn block(&mut self, f: &Resolved<'p>, block: &[Stmt<'p>], frame: &mut Frame) -> Result<(), ExecError> {
+        block.iter().try_for_each(|s| self.stmt(f, s, frame))
+    }
+
+    fn stmt(&mut self, f: &Resolved<'p>, stmt: &Stmt<'p>, frame: &mut Frame) -> Result<(), ExecError> {
+        match stmt {
+            Stmt::Set(v, e) => frame[*v as usize] = Some(self.eval(f, *e, frame)?),
+            Stmt::Unset(v) => frame[*v as usize] = None,
+            Stmt::Store(size, addr, val) => {
+                let a = self.eval(f, *addr, frame)?;
+                let w = self.eval(f, *val, frame)?;
+                CtLog::addr(&mut self.state.ct_log, a);
+                self.state.mem.store(a, *size, w)?;
             }
-            Cmd::Unset(v) => {
-                locals.remove(v);
-                Ok(())
+            Stmt::If { cond, then_, else_ } => {
+                let c = self.eval(f, *cond, frame)?;
+                CtLog::branch(&mut self.state.ct_log, c != 0);
+                self.block(f, if c != 0 { then_ } else { else_ }, frame)?;
             }
-            Cmd::Store(size, addr, val) => {
-                let a = self.eval_expr_log(f, addr, locals, &state.mem, &mut state.ct_log)?;
-                let w = self.eval_expr_log(f, val, locals, &state.mem, &mut state.ct_log)?;
-                CtLog::addr(&mut state.ct_log, a);
-                state.mem.store(a, *size, w)?;
-                Ok(())
-            }
-            Cmd::Seq(a, b) => {
-                self.exec(f, a, locals, state, externals, fuel, hook)?;
-                self.exec(f, b, locals, state, externals, fuel, hook)
-            }
-            Cmd::If { cond, then_, else_ } => {
-                let c = self.eval_expr_log(f, cond, locals, &state.mem, &mut state.ct_log)?;
-                CtLog::branch(&mut state.ct_log, c != 0);
-                if c != 0 {
-                    self.exec(f, then_, locals, state, externals, fuel, hook)
-                } else {
-                    self.exec(f, else_, locals, state, externals, fuel, hook)
+            Stmt::While { cond, source, body } => loop {
+                self.hook
+                    .at_loop_head(f.name, source, &FrameView { f, frame }, &self.state.mem)
+                    .map_err(ExecError::HookFailure)?;
+                let c = self.eval(f, *cond, frame)?;
+                CtLog::branch(&mut self.state.ct_log, c != 0);
+                if c == 0 {
+                    break;
+                }
+                self.tick()?;
+                self.block(f, body, frame)?;
+            },
+            Stmt::Call { rets, callee, name, args } => {
+                let argv = self.eval_all(f, args, frame)?;
+                let interp = self.interp;
+                let g = callee
+                    .map(|i| &interp.functions[i])
+                    .ok_or_else(|| ExecError::UnknownFunction((*name).to_string()))?;
+                let out = g.rets_of(&self.invoke(g, &argv)?)?;
+                same_arity(name, rets.len(), out.len())?;
+                for (&r, w) in rets.iter().zip(out) {
+                    frame[r as usize] = Some(w);
                 }
             }
-            Cmd::While { cond, body } => {
-                loop {
-                    hook.at_loop_head(&f.name, cond, locals, &state.mem)
-                        .map_err(ExecError::HookFailure)?;
-                    let c = self.eval_expr_log(f, cond, locals, &state.mem, &mut state.ct_log)?;
-                    CtLog::branch(&mut state.ct_log, c != 0);
-                    if c == 0 {
-                        return Ok(());
-                    }
-                    if *fuel == 0 {
-                        return Err(ExecError::OutOfFuel);
-                    }
-                    *fuel -= 1;
-                    state.fuel_used += 1;
-                    self.exec(f, body, locals, state, externals, fuel, hook)?;
-                }
-            }
-            Cmd::Call { rets, func, args } => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr_log(f, a, locals, &state.mem, &mut state.ct_log)?);
-                }
-                let out = self.call_internal(func, &argv, state, externals, fuel, hook)?;
-                if out.len() != rets.len() {
-                    return Err(ExecError::ArityMismatch {
-                        name: func.clone(),
-                        expected: rets.len(),
-                        found: out.len(),
-                    });
-                }
-                for (r, w) in rets.iter().zip(out) {
-                    locals.insert(r.clone(), w);
-                }
-                Ok(())
-            }
-            Cmd::Interact { rets, action, args } => {
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr_log(f, a, locals, &state.mem, &mut state.ct_log)?);
-                }
-                let out = externals
-                    .interact(action, &argv, &mut state.mem)
+            Stmt::Interact { rets, action, args } => {
+                let argv = self.eval_all(f, args, frame)?;
+                let out = self
+                    .externals
+                    .interact(action, &argv, &mut self.state.mem)
                     .map_err(ExecError::External)?;
-                if out.len() != rets.len() {
-                    return Err(ExecError::ArityMismatch {
-                        name: action.clone(),
-                        expected: rets.len(),
-                        found: out.len(),
-                    });
+                same_arity(action, rets.len(), out.len())?;
+                for (&r, &w) in rets.iter().zip(&out) {
+                    frame[r as usize] = Some(w);
                 }
-                state.trace.push(TraceEvent {
-                    action: action.clone(),
-                    args: argv,
-                    rets: out.clone(),
-                });
-                for (r, w) in rets.iter().zip(out) {
-                    locals.insert(r.clone(), w);
-                }
-                Ok(())
+                self.state.trace.push(TraceEvent { action: (*action).to_string(), args: argv, rets: out });
             }
-            Cmd::StackAlloc { var, nbytes, body } => {
+            Stmt::StackAlloc { var, nbytes, body } => {
                 // Bedrock2 leaves the initial contents unspecified; the
                 // poison byte makes accidental dependence detectable.
-                let base = state.mem.alloc(vec![state.stack_poison; *nbytes as usize]);
-                locals.insert(var.clone(), base);
-                let result = self.exec(f, body, locals, state, externals, fuel, hook);
-                match state.mem.dealloc(base) {
-                    Some(_) => result,
-                    None => Err(ExecError::StackDiscipline(format!(
+                let base = self.state.mem.alloc(vec![self.state.stack_poison; *nbytes as usize]);
+                frame[*var as usize] = Some(base);
+                let result = self.block(f, body, frame);
+                if self.state.mem.dealloc(base).is_none() {
+                    return Err(ExecError::StackDiscipline(format!(
                         "stack region {base:#x} was freed by the body"
-                    ))),
+                    )));
                 }
+                result?;
             }
         }
+        Ok(())
+    }
+}
+
+/// Fails with [`ExecError::ArityMismatch`] unless `found` is `expected`.
+fn same_arity(name: &str, expected: usize, found: usize) -> Result<(), ExecError> {
+    if found != expected {
+        return Err(ExecError::ArityMismatch { name: name.to_string(), expected, found });
+    }
+    Ok(())
+}
+
+/// Evaluates `e` in `f`'s `frame`, recording load addresses and table
+/// offsets into `log` when enabled.
+fn eval(
+    f: &Resolved<'_>,
+    e: ExprId,
+    frame: &[Option<u64>],
+    mem: &Memory,
+    log: &mut Option<CtLog>,
+) -> Result<u64, ExecError> {
+    match &f.exprs[e as usize] {
+        Expr::Lit(w) => Ok(*w),
+        Expr::Var(v) => frame[*v as usize].ok_or_else(|| f.undefined(*v)),
+        Expr::Load(size, addr) => {
+            let a = eval(f, *addr, frame, mem, log)?;
+            CtLog::addr(log, a);
+            Ok(mem.load(a, *size)?)
+        }
+        Expr::Table { size, name, table, index } => {
+            let t = table.ok_or_else(|| ExecError::UnknownTable((*name).to_string()))?;
+            let off = eval(f, *index, frame, mem, log)?;
+            CtLog::addr(log, off);
+            let n = size.bytes();
+            if off.checked_add(n).is_none_or(|end| end > t.data.len() as u64) {
+                return Err(ExecError::TableOutOfBounds {
+                    table: (*name).to_string(),
+                    offset: off,
+                    len: t.data.len() as u64,
+                });
+            }
+            let mut out = [0u8; 8];
+            out[..n as usize].copy_from_slice(&t.data[off as usize..(off + n) as usize]);
+            Ok(u64::from_le_bytes(out))
+        }
+        Expr::Op(op, a, b) => {
+            let va = eval(f, *a, frame, mem, log)?;
+            let vb = eval(f, *b, frame, mem, log)?;
+            Ok(op.eval(va, vb))
+        }
+    }
+}
+
+/// A frame as the loop hook sees it.
+struct FrameView<'a, 'p> {
+    f: &'a Resolved<'p>,
+    frame: &'a [Option<u64>],
+}
+
+impl LocalsView for FrameView<'_, '_> {
+    fn local(&self, name: &str) -> Option<u64> {
+        self.f.slots.get(name).and_then(|&s| self.frame[s as usize])
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ast::{AccessSize as Sz, BTable, BinOp};
-
-    fn run_fn(f: BFunction, args: &[u64], mem: Memory) -> Result<(Vec<u64>, ExecState), ExecError> {
-        let name = f.name.clone();
-        let mut p = Program::new();
-        p.insert(f);
-        let interp = Interpreter::new(&p);
-        let mut state = ExecState::new(mem);
-        let rets = interp.call(&name, args, &mut state, &mut NoExternals, 100_000)?;
-        Ok((rets, state))
-    }
-
-    #[test]
-    fn straightline_arithmetic() {
-        let f = BFunction::new(
-            "f",
-            ["x"],
-            ["y"],
-            Cmd::set("y", BExpr::op(BinOp::Mul, BExpr::var("x"), BExpr::lit(3))),
-        );
-        let (rets, _) = run_fn(f, &[14], Memory::new()).unwrap();
-        assert_eq!(rets, vec![42]);
-    }
-
-    #[test]
-    fn while_loop_sums() {
-        // acc = 0; i = 0; while (i < n) { acc += i; i += 1; }
-        let body = Cmd::seq([
-            Cmd::set("acc", BExpr::lit(0)),
-            Cmd::set("i", BExpr::lit(0)),
-            Cmd::while_(
-                BExpr::op(BinOp::LtU, BExpr::var("i"), BExpr::var("n")),
-                Cmd::seq([
-                    Cmd::set("acc", BExpr::op(BinOp::Add, BExpr::var("acc"), BExpr::var("i"))),
-                    Cmd::set("i", BExpr::op(BinOp::Add, BExpr::var("i"), BExpr::lit(1))),
-                ]),
-            ),
-        ]);
-        let f = BFunction::new("sum", ["n"], ["acc"], body);
-        let (rets, _) = run_fn(f, &[10], Memory::new()).unwrap();
-        assert_eq!(rets, vec![45]);
-    }
-
-    #[test]
-    fn infinite_loop_runs_out_of_fuel() {
-        let f = BFunction::new("spin", Vec::<String>::new(), Vec::<String>::new(),
-            Cmd::while_(BExpr::lit(1), Cmd::Skip));
-        assert_eq!(run_fn(f, &[], Memory::new()).unwrap_err(), ExecError::OutOfFuel);
-    }
-
-    #[test]
-    fn loads_and_stores_hit_memory() {
-        let mut mem = Memory::new();
-        let p = mem.alloc(vec![1, 2, 3, 4]);
-        // swap bytes 0 and 3
-        let body = Cmd::seq([
-            Cmd::set("a", BExpr::load(Sz::One, BExpr::var("p"))),
-            Cmd::set(
-                "b",
-                BExpr::load(Sz::One, BExpr::op(BinOp::Add, BExpr::var("p"), BExpr::lit(3))),
-            ),
-            Cmd::store(Sz::One, BExpr::var("p"), BExpr::var("b")),
-            Cmd::store(
-                Sz::One,
-                BExpr::op(BinOp::Add, BExpr::var("p"), BExpr::lit(3)),
-                BExpr::var("a"),
-            ),
-        ]);
-        let f = BFunction::new("swap", ["p"], Vec::<String>::new(), body);
-        let (_, state) = run_fn(f, &[p], mem).unwrap();
-        assert_eq!(state.mem.region(p).unwrap(), &[4, 2, 3, 1]);
-    }
-
-    #[test]
-    fn oob_store_traps() {
-        let mut mem = Memory::new();
-        let p = mem.alloc(vec![0; 2]);
-        let f = BFunction::new(
-            "oob",
-            ["p"],
-            Vec::<String>::new(),
-            Cmd::store(Sz::One, BExpr::op(BinOp::Add, BExpr::var("p"), BExpr::lit(2)), BExpr::lit(0)),
-        );
-        assert!(matches!(run_fn(f, &[p], mem), Err(ExecError::Memory(_))));
-    }
-
-    #[test]
-    fn inline_table_lookup() {
-        let f = BFunction::new(
-            "nth",
-            ["i"],
-            ["x"],
-            Cmd::set("x", BExpr::table(Sz::One, "t", BExpr::var("i"))),
-        )
-        .with_table(BTable { name: "t".into(), data: vec![10, 20, 30] });
-        let (rets, _) = run_fn(f.clone(), &[2], Memory::new()).unwrap();
-        assert_eq!(rets, vec![30]);
-        assert!(matches!(
-            run_fn(f, &[3], Memory::new()),
-            Err(ExecError::TableOutOfBounds { .. })
-        ));
-    }
-
-    #[test]
-    fn calls_pass_args_and_rets() {
-        let callee = BFunction::new(
-            "inc",
-            ["x"],
-            ["y"],
-            Cmd::set("y", BExpr::op(BinOp::Add, BExpr::var("x"), BExpr::lit(1))),
-        );
-        let caller = BFunction::new(
-            "twice",
-            ["x"],
-            ["y"],
-            Cmd::seq([
-                Cmd::Call { rets: vec!["y".into()], func: "inc".into(), args: vec![BExpr::var("x")] },
-                Cmd::Call { rets: vec!["y".into()], func: "inc".into(), args: vec![BExpr::var("y")] },
-            ]),
-        );
-        let mut p = Program::new();
-        p.insert(callee);
-        p.insert(caller);
-        let interp = Interpreter::new(&p);
-        let mut state = ExecState::new(Memory::new());
-        let rets = interp.call("twice", &[40], &mut state, &mut NoExternals, 1000).unwrap();
-        assert_eq!(rets, vec![42]);
-    }
-
-    #[test]
-    fn interact_records_trace() {
-        let f = BFunction::new(
-            "echo",
-            Vec::<String>::new(),
-            ["x"],
-            Cmd::seq([
-                Cmd::Interact { rets: vec!["x".into()], action: "io_read".into(), args: vec![] },
-                Cmd::Interact { rets: vec![], action: "io_write".into(), args: vec![BExpr::var("x")] },
-            ]),
-        );
-        let mut p = Program::new();
-        p.insert(f);
-        let interp = Interpreter::new(&p);
-        let mut state = ExecState::new(Memory::new());
-        let mut io = QueueIo::new([7]);
-        let rets = interp.call("echo", &[], &mut state, &mut io, 1000).unwrap();
-        assert_eq!(rets, vec![7]);
-        assert_eq!(
-            state.trace,
-            vec![
-                TraceEvent { action: "io_read".into(), args: vec![], rets: vec![7] },
-                TraceEvent { action: "io_write".into(), args: vec![7], rets: vec![] },
-            ]
-        );
-    }
-
-    #[test]
-    fn interact_without_handler_fails() {
-        let f = BFunction::new(
-            "bad",
-            Vec::<String>::new(),
-            Vec::<String>::new(),
-            Cmd::Interact { rets: vec![], action: "mystery".into(), args: vec![] },
-        );
-        assert!(matches!(run_fn(f, &[], Memory::new()), Err(ExecError::External(_))));
-    }
-
-    #[test]
-    fn stackalloc_scopes_memory() {
-        // Write into the scratch region; region must be gone afterwards.
-        let body = Cmd::StackAlloc {
-            var: "p".into(),
-            nbytes: 8,
-            body: Box::new(Cmd::seq([
-                Cmd::store(Sz::Eight, BExpr::var("p"), BExpr::lit(99)),
-                Cmd::set("x", BExpr::load(Sz::Eight, BExpr::var("p"))),
-            ])),
-        };
-        let f = BFunction::new("scratch", Vec::<String>::new(), ["x"], body);
-        let (rets, state) = run_fn(f, &[], Memory::new()).unwrap();
-        assert_eq!(rets, vec![99]);
-        assert_eq!(state.mem.region_count(), 0);
-    }
-
-    #[test]
-    fn stackalloc_contents_are_poisoned_not_zero() {
-        let body = Cmd::StackAlloc {
-            var: "p".into(),
-            nbytes: 1,
-            body: Box::new(Cmd::set("x", BExpr::load(Sz::One, BExpr::var("p")))),
-        };
-        let f = BFunction::new("peek", Vec::<String>::new(), ["x"], body);
-        let (rets, _) = run_fn(f, &[], Memory::new()).unwrap();
-        assert_eq!(rets, vec![0xAA]);
-    }
-
-    #[test]
-    fn unset_removes_locals() {
-        let f = BFunction::new(
-            "f",
-            ["x"],
-            ["x"],
-            Cmd::Unset("x".into()),
-        );
-        assert!(matches!(
-            run_fn(f, &[1], Memory::new()),
-            Err(ExecError::UndefinedVariable(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_function_and_arity() {
-        let p = Program::new();
-        let interp = Interpreter::new(&p);
-        let mut state = ExecState::new(Memory::new());
-        assert!(matches!(
-            interp.call("nope", &[], &mut state, &mut NoExternals, 10),
-            Err(ExecError::UnknownFunction(_))
-        ));
-    }
-}
+mod reference;
+#[cfg(test)]
+mod tests;

@@ -140,15 +140,12 @@ impl Memory {
         self.regions.values().map(Vec::len).sum()
     }
 
-    fn locate(&self, addr: u64, size: u64, write: bool) -> Result<(u64, usize), MemAccessError> {
-        let err = MemAccessError { addr, size, write };
-        let (base, data) = self.regions.range(..=addr).next_back().ok_or(err)?;
+    /// The offset of `[addr, addr + size)` inside the region of `len`
+    /// bytes based at `base <= addr`, when the access fits in it.
+    fn offset_in(base: u64, len: usize, addr: u64, size: u64) -> Option<usize> {
         let off = addr - base;
-        let end = off.checked_add(size).ok_or(err)?;
-        if end > data.len() as u64 {
-            return Err(err);
-        }
-        Ok((*base, off as usize))
+        let end = off.checked_add(size)?;
+        (end <= len as u64).then_some(off as usize)
     }
 
     /// Loads `size` bytes at `addr`, zero-extended into a word
@@ -159,8 +156,9 @@ impl Memory {
     /// Fails when the access is not contained in a single allocated region.
     pub fn load(&self, addr: u64, size: AccessSize) -> Result<u64, MemAccessError> {
         let n = size.bytes();
-        let (base, off) = self.locate(addr, n, false)?;
-        let data = &self.regions[&base];
+        let err = MemAccessError { addr, size: n, write: false };
+        let (base, data) = self.regions.range(..=addr).next_back().ok_or(err)?;
+        let off = Self::offset_in(*base, data.len(), addr, n).ok_or(err)?;
         let mut out = [0u8; 8];
         out[..n as usize].copy_from_slice(&data[off..off + n as usize]);
         Ok(u64::from_le_bytes(out))
@@ -173,8 +171,9 @@ impl Memory {
     /// Fails when the access is not contained in a single allocated region.
     pub fn store(&mut self, addr: u64, size: AccessSize, value: u64) -> Result<(), MemAccessError> {
         let n = size.bytes();
-        let (base, off) = self.locate(addr, n, true)?;
-        let data = self.regions.get_mut(&base).expect("located");
+        let err = MemAccessError { addr, size: n, write: true };
+        let (base, data) = self.regions.range_mut(..=addr).next_back().ok_or(err)?;
+        let off = Self::offset_in(*base, data.len(), addr, n).ok_or(err)?;
         data[off..off + n as usize].copy_from_slice(&value.to_le_bytes()[..n as usize]);
         Ok(())
     }

@@ -20,7 +20,14 @@
 //! output), and reports each pass's median time per statement of the
 //! certified body, the engine column's unit.
 //!
-//! All three go through the one timing harness
+//! A fourth times two validation layers on every scaling-series size, in
+//! the same unit: one interpreter run of the certified body on its first
+//! differential input (the interpreter resolved beforehand), and
+//! `Certificate::check_body` of the certified body against a certificate
+//! whose parts are already computed (one resolution and every vector's
+//! runs).
+//!
+//! All four go through the one timing harness
 //! ([`rupicola_bench::timing`]). Writes `results/compiler_speed.json`
 //! (with the core count it ran on) and exits nonzero if the median
 //! throughput falls below the committed absolute floor, if the
@@ -32,8 +39,10 @@
 //! Run with `cargo run --release -p rupicola-bench --bin speed`.
 //! `SPEED_REPS` overrides the repetition count (default 30).
 
+use rupicola_bedrock::interp::{ExecState, Interpreter, NoExternals};
 use rupicola_bench::json::{write_results, Json};
 use rupicola_bench::timing::{interleaved, Summary};
+use rupicola_core::check::{Certificate, CheckConfig};
 use rupicola_core::{EngineLimits, HintDbs};
 use rupicola_ext::standard_dbs;
 use rupicola_opt::{run_pass, PassId, PipelineConfig};
@@ -155,6 +164,59 @@ fn pass_series(dbs: &HintDbs, reps: usize) -> Vec<Vec<Summary>> {
     })
 }
 
+/// The validation layers the layer rows time, in row order.
+const LAYERS: [&str; 2] = ["interp_run", "check_body"];
+
+/// The layer rows: one warm-up, then `reps` rounds in which each of
+/// [`LAYERS`] runs once on every scaling size's certified body, each timed
+/// run primed by an untimed one of the same layer and size. Returns, per
+/// size, each layer's times in milliseconds.
+fn layer_series(dbs: &HintDbs, reps: usize) -> Vec<Vec<Summary>> {
+    let spec = chacha20_block::spec();
+    let limits = chacha20_block::limits(EngineLimits::default());
+    let config = CheckConfig::default();
+    on_deep_stack(|| {
+        let compiled: Vec<_> = SCALING_ROUNDS
+            .iter()
+            .map(|&k| {
+                let model = chacha20_block::model_with_rounds(k);
+                rupicola_core::compile_with_limits(&model, &spec, dbs, limits)
+                    .expect("chacha20_block compiles")
+            })
+            .collect();
+        let certs: Vec<_> = compiled.iter().map(|cf| Certificate::new(cf, dbs, &config)).collect();
+        let interps: Vec<_> = compiled
+            .iter()
+            .map(|cf| Interpreter::of(std::iter::once(&cf.function).chain(&cf.linked)))
+            .collect();
+        let timed = interleaved(certs.len() * LAYERS.len(), 1, reps, |arm, clock| {
+            let (size, layer) = (arm / LAYERS.len(), arm % LAYERS.len());
+            let cert = &certs[size];
+            let f = &cert.compiled().function;
+            if layer == 0 {
+                let input = &cert.reference_runs()[0].input;
+                clock.primed(|| {
+                    let mut state = ExecState::new(input.mem.clone());
+                    let rets = interps[size].call(
+                        &f.name,
+                        &input.args,
+                        &mut state,
+                        &mut NoExternals,
+                        config.max_fuel,
+                    );
+                    rets.expect("the certified body runs").len()
+                })
+            } else {
+                clock.primed(|| cert.check_body(f).expect("the certified body checks").vectors_run)
+            }
+        });
+        timed
+            .chunks(LAYERS.len())
+            .map(|size| size.iter().map(|layer| Summary::of(layer.iter().map(|t| t.ms))).collect())
+            .collect()
+    })
+}
+
 fn main() {
     // Strict: a set-but-unparseable SPEED_REPS (e.g. `3O`) aborts with an
     // explanation instead of silently running the 30-rep default.
@@ -181,15 +243,21 @@ fn main() {
     let series = scaling_series(&dbs, reps);
     let passes = PipelineConfig::full().passes;
     let pass_times = pass_series(&dbs, reps);
+    let layer_times = layer_series(&dbs, reps);
     println!(
         "\n{:>13} {:>10} {:>12} {:>10} {:>16}",
         "double rounds", "statements", "median ms", "IQR ms", "median µs/stmt"
     );
     let mut us_per_stmt = Vec::new();
     let mut pass_us = Vec::new();
-    for (&(stmts, ms), times) in series.iter().zip(&pass_times) {
+    let mut layer_us = Vec::new();
+    let medians_per_stmt = |times: &[Summary], stmts: usize| {
+        times.iter().map(|ms| ms.median * 1e3 / stmts as f64).collect::<Vec<_>>()
+    };
+    for ((&(stmts, ms), passes), layers) in series.iter().zip(&pass_times).zip(&layer_times) {
         us_per_stmt.push(ms.median * 1e3 / stmts as f64);
-        pass_us.push(times.iter().map(|ms| ms.median * 1e3 / stmts as f64).collect::<Vec<_>>());
+        pass_us.push(medians_per_stmt(passes, stmts));
+        layer_us.push(medians_per_stmt(layers, stmts));
     }
     let mut scaling_rows = Vec::new();
     for (i, (&(stmts, ms), &k)) in series.iter().zip(&SCALING_ROUNDS).enumerate() {
@@ -202,12 +270,20 @@ fn main() {
                 ("median_us_per_statement", Json::F64(us)),
             ])
         });
+        let layer_cells = LAYERS.iter().zip(&layer_times[i]).zip(&layer_us[i]).map(|((layer, ms), &us)| {
+            Json::obj([
+                ("layer", Json::str(*layer)),
+                ("ms", ms.to_json()),
+                ("median_us_per_statement", Json::F64(us)),
+            ])
+        });
         scaling_rows.push(Json::obj([
             ("double_rounds", Json::U64(k as u64)),
             ("statements", Json::U64(stmts as u64)),
             ("ms", ms.to_json()),
             ("median_us_per_statement", Json::F64(per_stmt)),
             ("passes", Json::Arr(pass_cells.collect())),
+            ("layers", Json::Arr(layer_cells.collect())),
         ]));
     }
     let ratio = us_per_stmt[us_per_stmt.len() - 1] / us_per_stmt[0];
@@ -223,6 +299,19 @@ fn main() {
     }
     println!("   (median µs/stmt)");
     for (&(stmts, _), row) in series.iter().zip(&pass_us) {
+        print!("{stmts:>10}");
+        for us in row {
+            print!(" {us:>16.2}");
+        }
+        println!();
+    }
+
+    print!("\n{:>10}", "statements");
+    for layer in LAYERS {
+        print!(" {layer:>16}");
+    }
+    println!("   (median µs/stmt)");
+    for (&(stmts, _), row) in series.iter().zip(&layer_us) {
         print!("{stmts:>10}");
         for us in row {
             print!(" {us:>16.2}");

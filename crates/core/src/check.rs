@@ -34,10 +34,10 @@ use crate::engine::CompiledFunction;
 use crate::fnspec::{concretize, ArgSpec, ConcreteCall, FnSpec, RegionLayout, RetSpec, TraceSpec};
 use crate::goal::{Hyp, MonadCtx};
 use crate::invariant::{LoopInvariant, LoopInvariantKind};
-use rupicola_bedrock::interp::{Locals, NoExternals};
+use rupicola_bedrock::interp::{Locals, LocalsView, NoExternals};
 use rupicola_bedrock::{
     BExpr, BFunction, ExecError, ExecState, ExternalHandler, Interpreter, LoopHook, Memory,
-    Program, TraceEvent,
+    TraceEvent,
 };
 use rupicola_lang::eval::{eval, eval_model, Env, Oracle, World};
 use rupicola_lang::{
@@ -432,8 +432,7 @@ impl<'a> Certificate<'a> {
     pub fn reference_runs(&self) -> &[ReferenceRun] {
         self.parts.reference.get_or_init(|| {
             let cf = self.cf;
-            let program = program_for(&cf.function, &cf.linked);
-            let interp = Interpreter::new(&program);
+            let interp = interpreter_for(&cf.function, &cf.linked);
             self.vectors()
                 .iter()
                 .filter_map(|v| match &v.call {
@@ -489,8 +488,7 @@ impl<'a> Certificate<'a> {
 
         let vectors = self.vectors();
         let invariants = self.invariants();
-        let program = program_for(body, &cf.linked);
-        let interp = Interpreter::new(&program);
+        let interp = interpreter_for(body, &cf.linked);
 
         let mut ran = 0;
         for vector in vectors {
@@ -648,13 +646,10 @@ fn structural(cf: &CompiledFunction, dbs: &crate::lemma::HintDbs) -> Result<usiz
     result.map(|()| rechecked)
 }
 
-fn program_for(main: &BFunction, linked: &[BFunction]) -> Program {
-    let mut program = Program::new();
-    program.insert(main.clone());
-    for callee in linked {
-        program.insert(callee.clone());
-    }
-    program
+/// An interpreter over `main` and the functions linked with it (a linked
+/// function of `main`'s name shadows it, as in a [`rupicola_bedrock::Program`]).
+fn interpreter_for<'a>(main: &'a BFunction, linked: &'a [BFunction]) -> Interpreter<'a> {
+    Interpreter::of(std::iter::once(main).chain(linked))
 }
 
 /// The generated vectors with their precondition verdicts, descriptions
@@ -1327,7 +1322,7 @@ impl<'a> InvariantHook<'a> {
         slot: usize,
         inv: &LoopInvariant,
         i: u64,
-        locals: &Locals,
+        locals: &dyn LocalsView,
         mem: &Memory,
     ) -> Result<(), String> {
         // Taken out for the check and put back only when it passes: a
@@ -1348,9 +1343,8 @@ impl<'a> InvariantHook<'a> {
         match &inv.kind {
             LoopInvariantKind::ArrayMapInPlace { ptr_local, elem, .. }
             | LoopInvariantKind::RangeFoldArrayPut { ptr_local, elem, .. } => {
-                let base = *locals
-                    .get(ptr_local)
-                    .ok_or_else(|| format!("no local `{ptr_local}`"))?;
+                let base =
+                    locals.local(ptr_local).ok_or_else(|| format!("no local `{ptr_local}`"))?;
                 let got = mem.region(base).ok_or("array region missing at loop head")?;
                 let want = r.acc.to_layout_bytes().ok_or("no layout")?;
                 if got != want.as_slice() {
@@ -1379,7 +1373,7 @@ impl LoopHook for InvariantHook<'_> {
         &mut self,
         function: &str,
         cond: &BExpr,
-        locals: &Locals,
+        locals: &dyn LocalsView,
         mem: &Memory,
     ) -> Result<(), String> {
         if function != self.function {
@@ -1392,7 +1386,7 @@ impl LoopHook for InvariantHook<'_> {
             if !cond.mentions(&inv.index_local) {
                 continue;
             }
-            let Some(&i) = locals.get(&inv.index_local) else { continue };
+            let Some(i) = locals.local(&inv.index_local) else { continue };
             self.check_one(slot, inv, i, locals, mem)?;
         }
         Ok(())
@@ -1407,8 +1401,13 @@ fn counter_within(i: u64, len: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn check_scalar_local(locals: &Locals, name: &str, want: &Value, i: u64) -> Result<(), String> {
-    let got = *locals.get(name).ok_or_else(|| format!("no local `{name}`"))?;
+fn check_scalar_local(
+    locals: &dyn LocalsView,
+    name: &str,
+    want: &Value,
+    i: u64,
+) -> Result<(), String> {
+    let got = locals.local(name).ok_or_else(|| format!("no local `{name}`"))?;
     let want_w = want
         .to_scalar_word()
         .ok_or_else(|| format!("invariant accumulator for `{name}` is not scalar"))?;
@@ -1968,12 +1967,11 @@ mod tests {
         // One run of `body`: its loop-head checks and fold-body evaluations.
         let run = |body: Cmd| {
             let f = BFunction::new("fold", ["s", "len"], ["h"], body);
-            let program = program_for(&f, &[]);
             let mut mem = Memory::new();
             let base = mem.alloc(s.clone());
             let mut state = ExecState::new(mem);
             let mut hook = InvariantHook::new("fold", &invariants, &model, &values, &externs);
-            Interpreter::new(&program)
+            interpreter_for(&f, &[])
                 .call_with_hook("fold", &[base, 32], &mut state, &mut NoExternals, 1 << 20, &mut hook)
                 .unwrap();
             (hook.checks, hook.steps)

@@ -324,11 +324,12 @@ pub fn eval(
                     found: args.len(),
                 });
             }
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, env, tables, world)?);
+            // The arity check bounds the arguments at two.
+            let mut vals = [Value::Unit, Value::Unit];
+            for (slot, a) in vals.iter_mut().zip(args) {
+                *slot = eval(a, env, tables, world)?;
             }
-            eval_prim(*op, &vals)
+            eval_prim(*op, &vals[..args.len()])
         }
         Expr::Extern { tag, args } => {
             let mut vals = Vec::with_capacity(args.len());

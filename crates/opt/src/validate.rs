@@ -10,7 +10,7 @@
 use crate::{OptError, TEMP_PREFIX};
 use rupicola_analysis::{ct, LintCertificate, SecrecyPolicy};
 use rupicola_bedrock::interp::NoExternals;
-use rupicola_bedrock::{BFunction, ExecState, Interpreter, Program};
+use rupicola_bedrock::{BFunction, ExecState, Interpreter};
 use rupicola_core::check::{Certificate, CheckConfig, CheckError};
 use rupicola_core::lemma::HintDbs;
 use rupicola_core::CompiledFunction;
@@ -129,12 +129,7 @@ pub fn validate(
 /// eliminated temporaries on the original side.
 fn differential(cert: &Certificate<'_>, candidate: &BFunction) -> Result<(), OptError> {
     let cf = cert.compiled();
-    let mut prog_cand = Program::new();
-    prog_cand.insert(candidate.clone());
-    for f in &cf.linked {
-        prog_cand.insert(f.clone());
-    }
-    let interp_cand = Interpreter::new(&prog_cand);
+    let interp_cand = Interpreter::of(std::iter::once(candidate).chain(&cf.linked));
     let name = &cf.function.name;
     let fuel = cert.config().max_fuel;
 
