@@ -103,8 +103,8 @@ fn suite_row(dbs: &HintDbs, reps: usize) -> (usize, Summary) {
 /// The scaling series: one warm-up, then `reps` rounds with the sizes
 /// interleaved, so load spikes hit every size alike, each timed compile
 /// primed by an untimed one of the same size. All on one deep-stack
-/// thread (the derivation recurses one frame per statement), spawned once
-/// so no per-compile thread setup inflates the small sizes. Returns each
+/// thread (the checker's layers recurse one frame per statement), spawned
+/// once so no per-compile thread setup inflates the small sizes. Returns each
 /// size's statement count and its compile times in milliseconds.
 fn scaling_series(dbs: &HintDbs, reps: usize) -> Vec<(usize, Summary)> {
     let spec = chacha20_block::spec();
@@ -207,7 +207,9 @@ fn layer_series(dbs: &HintDbs, reps: usize) -> Vec<Vec<Summary>> {
                     rets.expect("the certified body runs").len()
                 })
             } else {
-                clock.primed(|| cert.check_body(f).expect("the certified body checks").vectors_run)
+                clock.primed(|| {
+                    cert.check_body(&cert.resolve(f)).expect("the certified body checks").vectors_run
+                })
             }
         });
         timed

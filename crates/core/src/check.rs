@@ -226,7 +226,8 @@ pub fn check_with(
     dbs: &crate::lemma::HintDbs,
     config: &CheckConfig,
 ) -> Result<CheckReport, CheckError> {
-    Certificate::new(cf, dbs, config).check_body(&cf.function)
+    let cert = Certificate::new(cf, dbs, config);
+    cert.check_body(&cert.resolve(&cf.function))
 }
 
 /// The poisons of the nondeterminism discipline. Every body runs under
@@ -339,6 +340,23 @@ struct SourceRun {
     value: Value,
     writer: Vec<u64>,
     events: Vec<Event>,
+}
+
+/// A body resolved for execution beside the certified function's linked
+/// callees ([`Certificate::resolve`]): what [`Certificate::check_body`]
+/// runs, and what a caller that runs the same body again (the optimizer's
+/// differential) reuses instead of resolving it a second time.
+#[derive(Debug)]
+pub struct ResolvedBody<'b> {
+    body: &'b BFunction,
+    interp: Interpreter<'b>,
+}
+
+impl<'b> ResolvedBody<'b> {
+    /// The interpreter over the body and the linked callees.
+    pub fn interpreter(&self) -> &Interpreter<'b> {
+        &self.interp
+    }
 }
 
 /// The certified body's run on one differential input: the reference a
@@ -459,15 +477,25 @@ impl<'a> Certificate<'a> {
         })
     }
 
-    /// The body phase: validates `body` as the implementation of the
-    /// certified function — the witness's structural result, then the
-    /// differential against the model with invariant hooks at every loop
-    /// head.
+    /// Resolves `body` for execution beside the certified function's
+    /// linked callees (a linked function of `body`'s name shadows it).
+    pub fn resolve<'b>(&self, body: &'b BFunction) -> ResolvedBody<'b>
+    where
+        'a: 'b,
+    {
+        ResolvedBody { body, interp: interpreter_for(body, &self.cf.linked) }
+    }
+
+    /// The body phase: validates `resolved`'s body as the implementation
+    /// of the certified function — the witness's structural result, then
+    /// the differential against the model with invariant hooks at every
+    /// loop head.
     ///
     /// # Errors
     ///
     /// See [`CheckError`].
-    pub fn check_body(&self, body: &BFunction) -> Result<CheckReport, CheckError> {
+    pub fn check_body(&self, resolved: &ResolvedBody<'_>) -> Result<CheckReport, CheckError> {
+        let ResolvedBody { body, interp } = resolved;
         let cf = self.cf;
         let config = self.config;
         let mut report = CheckReport {
@@ -488,7 +516,6 @@ impl<'a> Certificate<'a> {
 
         let vectors = self.vectors();
         let invariants = self.invariants();
-        let interp = interpreter_for(body, &cf.linked);
 
         let mut ran = 0;
         for vector in vectors {
@@ -1588,7 +1615,7 @@ mod tests {
         for body in [&certified, &broken, &poison_dependent_body(), &certified] {
             let mut candidate = cf.function.clone();
             candidate.body = body.clone();
-            let shared = cert.check_body(&candidate);
+            let shared = cert.check_body(&cert.resolve(&candidate));
             let fresh = one_shot(&cf, body);
             assert_eq!(shared, fresh, "body {body:?}");
             assert_eq!(
@@ -1596,7 +1623,7 @@ mod tests {
                 fresh.as_ref().map_err(ToString::to_string)
             );
         }
-        assert!(cert.check_body(&cf.function).is_ok());
+        assert!(cert.check_body(&cert.resolve(&cf.function)).is_ok());
     }
 
     #[test]
@@ -1608,18 +1635,18 @@ mod tests {
         let dbs = HintDbs::new();
         let config = CheckConfig::default();
         let cert = Certificate::new(&cf, &dbs, &config);
-        assert!(!cert.check_body(&cf.function).unwrap().poison_pair);
+        assert!(!cert.check_body(&cert.resolve(&cf.function)).unwrap().poison_pair);
 
         let mut harmless = cf.function.clone();
         harmless.body = Cmd::StackAlloc { var: "tmp".into(), nbytes: 8, body: Box::new(Cmd::Skip) };
-        let report = cert.check_body(&harmless).unwrap();
+        let report = cert.check_body(&cert.resolve(&harmless)).unwrap();
         assert!(report.poison_pair);
         assert_eq!(Ok(report), one_shot(&cf, &harmless.body));
 
         // Correct under the first poison, wrong under the second.
         let mut leaky = cf.function.clone();
         leaky.body = poison_dependent_body();
-        let err = cert.check_body(&leaky).unwrap_err();
+        let err = cert.check_body(&cert.resolve(&leaky)).unwrap_err();
         assert!(matches!(err, CheckError::Mismatch { .. }), "got {err:?}");
         assert_eq!(Err(err), one_shot(&cf, &leaky.body));
     }

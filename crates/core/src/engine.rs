@@ -2,7 +2,9 @@
 //!
 //! Compiling a program `s` is proving `∃ t, t ∼ s` (§2): the engine holds
 //! the current goal, tries the registered lemmas in order, and lets the
-//! matching lemma emit target code and recurse into its premises. There is
+//! matching lemma emit target code and compile its premises; a lemma whose
+//! last premise is its continuation hands that goal back, and the engine
+//! resolves it in the same loop ([`Compiler::compile_stmt`]). There is
 //! no backtracking; when nothing applies, the residual goal is surfaced to
 //! the user (§3.1).
 //!
@@ -25,7 +27,7 @@ use crate::derive::{Derivation, DerivationNode, SideCondRecord};
 use crate::error::CompileError;
 use crate::fnspec::FnSpec;
 use crate::goal::{flatten_result, HypContext, RetSlot, SideCond, StmtGoal};
-use crate::lemma::HintDbs;
+use crate::lemma::{Applied, HintDbs, Prefix};
 use crate::limits::{EngineLimits, FreshNamesExhausted, ResourceKind};
 use rupicola_bedrock::{BExpr, BFunction, BTable, Cmd};
 use rupicola_lang::{Expr, Model};
@@ -108,12 +110,20 @@ pub struct CompileStats {
     pub opt_sites_rewritten: usize,
 }
 
+/// One statement-lemma application, as the spine loop sees it.
+enum Step {
+    /// The application covers the rest of the program.
+    Closed(Cmd, DerivationNode),
+    /// The application's continuation goal is compiled next.
+    Continue(Prefix),
+}
+
 /// The compiler state threaded through lemma applications.
 ///
-/// Lemmas receive `&mut Compiler` and use it to compile their continuation
-/// premises ([`Compiler::compile_stmt`]), their expression subgoals
-/// ([`Compiler::compile_expr`]), to discharge side conditions
-/// ([`Compiler::solve`]), and to generate fresh names.
+/// Lemmas receive `&mut Compiler` and use it to compile their statement
+/// subgoals ([`Compiler::compile_stmt`]: loop bodies, branches), their
+/// expression subgoals ([`Compiler::compile_expr`]), to discharge side
+/// conditions ([`Compiler::solve`]), and to generate fresh names.
 #[derive(Debug)]
 pub struct Compiler<'a> {
     /// The model being compiled (for inline-table lookups).
@@ -133,8 +143,10 @@ pub struct Compiler<'a> {
     depth: usize,
     /// Solver invocations so far.
     solver_steps: usize,
-    /// Stack of lemma names currently being applied (derivation root
-    /// first); rendered into `ResourceExhausted`/`LemmaPanicked` errors.
+    /// Stack of lemma names currently being applied, outermost first: the
+    /// lemmas still open when an error is built (a spine lemma that handed
+    /// back its continuation is no longer open); rendered into
+    /// `ResourceExhausted`/`LemmaPanicked` errors.
     /// Names are `&'static str` so pushing a frame never allocates — this
     /// runs once per *tried* lemma, the engine's hottest edge.
     path: Vec<&'static str>,
@@ -294,6 +306,14 @@ impl<'a> Compiler<'a> {
                 self.limits.max_recursion_depth,
             ));
         }
+        self.charge_step()
+    }
+
+    /// Charges one step of a judgment against the application and
+    /// wall-clock budgets: every judgment entry, and every continuation
+    /// goal of a statement spine (which does not nest, so it is not
+    /// charged against the depth budget).
+    fn charge_step(&self) -> Result<(), CompileError> {
         if self.stats.lemma_applications >= self.limits.max_lemma_applications {
             return Err(self.exhausted(
                 ResourceKind::LemmaApplications,
@@ -317,6 +337,15 @@ impl<'a> Compiler<'a> {
     /// Resolves a statement goal by trying each statement lemma in order,
     /// falling back to the terminal `done` rule.
     ///
+    /// The let-spine runs as a loop, not a recursion: a lemma that hands
+    /// back its continuation ([`Applied::Continue`]) has its edit applied
+    /// to the one goal this call owns, and the loop resolves that goal
+    /// next. Once a lemma closes the spine (or `done` does), the open
+    /// prefixes close around the result innermost first ([`Prefix::close`]),
+    /// giving the same command and derivation as lemmas that compile their
+    /// continuations themselves. The depth budget therefore bounds nesting
+    /// (loop bodies, branches, expressions), not the spine's length.
+    ///
     /// # Errors
     ///
     /// Propagates lemma failures (no backtracking) and reports a
@@ -329,34 +358,63 @@ impl<'a> Compiler<'a> {
     ) -> Result<(Cmd, DerivationNode), CompileError> {
         self.enter_judgment()?;
         self.depth += 1;
-        let result = self.compile_stmt_inner(goal);
+        let result = self.compile_spine(goal.clone());
         self.depth -= 1;
         result
     }
 
-    fn compile_stmt_inner(
-        &mut self,
-        goal: &StmtGoal,
-    ) -> Result<(Cmd, DerivationNode), CompileError> {
+    fn compile_spine(&mut self, mut goal: StmtGoal) -> Result<(Cmd, DerivationNode), CompileError> {
+        let mut open = Vec::new();
+        let (mut cmd, mut node) = loop {
+            match self.apply_stmt_lemma(&mut goal)? {
+                Step::Closed(cmd, node) => break (cmd, node),
+                Step::Continue(prefix) => {
+                    open.push(prefix);
+                    self.charge_step()?;
+                }
+            }
+        };
+        while let Some(prefix) = open.pop() {
+            (cmd, node) = prefix.close(cmd, node);
+        }
+        Ok((cmd, node))
+    }
+
+    /// Applies the first statement lemma that matches `goal` (or `done`).
+    /// A continuing lemma's edit has made `goal` its continuation goal by
+    /// the time this returns.
+    fn apply_stmt_lemma(&mut self, goal: &mut StmtGoal) -> Result<Step, CompileError> {
         // Copy the `&HintDbs` out of `self` so iterating the lemma slice
         // does not hold a borrow of the compiler across `try_apply`.
         let dbs = self.dbs;
         for lemma in dbs.stmt_lemmas() {
             self.path.push(lemma.name());
-            match catch_quiet(AssertUnwindSafe(|| lemma.try_apply(goal, self))) {
+            // The edit runs under the same panic guard as the lemma.
+            let attempt = catch_quiet(AssertUnwindSafe(|| {
+                let applied = lemma.try_apply(goal, self)?;
+                Some(applied.map(|applied| match applied {
+                    Applied::Closed { cmd, node } => Step::Closed(cmd, node),
+                    Applied::Continue { prefix, edit } => {
+                        edit(goal);
+                        Step::Continue(prefix)
+                    }
+                }))
+            }));
+            match attempt {
                 Err(payload) => return Err(self.panic_to_error(lemma.name(), payload)),
                 Ok(None) => {
                     self.path.pop();
                 }
                 Ok(Some(res)) => {
-                    let applied = res?;
+                    let step = res?;
                     self.path.pop();
                     self.stats.lemma_applications += 1;
-                    return Ok((applied.cmd, applied.node));
+                    return Ok(step);
                 }
             }
         }
-        self.compile_done(goal)
+        let (cmd, node) = self.compile_done(goal)?;
+        Ok(Step::Closed(cmd, node))
     }
 
     /// Resolves an expression goal (`EXPR m l ?e (term)`).

@@ -4,10 +4,13 @@
 //! programs to source programs" (§2.3). Here each *fact* is a value
 //! implementing [`StmtLemma`] or [`ExprLemma`]: it inspects a goal, and if
 //! its syntactic premises match, emits target code, discharges its side
-//! conditions through the engine, and recursively compiles its continuation
-//! premises. A [`HintDbs`] is the analog of Coq's hint databases: the
-//! ordered collections of lemmas (and side-condition solvers) that
-//! constitute a compiler.
+//! conditions through the engine, and compiles its subgoals. A lemma whose
+//! last premise is its continuation (the shape of §3.3's lemma anatomy)
+//! does not compile that premise itself: it hands back the edit that turns
+//! its goal into the continuation goal ([`Applied::then`]), and the engine
+//! compiles the continuation in its own loop. A [`HintDbs`] is the analog
+//! of Coq's hint databases: the ordered collections of lemmas (and
+//! side-condition solvers) that constitute a compiler.
 //!
 //! The search is deliberately *non-backtracking* — "compilers built with
 //! Rupicola (almost) never backtrack" (§3.1): returning `Some(Err(…))` from
@@ -30,15 +33,142 @@ use rupicola_lang::Expr;
 use std::fmt;
 use std::sync::Arc;
 
-/// The result of applying a statement lemma: the emitted command (covering
-/// the *entire* remaining program, since lemmas compile their continuations
-/// recursively) and the derivation node recording the application.
+/// Turns a lemma's goal into its continuation goal. It runs once the lemma
+/// has applied, on the goal the engine owns, so a lemma that declines never
+/// changes the goal the next lemma sees.
+pub type GoalEdit = Box<dyn FnOnce(&mut StmtGoal)>;
+
+/// The result of applying a statement lemma.
+pub enum Applied {
+    /// The lemma discharged every premise itself: `cmd` covers the
+    /// *entire* remaining program and `node` records the application with
+    /// all its premises.
+    Closed {
+        /// Emitted Bedrock2 code.
+        cmd: Cmd,
+        /// Witness node.
+        node: DerivationNode,
+    },
+    /// The lemma's last premise is its continuation: `prefix` holds what it
+    /// emits before the continuation and its witness node minus the last
+    /// child, and `edit` makes the continuation goal. The engine compiles
+    /// that goal next and closes the prefix around the result
+    /// ([`Prefix::close`]).
+    Continue {
+        /// The code and witness around the continuation.
+        prefix: Prefix,
+        /// The continuation goal, as an edit of this lemma's goal.
+        edit: GoalEdit,
+    },
+}
+
+impl Applied {
+    /// A continuing application: `cmds` run before the continuation,
+    /// `node` is the witness without the continuation's child, and `edit`
+    /// makes the continuation goal. For example, a lemma for
+    /// `let/n x := e in k` with a fresh word `x` hands back `[x = e]`, its
+    /// node, and an edit that binds `x` and focuses the goal on `k`:
+    ///
+    /// ```
+    /// use rupicola_bedrock::Cmd;
+    /// use rupicola_core::derive::DerivationNode;
+    /// use rupicola_core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
+    /// use rupicola_lang::Expr;
+    /// use rupicola_sep::{ScalarKind, SymValue};
+    ///
+    /// struct LetFreshWord;
+    ///
+    /// impl StmtLemma for LetFreshWord {
+    ///     fn name(&self) -> &'static str {
+    ///         "let_fresh_word"
+    ///     }
+    ///
+    ///     fn try_apply(
+    ///         &self,
+    ///         goal: &StmtGoal,
+    ///         cx: &mut Compiler<'_>,
+    ///     ) -> Option<Result<Applied, CompileError>> {
+    ///         let Expr::Let { name, value, body } = &goal.prog else { return None };
+    ///         if goal.locals.get(name).is_some() {
+    ///             return None;
+    ///         }
+    ///         Some(cx.compile_expr(value, goal).map(|(e, e_node)| {
+    ///             let node =
+    ///                 DerivationNode::leaf(self.name(), cx.focus_let(name, value)).with_child(e_node);
+    ///             let (x, body) = (name.clone(), body.as_ref().clone());
+    ///             Applied::then(vec![Cmd::set(x.clone(), e)], node, move |g| {
+    ///                 g.locals.set(x.clone(), SymValue::Scalar(ScalarKind::Word, Expr::Var(x)));
+    ///                 g.prog = body;
+    ///             })
+    ///         }))
+    ///     }
+    /// }
+    /// ```
+    pub fn then(
+        cmds: Vec<Cmd>,
+        node: DerivationNode,
+        edit: impl FnOnce(&mut StmtGoal) + 'static,
+    ) -> Applied {
+        Applied::Continue { prefix: Prefix { cmds, stack_alloc: None, node }, edit: Box::new(edit) }
+    }
+
+    /// As [`Applied::then`], with `cmds` and the continuation scoped inside
+    /// a stack allocation of `nbytes` bytes whose address is bound to `var`.
+    pub fn then_in_stack_alloc(
+        var: String,
+        nbytes: u64,
+        cmds: Vec<Cmd>,
+        node: DerivationNode,
+        edit: impl FnOnce(&mut StmtGoal) + 'static,
+    ) -> Applied {
+        Applied::Continue {
+            prefix: Prefix { cmds, stack_alloc: Some((var, nbytes)), node },
+            edit: Box::new(edit),
+        }
+    }
+}
+
+impl fmt::Debug for Applied {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Applied::Closed { cmd, node } => {
+                f.debug_struct("Closed").field("cmd", cmd).field("node", node).finish()
+            }
+            Applied::Continue { prefix, .. } => {
+                f.debug_struct("Continue").field("prefix", prefix).finish_non_exhaustive()
+            }
+        }
+    }
+}
+
+/// What a continuing lemma application contributes around its
+/// continuation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Applied {
-    /// Emitted Bedrock2 code.
-    pub cmd: Cmd,
-    /// Witness node.
+pub struct Prefix {
+    /// Commands run before the continuation.
+    pub cmds: Vec<Cmd>,
+    /// When set, `cmds` and the continuation run inside a stack
+    /// allocation of this many bytes bound to this local.
+    pub stack_alloc: Option<(String, u64)>,
+    /// The witness node, without the continuation's child.
     pub node: DerivationNode,
+}
+
+impl Prefix {
+    /// The command and witness of the whole application, given the
+    /// continuation's: `Cmd::seq(cmds ++ [k_cmd])` (inside the stack
+    /// allocation, if any) and the node with `k_node` as its last child —
+    /// exactly what a lemma compiling its continuation itself would build.
+    pub fn close(self, k_cmd: Cmd, k_node: DerivationNode) -> (Cmd, DerivationNode) {
+        let Prefix { mut cmds, stack_alloc, mut node } = self;
+        cmds.push(k_cmd);
+        let mut cmd = Cmd::seq(cmds);
+        if let Some((var, nbytes)) = stack_alloc {
+            cmd = Cmd::StackAlloc { var, nbytes, body: Box::new(cmd) };
+        }
+        node.children.push(k_node);
+        (cmd, node)
+    }
 }
 
 /// The result of applying an expression lemma.
@@ -60,8 +190,11 @@ pub trait StmtLemma: Send + Sync {
     ///
     /// - `None`: the lemma's premises do not match this goal; the engine
     ///   tries the next lemma.
-    /// - `Some(Ok(applied))`: the lemma applied and all its premises
-    ///   (side conditions, subgoals, continuation) were discharged.
+    /// - `Some(Ok(applied))`: the lemma applied and its premises (side
+    ///   conditions, subgoals) were discharged — the continuation too for
+    ///   [`Applied::Closed`]; for [`Applied::Continue`] the engine compiles
+    ///   the continuation next. A lemma decides and compiles its prefix
+    ///   from `goal` alone; only the returned edit may change the goal.
     /// - `Some(Err(e))`: the lemma matched but a premise failed; the engine
     ///   does *not* backtrack and reports `e`.
     fn try_apply(

@@ -68,4 +68,4 @@ pub use limits::{EngineLimits, ResourceKind};
 pub use goal::{
     DefChain, Hyp, HypContext, HypEntry, HypRef, MonadCtx, Post, RetSlot, SideCond, StmtGoal,
 };
-pub use lemma::{Applied, AppliedExpr, ExprLemma, HintDbs, StmtLemma};
+pub use lemma::{Applied, AppliedExpr, ExprLemma, GoalEdit, HintDbs, Prefix, StmtLemma};

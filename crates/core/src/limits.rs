@@ -21,9 +21,11 @@ use std::fmt;
 pub struct EngineLimits {
     /// Maximum number of lemma applications (statement + expression).
     pub max_lemma_applications: usize,
-    /// Maximum recursion depth of the statement/expression judgments.
-    /// Bounds the stack: a self-recursive lemma that makes no progress hits
-    /// this long before the thread's guard page.
+    /// Maximum nesting depth of the statement/expression judgments: loop
+    /// bodies, branches and expressions nest, while a let-spine's
+    /// continuations do not (the engine resolves them in a loop), so any
+    /// spine length fits. Bounds the stack: a self-recursive lemma that
+    /// makes no progress hits this long before the thread's guard page.
     pub max_recursion_depth: usize,
     /// Maximum number of fresh names ([`Compiler::fresh_var`] /
     /// [`Compiler::fresh_ghost`](crate::Compiler::fresh_ghost) calls).

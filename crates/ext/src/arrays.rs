@@ -176,16 +176,9 @@ impl CompileArrayPut {
         let (val_e, c2) = cx.compile_expr(val, goal)?;
         node.children.push(c1);
         node.children.push(c2);
-        let k_goal = rebind_pointer(cx, goal, &name.to_string(), id, elem, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([
-                Cmd::store(access_size(elem), elem_addr(ptr, idx_e, elem), val_e),
-                k_cmd,
-            ]),
-            node,
-        })
+        let edit = rebind_pointer(cx, goal, &name.to_string(), id, elem, value, body);
+        let store = Cmd::store(access_size(elem), elem_addr(ptr, idx_e, elem), val_e);
+        Ok(Applied::then(vec![store], node, edit))
     }
 }
 
@@ -271,9 +264,7 @@ impl CompileArrayMap {
             },
         });
 
-        let k_goal = rebind_pointer(cx, goal, &name.to_string(), id, elem, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_pointer(cx, goal, &name.to_string(), id, elem, value, body);
 
         let addr = elem_addr(ptr, BExpr::var(&i_var), elem);
         let loop_body = Cmd::seq([
@@ -281,15 +272,14 @@ impl CompileArrayMap {
             Cmd::store(access_size(elem), addr, f_e),
             Cmd::set(&i_var, BExpr::op(BinOp::Add, BExpr::var(&i_var), BExpr::lit(1))),
         ]);
-        let cmd = Cmd::seq([
+        let cmds = vec![
             Cmd::set(&i_var, BExpr::lit(0)),
             Cmd::while_(
                 BExpr::op(BinOp::LtU, BExpr::var(&i_var), len_e),
                 loop_body,
             ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        ];
+        Ok(Applied::then(cmds, node, edit))
     }
 }
 
@@ -397,12 +387,10 @@ impl CompileArrayFold {
             },
         });
 
-        let k_goal = rebind_scalar(cx, goal, &name.to_string(), acc_kind, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_scalar(cx, goal, &name.to_string(), acc_kind, value, body);
 
         let addr = elem_addr(ptr, BExpr::var(&i_var), elem);
-        let cmd = Cmd::seq([
+        let cmds = vec![
             Cmd::set(name.to_string(), init_e),
             Cmd::set(&i_var, BExpr::lit(0)),
             Cmd::while_(
@@ -413,9 +401,8 @@ impl CompileArrayFold {
                     Cmd::set(&i_var, BExpr::op(BinOp::Add, BExpr::var(&i_var), BExpr::lit(1))),
                 ]),
             ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        ];
+        Ok(Applied::then(cmds, node, edit))
     }
 }
 
@@ -544,11 +531,9 @@ impl CompileRangeFoldArrayPut {
             },
         });
 
-        let k_goal = rebind_pointer(cx, goal, &name.to_string(), id, elem, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_pointer(cx, goal, &name.to_string(), id, elem, value, body);
 
-        let cmd = Cmd::seq([
+        let cmds = vec![
             Cmd::set(&i_var, from_e),
             Cmd::while_(
                 BExpr::op(BinOp::LtU, BExpr::var(&i_var), to_e),
@@ -557,9 +542,8 @@ impl CompileRangeFoldArrayPut {
                     Cmd::set(&i_var, BExpr::op(BinOp::Add, BExpr::var(&i_var), BExpr::lit(1))),
                 ]),
             ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        ];
+        Ok(Applied::then(cmds, node, edit))
     }
 }
 

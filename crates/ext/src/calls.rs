@@ -91,35 +91,19 @@ impl CallLemma {
             node.children.push(c);
         }
         cx.link(self.callee.clone());
-        let mut g = goal.clone();
-        g.locals.set(
-            name.to_string(),
-            SymValue::Scalar(ScalarKind::Word, Expr::Var(name.to_string())),
-        );
-        g.push_hyp(rupicola_core::Hyp::EqWord(
-            Expr::Var(name.to_string()),
-            Expr::Extern { tag: self.tag.clone(), args: args.to_vec() },
-        ));
-        if !args.iter().any(Expr::is_monadic) {
-            g.defs.push((
-                name.to_string(),
-                Expr::Extern { tag: self.tag.clone(), args: args.to_vec() },
-            ));
-        }
-        g.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&g)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([
-                Cmd::Call {
-                    rets: vec![name.to_string()],
-                    func: self.callee.name.clone(),
-                    args: arg_es,
-                },
-                k_cmd,
-            ]),
-            node,
-        })
+        let call =
+            Cmd::Call { rets: vec![name.to_string()], func: self.callee.name.clone(), args: arg_es };
+        let op = Expr::Extern { tag: self.tag.clone(), args: args.to_vec() };
+        let record_def = !args.iter().any(Expr::is_monadic);
+        let (name, body) = (name.to_string(), body.clone());
+        Ok(Applied::then(vec![call], node, move |g| {
+            g.locals.set(name.clone(), SymValue::Scalar(ScalarKind::Word, Expr::Var(name.clone())));
+            g.push_hyp(rupicola_core::Hyp::EqWord(Expr::Var(name.clone()), op.clone()));
+            if record_def {
+                g.defs.push((name, op));
+            }
+            g.prog = body;
+        }))
     }
 }
 

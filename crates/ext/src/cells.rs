@@ -5,7 +5,7 @@
 //! Table 1 measurements count exactly these lemmas: a load, a store, and
 //! the fused in-place increment.
 
-use crate::helpers::state_mentions;
+use crate::helpers::{ghost_for, save_ghost};
 use rupicola_core::derive::DerivationNode;
 use rupicola_core::{
     Applied,
@@ -45,7 +45,9 @@ impl ExprLemma for ExprCellGet {
     }
 }
 
-/// Rebinds a cell name after an in-place mutation (shared by put/iadd).
+/// Rebinds a cell name after an in-place mutation (shared by put, iadd
+/// and compare-and-swap): draws the ghost now, from `goal`, and returns
+/// the edit that makes the continuation goal.
 fn rebind_cell(
     cx: &mut Compiler<'_>,
     goal: &StmtGoal,
@@ -53,22 +55,22 @@ fn rebind_cell(
     id: rupicola_sep::HeapletId,
     value: &Expr,
     body: &Expr,
-) -> StmtGoal {
-    let mut g = goal.clone();
-    if state_mentions(&g, name) {
-        let ghost = cx.fresh_ghost(name);
-        g.shadow(name, &ghost);
-        g.defs.push((ghost, Expr::Var(name.to_string())));
+) -> impl FnOnce(&mut StmtGoal) + 'static {
+    let ghost = ghost_for(cx, goal, name);
+    let (name, value, body) = (name.to_string(), value.clone(), body.clone());
+    move |g| {
+        if let Some(ghost) = ghost {
+            save_ghost(g, &name, ghost);
+        }
+        if !value.is_monadic() {
+            g.defs.push((name.clone(), value));
+        }
+        if let Some(h) = g.heap.get_mut(id) {
+            h.content = Expr::Var(name.clone());
+        }
+        g.locals.set(name, SymValue::Ptr(id));
+        g.prog = body;
     }
-    if !value.is_monadic() {
-        g.defs.push((name.to_string(), value.clone()));
-    }
-    if let Some(h) = g.heap.get_mut(id) {
-        h.content = Expr::Var(name.to_string());
-    }
-    g.locals.set(name.to_string(), SymValue::Ptr(id));
-    g.prog = body.clone();
-    g
 }
 
 /// `let/n c := put c v in k` — a store through the cell's pointer.
@@ -112,13 +114,8 @@ impl CompileCellPut {
         let mut node = DerivationNode::leaf(self.name(), cx.focus_let(name, value));
         let (val_e, c0) = cx.compile_expr(val, goal)?;
         node.children.push(c0);
-        let k_goal = rebind_cell(cx, goal, name, id, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([Cmd::store(AccessSize::Eight, BExpr::var(ptr), val_e), k_cmd]),
-            node,
-        })
+        let edit = rebind_cell(cx, goal, name, id, value, body);
+        Ok(Applied::then(vec![Cmd::store(AccessSize::Eight, BExpr::var(ptr), val_e)], node, edit))
     }
 }
 
@@ -170,21 +167,10 @@ impl CompileCellIncr {
         let mut node = DerivationNode::leaf(self.name(), cx.focus_let(name, value));
         let (delta_e, c0) = cx.compile_expr(delta, goal)?;
         node.children.push(c0);
-        let k_goal = rebind_cell(cx, goal, name, id, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_cell(cx, goal, name, id, value, body);
         let load = BExpr::load(AccessSize::Eight, BExpr::var(ptr));
-        Ok(Applied {
-            cmd: Cmd::seq([
-                Cmd::store(
-                    AccessSize::Eight,
-                    BExpr::var(ptr),
-                    BExpr::op(BinOp::Add, load, delta_e),
-                ),
-                k_cmd,
-            ]),
-            node,
-        })
+        let store = Cmd::store(AccessSize::Eight, BExpr::var(ptr), BExpr::op(BinOp::Add, load, delta_e));
+        Ok(Applied::then(vec![store], node, edit))
     }
 }
 
@@ -254,19 +240,14 @@ impl CompileCellCas {
         let (val_e, c1) = cx.compile_expr(put_val, goal)?;
         node.children.push(c0);
         node.children.push(c1);
-        let k_goal = rebind_cell(cx, goal, name, id, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_cell(cx, goal, name, id, value, body);
         let store = Cmd::store(AccessSize::Eight, BExpr::var(ptr), val_e);
         let cond_e = if put_in_then {
             cond_e
         } else {
             BExpr::op(BinOp::Eq, cond_e, BExpr::lit(0))
         };
-        Ok(Applied {
-            cmd: Cmd::seq([Cmd::if_(cond_e, store, Cmd::Skip), k_cmd]),
-            node,
-        })
+        Ok(Applied::then(vec![Cmd::if_(cond_e, store, Cmd::Skip)], node, edit))
     }
 }
 
@@ -353,19 +334,17 @@ impl CompileCellCasPair {
         node.children.extend([c0, c1, c2, c3]);
 
         let flag_local = format!("{name}_fst");
-        let mut g = goal.clone();
-        let me = Expr::Var(name.to_string());
-        g.locals.set(
-            flag_local.clone(),
-            SymValue::Scalar(kr, Expr::Fst(me.clone().boxed())),
-        );
-        if let Some(h) = g.heap.get_mut(id) {
-            h.content = Expr::Snd(me.boxed());
-        }
-        g.defs.push((name.to_string(), value.clone()));
-        g.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&g)?;
-        node.children.push(k_node);
+        let (flag, name, value, body) =
+            (flag_local.clone(), name.to_string(), value.clone(), body.clone());
+        let edit = move |g: &mut StmtGoal| {
+            let me = Expr::Var(name.clone());
+            g.locals.set(flag, SymValue::Scalar(kr, Expr::Fst(me.clone().boxed())));
+            if let Some(h) = g.heap.get_mut(id) {
+                h.content = Expr::Snd(me.boxed());
+            }
+            g.defs.push((name, value));
+            g.prog = body;
+        };
 
         let store = Cmd::store(AccessSize::Eight, BExpr::var(ptr), val_e);
         let (then_cmd, else_cmd) = if put_in_then {
@@ -379,10 +358,7 @@ impl CompileCellCasPair {
                 Cmd::seq([Cmd::set(flag_local, r2_e), store]),
             )
         };
-        Ok(Applied {
-            cmd: Cmd::seq([Cmd::if_(cond_e, then_cmd, else_cmd), k_cmd]),
-            node,
-        })
+        Ok(Applied::then(vec![Cmd::if_(cond_e, then_cmd, else_cmd)], node, edit))
     }
 }
 

@@ -104,18 +104,13 @@ impl CompileScalarIf {
         node.children.push(c2);
         // Step 4: the template is instantiated with the source program
         // itself — the continuation knows `name = if t then a else b`.
-        let k_goal = rebind_scalar(cx, goal, &name.to_string(), kind, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        let cmd = Cmd::seq([
-            Cmd::if_(
-                cond_e,
-                Cmd::set(name.to_string(), then_e),
-                Cmd::set(name.to_string(), else_e),
-            ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        let edit = rebind_scalar(cx, goal, &name.to_string(), kind, value, body);
+        let branch = Cmd::if_(
+            cond_e,
+            Cmd::set(name.to_string(), then_e),
+            Cmd::set(name.to_string(), else_e),
+        );
+        Ok(Applied::then(vec![branch], node, edit))
     }
 }
 

@@ -55,12 +55,10 @@ impl CompileCopyScalar {
         body: &Expr,
     ) -> Result<Applied, CompileError> {
         let (e, c0) = cx.compile_expr(inner, goal)?;
-        let k_goal = rebind_scalar(cx, goal, &name.to_string(), kind, inner, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
+        let edit = rebind_scalar(cx, goal, &name.to_string(), kind, inner, body);
         let node = DerivationNode::leaf(self.name(), format!("let/n {name} := copy({inner})"))
-            .with_child(c0)
-            .with_child(k_node);
-        Ok(Applied { cmd: Cmd::seq([Cmd::set(name.to_string(), e), k_cmd]), node })
+            .with_child(c0);
+        Ok(Applied::then(vec![Cmd::set(name.to_string(), e)], node, edit))
     }
 }
 
@@ -94,7 +92,7 @@ impl StmtLemma for CompileCopyArrayStack {
         let (id, src_ptr) = heaplet_and_ptr(goal, inner)?;
         let HeapletKind::Array { elem } = goal.heap.get(id)?.kind.clone() else { return None };
         let n = constant_len(goal, elem, inner)?;
-        Some(self.apply(goal, cx, name, elem, n, &src_ptr, inner, body))
+        Some(Ok(self.apply(cx, name, elem, n, &src_ptr, inner, body)))
     }
 }
 
@@ -102,7 +100,6 @@ impl CompileCopyArrayStack {
     #[allow(clippy::too_many_arguments)]
     fn apply(
         &self,
-        goal: &StmtGoal,
         cx: &mut Compiler<'_>,
         name: &str,
         elem: ElemKind,
@@ -110,29 +107,14 @@ impl CompileCopyArrayStack {
         src_ptr: &str,
         inner: &Expr,
         body: &Expr,
-    ) -> Result<Applied, CompileError> {
+    ) -> Applied {
         let node = DerivationNode::leaf(
             self.name(),
             format!("let/n {name} := copy({inner})   [{n} × {elem}]"),
         );
-        let mut k_goal = goal.clone();
-        let id = k_goal.heap.add(Heaplet {
-            kind: HeapletKind::Array { elem },
-            content: Expr::Var(name.to_string()),
-            len: Some(Expr::ArrayLen { elem, arr: Expr::Var(name.to_string()).boxed() }),
-            ptr_name: format!("&{name}"),
-        });
-        k_goal.locals.set(name.to_string(), SymValue::Ptr(id));
-        k_goal.push_hyp(Hyp::EqWord(
-            Expr::ArrayLen { elem, arr: Expr::Var(name.to_string()).boxed() },
-            Expr::Lit(Value::Word(n)),
-        ));
-        k_goal.defs.push((name.to_string(), inner.clone()));
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        let node = node.with_child(k_node);
-
         let width = elem.width();
+        // The copy loop's counter is drawn before the continuation is
+        // compiled, so it takes the first fresh index after the prefix.
         let i = cx.fresh_var("_c");
         let src_addr = BExpr::op(
             BinOp::Add,
@@ -158,13 +140,19 @@ impl CompileCopyArrayStack {
                 ]),
             ),
         ]);
-        Ok(Applied {
-            cmd: Cmd::StackAlloc {
-                var: name.to_string(),
-                nbytes: n * width,
-                body: Box::new(Cmd::seq([copy_loop, k_cmd])),
-            },
-            node,
+        let (name, inner, body) = (name.to_string(), inner.clone(), body.clone());
+        Applied::then_in_stack_alloc(name.clone(), n * width, vec![copy_loop], node, move |g| {
+            let len = Expr::ArrayLen { elem, arr: Expr::Var(name.clone()).boxed() };
+            let id = g.heap.add(Heaplet {
+                kind: HeapletKind::Array { elem },
+                content: Expr::Var(name.clone()),
+                len: Some(len.clone()),
+                ptr_name: format!("&{name}"),
+            });
+            g.locals.set(name.clone(), SymValue::Ptr(id));
+            g.push_hyp(Hyp::EqWord(len, Expr::Lit(Value::Word(n))));
+            g.defs.push((name, inner));
+            g.prog = body;
         })
     }
 }

@@ -55,25 +55,12 @@ impl CompileFreeOp {
             arg_es.push(e);
             node.children.push(c);
         }
-        let mut k_goal = goal.clone();
-        k_goal.locals.set(
-            name.to_string(),
-            SymValue::Scalar(ScalarKind::Word, Expr::Var(name.to_string())),
-        );
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([
-                Cmd::Interact {
-                    rets: vec![name.to_string()],
-                    action: tag.to_string(),
-                    args: arg_es,
-                },
-                k_cmd,
-            ]),
-            node,
-        })
+        let op = Cmd::Interact { rets: vec![name.to_string()], action: tag.to_string(), args: arg_es };
+        let (name, body) = (name.to_string(), body.clone());
+        Ok(Applied::then(vec![op], node, move |g| {
+            g.locals.set(name.clone(), SymValue::Scalar(ScalarKind::Word, Expr::Var(name)));
+            g.prog = body;
+        }))
     }
 }
 

@@ -63,13 +63,29 @@ pub fn state_mentions(goal: &StmtGoal, name: &str) -> bool {
     scalars.chain(heap_terms).any(|t| t.mentions(name))
 }
 
+/// Draws the ghost that saves the old value of `name` when a rebinding
+/// would capture it: a fresh ghost if the symbolic state mentions `name`.
+pub(crate) fn ghost_for(cx: &mut Compiler<'_>, goal: &StmtGoal, name: &str) -> Option<String> {
+    state_mentions(goal, name).then(|| cx.fresh_ghost(name))
+}
+
+/// Renames the old `name` to `ghost` throughout the state and records the
+/// save in the evaluation chain.
+pub(crate) fn save_ghost(g: &mut StmtGoal, name: &str, ghost: String) {
+    g.shadow(name, &ghost);
+    // Chain semantics: the ghost saves the old value of `name` before
+    // the rebinding overwrites it.
+    g.defs.push((ghost, Expr::Var(name.to_string())));
+}
+
 /// Rebinds `name` to a scalar: performs the ghost renaming on the symbolic
 /// state if `name` is already mentioned, binds the Bedrock2 local `name` to
 /// the source variable `name`, records the defining equation as a
 /// hypothesis, and focuses the goal on `body`.
 ///
-/// Returns the continuation goal. The caller compiles the bound value *in
-/// the original goal* (renaming does not change any runtime value).
+/// Draws the ghost now, from `goal`, and returns the edit that makes the
+/// continuation goal from it. The caller compiles the bound value *in the
+/// original goal* (renaming does not change any runtime value).
 pub fn rebind_scalar(
     cx: &mut Compiler<'_>,
     goal: &StmtGoal,
@@ -77,33 +93,35 @@ pub fn rebind_scalar(
     kind: ScalarKind,
     value: &Expr,
     body: &Expr,
-) -> StmtGoal {
-    let mut g = goal.clone();
-    let mut shadowed_value = value.clone();
-    if state_mentions(&g, name) {
-        let ghost = cx.fresh_ghost(name);
-        g.shadow(name, &ghost);
-        shadowed_value = rupicola_sep::subst(value, name, &Expr::Var(ghost.clone()));
-        // Chain semantics: the ghost saves the old value of `name` before
-        // the rebinding overwrites it.
-        g.defs.push((ghost, Expr::Var(name.clone())));
+) -> impl FnOnce(&mut StmtGoal) + 'static {
+    let ghost = ghost_for(cx, goal, name);
+    let (name, value, body) = (name.clone(), value.clone(), body.clone());
+    move |g| {
+        let shadowed_value = match ghost {
+            Some(ghost) => {
+                let renamed = rupicola_sep::subst(&value, &name, &Expr::Var(ghost.clone()));
+                save_ghost(g, &name, ghost);
+                renamed
+            }
+            None => value.clone(),
+        };
+        g.locals
+            .set(name.clone(), SymValue::Scalar(kind, Expr::Var(name.clone())));
+        g.push_hyp(Hyp::EqWord(Expr::Var(name.clone()), shadowed_value));
+        if !value.is_monadic() {
+            g.defs.push((name, value));
+        }
+        g.prog = body;
     }
-    g.locals
-        .set(name.clone(), SymValue::Scalar(kind, Expr::Var(name.clone())));
-    g.push_hyp(Hyp::EqWord(Expr::Var(name.clone()), shadowed_value));
-    if !value.is_monadic() {
-        g.defs.push((name.clone(), value.clone()));
-    }
-    g.prog = body.clone();
-    g
 }
 
 /// Rebinds `name` to the (mutated-in-place) heaplet `id`: ghost-renames the
 /// old state, points the heaplet's content and length at `name`, records
 /// the length-preservation fact, and focuses the goal on `body`.
 ///
-/// `new_len_of_old` must be `true` for transformations that preserve length
-/// (map, put) — the structural property of §3.4.2.
+/// The transformation must preserve length (map, put) — the structural
+/// property of §3.4.2. Draws the ghost now and returns the edit, like
+/// [`rebind_scalar`].
 pub fn rebind_pointer(
     cx: &mut Compiler<'_>,
     goal: &StmtGoal,
@@ -112,30 +130,30 @@ pub fn rebind_pointer(
     elem: ElemKind,
     value: &Expr,
     body: &Expr,
-) -> StmtGoal {
-    let mut g = goal.clone();
-    if state_mentions(&g, name) {
-        let ghost = cx.fresh_ghost(name);
-        g.shadow(name, &ghost);
-        g.defs.push((ghost, Expr::Var(name.clone())));
-    }
-    if !value.is_monadic() {
-        g.defs.push((name.clone(), value.clone()));
-    }
-    let old_len = g.heap.get(id).and_then(|h| h.len.clone());
-    let new_len = Expr::ArrayLen { elem, arr: Expr::Var(name.clone()).boxed() };
-    if let Some(h) = g.heap.get_mut(id) {
-        h.content = Expr::Var(name.clone());
-        h.len = Some(new_len.clone());
-    }
-    if let Some(old) = old_len {
-        if old != new_len {
-            g.push_hyp(Hyp::EqWord(new_len, old));
+) -> impl FnOnce(&mut StmtGoal) + 'static {
+    let ghost = ghost_for(cx, goal, name);
+    let (name, value, body) = (name.clone(), value.clone(), body.clone());
+    move |g| {
+        if let Some(ghost) = ghost {
+            save_ghost(g, &name, ghost);
         }
+        if !value.is_monadic() {
+            g.defs.push((name.clone(), value));
+        }
+        let old_len = g.heap.get(id).and_then(|h| h.len.clone());
+        let new_len = Expr::ArrayLen { elem, arr: Expr::Var(name.clone()).boxed() };
+        if let Some(h) = g.heap.get_mut(id) {
+            h.content = Expr::Var(name.clone());
+            h.len = Some(new_len.clone());
+        }
+        if let Some(old) = old_len {
+            if old != new_len {
+                g.push_hyp(Hyp::EqWord(new_len, old));
+            }
+        }
+        g.locals.set(name, SymValue::Ptr(id));
+        g.prog = body;
     }
-    g.locals.set(name.clone(), SymValue::Ptr(id));
-    g.prog = body.clone();
-    g
 }
 
 /// Picks a Bedrock2 local name for an iteration binder: the source name if
@@ -262,14 +280,15 @@ mod tests {
         let mut goal = base_goal();
         goal.locals
             .set("acc", SymValue::Scalar(ScalarKind::Word, var("acc")));
-        let g2 = rebind_scalar(
+        let mut g2 = goal.clone();
+        rebind_scalar(
             &mut cx,
             &goal,
             &"acc".to_string(),
             ScalarKind::Word,
             &word_add(var("acc"), word_lit(1)),
             &var("acc"),
-        );
+        )(&mut g2);
         // The new binding denotes Var("acc"); the equation relates it to
         // the ghost-renamed old value.
         let (term, _) = g2.locals.get("acc").unwrap().scalar_term().unwrap();
@@ -292,7 +311,10 @@ mod tests {
         let goal = base_goal();
         let (id, _) = heaplet_and_ptr(&goal, &var("s")).unwrap();
         let value = array_map_b("b", var("b"), var("s"));
-        let g2 = rebind_pointer(&mut cx, &goal, &"s".to_string(), id, ElemKind::Byte, &value, &var("s"));
+        let mut g2 = goal.clone();
+        rebind_pointer(&mut cx, &goal, &"s".to_string(), id, ElemKind::Byte, &value, &var("s"))(
+            &mut g2,
+        );
         let h = g2.heap.get(id).unwrap();
         assert_eq!(h.content, var("s"));
         // Length-preservation hypothesis: length (new s) = length (ghost).

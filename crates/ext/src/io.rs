@@ -30,7 +30,7 @@ impl StmtLemma for MonadBindRet {
     fn try_apply(
         &self,
         goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
+        _cx: &mut Compiler<'_>,
     ) -> Option<Result<Applied, CompileError>> {
         let Expr::Bind { monad, name, ma, body } = &goal.prog else { return None };
         if !goal.monad.admits(*monad) {
@@ -40,20 +40,9 @@ impl StmtLemma for MonadBindRet {
         if m2 != monad {
             return None;
         }
-        let mut g = goal.clone();
-        g.prog = Expr::Let {
-            name: name.clone(),
-            value: value.clone(),
-            body: body.clone(),
-        };
-        Some(match cx.compile_stmt(&g) {
-            Ok((cmd, child)) => Ok(Applied {
-                cmd,
-                node: DerivationNode::leaf(self.name(), format!("bind (ret {value}) …"))
-                    .with_child(child),
-            }),
-            Err(e) => Err(e),
-        })
+        let node = DerivationNode::leaf(self.name(), format!("bind (ret {value}) …"));
+        let prog = Expr::Let { name: name.clone(), value: value.clone(), body: body.clone() };
+        Some(Ok(Applied::then(Vec::new(), node, move |g| g.prog = prog)))
     }
 }
 
@@ -70,7 +59,7 @@ impl StmtLemma for CompileIoRead {
     fn try_apply(
         &self,
         goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
+        _cx: &mut Compiler<'_>,
     ) -> Option<Result<Applied, CompileError>> {
         let Expr::Bind { monad: MonadKind::Io, name, ma, body } = &goal.prog else {
             return None;
@@ -78,27 +67,13 @@ impl StmtLemma for CompileIoRead {
         if !goal.monad.admits(MonadKind::Io) || ma.as_ref() != &Expr::IoRead {
             return None;
         }
-        let mut k_goal = goal.clone();
-        k_goal.locals.set(
-            name.clone(),
-            SymValue::Scalar(ScalarKind::Word, Expr::Var(name.clone())),
-        );
-        k_goal.prog = body.as_ref().clone();
-        Some(match cx.compile_stmt(&k_goal) {
-            Ok((k_cmd, k_node)) => Ok(Applied {
-                cmd: Cmd::seq([
-                    Cmd::Interact {
-                        rets: vec![name.clone()],
-                        action: "io_read".into(),
-                        args: vec![],
-                    },
-                    k_cmd,
-                ]),
-                node: DerivationNode::leaf(self.name(), format!("let/n! {name} := io.read()"))
-                    .with_child(k_node),
-            }),
-            Err(e) => Err(e),
-        })
+        let read = Cmd::Interact { rets: vec![name.clone()], action: "io_read".into(), args: vec![] };
+        let node = DerivationNode::leaf(self.name(), format!("let/n! {name} := io.read()"));
+        let (name, body) = (name.clone(), body.as_ref().clone());
+        Some(Ok(Applied::then(vec![read], node, move |g| {
+            g.locals.set(name.clone(), SymValue::Scalar(ScalarKind::Word, Expr::Var(name)));
+            g.prog = body;
+        })))
     }
 }
 
@@ -139,17 +114,9 @@ impl CompileIoWrite {
         let mut node = DerivationNode::leaf(self.name(), format!("io.write({e})"));
         let (e_c, c0) = cx.compile_expr(e, goal)?;
         node.children.push(c0);
-        let mut k_goal = goal.clone();
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([
-                Cmd::Interact { rets: vec![], action: "io_write".into(), args: vec![e_c] },
-                k_cmd,
-            ]),
-            node,
-        })
+        let write = Cmd::Interact { rets: vec![], action: "io_write".into(), args: vec![e_c] };
+        let body = body.clone();
+        Ok(Applied::then(vec![write], node, move |g| g.prog = body))
     }
 }
 

@@ -57,15 +57,10 @@ impl CompileLetScalar {
         body: &Expr,
     ) -> Result<Applied, CompileError> {
         let (e, value_node) = cx.compile_expr(value, goal)?;
-        let k_goal = rebind_scalar(cx, goal, &name.to_string(), kind, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        let node = DerivationNode::leaf(self.name(), cx.focus_let(name, value))
-            .with_child(value_node)
-            .with_child(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([Cmd::set(name.to_string(), e), k_cmd]),
-            node,
-        })
+        let edit = rebind_scalar(cx, goal, &name.to_string(), kind, value, body);
+        let node =
+            DerivationNode::leaf(self.name(), cx.focus_let(name, value)).with_child(value_node);
+        Ok(Applied::then(vec![Cmd::set(name.to_string(), e)], node, edit))
     }
 }
 
@@ -117,26 +112,23 @@ impl CompileLetPair {
         node.children.push(c0);
         node.children.push(c1);
         let (fst_local, snd_local) = (format!("{name}_fst"), format!("{name}_snd"));
-        let mut g = goal.clone();
-        let me = Expr::Var(name.to_string());
-        g.locals.set(
-            fst_local.clone(),
-            rupicola_sep::SymValue::Scalar(ka, Expr::Fst(me.clone().boxed())),
-        );
-        g.locals.set(
-            snd_local.clone(),
-            rupicola_sep::SymValue::Scalar(kb, Expr::Snd(me.clone().boxed())),
-        );
-        g.push_hyp(rupicola_core::Hyp::EqWord(Expr::Fst(me.clone().boxed()), a.clone()));
-        g.push_hyp(rupicola_core::Hyp::EqWord(Expr::Snd(me.boxed()), b.clone()));
-        g.defs.push((name.to_string(), Expr::Pair(a.clone().boxed(), b.clone().boxed())));
-        g.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&g)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([Cmd::set(fst_local, ea), Cmd::set(snd_local, eb), k_cmd]),
-            node,
-        })
+        let cmds = vec![Cmd::set(fst_local.clone(), ea), Cmd::set(snd_local.clone(), eb)];
+        let (name, a, b, body) = (name.to_string(), a.clone(), b.clone(), body.clone());
+        Ok(Applied::then(cmds, node, move |g| {
+            let me = Expr::Var(name.clone());
+            g.locals.set(
+                fst_local,
+                rupicola_sep::SymValue::Scalar(ka, Expr::Fst(me.clone().boxed())),
+            );
+            g.locals.set(
+                snd_local,
+                rupicola_sep::SymValue::Scalar(kb, Expr::Snd(me.clone().boxed())),
+            );
+            g.push_hyp(rupicola_core::Hyp::EqWord(Expr::Fst(me.clone().boxed()), a.clone()));
+            g.push_hyp(rupicola_core::Hyp::EqWord(Expr::Snd(me.boxed()), b.clone()));
+            g.defs.push((name, Expr::Pair(a.boxed(), b.boxed())));
+            g.prog = body;
+        }))
     }
 }
 

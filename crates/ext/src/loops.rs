@@ -7,7 +7,9 @@
 //! flags, yielding the `while (c && i < n)` shape of handwritten search
 //! loops.
 
-use crate::helpers::{kind_of, loop_body_goal, loop_counter_local, rebind_scalar};
+use crate::helpers::{
+    ghost_for, kind_of, loop_body_goal, loop_counter_local, rebind_scalar, save_ghost,
+};
 use rupicola_core::derive::DerivationNode;
 use rupicola_core::invariant::{LoopInvariant, LoopInvariantKind};
 use rupicola_core::{Applied, CompileError, Compiler, Hyp, StmtGoal, StmtLemma};
@@ -96,11 +98,9 @@ impl CompileRangeFold {
             },
         });
 
-        let k_goal = rebind_scalar(cx, goal, &name.to_string(), acc_kind, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_scalar(cx, goal, &name.to_string(), acc_kind, value, body);
 
-        let cmd = Cmd::seq([
+        let cmds = vec![
             Cmd::set(name.to_string(), init_e),
             Cmd::set(&i_var, from_e),
             Cmd::while_(
@@ -110,9 +110,8 @@ impl CompileRangeFold {
                     Cmd::set(&i_var, BExpr::op(BinOp::Add, BExpr::var(&i_var), BExpr::lit(1))),
                 ]),
             ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        ];
+        Ok(Applied::then(cmds, node, edit))
     }
 }
 
@@ -210,9 +209,7 @@ impl CompileRangeFoldBreak {
         node.children.push(c4);
         node.children.push(c5);
 
-        let k_goal = rebind_scalar(cx, goal, &name.to_string(), acc_kind, value, body);
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let edit = rebind_scalar(cx, goal, &name.to_string(), acc_kind, value, body);
 
         // The branch that continues advances the counter; the other clears
         // the flag (and still commits its accumulator, matching the
@@ -234,7 +231,7 @@ impl CompileRangeFoldBreak {
         } else {
             (break_cmd(then_e), continue_cmd(else_e))
         };
-        let cmd = Cmd::seq([
+        let cmds = vec![
             Cmd::set(name.to_string(), init_e),
             Cmd::set(&i_var, from_e),
             Cmd::set(&c_var, BExpr::lit(1)),
@@ -246,9 +243,8 @@ impl CompileRangeFoldBreak {
                 ),
                 Cmd::if_(cond_e, then_cmd, else_cmd),
             ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        ];
+        Ok(Applied::then(cmds, node, edit))
     }
 }
 
@@ -340,21 +336,20 @@ impl CompileRangeFoldM {
         let (body_cmd, c_body) = cx.compile_stmt(&body_goal)?;
         node.children.push(c_body);
 
-        let mut k_goal = goal.clone();
-        if crate::helpers::state_mentions(&k_goal, name) {
-            let ghost = cx.fresh_ghost(name);
-            k_goal.shadow(name, &ghost);
-            k_goal.defs.push((ghost, Expr::Var(name.to_string())));
-        }
-        k_goal.locals.set(
-            name.to_string(),
-            rupicola_sep::SymValue::Scalar(acc_kind, Expr::Var(name.to_string())),
-        );
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
+        let ghost = ghost_for(cx, goal, name);
+        let (name_s, body) = (name.to_string(), body.clone());
+        let edit = move |g: &mut StmtGoal| {
+            if let Some(ghost) = ghost {
+                save_ghost(g, &name_s, ghost);
+            }
+            g.locals.set(
+                name_s.clone(),
+                rupicola_sep::SymValue::Scalar(acc_kind, Expr::Var(name_s)),
+            );
+            g.prog = body;
+        };
 
-        let cmd = Cmd::seq([
+        let cmds = vec![
             Cmd::set(name.to_string(), init_e),
             Cmd::set(&i_var, from_e),
             Cmd::while_(
@@ -364,9 +359,8 @@ impl CompileRangeFoldM {
                     Cmd::set(&i_var, BExpr::op(BinOp::Add, BExpr::var(&i_var), BExpr::lit(1))),
                 ]),
             ),
-            k_cmd,
-        ]);
-        Ok(Applied { cmd, node })
+        ];
+        Ok(Applied::then(cmds, node, edit))
     }
 }
 

@@ -37,7 +37,7 @@ impl StmtLemma for CompileNondetAlloc {
     fn try_apply(
         &self,
         goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
+        _cx: &mut Compiler<'_>,
     ) -> Option<Result<Applied, CompileError>> {
         let Expr::Bind { monad: MonadKind::Nondet, name, ma, body } = &goal.prog else {
             return None;
@@ -47,51 +47,28 @@ impl StmtLemma for CompileNondetAlloc {
         }
         let Expr::NondetBytes { len } = ma.as_ref() else { return None };
         let Expr::Lit(Value::Word(n)) = len.as_ref() else { return None };
-        Some(self.apply(goal, cx, name, *n, body))
+        Some(Ok(self.apply(name, *n, body)))
     }
 }
 
 impl CompileNondetAlloc {
-    fn apply(
-        &self,
-        goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
-        name: &str,
-        n: u64,
-        body: &Expr,
-    ) -> Result<Applied, CompileError> {
+    fn apply(&self, name: &str, n: u64, body: &Expr) -> Applied {
         let node = DerivationNode::leaf(
             self.name(),
             format!("let/n! {name} := nondet.bytes({n})"),
         );
-        let mut k_goal = goal.clone();
-        let id = k_goal.heap.add(Heaplet {
-            kind: HeapletKind::Array { elem: ElemKind::Byte },
-            content: Expr::Var(name.to_string()),
-            len: Some(Expr::ArrayLen {
-                elem: ElemKind::Byte,
-                arr: Expr::Var(name.to_string()).boxed(),
-            }),
-            ptr_name: format!("&{name}"),
-        });
-        k_goal.locals.set(name.to_string(), SymValue::Ptr(id));
-        k_goal.push_hyp(Hyp::EqWord(
-            Expr::ArrayLen {
-                elem: ElemKind::Byte,
-                arr: Expr::Var(name.to_string()).boxed(),
-            },
-            Expr::Lit(Value::Word(n)),
-        ));
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        let node = node.with_child(k_node);
-        Ok(Applied {
-            cmd: Cmd::StackAlloc {
-                var: name.to_string(),
-                nbytes: n,
-                body: Box::new(k_cmd),
-            },
-            node,
+        let (name, body) = (name.to_string(), body.clone());
+        Applied::then_in_stack_alloc(name.clone(), n, Vec::new(), node, move |g| {
+            let len = Expr::ArrayLen { elem: ElemKind::Byte, arr: Expr::Var(name.clone()).boxed() };
+            let id = g.heap.add(Heaplet {
+                kind: HeapletKind::Array { elem: ElemKind::Byte },
+                content: Expr::Var(name.clone()),
+                len: Some(len.clone()),
+                ptr_name: format!("&{name}"),
+            });
+            g.locals.set(name, SymValue::Ptr(id));
+            g.push_hyp(Hyp::EqWord(len, Expr::Lit(Value::Word(n))));
+            g.prog = body;
         })
     }
 }
@@ -138,21 +115,16 @@ impl CompileNondetPeek {
         );
         let sc = cx.solve(self.name(), SideCond::NonZero(bound.clone()), &goal.hyps)?;
         node.side_conds.push(sc);
-        let mut k_goal = goal.clone();
-        k_goal
-            .locals
-            .set(name.to_string(), SymValue::Scalar(ScalarKind::Word, Expr::Var(name.to_string())));
-        // Only the set membership is known downstream — the value itself
-        // is unspecified at the source level.
-        k_goal.push_hyp(Hyp::LtU(Expr::Var(name.to_string()), bound.clone()));
-        k_goal.defs.push((name.to_string(), Expr::NondetWord { bound: bound.clone().boxed() }));
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([Cmd::set(name.to_string(), rupicola_bedrock::BExpr::lit(0)), k_cmd]),
-            node,
-        })
+        let pick = Cmd::set(name.to_string(), rupicola_bedrock::BExpr::lit(0));
+        let (name, bound, body) = (name.to_string(), bound.clone(), body.clone());
+        Ok(Applied::then(vec![pick], node, move |g| {
+            g.locals.set(name.clone(), SymValue::Scalar(ScalarKind::Word, Expr::Var(name.clone())));
+            // Only the set membership is known downstream — the value
+            // itself is unspecified at the source level.
+            g.push_hyp(Hyp::LtU(Expr::Var(name.clone()), bound.clone()));
+            g.defs.push((name, Expr::NondetWord { bound: bound.boxed() }));
+            g.prog = body;
+        }))
     }
 }
 

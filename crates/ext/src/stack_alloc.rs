@@ -27,7 +27,7 @@ impl StmtLemma for CompileStackInit {
     fn try_apply(
         &self,
         goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
+        _cx: &mut Compiler<'_>,
     ) -> Option<Result<Applied, CompileError>> {
         let Expr::Let { name, value, body } = &goal.prog else { return None };
         let Expr::Stack(init) = value.as_ref() else { return None };
@@ -39,16 +39,13 @@ impl StmtLemma for CompileStackInit {
             Value::WordList(_) => ElemKind::Word,
             _ => return None,
         };
-        Some(self.apply(goal, cx, name, elem, v.clone(), init, body))
+        Some(self.apply(name, elem, v.clone(), init, body))
     }
 }
 
 impl CompileStackInit {
-    #[allow(clippy::too_many_arguments)]
     fn apply(
         &self,
-        goal: &StmtGoal,
-        cx: &mut Compiler<'_>,
         name: &str,
         elem: ElemKind,
         init: Value,
@@ -83,35 +80,20 @@ impl CompileStackInit {
             ));
         }
         // Continuation with the new heaplet in scope.
-        let mut k_goal = goal.clone();
-        let id = k_goal.heap.add(Heaplet {
-            kind: HeapletKind::Array { elem },
-            content: Expr::Var(name.to_string()),
-            len: Some(Expr::ArrayLen {
-                elem,
-                arr: Expr::Var(name.to_string()).boxed(),
-            }),
-            ptr_name: format!("&{name}"),
-        });
-        k_goal.locals.set(name.to_string(), SymValue::Ptr(id));
-        k_goal.push_hyp(Hyp::EqWord(
-            Expr::ArrayLen { elem, arr: Expr::Var(name.to_string()).boxed() },
-            Expr::Lit(Value::Word(n)),
-        ));
-        k_goal.defs.push((name.to_string(), init_term.clone()));
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        let node = node.with_child(k_node);
-        let mut inner = stores;
-        inner.push(k_cmd);
-        Ok(Applied {
-            cmd: Cmd::StackAlloc {
-                var: name.to_string(),
-                nbytes,
-                body: Box::new(Cmd::seq(inner)),
-            },
-            node,
-        })
+        let (name, init_term, body) = (name.to_string(), init_term.clone(), body.clone());
+        Ok(Applied::then_in_stack_alloc(name.clone(), nbytes, stores, node, move |g| {
+            let len = Expr::ArrayLen { elem, arr: Expr::Var(name.clone()).boxed() };
+            let id = g.heap.add(Heaplet {
+                kind: HeapletKind::Array { elem },
+                content: Expr::Var(name.clone()),
+                len: Some(len.clone()),
+                ptr_name: format!("&{name}"),
+            });
+            g.locals.set(name.clone(), SymValue::Ptr(id));
+            g.push_hyp(Hyp::EqWord(len, Expr::Lit(Value::Word(n))));
+            g.defs.push((name, init_term));
+            g.prog = body;
+        }))
     }
 }
 

@@ -48,17 +48,9 @@ impl CompileWriterTell {
         let mut node = DerivationNode::leaf(self.name(), format!("writer.tell({e})"));
         let (e_c, c0) = cx.compile_expr(e, goal)?;
         node.children.push(c0);
-        let mut k_goal = goal.clone();
-        k_goal.prog = body.clone();
-        let (k_cmd, k_node) = cx.compile_stmt(&k_goal)?;
-        node.children.push(k_node);
-        Ok(Applied {
-            cmd: Cmd::seq([
-                Cmd::Interact { rets: vec![], action: "writer_tell".into(), args: vec![e_c] },
-                k_cmd,
-            ]),
-            node,
-        })
+        let tell = Cmd::Interact { rets: vec![], action: "writer_tell".into(), args: vec![e_c] };
+        let body = body.clone();
+        Ok(Applied::then(vec![tell], node, move |g| g.prog = body))
     }
 }
 

@@ -10,8 +10,8 @@
 use crate::{OptError, TEMP_PREFIX};
 use rupicola_analysis::{ct, LintCertificate, SecrecyPolicy};
 use rupicola_bedrock::interp::NoExternals;
-use rupicola_bedrock::{BFunction, ExecState, Interpreter};
-use rupicola_core::check::{Certificate, CheckConfig, CheckError};
+use rupicola_bedrock::{BFunction, ExecState};
+use rupicola_core::check::{Certificate, CheckConfig, CheckError, ResolvedBody};
 use rupicola_core::lemma::HintDbs;
 use rupicola_core::CompiledFunction;
 
@@ -83,8 +83,11 @@ pub fn validate(
 ) -> Result<(), OptError> {
     let cf = cert.compiled();
 
+    // One resolution of the candidate serves layers 1 and 3.
+    let resolved = cert.resolve(candidate);
+
     // Layer 1: the trusted checker, against the original spec and witness.
-    if let Err(e) = cert.check_body(candidate) {
+    if let Err(e) = cert.check_body(&resolved) {
         return Err(match e {
             CheckError::Divergence { .. } => {
                 OptError::InterpDiverged { detail: e.to_string() }
@@ -105,7 +108,7 @@ pub fn validate(
     }
 
     // Layer 3: the interpreter differential against the certified body.
-    differential(cert, candidate)?;
+    differential(cert, &resolved)?;
 
     // Layer 4: secret-independence. Only a *regression* is a failure.
     if let Some(policy) = &ct.gate {
@@ -127,9 +130,9 @@ pub fn validate(
 /// reference runs: return words, final heap, event trace — and locals, up
 /// to pass-introduced `_cse*` temporaries on the optimized side and
 /// eliminated temporaries on the original side.
-fn differential(cert: &Certificate<'_>, candidate: &BFunction) -> Result<(), OptError> {
+fn differential(cert: &Certificate<'_>, candidate: &ResolvedBody<'_>) -> Result<(), OptError> {
     let cf = cert.compiled();
-    let interp_cand = Interpreter::of(std::iter::once(candidate).chain(&cf.linked));
+    let interp_cand = candidate.interpreter();
     let name = &cf.function.name;
     let fuel = cert.config().max_fuel;
 

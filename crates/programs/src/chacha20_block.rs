@@ -14,10 +14,11 @@
 //! `chacha_qr`: adds masked with `0xffff_ffff`, `rotl32` built from
 //! shifts, xor of in-range values unmasked.
 //!
-//! Depth note: the default [`EngineLimits::max_recursion_depth`] (256)
-//! tracks the let-spine and is far too small here; [`limits`] raises it,
-//! and suite drivers apply the adjustment through
-//! [`crate::SuiteEntry::limits`].
+//! Depth note: the engine resolves a let-spine in a loop, so the default
+//! [`EngineLimits`] (whose recursion depth bounds nesting, not spine
+//! length) compile the spine on a default-sized stack. Evaluating the
+//! model and walking or re-checking the derivation still recurse one frame
+//! per statement; run those through [`crate::parallel::on_deep_stack`].
 
 use crate::funclist::List;
 use crate::{Features, ProgramInfo};
@@ -128,28 +129,24 @@ pub fn spec() -> FnSpec {
     // hints-end
 }
 
-/// Raises the recursion-depth budget to cover the ~670-statement
-/// let-spine (the other budgets' defaults already dominate this program).
+/// The [`crate::SuiteEntry::limits`] adjustment: the identity, since the
+/// default budgets compile the spine.
 pub fn limits(base: EngineLimits) -> EngineLimits {
-    EngineLimits { max_recursion_depth: base.max_recursion_depth.max(4096), ..base }
+    base
 }
 
-/// Runs the relational compiler (under [`limits`], on a deep stack — the
-/// derivation recurses one frame per statement, past default-sized
-/// thread stacks; see [`crate::parallel::on_deep_stack`]).
+/// Runs the relational compiler under [`limits`].
 ///
 /// # Errors
 ///
 /// Propagates [`CompileError`] (none expected with the standard databases).
 pub fn compiled() -> Result<CompiledFunction, CompileError> {
-    crate::parallel::on_deep_stack(|| {
-        rupicola_core::compile_with_limits(
-            &model(),
-            &spec(),
-            &standard_dbs(),
-            limits(EngineLimits::default()),
-        )
-    })
+    rupicola_core::compile_with_limits(
+        &model(),
+        &spec(),
+        &standard_dbs(),
+        limits(EngineLimits::default()),
+    )
 }
 
 /// The executable specification: RFC 8439 §2.3 on `u32` state (rounds on

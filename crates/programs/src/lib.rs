@@ -93,8 +93,7 @@ pub struct SuiteEntry {
     /// Per-program adjustment of the engine budgets, applied by suite
     /// drivers to whatever base limits they run under (so a service
     /// deadline or a harness override still reaches the worker). Identity
-    /// ([`default_limits`]) for every Table 2 program; `chacha20_block`
-    /// raises the recursion-depth budget over its ~670-statement spine.
+    /// ([`default_limits`]) for every program of the suites.
     pub limits: fn(EngineLimits) -> EngineLimits,
 }
 

@@ -26,18 +26,18 @@ use std::sync::{Mutex, PoisonError};
 use rupicola_core::{compile_with_limits, CompileError, CompiledFunction, EngineLimits, HintDbs};
 
 /// Worker stack size: 16 MiB, comfortably above the deepest suite
-/// derivation (`chacha20_block` recurses one frame per statement over a
-/// ~670-let spine; the platform default for spawned threads is 2 MiB).
+/// program (checking `chacha20_block` recurses one frame per statement
+/// over a ~670-let spine — evaluation and derivation walks, not the
+/// engine; the platform default for spawned threads is 2 MiB).
 const WORKER_STACK_BYTES: usize = 16 * 1024 * 1024;
 
 /// Runs `f` on a fresh thread with the scheduler's deep stack
 /// ([`run_work_stealing`]'s workers get the same) and returns its result.
 ///
 /// The single-threaded escape hatch for the perf suite's deep programs:
-/// compiling, evaluating, or re-checking `chacha20_block` recurses one
-/// frame per statement, which overflows default-sized stacks (2 MiB
-/// spawned, 8 MiB test threads under debug-build frame sizes). Panics in
-/// `f` propagate.
+/// evaluating or re-checking `chacha20_block` recurses one frame per
+/// statement, which overflows default-sized stacks (2 MiB spawned, 8 MiB
+/// test threads under debug-build frame sizes). Panics in `f` propagate.
 pub fn on_deep_stack<T, F>(f: F) -> T
 where
     T: Send,

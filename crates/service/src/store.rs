@@ -842,7 +842,7 @@ impl Store {
         // fresh compilation. The cache adds no trust. Every step below
         // validates a body against this one certificate.
         let cert = Certificate::with_parts(&entry.cf, dbs, &self.check, &entry.cert);
-        cert.check_body(&cf.function).map_err(|e| format!("re-check failed: {e}"))?;
+        cert.check_body(&cert.resolve(&cf.function)).map_err(|e| format!("re-check failed: {e}"))?;
         let lint = || entry.lint.get_or_init(|| LintCertificate::new(&entry.cf, Some(dbs)));
         // A stored optimized body is as untrusted as the pass that made
         // it: re-run the full translation-validation stack (checker

@@ -9,13 +9,49 @@
 //!
 //! Run with `cargo run --example custom_extension`.
 
+use rupicola::bedrock::{BExpr, BinOp, Cmd};
 use rupicola::core::check::{check_with, CheckConfig};
+use rupicola::core::derive::DerivationNode;
 use rupicola::core::fnspec::{ArgSpec, FnSpec, RetSpec};
+use rupicola::core::{Applied, CompileError, Compiler, StmtGoal, StmtLemma};
+use rupicola::ext::helpers::rebind_scalar;
 use rupicola::ext::standard_dbs;
 use rupicola::ext::unfold::UnfoldExpr;
 use rupicola::lang::dsl::*;
-use rupicola::lang::{Model, Value};
+use rupicola::lang::{Expr, Model, Value};
 use rupicola::sep::ScalarKind;
+
+/// The bespoke-lemma route for `let/n y := sat_inc(x) in k`: emit
+/// `y = x + (x < MAX)`, then hand the continuation `k` back to the engine.
+/// The lemma decides and compiles its prefix from the goal it is shown;
+/// the goal edit (bind `y`, record its definition, focus on `k`) runs only
+/// once the lemma has applied, and the engine compiles the continuation.
+struct SatIncLet;
+
+impl StmtLemma for SatIncLet {
+    fn name(&self) -> &'static str {
+        "compile_sat_inc"
+    }
+
+    fn try_apply(
+        &self,
+        goal: &StmtGoal,
+        cx: &mut Compiler<'_>,
+    ) -> Option<Result<Applied, CompileError>> {
+        let Expr::Let { name, value, body } = &goal.prog else { return None };
+        let Expr::Extern { tag, args } = value.as_ref() else { return None };
+        if tag != "sat_inc" || args.len() != 1 {
+            return None;
+        }
+        Some(cx.compile_expr(&args[0], goal).map(|(x, x_node)| {
+            let bump = BExpr::op(BinOp::LtU, x.clone(), BExpr::lit(u64::MAX));
+            let cmd = Cmd::set(name.clone(), BExpr::op(BinOp::Add, x, bump));
+            let node = DerivationNode::leaf(self.name(), cx.focus_let(name, value)).with_child(x_node);
+            let edit = rebind_scalar(cx, goal, name, ScalarKind::Word, value, body);
+            Applied::then(vec![cmd], node, edit)
+        }))
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A model using an operation the standard compiler has never heard of.
@@ -65,6 +101,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "generated C:\n{}",
         rupicola::bedrock::cprint::function_to_c(&compiled.function)
+    );
+
+    // Step 2, the other way: a bespoke statement lemma, registered ahead
+    // of the generic binding, that hands its continuation back.
+    let mut bespoke = standard_dbs();
+    bespoke.register_stmt_front(SatIncLet);
+    let compiled = rupicola::core::compile(&model, &spec, &bespoke)?;
+    let report = check_with(&compiled, &bespoke, &config)?;
+    println!(
+        "== with a bespoke statement lemma ==\nderivation:\n{}\nchecked on {} vectors ✓\n",
+        compiled.derivation, report.vectors_run
     );
 
     // A *wrong* unfolding does not certify: the checker rejects it.

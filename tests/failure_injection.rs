@@ -52,7 +52,7 @@ impl StmtLemma for OffByOneLemma {
             Ok(x) => x,
             Err(e) => return Some(Err(e)),
         };
-        Some(Ok(Applied {
+        Some(Ok(Applied::Closed {
             cmd: Cmd::seq([
                 Cmd::set(
                     name.clone(),
@@ -345,7 +345,7 @@ impl StmtLemma for LoopForeverLemma {
         goal: &StmtGoal,
         cx: &mut Compiler<'_>,
     ) -> Option<Result<Applied, CompileError>> {
-        Some(cx.compile_stmt(goal).map(|(cmd, node)| Applied {
+        Some(cx.compile_stmt(goal).map(|(cmd, node)| Applied::Closed {
             cmd,
             node: DerivationNode::leaf(self.name(), "loop").with_child(node),
         }))
